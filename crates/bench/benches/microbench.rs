@@ -16,7 +16,7 @@ use hisrect::featurizer::{Featurizer, ProfileInput};
 use hisrect::fv::fv_feature;
 use hisrect::model::{Ablation, HisRectModel};
 use hisrect::ssl::{train_featurizer, SslNets};
-use nn::ParamStore;
+use nn::{ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -174,6 +174,27 @@ fn bench_kernels(h: &mut Harness) {
     let qb: Vec<i8> = (0..4096).map(|i| ((i * 91) % 255 - 127) as i8).collect();
     h.bench("dot_i8_4096", || tensor::gemm::dot_i8(&qa, &qb));
 
+    // One LSTM step's worth of gate pre-activations (4 x 24 units)
+    // through the shared polynomial activations and through the scalar
+    // libm loops they replaced.
+    let gates = randn(&mut rng, 1, 96, 2.0);
+    let mut buf = vec![0.0f32; 96];
+    let mut on_gates = |name: &str, f: &dyn Fn(&mut [f32])| {
+        h.bench(name, || {
+            buf.copy_from_slice(gates.as_slice());
+            f(&mut buf);
+            buf[95]
+        });
+    };
+    on_gates("act_sigmoid_96", &tensor::act::sigmoid);
+    on_gates("libm_sigmoid_96", &|xs| {
+        xs.iter_mut().for_each(|x| *x = 1.0 / (1.0 + (-*x).exp()))
+    });
+    on_gates("act_tanh_96", &tensor::act::tanh);
+    on_gates("libm_tanh_96", &|xs| {
+        xs.iter_mut().for_each(|x| *x = x.tanh())
+    });
+
     let w = randn(&mut rng, 256, 256, 1.0);
     let qw = tensor::QuantMatrix::from_weights(&w);
     let x = randn(&mut rng, 16, 256, 1.0);
@@ -296,6 +317,29 @@ fn bench_features(h: &mut Harness, ds: &twitter_sim::Dataset) {
     let model = trained_model(ds);
     h.bench("featurize_one_profile", || {
         model.feature(ds, idx, Ablation::default())
+    });
+
+    // The same profile through a stand-alone BiLSTM-C featurizer of the
+    // model's shape, tape-free and on the tape forward it is pinned to
+    // (weights are random: timing does not depend on them).
+    let input = model.profile_input_for(ds, profile, Ablation::default());
+    let mut rng = StdRng::seed_from_u64(1);
+    let mut store = ParamStore::new();
+    let featurizer = Featurizer::new(
+        &mut store,
+        &model.spec.config,
+        HistoryEncoder::Rect,
+        ContentEncoder::BiLstmC,
+        ds.world.pois.len(),
+        &mut rng,
+    );
+    h.bench("featurize_one_profile_eval", || {
+        featurizer.features(&store, &[&input])
+    });
+    h.bench("featurize_one_profile_tape", || {
+        let mut tape = Tape::new();
+        let f = featurizer.forward_batch(&mut tape, &store, &[&input], false, &mut rng);
+        tape.value(f).clone()
     });
 
     let pair = ds.test.pos_pairs[0];
@@ -461,15 +505,53 @@ fn run_perf_gate(h: &mut Harness, mean_metrics_ratio: f64) -> Vec<String> {
         h.report
             .line("gate SKIP seed-absolute checks (portable tier forced, HISRECT_SIMD=0)");
     }
-    // The quantized path's acceptance bar, measured in-run against the
-    // f32 case of the same machine and load — a relative gate, so it
-    // holds on both kernel tiers (HISRECT_SIMD=0 and =1).
+    // The quantized path's bars, measured in-run. Until the f32 judge left
+    // the tape this was "single-pair int8 >= 2x f32", which turned out to
+    // be tape bookkeeping, not arithmetic: at the served widths of 24-48
+    // the tape-free f32 judge is now the faster of the two and int8 buys
+    // 4x smaller weights. What is left to defend is the kernel — the
+    // maddubs i8 GEMM against the f32 GEMM where arithmetic dominates
+    // (AVX2 only: the portable `dot_i8` is a plain widening loop) — and,
+    // on both tiers, that the int8 pair stays within reach of f32.
+    if simd {
+        if let Some(f32_gemm) = h.min_of("matmul_16x256x256_f32") {
+            check(
+                "qmatmul_16x256x256 >= 2x faster than f32",
+                h.min_of("qmatmul_16x256x256"),
+                f32_gemm / 2.0,
+            );
+        }
+    }
     if let Some(f32_pair) = h.min_of("judge_pair_cached_features") {
         check(
-            "judge_pair int8 >= 2x faster than f32",
+            "judge_pair int8 within 2.5x of f32",
             h.min_of("judge_pair_cached_features_int8"),
-            f32_pair / 2.0,
+            f32_pair * 2.5,
         );
+    }
+    // The tape-free eval forward against the tape forward of the same
+    // featurizer, and the polynomial gates against libm: same-run ratios,
+    // blocking on both tiers.
+    if let Some(tape) = h.min_of("featurize_one_profile_tape") {
+        check(
+            "featurize eval >= 2x faster than the tape forward",
+            h.min_of("featurize_one_profile_eval"),
+            tape / 2.0,
+        );
+    }
+    // Bars per tier: on AVX2 the sigmoid is bound by its ~30 operations
+    // per register against a glibc `expf` that pipelines to 2.4 ns per
+    // element (2.8x measured where this was written), `tanhf` is far
+    // slower (8x); the portable tier only has to not lose.
+    for (name, avx2_factor) in [("sigmoid", 2.5), ("tanh", 3.0)] {
+        if let Some(libm) = h.min_of(&format!("libm_{name}_96")) {
+            let factor = if simd { avx2_factor } else { 1.0 };
+            check(
+                &format!("act::{name}(96) >= {factor}x faster than libm"),
+                h.min_of(&format!("act_{name}_96")),
+                libm / factor,
+            );
+        }
     }
     // Dispatch sanity: going parallel at 256x256 must never cost more
     // than 5% over serial, even on a single-core box where the parallel

@@ -278,68 +278,65 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let b = *self
+            // Copy the whole run of plain bytes up to the next quote or
+            // backslash at once. Both delimiters are ASCII, so a run that
+            // began on a char boundary ends on one, and each input byte is
+            // validated exactly once: parsing is linear in the input.
+            let start = self.pos;
+            while self
                 .bytes
                 .get(self.pos)
-                .ok_or_else(|| Error::new("unterminated string"))?;
-            match b {
-                b'"' => {
+                .is_some_and(|&b| b != b'"' && b != b'\\')
+            {
+                self.pos += 1;
+            }
+            let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                .map_err(|_| Error::new("invalid UTF-8"))?;
+            out.push_str(run);
+            match self.bytes.get(self.pos) {
+                None => return Err(Error::new("unterminated string")),
+                Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| Error::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let code = self.hex4()?;
-                            // Surrogate pairs for astral-plane chars.
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                if self.bytes.get(self.pos) == Some(&b'\\')
-                                    && self.bytes.get(self.pos + 1) == Some(&b'u')
-                                {
-                                    self.pos += 2;
-                                    let low = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((code - 0xD800) << 10)
-                                        + (low.wrapping_sub(0xDC00));
-                                    char::from_u32(combined)
-                                        .ok_or_else(|| Error::new("invalid surrogate pair"))?
-                                } else {
-                                    return Err(Error::new("lone high surrogate"));
-                                }
-                            } else {
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::new("invalid \\u escape"))?
-                            };
-                            out.push(c);
+                Some(_) => self.pos += 1, // the backslash
+            }
+            let esc = *self
+                .bytes
+                .get(self.pos)
+                .ok_or_else(|| Error::new("unterminated escape"))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let code = self.hex4()?;
+                    // Surrogate pairs for astral-plane chars.
+                    let c = if (0xD800..0xDC00).contains(&code) {
+                        if self.bytes.get(self.pos) == Some(&b'\\')
+                            && self.bytes.get(self.pos + 1) == Some(&b'u')
+                        {
+                            self.pos += 2;
+                            let low = self.hex4()?;
+                            let combined =
+                                0x10000 + ((code - 0xD800) << 10) + (low.wrapping_sub(0xDC00));
+                            char::from_u32(combined)
+                                .ok_or_else(|| Error::new("invalid surrogate pair"))?
+                        } else {
+                            return Err(Error::new("lone high surrogate"));
                         }
-                        other => {
-                            return Err(Error::new(format!("invalid escape `\\{}`", other as char)))
-                        }
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (input began as &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::new("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
+                    } else {
+                        char::from_u32(code).ok_or_else(|| Error::new("invalid \\u escape"))?
+                    };
                     out.push(c);
-                    self.pos += c.len_utf8();
                 }
+                other => return Err(Error::new(format!("invalid escape `\\{}`", other as char))),
             }
         }
     }
@@ -444,6 +441,77 @@ mod tests {
         let pretty = to_string_pretty(&v).unwrap();
         assert_eq!(pretty, "{\n  \"a\": 1,\n  \"b\": [\n    false\n  ]\n}");
         assert_eq!(from_str::<Value>(&pretty).unwrap(), v);
+    }
+
+    fn err(json: &str) -> String {
+        from_str::<Value>(json).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn string_escapes_decode() {
+        let s: String = from_str(r#""q\" b\\ s\/ \n\r\t\b\f \u0041\u00e9""#).unwrap();
+        assert_eq!(s, "q\" b\\ s/ \n\r\t\u{8}\u{c} Aé");
+        // Escapes back to back, and at both ends of the string.
+        assert_eq!(from_str::<String>(r#""\n\n""#).unwrap(), "\n\n");
+        assert_eq!(from_str::<String>(r#""\\\\""#).unwrap(), "\\\\");
+        assert_eq!(from_str::<String>(r#""""#).unwrap(), "");
+    }
+
+    #[test]
+    fn surrogate_pairs_combine_and_lone_surrogates_fail() {
+        assert_eq!(from_str::<String>(r#""\ud83d\ude00""#).unwrap(), "😀");
+        assert_eq!(from_str::<String>(r#""a\uD834\uDD1Eb""#).unwrap(), "a𝄞b");
+        assert_eq!(err(r#""\ud83d""#), "json: lone high surrogate");
+        assert_eq!(err(r#""\ud83dx""#), "json: lone high surrogate");
+        assert_eq!(err(r#""\ude00""#), "json: invalid \\u escape");
+        assert_eq!(err(r#""\u12""#), "json: truncated \\u escape");
+        assert_eq!(err(r#""\u12zz""#), "json: invalid \\u escape");
+    }
+
+    #[test]
+    fn multibyte_runs_survive_between_escapes() {
+        let text = "naïve — 東京\t😀 «fin»";
+        let json = to_string(&text).unwrap();
+        assert_eq!(json, "\"naïve — 東京\\t😀 «fin»\"");
+        assert_eq!(from_str::<String>(&json).unwrap(), text);
+        // Keys take the same path.
+        let v: Value = from_str("{\"ключ\":\"значение\"}").unwrap();
+        assert_eq!(
+            v,
+            Value::Obj(vec![("ключ".into(), Value::Str("значение".into()))])
+        );
+    }
+
+    #[test]
+    fn raw_control_characters_are_still_accepted() {
+        // Laxer than real JSON, which forbids these raw; pinned so the
+        // run-at-a-time scan changed speed only.
+        assert_eq!(
+            from_str::<String>("\"a\nb\tc\u{1}\"").unwrap(),
+            "a\nb\tc\u{1}"
+        );
+    }
+
+    #[test]
+    fn unterminated_strings_and_escapes_report_as_before() {
+        assert_eq!(err("\"abc"), "json: unterminated string");
+        assert_eq!(err("\"日本"), "json: unterminated string");
+        assert_eq!(err("\""), "json: unterminated string");
+        assert_eq!(err("\"abc\\"), "json: unterminated escape");
+        assert_eq!(err(r#""\x""#), "json: invalid escape `\\x`");
+        assert_eq!(err("{\"a"), "json: unterminated string");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 2 MB with an escape every 64 bytes; the per-character
+        // re-validation this replaces needed ~10¹² byte visits here.
+        let text =
+            "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ-\n".repeat(32_768);
+        let json = to_string(&text).unwrap();
+        let t0 = std::time::Instant::now();
+        assert_eq!(from_str::<String>(&json).unwrap(), text);
+        assert!(t0.elapsed().as_secs() < 5, "took {:?}", t0.elapsed());
     }
 
     #[test]

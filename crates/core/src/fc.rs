@@ -4,6 +4,7 @@
 use crate::config::{ContentEncoder, HisRectConfig};
 use nn::{BiGru, BiLstm, Conv1d, ParamId, ParamStore, Tape, Var};
 use rand::Rng;
+use std::cell::RefCell;
 use tensor::Matrix;
 
 /// The content-encoding subnetwork. Stateless across tapes; parameters
@@ -167,6 +168,52 @@ impl ContentNet {
                 .forward(tape, store, words),
             _ => self.forward_blstm(tape, store, words, train, rng),
         }
+    }
+
+    /// Evaluation-mode [`ContentNet::forward`] into `out` (`out_dim`
+    /// floats), bit-identical to it. The paper's encoders (BiLSTM-C,
+    /// BLSTM) run tape-free through `nn::eval` on per-thread scratch; the
+    /// BiGRU-C and ConvLSTM ablations, which nothing serves, keep going
+    /// through the tape.
+    pub fn eval_into(&self, store: &ParamStore, words: &Matrix, out: &mut [f32]) {
+        assert_eq!(words.cols(), self.word_dim, "word-vector width mismatch");
+        assert_eq!(out.len(), self.out_dim, "content feature width mismatch");
+        if self.bilstms.is_empty() {
+            let mut tape = Tape::new();
+            let mut rng = rand::rngs::mock::StepRng::new(0, 1);
+            let f = self.forward(&mut tape, store, words, false, &mut rng);
+            out.copy_from_slice(tape.value(f).as_slice());
+            return;
+        }
+        thread_local! {
+            /// A layer's input and output sequences, swapped between layers.
+            static SEQUENCES: RefCell<(Vec<f32>, Vec<f32>)> =
+                const { RefCell::new((Vec::new(), Vec::new())) };
+        }
+        SEQUENCES.with(|s| {
+            let (seq, next) = &mut *s.borrow_mut();
+            // Same padding as the tape forward: zero rows up to the conv width.
+            let t = words.rows().max(if self.conv.is_some() { 3 } else { 1 });
+            seq.clear();
+            seq.extend_from_slice(words.as_slice());
+            seq.resize(t * self.word_dim, 0.0);
+            for bi in &self.bilstms {
+                next.clear();
+                next.resize(t * 2 * bi.hidden(), 0.0);
+                bi.eval_concat(store, seq, next);
+                std::mem::swap(seq, next);
+            }
+            match &self.conv {
+                Some(conv) => {
+                    next.clear();
+                    next.resize((t - 2) * conv.out_dim, 0.0);
+                    conv.eval(store, seq, next); // (T-2) x N
+                    nn::eval::relu(next);
+                    nn::eval::mean_over_rows(next, out); // Eq. 3
+                }
+                None => nn::eval::mean_over_rows(seq, out),
+            }
+        });
     }
 
     fn forward_blstm<R: Rng>(

@@ -151,12 +151,14 @@ impl Featurizer {
         }
     }
 
-    /// Evaluation-mode features as a plain matrix (`B x feat_dim`).
+    /// Evaluation-mode features as a plain matrix (`B x feat_dim`):
+    /// [`Featurizer::eval_inputs`] through the f32 head, tape-free and
+    /// bit-identical to [`Featurizer::forward_batch`] with `train` off.
     pub fn features(&self, store: &ParamStore, inputs: &[&ProfileInput]) -> Matrix {
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-        let mut tape = Tape::new();
-        let f = self.forward_batch(&mut tape, store, inputs, false, &mut rng);
-        tape.value(f).clone()
+        let x = self.eval_inputs(store, inputs);
+        let mut out = Matrix::zeros(inputs.len(), self.feat_dim());
+        self.head.eval(store, x.as_slice(), out.as_mut_slice());
+        out
     }
 
     /// Int8 mirror of the `Qf`-layer head, derived from the trained f32
@@ -166,31 +168,24 @@ impl Featurizer {
     }
 
     /// The pre-head `[Fv | Fc]` batch matrix in evaluation mode — the
-    /// input the quantized head consumes. The recurrent content encoder
-    /// stays f32 (ragged per-tweet recurrences quantize poorly and are
-    /// off the per-request hot path: serving caches `F(r)` per profile).
+    /// input both heads consume. The recurrent content encoder stays f32
+    /// (ragged per-tweet recurrences quantize poorly) and runs through
+    /// [`ContentNet::eval_into`], one profile per row.
     pub fn eval_inputs(&self, store: &ParamStore, inputs: &[&ProfileInput]) -> Matrix {
         assert!(!inputs.is_empty(), "empty featurizer batch");
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-        let mut tape = Tape::new();
-        let mut rows: Vec<Var> = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            let mut parts: Vec<Var> = Vec::with_capacity(2);
-            if self.fv_dim > 0 {
-                assert_eq!(input.fv.len(), self.fv_dim, "Fv width mismatch");
-                parts.push(tape.input(Matrix::row_vector(&input.fv)));
-            }
+        let _span = obs::span("featurizer/forward");
+        obs::add("featurizer/profiles", inputs.len() as u64);
+        let width = self.head.layers[0].in_dim;
+        let mut x = Matrix::zeros(inputs.len(), width);
+        for (row, input) in x.as_mut_slice().chunks_exact_mut(width).zip(inputs) {
+            assert_eq!(input.fv.len(), self.fv_dim, "Fv width mismatch");
+            let (fv, fc) = row.split_at_mut(self.fv_dim);
+            fv.copy_from_slice(&input.fv);
             if let Some(content) = &self.content {
-                parts.push(content.forward(&mut tape, store, &input.words, false, &mut rng));
+                content.eval_into(store, &input.words, fc);
             }
-            let row = match parts.len() {
-                1 => parts[0],
-                _ => tape.concat_cols(parts[0], parts[1]),
-            };
-            rows.push(row);
         }
-        let x = tape.stack_rows(&rows);
-        tape.value(x).clone()
+        x
     }
 
     /// Evaluation-mode features through a quantized head.
@@ -208,6 +203,7 @@ impl Featurizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nn::Tape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tensor::randn;
@@ -342,8 +338,87 @@ mod tests {
         assert!(live > f.param_ids().len() / 2, "{live} live params");
     }
 
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The three evaluation entry points against the tape forward they
+    /// replaced, for one profile with a `t`-word tweet.
+    fn assert_eval_matches_tape(content: ContentEncoder, ql: usize, t: usize, seed: u64) {
+        let cfg = HisRectConfig {
+            word_dim: 8,
+            // 24 units: a 3-wide window is 144 floats, so the tape's
+            // im2col product crosses `pack_threshold` from T = 7 up.
+            hidden_n: 24,
+            feat_dim: 10,
+            qf: 2,
+            ql,
+            ..HisRectConfig::fast()
+        };
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let f = Featurizer::new(&mut store, &cfg, HistoryEncoder::Rect, content, 5, &mut rng);
+        let inp = input(seed ^ 0x9e37, 5, t);
+
+        let mut tape = Tape::new();
+        let want = f.forward_batch(&mut tape, &store, &[&inp], false, &mut rng);
+        let got = f.features(&store, &[&inp]);
+        assert_eq!(bits(got.as_slice()), bits(tape.value(want).as_slice()));
+
+        // The pre-head row, as the tape builds it: `[Fv | Fc]`.
+        let mut tape = Tape::new();
+        let fc = f.content.as_ref().expect("content encoder");
+        let fc = fc.forward(&mut tape, &store, &inp.words, false, &mut rng);
+        let mut row = inp.fv.clone();
+        row.extend_from_slice(tape.value(fc).as_slice());
+        let x = f.eval_inputs(&store, &[&inp]);
+        assert_eq!(bits(x.as_slice()), bits(&row));
+
+        let qhead = f.quantize_head(&store);
+        let want = qhead.forward(&Matrix::from_vec(1, row.len(), row));
+        let got = f.features_quant(&store, &[&inp], &qhead);
+        assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn eval_path_equals_tape_forward_bit_for_bit(
+            conv in proptest::prelude::any::<bool>(),
+            ql in 1usize..=3,
+            // 0..2 are padded up to the conv width; 40 is well past it.
+            t in 0usize..=40,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let content = if conv { ContentEncoder::BiLstmC } else { ContentEncoder::Blstm };
+            assert_eval_matches_tape(content, ql, t, seed);
+        }
+
+        #[test]
+        fn ablation_encoders_still_equal_their_tape_forward(
+            gru in proptest::prelude::any::<bool>(),
+            t in 0usize..=12,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let content = if gru { ContentEncoder::BiGruC } else { ContentEncoder::ConvLstm };
+            assert_eval_matches_tape(content, 1, t, seed);
+        }
+    }
+
     #[test]
-    fn batch_matches_single() {
+    fn eval_path_covers_the_padded_and_longest_tweets() {
+        // The proptest draws T at random; the edges are pinned here.
+        for t in [0usize, 1, 2, 3, 6, 7, 40] {
+            for ql in 1..=3 {
+                assert_eval_matches_tape(ContentEncoder::BiLstmC, ql, t, 7 + t as u64);
+                assert_eval_matches_tape(ContentEncoder::Blstm, ql, t, 11 + t as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn batch_matches_single_bit_for_bit() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
         let f = Featurizer::new(
@@ -354,12 +429,14 @@ mod tests {
             4,
             &mut rng,
         );
-        let a = input(7, 4, 4);
-        let b = input(8, 4, 6);
-        let batch = f.features(&store, &[&a, &b]);
-        let fa = f.features(&store, &[&a]);
-        let fb = f.features(&store, &[&b]);
-        assert!(Matrix::from_vec(1, 10, batch.row(0).to_vec()).approx_eq(&fa, 1e-5));
-        assert!(Matrix::from_vec(1, 10, batch.row(1).to_vec()).approx_eq(&fb, 1e-5));
+        let ins: Vec<ProfileInput> = (0..200).map(|k| input(k, 4, (k % 9) as usize)).collect();
+        let refs: Vec<&ProfileInput> = ins.iter().collect();
+        // 200 rows x 10 x 10 put the head's first layer on the packed
+        // kernel; single rows stay on the simple one.
+        let batch = f.features(&store, &refs);
+        for (k, inp) in refs.iter().enumerate() {
+            let single = f.features(&store, &[inp]);
+            assert_eq!(bits(batch.row(k)), bits(single.as_slice()), "row {k}");
+        }
     }
 }

@@ -28,8 +28,10 @@ pub fn fv_feature(profile: &Profile, pois: &PoiSet, eps_d_m: f64, eps_t_s: f64) 
     for v in &profile.visits {
         let age = (profile.ts - v.ts).max(0) as f64;
         let recency = (eps_t_s / (eps_t_s + age)) as f32;
-        for (a, w) in acc.iter_mut().zip(visit_relevance(v, pois, eps_d_m)) {
-            *a += recency * w;
+        // Eq. 1 fused into the sum: `w(v)` is never materialized.
+        for (a, center) in acc.iter_mut().zip(pois.centers()) {
+            let d = v.point.fast_dist_m(center);
+            *a += recency * (eps_d_m / (eps_d_m + d)) as f32;
         }
     }
     l2_normalize(&mut acc);
@@ -110,6 +112,52 @@ mod tests {
         assert!((w[0] - 1.0).abs() < 0.01);
         // 2000 m away: 1000/3000.
         assert!((w[1] - 1.0 / 3.0).abs() < 0.01);
+    }
+
+    /// Eq. 2 spelled out over materialized Eq. 1 vectors, as `fv_feature`
+    /// computed it before the two were fused.
+    fn fv_reference(profile: &Profile, pois: &PoiSet, eps_d_m: f64, eps_t_s: f64) -> Vec<f32> {
+        let n = pois.len();
+        if profile.visits.is_empty() {
+            return vec![1.0 / (n as f32).sqrt(); n];
+        }
+        let mut acc = vec![0.0f32; n];
+        for v in &profile.visits {
+            let age = (profile.ts - v.ts).max(0) as f64;
+            let recency = (eps_t_s / (eps_t_s + age)) as f32;
+            for (a, w) in acc.iter_mut().zip(visit_relevance(v, pois, eps_d_m)) {
+                *a += recency * w;
+            }
+        }
+        l2_normalize(&mut acc);
+        acc
+    }
+
+    #[test]
+    fn fused_fv_matches_the_two_step_formula_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        let set = pois();
+        for n_visits in [0usize, 1, 60] {
+            for _ in 0..20 {
+                let visits = (0..n_visits)
+                    .map(|_| Visit {
+                        // Some visits postdate the profile: age clamps to 0.
+                        ts: rng.gen_range(0..1_100_000),
+                        point: base().offset_m(
+                            rng.gen_range(-3000.0..12_000.0),
+                            rng.gen_range(-5000.0..5000.0),
+                        ),
+                    })
+                    .collect();
+                let p = profile(1_000_000, visits);
+                let got = fv_feature(&p, &set, 1000.0, 86_400.0);
+                let want = fv_reference(&p, &set, 1000.0, 86_400.0);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{n_visits} visits");
+            }
+        }
     }
 
     #[test]

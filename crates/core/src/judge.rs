@@ -19,6 +19,20 @@ use tensor::Matrix;
 /// Checkpoint-phase name of the judge stage.
 pub const PHASE_JUDGE: &str = "judge";
 
+thread_local! {
+    /// Grow-only buffers of the tape-free f32 judge: the two `E′`
+    /// embeddings (the first doubles as their difference).
+    static EVAL_SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// The logistic output `p_co = σ(logit)` of both judges, on libm's `exp`:
+/// `tensor::act` defines the gate activations only, so the probability
+/// served for a given logit does not depend on it.
+fn p_co(logit: f32) -> f32 {
+    1.0 / (1.0 + (-logit).exp())
+}
+
 /// The judge networks `E′` and `C`.
 #[derive(Debug, Clone)]
 pub struct Judge {
@@ -65,22 +79,46 @@ impl Judge {
         self.c.forward(tape, store, diff)
     }
 
+    /// `C(|E′(fi) − E′(fj)|)` for the `feat_dim`-wide rows of `fi` / `fj`
+    /// into `logits` (one per row): [`Judge::forward_logits`] tape-free
+    /// through [`FeedForward::eval`], bit-identical to it.
+    fn eval_logits(&self, store: &ParamStore, fi: &[f32], fj: &[f32], logits: &mut [f32]) {
+        EVAL_SCRATCH.with(|s| {
+            let (ei, ej) = &mut *s.borrow_mut();
+            for (e, f) in [(&mut *ei, fi), (&mut *ej, fj)] {
+                e.clear();
+                e.resize(logits.len() * self.e2.out_dim(), 0.0);
+                self.e2.eval(store, f, e);
+            }
+            self.eval_logits_from_embeddings(store, ei, ej, logits);
+        });
+    }
+
+    /// `C(|ei − ej|)`; `ei` is overwritten with the difference.
+    fn eval_logits_from_embeddings(
+        &self,
+        store: &ParamStore,
+        ei: &mut [f32],
+        ej: &[f32],
+        logits: &mut [f32],
+    ) {
+        for (a, &b) in ei.iter_mut().zip(ej) {
+            *a = (*a - b).abs();
+        }
+        self.c.eval(store, ei, logits);
+    }
+
     /// Co-location probabilities for batched cached features.
     ///
     /// When metrics are enabled the per-pair wall time lands in the
     /// `judge/pair_latency_ns` histogram (the paper claims < 1 ms/pair).
     pub fn predict_batch(&self, store: &ParamStore, fi: &Matrix, fj: &Matrix) -> Vec<f32> {
         let t0 = obs::enabled().then(std::time::Instant::now);
-        let mut tape = Tape::new();
-        let a = tape.input(fi.clone());
-        let b = tape.input(fj.clone());
-        let logits = self.forward_logits(&mut tape, store, a, b);
-        let probs: Vec<f32> = tape
-            .value(logits)
-            .as_slice()
-            .iter()
-            .map(|&z| 1.0 / (1.0 + (-z).exp()))
-            .collect();
+        let mut probs = vec![0.0f32; fi.rows()];
+        self.eval_logits(store, fi.as_slice(), fj.as_slice(), &mut probs);
+        for z in &mut probs {
+            *z = p_co(*z);
+        }
         if let Some(t0) = t0 {
             if !probs.is_empty() {
                 let per_pair_ns = t0.elapsed().as_nanos() as f64 / probs.len() as f64;
@@ -90,31 +128,39 @@ impl Judge {
         probs
     }
 
-    /// Single-pair convenience over row-vector features.
+    /// Single-pair [`Judge::predict_batch`] over row-vector features,
+    /// heap-free.
     pub fn predict(&self, store: &ParamStore, fi: &[f32], fj: &[f32]) -> f32 {
-        self.predict_batch(store, &Matrix::row_vector(fi), &Matrix::row_vector(fj))[0]
+        let t0 = obs::enabled().then(std::time::Instant::now);
+        let mut z = [0.0f32];
+        self.eval_logits(store, fi, fj, &mut z);
+        if let Some(t0) = t0 {
+            obs::observe("judge/pair_latency_ns", t0.elapsed().as_nanos() as f64);
+        }
+        p_co(z[0])
     }
 
     /// `E′` embeddings for a batch of cached features (`B × feat_dim` →
     /// `B × embed_dim`). This is the representation the candidate index
     /// stores and searches over.
     pub fn embed_batch(&self, store: &ParamStore, feats: &Matrix) -> Matrix {
-        let mut tape = Tape::new();
-        let f = tape.input(feats.clone());
-        let e = self.e2.forward(&mut tape, store, f);
-        tape.value(e).clone()
+        let mut out = Matrix::zeros(feats.rows(), self.e2.out_dim());
+        self.e2.eval(store, feats.as_slice(), out.as_mut_slice());
+        out
     }
 
     /// Co-location probability from two precomputed `E′` embeddings:
     /// `σ(C(|ei − ej|))`. Skips the embedding networks entirely, which is
     /// what makes re-scoring retrieved candidates O(embed_dim) per pair.
     pub fn predict_from_embeddings(&self, store: &ParamStore, ei: &[f32], ej: &[f32]) -> f32 {
-        let diff: Vec<f32> = ei.iter().zip(ej).map(|(a, b)| (a - b).abs()).collect();
-        let mut tape = Tape::new();
-        let d = tape.input(Matrix::row_vector(&diff));
-        let logit = self.c.forward(&mut tape, store, d);
-        let z = tape.value(logit).as_slice()[0];
-        1.0 / (1.0 + (-z).exp())
+        let mut z = [0.0f32];
+        EVAL_SCRATCH.with(|s| {
+            let diff = &mut s.borrow_mut().0;
+            diff.clear();
+            diff.extend_from_slice(ei);
+            self.eval_logits_from_embeddings(store, diff, ej, &mut z);
+        });
+        p_co(z[0])
     }
 
     /// Derives the int8 inference mirror of both stacks from the trained
@@ -151,11 +197,7 @@ impl QuantJudge {
         let ej = self.e2.forward(fj);
         let diff = ei.zip_map(&ej, |a, b| (a - b).abs());
         let logits = self.c.forward(&diff);
-        let probs: Vec<f32> = logits
-            .as_slice()
-            .iter()
-            .map(|&z| 1.0 / (1.0 + (-z).exp()))
-            .collect();
+        let probs: Vec<f32> = logits.as_slice().iter().map(|&z| p_co(z)).collect();
         if let Some(t0) = t0 {
             if !probs.is_empty() {
                 let per_pair_ns = t0.elapsed().as_nanos() as f64 / probs.len() as f64;
@@ -184,7 +226,7 @@ impl QuantJudge {
                 *a = (*a - b).abs();
             }
             self.c.forward_row(ei, z);
-            1.0 / (1.0 + (-z[0]).exp())
+            p_co(z[0])
         });
         if let Some(t0) = t0 {
             obs::observe("judge/pair_latency_ns", t0.elapsed().as_nanos() as f64);
@@ -209,7 +251,7 @@ impl QuantJudge {
             diff.clear();
             diff.extend(ei.iter().zip(ej).map(|(a, b)| (a - b).abs()));
             self.c.forward_row(diff, z);
-            1.0 / (1.0 + (-z[0]).exp())
+            p_co(z[0])
         })
     }
 }
@@ -562,6 +604,47 @@ mod tests {
     fn argmax_tie_breaks_to_first() {
         assert_eq!(argmax(&[0.5, 0.5, 0.1]), 0);
         assert_eq!(argmax(&[]), 0);
+    }
+
+    #[test]
+    fn tape_free_predictions_equal_forward_logits_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let cfg = HisRectConfig {
+            embed_dim: 24,
+            ..cfg()
+        };
+        let mut store = ParamStore::new();
+        let judge = Judge::new(&mut store, &cfg, 48, &mut rng);
+        // 1 and 3 rows stay on the simple kernel; 40 × 48 × 24
+        // multiply-adds put the first `E′` layer on the packed one.
+        for rows in [1usize, 3, 40] {
+            let fi = tensor::randn(&mut rng, rows, 48, 1.0);
+            let fj = tensor::randn(&mut rng, rows, 48, 1.0);
+            let mut tape = Tape::new();
+            let (a, b) = (tape.input(fi.clone()), tape.input(fj.clone()));
+            let logits = judge.forward_logits(&mut tape, &store, a, b);
+            let want: Vec<u32> = tape
+                .value(logits)
+                .as_slice()
+                .iter()
+                .map(|&z| p_co(z).to_bits())
+                .collect();
+            let got = judge.predict_batch(&store, &fi, &fj);
+            assert_eq!(got.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), want);
+
+            let ei_var = judge.e2.forward(&mut tape, &store, a);
+            let (ei, ej) = (
+                judge.embed_batch(&store, &fi),
+                judge.embed_batch(&store, &fj),
+            );
+            assert_eq!(ei, *tape.value(ei_var));
+            for (r, &want) in want.iter().enumerate() {
+                let single = judge.predict(&store, fi.row(r), fj.row(r));
+                assert_eq!(single.to_bits(), want);
+                let rescored = judge.predict_from_embeddings(&store, ei.row(r), ej.row(r));
+                assert_eq!(rescored.to_bits(), want);
+            }
+        }
     }
 
     #[test]

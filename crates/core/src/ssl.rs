@@ -600,9 +600,8 @@ fn validation_loss(
     let losses = parallel::parallel_map(&chunks, |chunk| {
         let ins: Vec<&ProfileInput> = chunk.iter().map(|(idx, _)| &inputs[idx]).collect();
         let targets: Vec<usize> = chunk.iter().map(|&(_, pid)| pid).collect();
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
         let mut tape = Tape::new();
-        let feats = featurizer.forward_batch(&mut tape, store, &ins, false, &mut rng);
+        let feats = tape.input(featurizer.features(store, &ins));
         let logits = nets.classifier.forward(&mut tape, store, feats);
         let loss = tape.softmax_cross_entropy(logits, &targets);
         tape.scalar(loss) as f64 * chunk.len() as f64

@@ -39,6 +39,9 @@ impl Poi {
 #[derive(Debug, Clone)]
 pub struct PoiSet {
     pois: Vec<Poi>,
+    /// `pois[i].center()`, contiguous: Eq. 1 walks every center once per
+    /// visit, and a `Poi` drags its name and vertex ring along.
+    centers: Vec<GeoPoint>,
     grid: GridIndex,
 }
 
@@ -76,7 +79,12 @@ impl PoiSet {
         for p in &pois {
             grid.insert_bbox(p.id, p.polygon.bbox());
         }
-        Self { pois, grid }
+        let centers = pois.iter().map(Poi::center).collect();
+        Self {
+            pois,
+            centers,
+            grid,
+        }
     }
 
     /// Number of POIs, `|P|`.
@@ -142,14 +150,16 @@ impl PoiSet {
             .fold(f64::MAX, f64::min)
     }
 
+    /// The central point of every POI, in id order.
+    pub fn centers(&self) -> &[GeoPoint] {
+        &self.centers
+    }
+
     /// `[d(p, p_1), ..., d(p, p_|P|)]` — distance in meters from `p` to the
     /// *central point* of every POI, in id order. This is the `d(v, p_i)`
     /// of Eq. 1.
     pub fn center_distances_m(&self, p: &GeoPoint) -> Vec<f64> {
-        self.pois
-            .iter()
-            .map(|poi| p.fast_dist_m(&poi.center()))
-            .collect()
+        self.centers.iter().map(|c| p.fast_dist_m(c)).collect()
     }
 
     /// Ids of the `k` POIs with the nearest central points, closest first.

@@ -1,0 +1,280 @@
+//! Tape-free, allocation-free evaluation-mode forwards.
+//!
+//! The [`crate::Tape`] forward is what training differentiates and what
+//! these kernels are pinned to, bit for bit; it is also far more than
+//! inference needs — it copies every bound parameter onto the tape and
+//! records a pooled `Matrix` per operation. The methods here compute the
+//! same values reading weights by reference from the [`ParamStore`] and
+//! writing into caller slices, with grow-only scratch vectors instead of
+//! per-op matrices.
+//!
+//! Bit-identity with the tape rests on two facts: every product goes
+//! through [`tensor::matmul_into`] / [`tensor::matmul_naive_into`], whose
+//! elements are the same ascending-k chains from `0.0` as
+//! [`tensor::Matrix::matmul`] on any tier; and every other operation is
+//! written in the tape's association order (`((x·Wx) + (h·Wh)) + b`,
+//! `f·c + i·g`, `Σ v/rows` in row order) over the shared
+//! [`tensor::act`] activations.
+
+use crate::layers::{BiLstm, Conv1d, FeedForward, Linear, Lstm};
+use crate::params::ParamStore;
+use std::cell::RefCell;
+use tensor::{act, matmul_into, matmul_naive_into};
+
+/// `row += bias` for every `bias.len()`-wide row of `rows`.
+fn add_bias_rows(rows: &mut [f32], bias: &[f32]) {
+    for row in rows.chunks_exact_mut(bias.len()) {
+        for (o, &b) in row.iter_mut().zip(bias) {
+            *o += b;
+        }
+    }
+}
+
+/// In-place rectifier, the tape's `x.max(0.0)`.
+pub fn relu(xs: &mut [f32]) {
+    for x in xs {
+        *x = x.max(0.0);
+    }
+}
+
+/// Column-wise mean over the `out.len()`-wide rows of `x`, accumulated as
+/// the tape's `mean_over_rows` does: `Σ v / rows` in row order from `0.0`.
+pub fn mean_over_rows(x: &[f32], out: &mut [f32]) {
+    out.fill(0.0);
+    let rows = (x.len() / out.len()).max(1) as f32;
+    for row in x.chunks_exact(out.len()) {
+        for (o, &v) in out.iter_mut().zip(row) {
+            *o += v / rows;
+        }
+    }
+}
+
+impl Linear {
+    /// `x @ W + b` for the `in_dim`-wide rows of `x` into `out`.
+    pub(crate) fn eval(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
+        let w = store.value(self.w).as_slice();
+        matmul_into(x, self.in_dim, self.in_dim, w, self.out_dim, out);
+        add_bias_rows(out, store.value(self.b).as_slice());
+    }
+}
+
+impl FeedForward {
+    /// Evaluation-mode [`FeedForward::forward`] for the rows of `x` into
+    /// `out` (`rows × out_dim`); hidden activations ping-pong through a
+    /// grow-only per-thread buffer. Rows are independent, so any batch
+    /// split gives the same bits.
+    pub fn eval(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
+        thread_local! {
+            static HIDDEN: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+        }
+        let rows = x.len() / self.layers[0].in_dim;
+        assert_eq!(out.len(), rows * self.out_dim(), "eval output shape");
+        let last = self.layers.len() - 1;
+        let widest = self.layers[..last].iter().map(|l| l.out_dim).max();
+        let half = rows * widest.unwrap_or(0);
+        HIDDEN.with(|hidden| {
+            let hidden = &mut *hidden.borrow_mut();
+            hidden.clear();
+            hidden.resize(2 * half, 0.0);
+            let (mut src, mut dst) = hidden.split_at_mut(half);
+            for (i, layer) in self.layers.iter().enumerate() {
+                let input = if i == 0 {
+                    x
+                } else {
+                    &src[..rows * layer.in_dim]
+                };
+                let output = if i == last {
+                    &mut *out
+                } else {
+                    &mut dst[..rows * layer.out_dim]
+                };
+                layer.eval(store, input, output);
+                if i != last || self.relu_last {
+                    relu(output);
+                }
+                std::mem::swap(&mut src, &mut dst);
+            }
+        });
+    }
+}
+
+impl Lstm {
+    /// Evaluation-mode [`Lstm::forward_seq`] over the `in_dim`-wide rows
+    /// of `xs`, zero initial state. The input projection `xs @ Wx` runs
+    /// for all steps in one pass, then the recurrence; `h_t` lands at
+    /// `out[t·out_stride + out_col ..][..hidden]`. With `reverse` the
+    /// recurrence runs from the last row to the first (the backward half
+    /// of a [`BiLstm`]), still writing each state at its own row.
+    pub(crate) fn eval_seq(
+        &self,
+        store: &ParamStore,
+        xs: &[f32],
+        reverse: bool,
+        out: &mut [f32],
+        out_stride: usize,
+        out_col: usize,
+    ) {
+        thread_local! {
+            static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+        }
+        let h = self.hidden;
+        let steps = xs.len() / self.in_dim;
+        let wx = store.value(self.wx).as_slice();
+        let wh = store.value(self.wh).as_slice();
+        let b = store.value(self.b).as_slice();
+        SCRATCH.with(|scratch| {
+            // xg: steps × 4h | hg: 4h | state h, c, tanh(c): h each.
+            let scratch = &mut *scratch.borrow_mut();
+            scratch.clear();
+            scratch.resize((steps + 1) * 4 * h + 3 * h, 0.0);
+            let (xg, rest) = scratch.split_at_mut(steps * 4 * h);
+            let (hg, rest) = rest.split_at_mut(4 * h);
+            let (state, rest) = rest.split_at_mut(h);
+            let (c, tc) = rest.split_at_mut(h);
+            matmul_naive_into(xs, self.in_dim, self.in_dim, wx, 4 * h, xg);
+            for s in 0..steps {
+                let t = if reverse { steps - 1 - s } else { s };
+                let gates = &mut xg[t * 4 * h..(t + 1) * 4 * h];
+                matmul_naive_into(state, h, h, wh, 4 * h, hg);
+                for ((g, &hv), &bv) in gates.iter_mut().zip(hg.iter()).zip(b) {
+                    *g = (*g + hv) + bv;
+                }
+                // Gate order [i | f | g | o]: i and f share one sigmoid pass.
+                act::sigmoid(&mut gates[..2 * h]);
+                act::tanh(&mut gates[2 * h..3 * h]);
+                act::sigmoid(&mut gates[3 * h..]);
+                for j in 0..h {
+                    c[j] = gates[h + j] * c[j] + gates[j] * gates[2 * h + j];
+                }
+                tc.copy_from_slice(c);
+                act::tanh(tc);
+                for j in 0..h {
+                    state[j] = gates[3 * h + j] * tc[j];
+                }
+                let at = t * out_stride + out_col;
+                out[at..at + h].copy_from_slice(state);
+            }
+        });
+    }
+}
+
+impl BiLstm {
+    /// Evaluation-mode [`BiLstm::forward_concat`]: row `t` of `out`
+    /// (`steps × 2·hidden`) becomes `[h_fwd_t | h_bwd_t]`, written in
+    /// place by the two recurrences.
+    pub fn eval_concat(&self, store: &ParamStore, xs: &[f32], out: &mut [f32]) {
+        let h = self.hidden();
+        self.fwd.eval_seq(store, xs, false, out, 2 * h, 0);
+        self.bwd.eval_seq(store, xs, true, out, 2 * h, h);
+    }
+}
+
+impl Conv1d {
+    /// Evaluation-mode [`Conv1d::forward`] over a contiguous `T × in_dim`
+    /// sequence into `out` (`(T-k+1) × out_dim`). Window `w` is the
+    /// `k·in_dim` floats starting at row `w`, so the filter bank multiplies
+    /// overlapping rows of `x` directly — no `im2col` copy — always on the
+    /// simple kernel, whatever `T`.
+    pub fn eval(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
+        let w = store.value(self.w).as_slice();
+        let windows = x.len() / self.in_dim + 1 - self.k;
+        assert_eq!(out.len(), windows * self.out_dim, "eval output shape");
+        matmul_naive_into(x, self.in_dim, self.k * self.in_dim, w, self.out_dim, out);
+        add_bias_rows(out, store.value(self.b).as_slice());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tape::{Tape, Var};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use tensor::{randn, Matrix};
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn step_vars(tape: &mut Tape, xs: &Matrix) -> Vec<Var> {
+        (0..xs.rows())
+            .map(|r| tape.input(Matrix::row_vector(xs.row(r))))
+            .collect()
+    }
+
+    #[test]
+    fn feedforward_eval_matches_tape_bits_across_batch_sizes() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut store = ParamStore::new();
+        // Depths 1..3, with and without the trailing ReLU; 70 rows cross
+        // the packed-kernel threshold.
+        for (dims, relu_last) in [
+            (vec![9usize, 5], false),
+            (vec![9, 16, 7], true),
+            (vec![40, 24, 24, 1], false),
+        ] {
+            let ff = FeedForward::new(&mut store, "ff", &dims, relu_last, 0.4, &mut rng);
+            for rows in [1usize, 3, 4, 70] {
+                let x = randn(&mut rng, rows, dims[0], 1.0);
+                let mut tape = Tape::new();
+                let xv = tape.input(x.clone());
+                let want = ff.forward(&mut tape, &store, xv);
+                let mut got = vec![f32::NAN; rows * ff.out_dim()];
+                ff.eval(&store, x.as_slice(), &mut got);
+                assert_eq!(
+                    bits(&got),
+                    bits(tape.value(want).as_slice()),
+                    "{dims:?} x {rows}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bilstm_eval_matches_tape_bits() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut store = ParamStore::new();
+        // hidden = 5 exercises the activation tails; 8 fills registers.
+        for (in_dim, hidden) in [(3usize, 5usize), (6, 8)] {
+            let bi = BiLstm::new(&mut store, "bi", in_dim, hidden, 0.5, &mut rng);
+            for steps in [1usize, 2, 7] {
+                let xs = randn(&mut rng, steps, in_dim, 1.0);
+                let mut tape = Tape::new();
+                let vars = step_vars(&mut tape, &xs);
+                let want = bi.forward_concat(&mut tape, &store, &vars);
+                let mut got = vec![f32::NAN; steps * 2 * hidden];
+                bi.eval_concat(&store, xs.as_slice(), &mut got);
+                for (t, w) in want.iter().enumerate() {
+                    assert_eq!(
+                        bits(&got[t * 2 * hidden..(t + 1) * 2 * hidden]),
+                        bits(tape.value(*w).as_slice()),
+                        "hidden {hidden}, {steps} steps, row {t}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn conv_relu_mean_matches_tape_bits() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut store = ParamStore::new();
+        let conv = Conv1d::new(&mut store, "conv", 3, 48, 24, 0.2, &mut rng);
+        // 3 rows = one window; 40 rows put the tape's im2col product on
+        // the packed kernel while eval stays on the simple one.
+        for t in [3usize, 4, 9, 40] {
+            let x = randn(&mut rng, t, 48, 1.0);
+            let mut tape = Tape::new();
+            let xv = tape.input(x.clone());
+            let y = conv.forward(&mut tape, &store, xv);
+            let y = tape.relu(y);
+            let want = tape.mean_over_rows(y);
+            let mut y = vec![f32::NAN; (t - 2) * 24];
+            conv.eval(&store, x.as_slice(), &mut y);
+            relu(&mut y);
+            let mut got = vec![f32::NAN; 24];
+            mean_over_rows(&y, &mut got);
+            assert_eq!(bits(&got), bits(tape.value(want).as_slice()), "T = {t}");
+        }
+    }
+}

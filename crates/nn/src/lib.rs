@@ -12,6 +12,8 @@
 //! - [`tape`] — a reverse-mode autograd tape over [`tensor::Matrix`].
 //! - [`params`] — named trainable parameters with gradient accumulators.
 //! - [`layers`] — `Linear`, feed-forward stacks, `Lstm`, `BiLstm`, `Conv1d`.
+//! - [`eval`] — tape-free evaluation-mode forwards of the same layers,
+//!   bit-identical to the tape.
 //! - [`adam`] — Adam with learning-rate decay, ℓ2 regularization and
 //!   global-norm gradient clipping.
 //! - [`gradcheck`] — finite-difference gradient checking used heavily in
@@ -24,6 +26,7 @@
 //! workers above the parallel threshold with bit-identical results.
 
 pub mod adam;
+pub mod eval;
 pub mod gradcheck;
 pub mod layers;
 pub mod params;

@@ -91,9 +91,7 @@ impl QuantFeedForward {
         for (i, layer) in self.layers.iter().enumerate() {
             let mut y = layer.forward(h.as_ref().unwrap_or(x));
             if i != last || self.relu_last {
-                for v in y.as_mut_slice() {
-                    *v = v.max(0.0);
-                }
+                crate::eval::relu(y.as_mut_slice());
             }
             h = Some(y);
         }
@@ -123,9 +121,7 @@ impl QuantFeedForward {
                 dst.resize(layer.out_dim(), 0.0);
                 qmatvec_bias_scratch(src, &layer.qw, Some(&layer.bias), qx, dst);
                 if i != last || self.relu_last {
-                    for v in dst.iter_mut() {
-                        *v = v.max(0.0);
-                    }
+                    crate::eval::relu(dst);
                 }
                 if i != last {
                     std::mem::swap(a, b);

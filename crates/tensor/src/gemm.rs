@@ -86,10 +86,11 @@ pub fn simd_active() -> bool {
     s == 1
 }
 
-/// Overrides SIMD dispatch for the whole process (`Some(false)` forces
-/// the portable kernel, `Some(true)` re-enables detection, `None`
-/// resets to the environment default). Test-only knob; results are
-/// bit-identical on every path, so flipping this never changes output.
+/// Overrides SIMD dispatch for the whole process: `Some(true)` forces
+/// the portable kernels (GEMM, `dot_i8`, [`crate::act`]), `Some(false)`
+/// and `None` go back to detection under the environment default.
+/// Test-only knob; results are bit-identical on every path, so flipping
+/// this never changes output.
 pub fn force_portable(force: Option<bool>) {
     let state = match force {
         Some(true) => 2,

@@ -8,6 +8,7 @@
 //! algebra, so a single [`Matrix`] type with explicit-transpose matmuls is
 //! all the tensor machinery the reproduction needs.
 
+pub mod act;
 pub mod gemm;
 pub mod init;
 pub mod matrix;
@@ -17,8 +18,8 @@ pub mod quant;
 pub use gemm::{force_portable, simd_active};
 pub use init::{glorot_uniform, randn, uniform};
 pub use matrix::{
-    flush_dispatch_stats, pack_threshold, par_threshold, set_pack_threshold, set_par_threshold,
-    Matrix, DEFAULT_PACK_THRESHOLD, DEFAULT_PAR_THRESHOLD,
+    flush_dispatch_stats, matmul_into, matmul_naive_into, pack_threshold, par_threshold,
+    set_pack_threshold, set_par_threshold, Matrix, DEFAULT_PACK_THRESHOLD, DEFAULT_PAR_THRESHOLD,
 };
 pub use quant::{
     qmatmul, qmatmul_bias, qmatvec_bias, qmatvec_bias_scratch, quantize_row, QuantMatrix,

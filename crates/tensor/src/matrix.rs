@@ -14,6 +14,7 @@
 //! Matrix storage is drawn from the thread-local [`crate::pool`] and
 //! returned on drop, so iteration-steady workloads stop allocating.
 
+use crate::act;
 use crate::gemm::{self, Variant};
 use crate::pool;
 use serde::{Deserialize, Serialize};
@@ -114,28 +115,67 @@ pub fn flush_dispatch_stats() {
 }
 
 /// k-block width for the cache-blocked `matmul` kernel: one block of B
-/// rows (64 × cols floats) stays resident while every output row in
-/// the range consumes it. Blocks are visited in ascending order, so
-/// per-element accumulation order matches the unblocked loop.
+/// rows (64 × cols floats) stays resident while every output row
+/// consumes it. Blocks are visited in ascending order, so per-element
+/// accumulation order matches the unblocked loop.
 const K_BLOCK: usize = 64;
 
-/// `matmul` kernel for output rows `rows` (a block of `a @ b`).
-/// `out` holds exactly those rows, zero-initialized. No zero-skipping:
-/// every k-step contributes, matching the packed kernels exactly.
-fn mm_block(a: &Matrix, b: &Matrix, rows: Range<usize>, out: &mut [f32]) {
-    let n = b.cols;
-    for kb in (0..a.cols).step_by(K_BLOCK) {
-        let k_end = (kb + K_BLOCK).min(a.cols);
-        for i in rows.clone() {
-            let out_row = &mut out[(i - rows.start) * n..(i - rows.start + 1) * n];
-            for k in kb..k_end {
-                let av = a.data[i * a.cols + k];
-                let b_row = &b.data[k * n..(k + 1) * n];
+/// The simple-kernel tier of `a @ b` on row-major slices, writing into
+/// `out` with no allocation: `out[i·n + j] = Σ_k a[i·a_stride + k] ·
+/// b[k·n + j]` for `out.len() / n` rows, each element one ascending-k
+/// chain from `0.0` with separate multiply and add — bit-identical to
+/// [`Matrix::matmul`] on every tier. No zero-skipping: every k-step
+/// contributes, matching the packed kernels exactly.
+///
+/// `a_stride` is the distance between consecutive rows of `a` and may be
+/// smaller than `k`: overlapping rows are the windows of a stride-1
+/// convolution over a contiguous sequence, no `im2col` copy needed.
+pub fn matmul_naive_into(
+    a: &[f32],
+    a_stride: usize,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    out.fill(0.0);
+    if n == 0 {
+        return;
+    }
+    assert_eq!(b.len(), k * n, "matmul_naive_into: b shape mismatch");
+    for kb in (0..k).step_by(K_BLOCK) {
+        let k_end = (kb + K_BLOCK).min(k);
+        for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
+            let a_row = &a[i * a_stride..i * a_stride + k];
+            for kk in kb..k_end {
+                let av = a_row[kk];
+                let b_row = &b[kk * n..(kk + 1) * n];
                 for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
                     *o += av * bv;
                 }
             }
         }
+    }
+}
+
+/// `a @ b` on row-major slices into `out`, through the same tiers as
+/// [`Matrix::matmul`] (simple kernel, packed serial, packed parallel) and
+/// bit-identical to it. See [`matmul_naive_into`] for the argument layout.
+pub fn matmul_into(a: &[f32], a_stride: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    let m = out.len().checked_div(n).unwrap_or(0);
+    let work = m * k * n;
+    if work < pack_threshold() {
+        return matmul_naive_into(a, a_stride, k, b, n, out);
+    }
+    assert_eq!(b.len(), k * n, "matmul_into: b shape mismatch");
+    let pb = gemm::pack_b(Variant::Nn, b, n, k, n);
+    if Matrix::go_parallel(work) {
+        let threads = parallel::clamp_workers(work, par_threshold());
+        parallel::scope_partition_mut_with(threads, out, n, m, |rows, block| {
+            gemm::gemm_rows(Variant::Nn, a, a_stride, m, &pb, rows.start, block);
+        });
+    } else {
+        gemm::gemm_rows(Variant::Nn, a, a_stride, m, &pb, 0, out);
     }
 }
 
@@ -398,7 +438,7 @@ impl Matrix {
         let mut out = Matrix::zeros(m, n);
         if m * kc * n < pack_threshold() {
             match variant {
-                Variant::Nn => mm_block(self, other, 0..m, &mut out.data),
+                Variant::Nn => matmul_naive_into(&self.data, kc, kc, &other.data, n, &mut out.data),
                 Variant::Tn => mm_tn_block(self, other, 0..m, &mut out.data),
                 Variant::Nt => mm_nt_block(self, other, 0..m, &mut out.data),
             }
@@ -614,15 +654,20 @@ impl Matrix {
         }
     }
 
-    /// Element-wise logistic sigmoid `1 / (1 + e^{-x})` — the single
-    /// fused pass every sigmoid in the tape and the serve path uses.
+    /// Element-wise logistic sigmoid `1 / (1 + e^{-x})` through
+    /// [`act::sigmoid`] — the one definition the tape and the tape-free
+    /// inference kernels share.
     pub fn sigmoid(&self) -> Matrix {
-        self.map(|x| 1.0 / (1.0 + (-x).exp()))
+        let mut out = self.clone();
+        act::sigmoid(&mut out.data);
+        out
     }
 
-    /// Element-wise hyperbolic tangent.
+    /// Element-wise hyperbolic tangent through [`act::tanh`].
     pub fn tanh(&self) -> Matrix {
-        self.map(f32::tanh)
+        let mut out = self.clone();
+        act::tanh(&mut out.data);
+        out
     }
 
     /// Element-wise rectifier `max(x, 0)`.

@@ -327,4 +327,31 @@ mod tests {
         assert_eq!(loaded.timelines.len(), file.timelines.len());
         std::fs::remove_file(&path).ok();
     }
+
+    #[test]
+    fn save_load_round_trip_is_exact_through_escapes_and_utf8() {
+        let ds = generate(&SimConfig::tiny(14));
+        let mut file = CorpusFile::from_dataset(&ds);
+        // Text the string parser has to work for: escapes, multi-byte
+        // runs, an astral-plane char, a raw control character.
+        file.name = "läs végas \"strip\" \\ 東京".into();
+        let awkward = [
+            "quote \" backslash \\ slash / end",
+            "tab\there\nnewline\r\u{1}ctl",
+            "naïve café — 東京タワー 😀🎰",
+            "",
+        ];
+        for (k, tweet) in file.timelines[0].tweets.iter_mut().enumerate() {
+            tweet.text = awkward[k % awkward.len()].into();
+        }
+        let path = std::env::temp_dir().join("hisrect-corpus-exact-test.json");
+        file.save(&path).unwrap();
+        let loaded = CorpusFile::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            serde_json::to_string(&loaded).unwrap(),
+            serde_json::to_string(&file).unwrap()
+        );
+        assert_eq!(loaded.timelines[0].tweets[2].text, awkward[2]);
+    }
 }

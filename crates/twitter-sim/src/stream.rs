@@ -337,7 +337,9 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// Serializes tests that arm the process-global fault plan.
+    /// Serializes every test that pulls events: three of them arm the
+    /// process-global fault plan, and an armed fault fires on whichever
+    /// thread delivers the n-th event.
     static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
     fn take(stream: &mut TweetStream, n: usize) -> Vec<StreamEvent> {
@@ -346,6 +348,7 @@ mod tests {
 
     #[test]
     fn stream_is_deterministic_in_seed() {
+        let _g = FAULT_LOCK.lock().unwrap();
         let a = take(&mut TweetStream::new(SimConfig::tiny(7)), 300);
         let b = take(&mut TweetStream::new(SimConfig::tiny(7)), 300);
         assert_eq!(a, b);
@@ -355,6 +358,7 @@ mod tests {
 
     #[test]
     fn events_are_seq_and_time_ordered() {
+        let _g = FAULT_LOCK.lock().unwrap();
         let mut s = TweetStream::new(SimConfig::tiny(3));
         let evs = take(&mut s, 500);
         for (i, ev) in evs.iter().enumerate() {
@@ -372,6 +376,7 @@ mod tests {
 
     #[test]
     fn resume_continues_bit_identically() {
+        let _g = FAULT_LOCK.lock().unwrap();
         let cfg = SimConfig::tiny(11);
         let mut uninterrupted = TweetStream::new(cfg.clone());
         let want = take(&mut uninterrupted, 400);
@@ -389,6 +394,7 @@ mod tests {
 
     #[test]
     fn fresh_cursor_resumes_from_the_start() {
+        let _g = FAULT_LOCK.lock().unwrap();
         let cfg = SimConfig::tiny(5);
         let want = take(&mut TweetStream::new(cfg.clone()), 100);
         let got = take(&mut TweetStream::resume(cfg, 0, StreamCursor::start()), 100);
@@ -397,6 +403,7 @@ mod tests {
 
     #[test]
     fn co_visits_flow_into_the_stream() {
+        let _g = FAULT_LOCK.lock().unwrap();
         let cfg = SimConfig::tiny(9).with_social(5.0);
         let base = take(&mut TweetStream::new(SimConfig::tiny(9)), 400);
         let social = take(&mut TweetStream::new(cfg), 400);
@@ -405,6 +412,7 @@ mod tests {
 
     #[test]
     fn drift_rotates_vocabulary_but_not_geometry() {
+        let _g = FAULT_LOCK.lock().unwrap();
         let cfg = SimConfig::tiny(13);
         let plain = take(&mut TweetStream::new(cfg.clone()), 600);
         let drifted = take(&mut TweetStream::with_drift(cfg, 2), 600);
@@ -468,6 +476,7 @@ mod tests {
 
     #[test]
     fn stream_threads_do_not_change_events() {
+        let _g = FAULT_LOCK.lock().unwrap();
         let cfg = SimConfig::tiny(21);
         let prev = parallel::num_threads();
         parallel::set_threads(1);

@@ -2,16 +2,18 @@
 //! (simulate → train featurizer → train judge → evaluate) whose metrics
 //! fingerprint is pinned bit-for-bit.
 //!
-//! One test function runs the pipeline four times — at 1 worker thread,
+//! One test function runs the pipeline five times — at 1 worker thread,
 //! at 4 worker threads, with the ANN grid prefilter forced onto the
-//! affinity build, and at 1 thread with obs metrics collection on — and
-//! requires all four fingerprints to be identical to each other and
-//! to the committed golden snapshot. This locks in, simultaneously:
+//! affinity build, with the portable kernel tier forced, and at 1 thread
+//! with obs metrics collection on — and requires all five fingerprints to
+//! be identical to each other and to the committed golden snapshot. This
+//! locks in, simultaneously:
 //!
 //! - seed determinism of the whole stack (sim, skip-gram, SSL, judge),
 //! - the `crates/parallel` bit-identical-results invariant,
 //! - that the spatial prefilter never changes which pairs carry affinity
 //!   weight (it may only skip pairs the exhaustive scan discards),
+//! - that the scalar and AVX2 tiers of every kernel agree bit for bit,
 //! - that observability instrumentation never perturbs the numerics.
 //!
 //! A single `#[test]` (its own `[[test]]` binary) keeps `set_threads` and
@@ -20,6 +22,14 @@
 //! To re-bless after an intentional numerics change:
 //! `GOLDEN_BLESS=1 cargo test --test golden_run -- --nocapture`
 //! and paste the printed array over `GOLDEN_BITS`.
+//!
+//! Re-blessed once in PR 14: `Matrix::sigmoid` / `Matrix::tanh` (every
+//! LSTM gate on the tape, and the saved sigmoid of the BCE gradient) moved
+//! from libm `expf`/`tanhf` to the `tensor::act` polynomials, which differ
+//! from libm in the last ulp or two. Nothing else changed a bit: the
+//! tape-free inference path is pinned to the tape forward by `to_bits`
+//! tests. Softmax `exp`, the loss `ln` and the judge's output sigmoid
+//! still go through libm.
 
 use hisrect::config::{ApproachSpec, HisRectConfig};
 use hisrect::model::{Ablation, HisRectModel};
@@ -27,7 +37,7 @@ use twitter_sim::{generate, SimConfig};
 
 /// `f32::to_bits` of [`fingerprint`], captured at seed 42 / 40+40 iters.
 const GOLDEN_BITS: &[u32] = &[
-    0x4004a4dc, 0x3fb415c4, 0x3fd79f83, 0x3f2fe234, 0x3f3069ec, 0x3f362c9e, 0x40e06584, 0x4442c000,
+    0x4004a4dc, 0x3fb4158d, 0x3fd79f80, 0x3f2fe21c, 0x3f2ec140, 0x3f35ee62, 0x40e06944, 0x4442c000,
     0x42ea0000,
 ];
 
@@ -92,7 +102,21 @@ fn golden_run_is_bit_identical_across_threads_and_metrics() {
         "grid-prefiltered affinity diverged from exhaustive: {serial:?} vs {prefiltered:?}"
     );
 
-    // Fourth leg: metrics on. The numbers must not move, and the obs
+    // Fourth leg: the portable kernel tier. The GEMM micro-kernels and
+    // the `tensor::act` gate activations each have a scalar and an AVX2
+    // implementation; forcing the scalar one must reproduce the same
+    // bits, so the golden is tied to neither a kernel tier nor the
+    // host's libm `expf`/`tanhf`.
+    tensor::force_portable(Some(true));
+    let portable = fingerprint();
+    tensor::force_portable(None);
+    assert_eq!(
+        bits(&serial),
+        bits(&portable),
+        "portable kernel tier diverged from the dispatched one: {serial:?} vs {portable:?}"
+    );
+
+    // Fifth leg: metrics on. The numbers must not move, and the obs
     // registry must have seen the whole pipeline.
     parallel::set_threads(1);
     obs::set_enabled(true);

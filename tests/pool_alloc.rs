@@ -52,3 +52,58 @@ fn pool_cuts_training_allocations_by_90_percent() {
         "pool saved too little: {with_pool} allocations with pool vs {without_pool} without"
     );
 }
+
+/// The tape-free eval forward runs on per-thread scratch, not on pooled
+/// matrices: once warm, featurizing a profile on the BiLSTM-C path takes
+/// exactly two buffers from the pool — the `[Fv | Fc]` row the head
+/// consumes and the feature row it returns — where the tape forward took
+/// one per recorded node (~300 for an 8-word tweet). `features_for` adds
+/// one more for the word-vector matrix of its `ProfileInput`. Nothing
+/// misses, so nothing is allocated.
+#[test]
+fn warm_eval_forward_takes_only_its_input_and_output_rows_from_the_pool() {
+    use hisrect::model::Ablation;
+    use hisrect::JudgeService;
+
+    let ds = generate(&SimConfig::tiny(5));
+    let model = HisRectModel::train(&ds, &spec(), 5);
+    let service = JudgeService::new(model, ds.world.pois.clone());
+    let profiles: Vec<_> = ds.test.labeled.iter().map(|&i| ds.profile(i)).collect();
+    assert!(profiles.iter().any(|p| p.tokens.len() >= 3));
+    let inputs: Vec<_> = profiles
+        .iter()
+        .map(|p| {
+            service
+                .model()
+                .profile_input(service.pois(), p, Ablation::default())
+        })
+        .collect();
+    let takes = || {
+        let s = pool::stats();
+        (s.hits + s.misses, s.misses)
+    };
+
+    // Warm-up: scratch grows to the longest tweet, the pool shelves fill.
+    for (p, input) in profiles.iter().zip(&inputs) {
+        service.features_for(p);
+        service.model().featurize_inputs(&[input]);
+    }
+
+    pool::reset_stats();
+    for input in &inputs {
+        std::hint::black_box(service.model().featurize_inputs(&[input]));
+    }
+    assert_eq!(takes(), (2 * inputs.len() as u64, 0), "featurize_inputs");
+
+    pool::reset_stats();
+    for p in &profiles {
+        std::hint::black_box(service.features_for(p));
+    }
+    // An empty tweet has a zero-length word matrix, which never touches the pool.
+    let with_words = inputs.iter().filter(|i| !i.words.is_empty()).count();
+    assert_eq!(
+        takes(),
+        ((2 * profiles.len() + with_words) as u64, 0),
+        "features_for"
+    );
+}
