@@ -16,7 +16,7 @@ use hisrect::featurizer::{Featurizer, ProfileInput};
 use hisrect::fv::fv_feature;
 use hisrect::model::{Ablation, HisRectModel};
 use hisrect::ssl::{train_featurizer, SslNets};
-use nn::{ParamStore, Tape};
+use nn::{BiLstm, ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -282,6 +282,34 @@ fn bench_training(h: &mut Harness) {
     tensor::set_par_threshold(tensor::DEFAULT_PAR_THRESHOLD);
 }
 
+/// One BiLSTM layer at the trained shape (in = h = 24) over an 8-word
+/// tweet, forward and backward: the fused `lstm_seq` nodes every encoder
+/// trains through, against the per-step reference graph they are pinned
+/// to bit for bit.
+fn bench_bilstm_train_step(h: &mut Harness) {
+    let mut rng = StdRng::seed_from_u64(2);
+    let mut store = ParamStore::new();
+    let bi = BiLstm::new(&mut store, "bi", 24, 24, 0.3, &mut rng);
+    let x = randn(&mut rng, 8, 24, 1.0);
+    let step = |store: &mut ParamStore, fused: bool| {
+        let mut tape = Tape::new();
+        let states = if fused {
+            let x = tape.input(x.clone());
+            bi.forward_rows(&mut tape, store, x)
+        } else {
+            let xs: Vec<_> = (0..x.rows())
+                .map(|r| tape.input(Matrix::row_vector(x.row(r))))
+                .collect();
+            let hs = bi.forward_concat(&mut tape, store, &xs);
+            tape.stack_rows(&hs)
+        };
+        let loss = tape.mean_all(states);
+        tape.backward(loss, store)
+    };
+    h.bench("bilstm_train_step_fused", || step(&mut store, true));
+    h.bench("bilstm_train_step_stepwise", || step(&mut store, false));
+}
+
 /// The raw per-call cost of the obs entry points, disabled and enabled.
 fn bench_obs(h: &mut Harness) {
     let was = obs::enabled();
@@ -386,6 +414,7 @@ fn main() {
     bench_kernels(&mut h);
     bench_obs(&mut h);
     bench_training(&mut h);
+    bench_bilstm_train_step(&mut h);
     let ds = small_dataset();
     bench_geo(&mut h, &ds);
     bench_features(&mut h, &ds);
@@ -487,10 +516,13 @@ fn run_perf_gate(h: &mut Harness, mean_metrics_ratio: f64) -> Vec<String> {
             h.min_of("matmul_256x256_serial"),
             SEED_MATMUL_256_NS / 1.5,
         );
+        // 2.6x measured. The toy trains no content encoder, so this is
+        // the tape, the head GEMMs and Adam; the recurrent encoders'
+        // training cost is gated by the same-run BiLSTM ratio below.
         check(
-            "train_featurizer_serial >= 1.3x faster than seed",
+            "train_featurizer_serial >= 2x faster than seed",
             h.min_of("train_featurizer_serial"),
-            SEED_TRAIN_FEATURIZER_NS / 1.3,
+            SEED_TRAIN_FEATURIZER_NS / 2.0,
         );
         // 20% band: the case runs ~2 µs, where run-to-run min-sample
         // spread of identical code measures ±14% on a contended runner —
@@ -529,14 +561,26 @@ fn run_perf_gate(h: &mut Harness, mean_metrics_ratio: f64) -> Vec<String> {
             f32_pair * 2.5,
         );
     }
-    // The tape-free eval forward against the tape forward of the same
-    // featurizer, and the polynomial gates against libm: same-run ratios,
-    // blocking on both tiers.
+    // Same-run ratios, blocking on both tiers. The tape-free eval forward
+    // against the tape forward of the same featurizer: both run the one
+    // LSTM kernel, so what eval saves is the per-profile parameter copies
+    // and node bookkeeping (1.3x measured) and the bar is that it never
+    // loses.
     if let Some(tape) = h.min_of("featurize_one_profile_tape") {
         check(
-            "featurize eval >= 2x faster than the tape forward",
+            "featurize eval no slower than the tape forward",
             h.min_of("featurize_one_profile_eval"),
-            tape / 2.0,
+            tape,
+        );
+    }
+    // The fused LSTM node against the per-step graph it replaced in
+    // training, forward + backward (2.7x measured): bookkeeping removed,
+    // not arithmetic, so the bar holds on both tiers.
+    if let Some(stepwise) = h.min_of("bilstm_train_step_stepwise") {
+        check(
+            "bilstm_train_step fused >= 2x faster than stepwise",
+            h.min_of("bilstm_train_step_fused"),
+            stepwise / 2.0,
         );
     }
     // Bars per tier: on AVX2 the sigmoid is bound by its ~30 operations

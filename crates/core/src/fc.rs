@@ -193,7 +193,7 @@ impl ContentNet {
         SEQUENCES.with(|s| {
             let (seq, next) = &mut *s.borrow_mut();
             // Same padding as the tape forward: zero rows up to the conv width.
-            let t = words.rows().max(if self.conv.is_some() { 3 } else { 1 });
+            let t = self.padded_len(words);
             seq.clear();
             seq.extend_from_slice(words.as_slice());
             seq.resize(t * self.word_dim, 0.0);
@@ -216,6 +216,28 @@ impl ContentNet {
         });
     }
 
+    /// Sequence length after padding very short tweets so the 3-wide
+    /// convolution always has a window (empty contents become all-zero
+    /// rows, which the paper's `</s>`-only degenerate contents
+    /// effectively are too).
+    fn padded_len(&self, words: &Matrix) -> usize {
+        words.rows().max(if self.conv.is_some() { 3 } else { 1 })
+    }
+
+    /// The zero-padded words as one `1 x M` input node per step.
+    fn step_inputs(&self, tape: &mut Tape, words: &Matrix) -> Vec<Var> {
+        (0..self.padded_len(words))
+            .map(|r| {
+                let row = if r < words.rows() {
+                    Matrix::row_vector(words.row(r))
+                } else {
+                    Matrix::zeros(1, self.word_dim)
+                };
+                tape.input(row)
+            })
+            .collect()
+    }
+
     fn forward_blstm<R: Rng>(
         &self,
         tape: &mut Tape,
@@ -224,27 +246,57 @@ impl ContentNet {
         train: bool,
         rng: &mut R,
     ) -> Var {
-        // Pad very short tweets so the 3-wide convolution always has a
-        // window (empty contents become all-zero rows, which the paper's
-        // `</s>`-only degenerate contents effectively are too).
-        let min_t = if self.conv.is_some() { 3 } else { 1 };
-        let t = words.rows().max(min_t);
-        let mut xs: Vec<Var> = Vec::with_capacity(t);
-        for r in 0..t {
-            let row = if r < words.rows() {
-                Matrix::from_vec(1, self.word_dim, words.row(r).to_vec())
-            } else {
-                Matrix::zeros(1, self.word_dim)
-            };
-            xs.push(tape.input(row));
-        }
+        let h = if self.bigrus.is_empty() {
+            // The paper's encoders: one zero-padded `T x M` input, one
+            // fused node per layer and direction.
+            let mut x = Matrix::zeros(self.padded_len(words), self.word_dim);
+            x.as_mut_slice()[..words.len()].copy_from_slice(words.as_slice());
+            let mut h = tape.input(x);
+            for bi in &self.bilstms {
+                h = bi.forward_rows(tape, store, h);
+            }
+            h
+        } else {
+            // The BiGRU-C ablation keeps its per-step graph.
+            let mut xs = self.step_inputs(tape, words);
+            for bi in &self.bigrus {
+                xs = bi.forward_concat(tape, store, &xs);
+            }
+            tape.stack_rows(&xs)
+        };
+        self.pool_states(tape, store, h, train, rng)
+    }
+
+    /// [`ContentNet::forward`] of the BiLSTM encoders over the per-step
+    /// reference graph ([`BiLstm::forward_concat`]) the fused nodes are
+    /// pinned to.
+    #[cfg(test)]
+    pub(crate) fn forward_stepwise<R: Rng>(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        words: &Matrix,
+        train: bool,
+        rng: &mut R,
+    ) -> Var {
+        let mut xs = self.step_inputs(tape, words);
         for bi in &self.bilstms {
             xs = bi.forward_concat(tape, store, &xs);
         }
-        for bi in &self.bigrus {
-            xs = bi.forward_concat(tape, store, &xs);
-        }
-        let mut h = tape.stack_rows(&xs); // T x 2N
+        let h = tape.stack_rows(&xs);
+        self.pool_states(tape, store, h, train, rng)
+    }
+
+    /// Dropout over the `T x 2N` recurrent states, then the pooling of
+    /// Eq. 3 (BiLSTM-C, BiGRU-C) or the plain mean over steps (BLSTM).
+    fn pool_states<R: Rng>(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        mut h: Var,
+        train: bool,
+        rng: &mut R,
+    ) -> Var {
         if train && self.keep_prob < 1.0 {
             h = tape.dropout(h, self.keep_prob, rng);
         }

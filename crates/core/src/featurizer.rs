@@ -203,7 +203,6 @@ impl Featurizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nn::Tape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tensor::randn;
@@ -380,8 +379,86 @@ mod tests {
         assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
     }
 
+    /// [`Featurizer::forward_batch`] with the content encoder on its
+    /// per-step reference graph.
+    fn forward_batch_stepwise(
+        f: &Featurizer,
+        tape: &mut Tape,
+        store: &ParamStore,
+        inputs: &[&ProfileInput],
+        rng: &mut StdRng,
+    ) -> Var {
+        let content = f.content.as_ref().expect("content encoder");
+        let rows: Vec<Var> = inputs
+            .iter()
+            .map(|input| {
+                let fv = tape.input(Matrix::row_vector(&input.fv));
+                let fc = content.forward_stepwise(tape, store, &input.words, true, rng);
+                tape.concat_cols(fv, fc)
+            })
+            .collect();
+        let x = tape.stack_rows(&rows);
+        f.head.forward_dropout(tape, store, x, f.keep_prob, rng)
+    }
+
+    /// Loss and every parameter gradient of one training step (dropout
+    /// on, same seed) through the fused LSTM nodes and through the
+    /// per-step graph.
+    fn assert_training_step_matches_stepwise(
+        content: ContentEncoder,
+        ql: usize,
+        t: usize,
+        seed: u64,
+    ) {
+        let cfg = HisRectConfig {
+            word_dim: 8,
+            hidden_n: 24,
+            feat_dim: 10,
+            qf: 2,
+            ql,
+            ..HisRectConfig::fast()
+        };
+        assert!(cfg.keep_prob < 1.0, "the step must draw dropout masks");
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let f = Featurizer::new(&mut store, &cfg, HistoryEncoder::Rect, content, 5, &mut rng);
+        let ins = [input(seed ^ 1, 5, t), input(seed ^ 2, 5, 40 - t)];
+        let refs: Vec<&ProfileInput> = ins.iter().collect();
+        let mut step = |stepwise: bool| {
+            store.zero_grads();
+            let mut rng = StdRng::seed_from_u64(seed ^ 3);
+            let mut tape = Tape::new();
+            let out = if stepwise {
+                forward_batch_stepwise(&f, &mut tape, &store, &refs, &mut rng)
+            } else {
+                f.forward_batch(&mut tape, &store, &refs, true, &mut rng)
+            };
+            let loss = tape.softmax_cross_entropy(out, &[3, 7]);
+            let mut got = vec![vec![tape.backward(loss, &mut store).to_bits()]];
+            got.extend(
+                f.param_ids()
+                    .iter()
+                    .map(|&id| bits(store.get(id).grad.as_slice())),
+            );
+            got
+        };
+        assert_eq!(step(false), step(true));
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn training_step_equals_the_per_step_graph_bit_for_bit(
+            conv in proptest::prelude::any::<bool>(),
+            ql in 1usize..=3,
+            // 0..2 are padded up to the conv width.
+            t in 0usize..=40,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let content = if conv { ContentEncoder::BiLstmC } else { ContentEncoder::Blstm };
+            assert_training_step_matches_stepwise(content, ql, t, seed);
+        }
 
         #[test]
         fn eval_path_equals_tape_forward_bit_for_bit(

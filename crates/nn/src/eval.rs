@@ -17,9 +17,10 @@
 //! [`tensor::act`] activations.
 
 use crate::layers::{BiLstm, Conv1d, FeedForward, Linear, Lstm};
+use crate::lstm::LstmPass;
 use crate::params::ParamStore;
 use std::cell::RefCell;
-use tensor::{act, matmul_into, matmul_naive_into};
+use tensor::{matmul_into, matmul_naive_into};
 
 /// `row += bias` for every `bias.len()`-wide row of `rows`.
 fn add_bias_rows(rows: &mut [f32], bias: &[f32]) {
@@ -100,8 +101,9 @@ impl FeedForward {
 
 impl Lstm {
     /// Evaluation-mode [`Lstm::forward_seq`] over the `in_dim`-wide rows
-    /// of `xs`, zero initial state. The input projection `xs @ Wx` runs
-    /// for all steps in one pass, then the recurrence; `h_t` lands at
+    /// of `xs`, zero initial state: the shared [`LstmPass::forward`]
+    /// kernel reading weights from the store, its saved activations going
+    /// to per-thread scratch. `h_t` lands at
     /// `out[t·out_stride + out_col ..][..hidden]`. With `reverse` the
     /// recurrence runs from the last row to the first (the backward half
     /// of a [`BiLstm`]), still writing each state at its own row.
@@ -115,45 +117,20 @@ impl Lstm {
         out_col: usize,
     ) {
         thread_local! {
-            static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+            static ACTS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
         }
-        let h = self.hidden;
-        let steps = xs.len() / self.in_dim;
-        let wx = store.value(self.wx).as_slice();
-        let wh = store.value(self.wh).as_slice();
-        let b = store.value(self.b).as_slice();
-        SCRATCH.with(|scratch| {
-            // xg: steps × 4h | hg: 4h | state h, c, tanh(c): h each.
-            let scratch = &mut *scratch.borrow_mut();
-            scratch.clear();
-            scratch.resize((steps + 1) * 4 * h + 3 * h, 0.0);
-            let (xg, rest) = scratch.split_at_mut(steps * 4 * h);
-            let (hg, rest) = rest.split_at_mut(4 * h);
-            let (state, rest) = rest.split_at_mut(h);
-            let (c, tc) = rest.split_at_mut(h);
-            matmul_naive_into(xs, self.in_dim, self.in_dim, wx, 4 * h, xg);
-            for s in 0..steps {
-                let t = if reverse { steps - 1 - s } else { s };
-                let gates = &mut xg[t * 4 * h..(t + 1) * 4 * h];
-                matmul_naive_into(state, h, h, wh, 4 * h, hg);
-                for ((g, &hv), &bv) in gates.iter_mut().zip(hg.iter()).zip(b) {
-                    *g = (*g + hv) + bv;
-                }
-                // Gate order [i | f | g | o]: i and f share one sigmoid pass.
-                act::sigmoid(&mut gates[..2 * h]);
-                act::tanh(&mut gates[2 * h..3 * h]);
-                act::sigmoid(&mut gates[3 * h..]);
-                for j in 0..h {
-                    c[j] = gates[h + j] * c[j] + gates[j] * gates[2 * h + j];
-                }
-                tc.copy_from_slice(c);
-                act::tanh(tc);
-                for j in 0..h {
-                    state[j] = gates[3 * h + j] * tc[j];
-                }
-                let at = t * out_stride + out_col;
-                out[at..at + h].copy_from_slice(state);
-            }
+        let pass = LstmPass {
+            xs,
+            in_dim: self.in_dim,
+            wx: store.value(self.wx).as_slice(),
+            wh: store.value(self.wh).as_slice(),
+            b: store.value(self.b).as_slice(),
+            reverse,
+        };
+        ACTS.with(|acts| {
+            let acts = &mut *acts.borrow_mut();
+            acts.resize(pass.acts_len(), 0.0);
+            pass.forward(acts, out, out_stride, out_col);
         });
     }
 }

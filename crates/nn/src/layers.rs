@@ -207,9 +207,22 @@ impl Lstm {
         }
     }
 
-    /// Runs the recurrence over `xs` (each `1 x in_dim`); initial hidden and
-    /// cell states are zero (§6.1.2). Returns one `1 x hidden` state per
-    /// step.
+    /// Runs the recurrence over the rows of `x` (`T x in_dim`) as one
+    /// fused [`Tape::lstm_seq`] node; initial hidden and cell states are
+    /// zero (§6.1.2). Row `t` of the `T x hidden` result is `h_t`, also
+    /// when `reverse` runs the recurrence from the last row to the first.
+    pub fn forward_rows(&self, tape: &mut Tape, store: &ParamStore, x: Var, reverse: bool) -> Var {
+        let wx = tape.param(store, self.wx);
+        let wh = tape.param(store, self.wh);
+        let b = tape.param(store, self.b);
+        tape.lstm_seq(x, wx, wh, b, reverse)
+    }
+
+    /// The recurrence spelled out as 17 tape nodes per step over `xs`
+    /// (each `1 x in_dim`), returning one `1 x hidden` state per step.
+    /// This is the reference definition: tests pin [`Lstm::forward_rows`]
+    /// (values and gradients) and the tape-free `eval` forward to it by
+    /// bits, and nothing else calls it.
     pub fn forward_seq(&self, tape: &mut Tape, store: &ParamStore, xs: &[Var]) -> Vec<Var> {
         let wx = tape.param(store, self.wx);
         let wh = tape.param(store, self.wh);
@@ -410,8 +423,18 @@ impl BiLstm {
         }
     }
 
-    /// Returns per-step `(h_fwd_t, h_bwd_t)` pairs, both aligned to the
-    /// original sequence order.
+    /// `[h_fwd_t | h_bwd_t]` for every row `t` of `x` (`T x in_dim`) as a
+    /// `T x 2h` node: one fused [`Tape::lstm_seq`] per direction. Binds
+    /// the forward direction's parameters, then the backward's.
+    pub fn forward_rows(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
+        let hf = self.fwd.forward_rows(tape, store, x, false);
+        let hb = self.bwd.forward_rows(tape, store, x, true);
+        tape.concat_cols(hf, hb)
+    }
+
+    /// Reference per-step graph (see [`Lstm::forward_seq`]): per-step
+    /// `(h_fwd_t, h_bwd_t)` pairs, both aligned to the original sequence
+    /// order.
     pub fn forward_seq(
         &self,
         tape: &mut Tape,
@@ -425,7 +448,8 @@ impl BiLstm {
         (hf, hb)
     }
 
-    /// Per-step concatenation `[h_fwd | h_bwd]`, each `1 x 2h`.
+    /// Reference per-step graph of [`BiLstm::forward_rows`]: per-step
+    /// concatenation `[h_fwd | h_bwd]`, each `1 x 2h`.
     pub fn forward_concat(&self, tape: &mut Tape, store: &ParamStore, xs: &[Var]) -> Vec<Var> {
         let (hf, hb) = self.forward_seq(tape, store, xs);
         hf.into_iter()

@@ -14,6 +14,9 @@
 //! - [`layers`] — `Linear`, feed-forward stacks, `Lstm`, `BiLstm`, `Conv1d`.
 //! - [`eval`] — tape-free evaluation-mode forwards of the same layers,
 //!   bit-identical to the tape.
+//! - `lstm` — the LSTM recurrence over a whole sequence and its
+//!   hand-written BPTT: the kernel under both [`eval`] and the fused
+//!   [`Tape::lstm_seq`] node the paper's encoders train through.
 //! - [`adam`] — Adam with learning-rate decay, ℓ2 regularization and
 //!   global-norm gradient clipping.
 //! - [`gradcheck`] — finite-difference gradient checking used heavily in
@@ -29,6 +32,7 @@ pub mod adam;
 pub mod eval;
 pub mod gradcheck;
 pub mod layers;
+mod lstm;
 pub mod params;
 pub mod quant;
 pub mod tape;

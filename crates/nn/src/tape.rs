@@ -5,6 +5,7 @@
 //! scattering those of bound parameters back into the [`ParamStore`]. Tapes
 //! are cheap, single-use values: build one per training step and drop it.
 
+use crate::lstm::{LstmGrads, LstmPass};
 use crate::params::{ParamId, ParamStore};
 use rand::Rng;
 use tensor::Matrix;
@@ -16,8 +17,10 @@ pub struct Var(usize);
 /// One recorded operation. Saved tensors needed by the backward pass
 /// (dropout masks, softmax probabilities, ...) live in the variant.
 enum Op {
-    /// Constant input or bound parameter.
-    Leaf,
+    /// Constant input: nothing reads its gradient, so ops may skip it.
+    Input,
+    /// Bound parameter.
+    Param,
     MatMul {
         a: usize,
         b: usize,
@@ -113,6 +116,16 @@ enum Op {
     MeanAll {
         a: usize,
     },
+    /// One LSTM direction over a whole `T x in` sequence; `acts` holds the
+    /// activations [`LstmPass::forward`] saved for the backward.
+    LstmSeq {
+        x: usize,
+        wx: usize,
+        wh: usize,
+        b: usize,
+        reverse: bool,
+        acts: Matrix,
+    },
 }
 
 struct Node {
@@ -165,13 +178,13 @@ impl Tape {
 
     /// Records a constant input (no gradient flows back out of the tape).
     pub fn input(&mut self, m: Matrix) -> Var {
-        self.push(m, Op::Leaf)
+        self.push(m, Op::Input)
     }
 
     /// Binds a parameter: copies its current value onto the tape and
     /// remembers the id so [`Tape::backward`] can scatter its gradient.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        let v = self.push(store.value(id).clone(), Op::Leaf);
+        let v = self.push(store.value(id).clone(), Op::Param);
         self.bindings.push((id, v.0));
         v
     }
@@ -254,7 +267,12 @@ impl Tape {
     pub fn slice_cols(&mut self, a: Var, start: usize, len: usize) -> Var {
         let src = &self.nodes[a.0].value;
         assert!(start + len <= src.cols(), "slice_cols out of range");
-        let value = Matrix::from_fn(src.rows(), len, |r, c| src.get(r, start + c));
+        let mut value = Matrix::zeros(src.rows(), len);
+        for r in 0..src.rows() {
+            value
+                .row_mut(r)
+                .copy_from_slice(&src.row(r)[start..start + len]);
+        }
         self.push(value, Op::SliceCols { a: a.0, start })
     }
 
@@ -279,6 +297,49 @@ impl Tape {
                 parts: parts.iter().map(|p| p.0).collect(),
             },
         )
+    }
+
+    /// One LSTM direction (§4.2) over the rows of `x` (`T x in`) from zero
+    /// state, as a single node: `wx` is `in x 4h`, `wh` is `h x 4h`, `b` is
+    /// `1 x 4h`, gate order `[i | f | g | o]`; `reverse` runs from the
+    /// last row to the first. Row `t` of the `T x h` result is `h_t`.
+    /// Values and gradients equal, bit for bit, those of the per-step
+    /// graph [`crate::Lstm::forward_seq`] records; a constant `x` gets no
+    /// gradient.
+    pub fn lstm_seq(&mut self, x: Var, wx: Var, wh: Var, b: Var, reverse: bool) -> Var {
+        let pass = self.lstm_pass(x.0, wx.0, wh.0, b.0, reverse);
+        let (steps, h) = (pass.steps(), pass.hidden());
+        let mut acts = Matrix::zeros(1, pass.acts_len());
+        let mut value = Matrix::zeros(steps, h);
+        pass.forward(acts.as_mut_slice(), value.as_mut_slice(), h, 0);
+        self.push(
+            value,
+            Op::LstmSeq {
+                x: x.0,
+                wx: wx.0,
+                wh: wh.0,
+                b: b.0,
+                reverse,
+                acts,
+            },
+        )
+    }
+
+    fn lstm_pass(&self, x: usize, wx: usize, wh: usize, b: usize, reverse: bool) -> LstmPass<'_> {
+        let value = |i: usize| &self.nodes[i].value;
+        let (in_dim, h) = (value(wx).rows(), value(wh).rows());
+        assert_eq!(value(x).cols(), in_dim, "lstm_seq input width mismatch");
+        assert_eq!(value(wx).cols(), 4 * h, "lstm_seq wx shape mismatch");
+        assert_eq!(value(wh).cols(), 4 * h, "lstm_seq wh shape mismatch");
+        assert_eq!(value(b).shape(), (1, 4 * h), "lstm_seq bias shape mismatch");
+        LstmPass {
+            xs: value(x).as_slice(),
+            in_dim,
+            wx: value(wx).as_slice(),
+            wh: value(wh).as_slice(),
+            b: value(b).as_slice(),
+            reverse,
+        }
     }
 
     /// Column-wise mean over rows: `(R x C) -> (1 x C)`.
@@ -441,12 +502,6 @@ impl Tape {
         self.scalar(loss)
     }
 
-    /// Backward pass returning the raw per-node gradients (used by tests
-    /// and by callers that need input gradients).
-    pub fn grad_of(&self, loss: Var, wrt: Var) -> Option<Matrix> {
-        self.backward_grads(loss)[wrt.0].clone()
-    }
-
     fn backward_grads(&self, loss: Var) -> Vec<Option<Matrix>> {
         assert_eq!(
             self.nodes[loss.0].value.shape(),
@@ -473,7 +528,7 @@ impl Tape {
             slot @ None => *slot = Some(delta),
         };
         match &self.nodes[i].op {
-            Op::Leaf => {}
+            Op::Input | Op::Param => {}
             Op::MatMul { a, b } => {
                 let da = g.matmul_nt(&self.nodes[*b].value);
                 let db = self.nodes[*a].value.matmul_tn(g);
@@ -522,8 +577,13 @@ impl Tape {
             }
             Op::ConcatCols { a, b } => {
                 let ca = self.nodes[*a].value.cols();
-                let da = Matrix::from_fn(g.rows(), ca, |r, c| g.get(r, c));
-                let db = Matrix::from_fn(g.rows(), g.cols() - ca, |r, c| g.get(r, ca + c));
+                let mut da = Matrix::zeros(g.rows(), ca);
+                let mut db = Matrix::zeros(g.rows(), g.cols() - ca);
+                for r in 0..g.rows() {
+                    let (ga, gb) = g.row(r).split_at(ca);
+                    da.row_mut(r).copy_from_slice(ga);
+                    db.row_mut(r).copy_from_slice(gb);
+                }
                 acc(grads, *a, da);
                 acc(grads, *b, db);
             }
@@ -531,9 +591,7 @@ impl Tape {
                 let src = &self.nodes[*a].value;
                 let mut da = Matrix::zeros(src.rows(), src.cols());
                 for r in 0..g.rows() {
-                    for c in 0..g.cols() {
-                        da.set(r, start + c, g.get(r, c));
-                    }
+                    da.row_mut(r)[*start..start + g.cols()].copy_from_slice(g.row(r));
                 }
                 acc(grads, *a, da);
             }
@@ -541,7 +599,9 @@ impl Tape {
                 let mut r0 = 0;
                 for &p in parts {
                     let rows = self.nodes[p].value.rows();
-                    let dp = Matrix::from_fn(rows, g.cols(), |r, c| g.get(r0 + r, c));
+                    let block = &g.as_slice()[r0 * g.cols()..(r0 + rows) * g.cols()];
+                    let mut dp = Matrix::zeros(rows, g.cols());
+                    dp.as_mut_slice().copy_from_slice(block);
                     acc(grads, p, dp);
                     r0 += rows;
                 }
@@ -562,10 +622,10 @@ impl Tape {
                 let (t, c) = src.shape();
                 let mut da = Matrix::zeros(t, c);
                 for w in 0..(t - k + 1) {
-                    for dk in 0..*k {
-                        for cc in 0..c {
-                            let v = da.get(w + dk, cc) + g.get(w, dk * c + cc);
-                            da.set(w + dk, cc, v);
+                    // Window by window, row by row: the (w, dk, c) add order.
+                    for (dk, g_row) in g.row(w).chunks_exact(c).enumerate() {
+                        for (d, &gv) in da.row_mut(w + dk).iter_mut().zip(g_row) {
+                            *d += gv;
                         }
                     }
                 }
@@ -638,6 +698,41 @@ impl Tape {
                 let shape = self.nodes[*a].value.shape();
                 let n = (shape.0 * shape.1).max(1) as f32;
                 acc(grads, *a, Matrix::filled(shape.0, shape.1, g.get(0, 0) / n));
+            }
+            Op::LstmSeq {
+                x,
+                wx,
+                wh,
+                b,
+                reverse,
+                acts,
+            } => {
+                let pass = self.lstm_pass(*x, *wx, *wh, *b, *reverse);
+                let (h, n) = (pass.hidden(), pass.in_dim);
+                let mut dwx = Matrix::zeros(n, 4 * h);
+                let mut dwh = Matrix::zeros(h, 4 * h);
+                let mut db = Matrix::zeros(1, 4 * h);
+                let mut dx = match self.nodes[*x].op {
+                    Op::Input => None,
+                    _ => Some(Matrix::zeros(pass.steps(), n)),
+                };
+                pass.backward(
+                    acts.as_slice(),
+                    self.nodes[i].value.as_slice(),
+                    g.as_slice(),
+                    LstmGrads {
+                        dwx: dwx.as_mut_slice(),
+                        dwh: dwh.as_mut_slice(),
+                        db: db.as_mut_slice(),
+                        dx: dx.as_mut().map(Matrix::as_mut_slice),
+                    },
+                );
+                if let Some(dx) = dx {
+                    acc(grads, *x, dx);
+                }
+                acc(grads, *wx, dwx);
+                acc(grads, *wh, dwh);
+                acc(grads, *b, db);
             }
         }
     }

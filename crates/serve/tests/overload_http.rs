@@ -206,22 +206,22 @@ fn watchdog_restarts_stalled_flusher_without_losing_jobs() {
     let mut client = HttpClient::new(server.addr());
     let (i, j) = test_pairs(1)[0];
 
-    // The live flusher is parked in recv (its stall check already ran),
-    // so this request is served normally; the flusher then stalls on its
-    // next loop iteration.
+    // If the live flusher is already parked in recv (its stall check
+    // ran), the first request is served normally and the flusher stalls
+    // on its next loop iteration, in front of the second; if it has not
+    // parked yet, it stalls in front of the first. Either way one of the
+    // two jobs sits queued behind a stalled flusher until the watchdog
+    // restarts it in place and the replacement answers — no drop, no 5xx
+    // — and that takes at least the stall timeout.
     faultsim::configure_str("stall@1").unwrap();
-    let r = client.post("/judge", &judge_body(i, j)).unwrap();
-    assert_eq!(r.status, 200, "{}", r.body);
-
-    // This job lands in the queue behind the stalled flusher. The
-    // watchdog must restart the flusher in place and the replacement
-    // must answer it — no drop, no 5xx.
     let start = Instant::now();
-    let r = client.post("/judge", &judge_body(i, j)).unwrap();
-    assert_eq!(r.status, 200, "job survived the restart: {}", r.body);
+    for _ in 0..2 {
+        let r = client.post("/judge", &judge_body(i, j)).unwrap();
+        assert_eq!(r.status, 200, "job survived the restart: {}", r.body);
+    }
     assert!(
         start.elapsed() >= Duration::from_millis(90),
-        "the answer can only arrive after the stall timeout"
+        "one answer can only arrive after the stall timeout"
     );
     assert!(
         server.watchdog_restarts() >= 1,
