@@ -14,8 +14,10 @@ use hisrect::affinity::build_affinity;
 use hisrect::config::{ApproachSpec, ContentEncoder, HisRectConfig, HistoryEncoder, UnsupLoss};
 use hisrect::featurizer::{Featurizer, ProfileInput};
 use hisrect::fv::fv_feature;
+use hisrect::judge::Judge;
 use hisrect::model::{Ablation, HisRectModel};
 use hisrect::ssl::{train_featurizer, SslNets};
+use hisrect::{JudgeService, Precision};
 use nn::{BiLstm, ParamStore, Tape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -361,8 +363,9 @@ fn bench_features(h: &mut Harness, ds: &twitter_sim::Dataset) {
         ds.world.pois.len(),
         &mut rng,
     );
+    let head = featurizer.head_at(&store, Precision::F32);
     h.bench("featurize_one_profile_eval", || {
-        featurizer.features(&store, &[&input])
+        featurizer.features(&store, &[&input], &head)
     });
     h.bench("featurize_one_profile_tape", || {
         let mut tape = Tape::new();
@@ -381,20 +384,45 @@ fn bench_features(h: &mut Harness, ds: &twitter_sim::Dataset) {
         model.judge_pair(ds, pair.i, pair.j)
     });
 
-    // The quantized judge over the same cached features — tapeless int8
-    // MLP, per-row activation scales — plus the fused micro-batch path at
-    // the batcher's default flush size, f32 vs int8.
-    let qm = model.quantize();
+    // The same cached features through the public service at int8 — the
+    // one judge body over quantized stacks, per-row activation scales —
+    // plus the fused micro-batch path at the batcher's default flush size,
+    // f32 vs int8.
+    let twin = HisRectModel::from_snapshot(model.snapshot());
+    let int8 = JudgeService::with_precision(twin, ds.world.pois.clone(), Precision::Int8);
     h.bench("judge_pair_cached_features_int8", || {
-        model.judge_features_quant(&fi, &fj, &qm)
+        int8.judge_features(&fi, &fj)
     });
     let pairs16: Vec<(&[f32], &[f32])> = (0..16).map(|_| (fi.as_slice(), fj.as_slice())).collect();
     h.bench("judge_batch16_cached_features", || {
         model.judge_features_batch(&pairs16)
     });
     h.bench("judge_batch16_cached_features_int8", || {
-        model.judge_features_batch_quant(&pairs16, &qm)
+        int8.judge_features_batch(&pairs16)
     });
+}
+
+/// The keep-int8 decision, reproducible: a judge at the paper's width
+/// (`feat_dim` 512, `embed_dim` 256; §6.4.4 claims < 1 ms per judgement
+/// at M = 512) over a 32-pair batch at both precisions. Weights and
+/// features are seeded noise — timing does not depend on them.
+fn bench_paper_width_judge(h: &mut Harness) {
+    let cfg = HisRectConfig {
+        embed_dim: 256,
+        ..HisRectConfig::fast()
+    };
+    let mut rng = StdRng::seed_from_u64(512);
+    let mut store = ParamStore::new();
+    let judge = Judge::new(&mut store, &cfg, 512, &mut rng);
+    let feats = randn(&mut rng, 64, 512, 1.0);
+    let pairs32: Vec<(&[f32], &[f32])> =
+        (0..32).map(|r| (feats.row(r), feats.row(32 + r))).collect();
+    for precision in [Precision::F32, Precision::Int8] {
+        let eval = judge.at(&store, precision);
+        h.bench(&format!("judge_batch32_w512_{precision}"), || {
+            eval.predict_batch(&store, &pairs32)
+        });
+    }
 }
 
 fn bench_pipeline_stages(h: &mut Harness, ds: &twitter_sim::Dataset) {
@@ -418,6 +446,7 @@ fn main() {
     let ds = small_dataset();
     bench_geo(&mut h, &ds);
     bench_features(&mut h, &ds);
+    bench_paper_width_judge(&mut h);
     bench_pipeline_stages(&mut h, &ds);
 
     let mut speedups = BTreeMap::new();
@@ -541,16 +570,26 @@ fn run_perf_gate(h: &mut Harness, mean_metrics_ratio: f64) -> Vec<String> {
     // the tape this was "single-pair int8 >= 2x f32", which turned out to
     // be tape bookkeeping, not arithmetic: at the served widths of 24-48
     // the tape-free f32 judge is now the faster of the two and int8 buys
-    // 4x smaller weights. What is left to defend is the kernel — the
-    // maddubs i8 GEMM against the f32 GEMM where arithmetic dominates
-    // (AVX2 only: the portable `dot_i8` is a plain widening loop) — and,
-    // on both tiers, that the int8 pair stays within reach of f32.
+    // 4x smaller weights. What is left to defend is where arithmetic
+    // dominates — the maddubs i8 GEMM against the f32 GEMM, and the whole
+    // judge at the paper's width (AVX2 only: the portable `dot_i8` is a
+    // plain widening loop) — and, on both tiers, that the int8 pair stays
+    // within reach of f32.
     if simd {
         if let Some(f32_gemm) = h.min_of("matmul_16x256x256_f32") {
             check(
                 "qmatmul_16x256x256 >= 2x faster than f32",
                 h.min_of("qmatmul_16x256x256"),
                 f32_gemm / 2.0,
+            );
+        }
+        // Why int8 is kept (DESIGN §13): 1.68x measured where the bar
+        // was set.
+        if let Some(f32_judge) = h.min_of("judge_batch32_w512_f32") {
+            check(
+                "judge_batch32_w512 int8 >= 1.3x faster than f32",
+                h.min_of("judge_batch32_w512_int8"),
+                f32_judge / 1.3,
             );
         }
     }

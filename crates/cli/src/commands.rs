@@ -537,10 +537,7 @@ pub fn ingest_cmd(flags: &Flags) -> Result<(), String> {
                     i64::MIN
                 };
                 mirror.invalidate(&ing, cutoff, |p| {
-                    judge
-                        .model()
-                        .judge_embeddings(&[judge.features_for(p)])
-                        .remove(0)
+                    judge.judge_embeddings(&[judge.features_for(p)]).remove(0)
                 });
                 if let Some(addr) = serve_addr {
                     let g = ingest::publish_reload(addr, &out.model_path)

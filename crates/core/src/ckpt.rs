@@ -18,6 +18,11 @@
 //! The header line keeps the checksum outside the checksummed bytes
 //! without JSON-in-JSON escaping. Only the two most recent snapshots per
 //! phase are kept.
+//!
+//! The framing, the atomic write and the newest-valid walk are
+//! payload-agnostic ([`write_framed`], [`read_framed`], [`prune`],
+//! [`newest_valid`]); the ingest loop's checkpoints (`crates/ingest`) are
+//! a second typed shell over them.
 
 use faultsim::FaultKind;
 use nn::params::ParamSnapshot;
@@ -141,13 +146,22 @@ fn file_name(phase: &str, iteration: usize) -> String {
 
 /// Atomically writes `ckpt` under `dir` and rotates old snapshots of the
 /// same phase. Returns the final path.
+pub fn save(dir: &Path, ckpt: &TrainCheckpoint) -> Result<PathBuf, CkptError> {
+    let payload = serde_json::to_string(ckpt).map_err(|e| CkptError::Parse(e.to_string()))?;
+    let path = write_framed(dir, &file_name(&ckpt.phase, ckpt.iteration), &payload)?;
+    prune(dir, &format!("{}-", ckpt.phase))?;
+    Ok(path)
+}
+
+/// Atomically writes `payload` under its checksum header to
+/// `dir/file_name` (temp file + fsync + rename; `dir` is created if
+/// missing). Returns the final path.
 ///
 /// The `torn-write`, `bit-flip` and `corrupt-json` fault hooks corrupt the
 /// bytes as a crashing writer or failing disk would; the file still lands
-/// at its final path so [`latest_valid`] must detect and skip it.
-pub fn save(dir: &Path, ckpt: &TrainCheckpoint) -> Result<PathBuf, CkptError> {
+/// at its final path so [`newest_valid`] must detect and skip it.
+pub fn write_framed(dir: &Path, file_name: &str, payload: &str) -> Result<PathBuf, CkptError> {
     fs::create_dir_all(dir)?;
-    let payload = serde_json::to_string(ckpt).map_err(|e| CkptError::Parse(e.to_string()))?;
     let mut bytes = format!("{MAGIC} {:016x}\n{payload}", fnv1a64(payload.as_bytes())).into_bytes();
     if faultsim::fires(FaultKind::BitFlip) {
         let mid = bytes.len() / 2;
@@ -161,8 +175,8 @@ pub fn save(dir: &Path, ckpt: &TrainCheckpoint) -> Result<PathBuf, CkptError> {
     if faultsim::fires(FaultKind::TornWrite) {
         bytes.truncate(bytes.len() / 2);
     }
-    let path = dir.join(file_name(&ckpt.phase, ckpt.iteration));
-    let tmp = dir.join(format!(".{}.tmp", file_name(&ckpt.phase, ckpt.iteration)));
+    let path = dir.join(file_name);
+    let tmp = dir.join(format!(".{file_name}.tmp"));
     {
         let mut f = fs::File::create(&tmp)?;
         f.write_all(&bytes)?;
@@ -170,49 +184,43 @@ pub fn save(dir: &Path, ckpt: &TrainCheckpoint) -> Result<PathBuf, CkptError> {
     }
     fs::rename(&tmp, &path)?;
     obs::incr("ckpt/saved");
-    rotate(dir, &ckpt.phase)?;
     Ok(path)
 }
 
-/// Deletes all but the newest [`KEEP`] snapshots of `phase`.
-fn rotate(dir: &Path, phase: &str) -> Result<(), CkptError> {
-    let mut found = list_phase(dir, phase)?;
-    found.sort_by_key(|&(iter, _)| std::cmp::Reverse(iter));
-    for (_, path) in found.into_iter().skip(KEEP) {
+/// Deletes all but the newest two `{prefix}{seq}.ckpt` files.
+pub fn prune(dir: &Path, prefix: &str) -> Result<(), CkptError> {
+    for (_, path) in newest_first(dir, prefix)?.into_iter().skip(KEEP) {
         fs::remove_file(path)?;
     }
     Ok(())
 }
 
-/// All `(iteration, path)` snapshots of `phase` under `dir`, unsorted.
-fn list_phase(dir: &Path, phase: &str) -> Result<Vec<(usize, PathBuf)>, CkptError> {
+/// All `(seq, path)` files named `{prefix}{seq}.ckpt` under `dir`,
+/// highest sequence number first.
+fn newest_first(dir: &Path, prefix: &str) -> Result<Vec<(u64, PathBuf)>, CkptError> {
     let mut found = Vec::new();
     let entries = match fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(found),
         Err(e) => return Err(e.into()),
     };
-    let prefix = format!("{phase}-");
     for entry in entries {
         let entry = entry?;
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(rest) = name.strip_prefix(&prefix) else {
-            continue;
-        };
-        let Some(iter_str) = rest.strip_suffix(".ckpt") else {
-            continue;
-        };
-        let Ok(iteration) = iter_str.parse::<usize>() else {
-            continue;
-        };
-        found.push((iteration, entry.path()));
+        let seq = name
+            .to_str()
+            .and_then(|n| n.strip_prefix(prefix)?.strip_suffix(".ckpt")?.parse().ok());
+        if let Some(seq) = seq {
+            found.push((seq, entry.path()));
+        }
     }
+    found.sort_by_key(|&(seq, _)| std::cmp::Reverse(seq));
     Ok(found)
 }
 
-/// Loads and verifies one checkpoint file.
-pub fn load(path: &Path) -> Result<TrainCheckpoint, CkptError> {
+/// Reads one framed file and returns its payload once the header parses
+/// and the payload hashes to the checksum it promises.
+pub fn read_framed(path: &Path) -> Result<String, CkptError> {
     let bytes = fs::read(path)?;
     let text = String::from_utf8(bytes)
         .map_err(|_| CkptError::Format("checkpoint is not valid UTF-8".into()))?;
@@ -231,21 +239,29 @@ pub fn load(path: &Path) -> Result<TrainCheckpoint, CkptError> {
     if actual != expected {
         return Err(CkptError::ChecksumMismatch { expected, actual });
     }
-    serde_json::from_str(payload).map_err(|e| CkptError::Parse(e.to_string()))
+    Ok(payload.to_owned())
 }
 
-/// The newest snapshot of `phase` that loads and verifies. Corrupt files
-/// (torn writes, flipped bits, garbage) are skipped — counted in the
-/// `ckpt/corrupt_skipped` counter — so recovery falls back to the previous
-/// good snapshot instead of failing.
-pub fn latest_valid(dir: &Path, phase: &str) -> Option<(TrainCheckpoint, PathBuf)> {
-    let mut found = list_phase(dir, phase).ok()?;
-    found.sort_by_key(|&(iter, _)| std::cmp::Reverse(iter));
-    for (_, path) in found {
+/// Loads and verifies one checkpoint file.
+pub fn load(path: &Path) -> Result<TrainCheckpoint, CkptError> {
+    serde_json::from_str(&read_framed(path)?).map_err(|e| CkptError::Parse(e.to_string()))
+}
+
+/// The newest `{prefix}{seq}.ckpt` file under `dir` that `load` accepts,
+/// with its sequence number and path. Corrupt files (torn writes, flipped
+/// bits, garbage) are skipped — counted in the `ckpt/corrupt_skipped`
+/// counter — so recovery falls back to the previous good file instead of
+/// failing.
+pub fn newest_valid<T>(
+    dir: &Path,
+    prefix: &str,
+    load: impl Fn(&Path) -> Result<T, CkptError>,
+) -> Option<(u64, T, PathBuf)> {
+    for (seq, path) in newest_first(dir, prefix).ok()? {
         match load(&path) {
             Ok(ckpt) => {
                 obs::incr("ckpt/resumed");
-                return Some((ckpt, path));
+                return Some((seq, ckpt, path));
             }
             Err(e) => {
                 obs::incr("ckpt/corrupt_skipped");
@@ -257,6 +273,12 @@ pub fn latest_valid(dir: &Path, phase: &str) -> Option<(TrainCheckpoint, PathBuf
         }
     }
     None
+}
+
+/// The newest snapshot of `phase` that loads and verifies
+/// ([`newest_valid`] over the phase's files).
+pub fn latest_valid(dir: &Path, phase: &str) -> Option<(TrainCheckpoint, PathBuf)> {
+    newest_valid(dir, &format!("{phase}-"), load).map(|(_, ckpt, path)| (ckpt, path))
 }
 
 /// Params-only view of the newest valid `phase` snapshot in `dir` — the

@@ -3,7 +3,8 @@
 
 use crate::config::{ContentEncoder, HisRectConfig, HistoryEncoder};
 use crate::fc::ContentNet;
-use nn::{FeedForward, ParamId, ParamStore, QuantFeedForward, Tape, Var};
+use crate::model::Precision;
+use nn::{EvalStack, FeedForward, ParamId, ParamStore, Tape, Var};
 use rand::Rng;
 use tensor::Matrix;
 
@@ -151,26 +152,32 @@ impl Featurizer {
         }
     }
 
+    /// Binds the `Qf`-layer head to `precision` for inference. `Int8`
+    /// quantizes the trained weights here (they stay in the store).
+    pub fn head_at(&self, store: &ParamStore, precision: Precision) -> EvalStack {
+        precision.bind(store, &self.head)
+    }
+
     /// Evaluation-mode features as a plain matrix (`B x feat_dim`):
-    /// [`Featurizer::eval_inputs`] through the f32 head, tape-free and
+    /// [`Featurizer::eval_inputs`] through `head` (from
+    /// [`Featurizer::head_at`]), tape-free. At [`Precision::F32`] this is
     /// bit-identical to [`Featurizer::forward_batch`] with `train` off.
-    pub fn features(&self, store: &ParamStore, inputs: &[&ProfileInput]) -> Matrix {
+    pub fn features(
+        &self,
+        store: &ParamStore,
+        inputs: &[&ProfileInput],
+        head: &EvalStack,
+    ) -> Matrix {
         let x = self.eval_inputs(store, inputs);
         let mut out = Matrix::zeros(inputs.len(), self.feat_dim());
-        self.head.eval(store, x.as_slice(), out.as_mut_slice());
+        head.eval(store, x.as_slice(), out.as_mut_slice());
         out
     }
 
-    /// Int8 mirror of the `Qf`-layer head, derived from the trained f32
-    /// parameters (which stay in the store).
-    pub fn quantize_head(&self, store: &ParamStore) -> QuantFeedForward {
-        QuantFeedForward::from_feed_forward(store, &self.head)
-    }
-
     /// The pre-head `[Fv | Fc]` batch matrix in evaluation mode — the
-    /// input both heads consume. The recurrent content encoder stays f32
-    /// (ragged per-tweet recurrences quantize poorly) and runs through
-    /// [`ContentNet::eval_into`], one profile per row.
+    /// input the head consumes at either precision. The recurrent content
+    /// encoder stays f32 (ragged per-tweet recurrences quantize poorly)
+    /// and runs through [`ContentNet::eval_into`], one profile per row.
     pub fn eval_inputs(&self, store: &ParamStore, inputs: &[&ProfileInput]) -> Matrix {
         assert!(!inputs.is_empty(), "empty featurizer batch");
         let _span = obs::span("featurizer/forward");
@@ -186,17 +193,6 @@ impl Featurizer {
             }
         }
         x
-    }
-
-    /// Evaluation-mode features through a quantized head.
-    pub fn features_quant(
-        &self,
-        store: &ParamStore,
-        inputs: &[&ProfileInput],
-        qhead: &QuantFeedForward,
-    ) -> Matrix {
-        let x = self.eval_inputs(store, inputs);
-        qhead.forward(&x)
     }
 }
 
@@ -215,6 +211,11 @@ mod tests {
             qf: 2,
             ..HisRectConfig::fast()
         }
+    }
+
+    /// [`Featurizer::features`] at f32.
+    fn features(f: &Featurizer, store: &ParamStore, inputs: &[&ProfileInput]) -> Matrix {
+        f.features(store, inputs, &f.head_at(store, Precision::F32))
     }
 
     fn input(seed: u64, n_pois: usize, t: usize) -> ProfileInput {
@@ -241,7 +242,7 @@ mod tests {
         assert_eq!(f.feat_dim(), 10);
         let ins = [input(1, 5, 6), input(2, 5, 3)];
         let refs: Vec<&ProfileInput> = ins.iter().collect();
-        let m = f.features(&store, &refs);
+        let m = features(&f, &store, &refs);
         assert_eq!(m.shape(), (2, 10));
         assert!(!m.has_non_finite());
     }
@@ -261,8 +262,8 @@ mod tests {
         let a = input(1, 5, 6);
         let mut b = a.clone();
         b.words = randn(&mut rng, 4, 8, 1.0);
-        let fa = f.features(&store, &[&a]);
-        let fb = f.features(&store, &[&b]);
+        let fa = features(&f, &store, &[&a]);
+        let fb = features(&f, &store, &[&b]);
         assert!(fa.approx_eq(&fb, 0.0));
     }
 
@@ -280,7 +281,7 @@ mod tests {
         );
         assert_eq!(f.fv_dim(), 0);
         let a = input(1, 0, 6);
-        let m = f.features(&store, &[&a]);
+        let m = features(&f, &store, &[&a]);
         assert_eq!(m.shape(), (1, 10));
     }
 
@@ -361,7 +362,7 @@ mod tests {
 
         let mut tape = Tape::new();
         let want = f.forward_batch(&mut tape, &store, &[&inp], false, &mut rng);
-        let got = f.features(&store, &[&inp]);
+        let got = features(&f, &store, &[&inp]);
         assert_eq!(bits(got.as_slice()), bits(tape.value(want).as_slice()));
 
         // The pre-head row, as the tape builds it: `[Fv | Fc]`.
@@ -373,10 +374,11 @@ mod tests {
         let x = f.eval_inputs(&store, &[&inp]);
         assert_eq!(bits(x.as_slice()), bits(&row));
 
-        let qhead = f.quantize_head(&store);
-        let want = qhead.forward(&Matrix::from_vec(1, row.len(), row));
-        let got = f.features_quant(&store, &[&inp], &qhead);
-        assert_eq!(bits(got.as_slice()), bits(want.as_slice()));
+        let qhead = f.head_at(&store, Precision::Int8);
+        let mut want = vec![f32::NAN; f.feat_dim()];
+        qhead.eval(&store, &row, &mut want);
+        let got = f.features(&store, &[&inp], &qhead);
+        assert_eq!(bits(got.as_slice()), bits(&want));
     }
 
     /// [`Featurizer::forward_batch`] with the content encoder on its
@@ -510,9 +512,9 @@ mod tests {
         let refs: Vec<&ProfileInput> = ins.iter().collect();
         // 200 rows x 10 x 10 put the head's first layer on the packed
         // kernel; single rows stay on the simple one.
-        let batch = f.features(&store, &refs);
+        let batch = features(&f, &store, &refs);
         for (k, inp) in refs.iter().enumerate() {
-            let single = f.features(&store, &[inp]);
+            let single = features(&f, &store, &[inp]);
             assert_eq!(bits(batch.row(k)), bits(single.as_slice()), "row {k}");
         }
     }

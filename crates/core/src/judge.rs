@@ -8,9 +8,10 @@
 use crate::ckpt::{self, CheckpointConfig, MemorySnapshot, TrainCheckpoint};
 use crate::config::HisRectConfig;
 use crate::error::TrainError;
+use crate::model::Precision;
 use crate::ssl::{inject_nan_grad, rollback, MAX_RETRIES, RECOVERY_EVERY};
 use faultsim::FaultKind;
-use nn::{Adam, AdamConfig, FeedForward, ParamId, ParamStore, QuantFeedForward, Tape, Var};
+use nn::{Adam, AdamConfig, EvalStack, FeedForward, ParamId, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::cell::RefCell;
@@ -20,17 +21,26 @@ use tensor::Matrix;
 pub const PHASE_JUDGE: &str = "judge";
 
 thread_local! {
-    /// Grow-only buffers of the tape-free f32 judge: the two `E′`
-    /// embeddings (the first doubles as their difference).
+    /// Grow-only buffers of the tape-free judge: the two `E′` embeddings
+    /// (the first doubles as their difference).
     static EVAL_SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// The logistic output `p_co = σ(logit)` of both judges, on libm's `exp`:
-/// `tensor::act` defines the gate activations only, so the probability
-/// served for a given logit does not depend on it.
+/// The logistic output `p_co = σ(logit)`, on libm's `exp`: `tensor::act`
+/// defines the gate activations only, so the probability served for a
+/// given logit does not depend on it.
 fn p_co(logit: f32) -> f32 {
     1.0 / (1.0 + (-logit).exp())
+}
+
+/// Gathers `rows` equally wide feature rows into one row-major matrix.
+fn stack_rows<'a>(rows: impl ExactSizeIterator<Item = &'a [f32]>, width: usize) -> Matrix {
+    let mut m = Matrix::zeros(rows.len(), width);
+    for (dst, src) in m.as_mut_slice().chunks_exact_mut(width).zip(rows) {
+        dst.copy_from_slice(src);
+    }
+    m
 }
 
 /// The judge networks `E′` and `C`.
@@ -79,9 +89,32 @@ impl Judge {
         self.c.forward(tape, store, diff)
     }
 
+    /// Binds `E′` and `C` to `precision` for inference. `Int8` quantizes
+    /// the trained weights here (they stay in the store untouched), so
+    /// rebind after the store changes.
+    pub fn at(&self, store: &ParamStore, precision: Precision) -> JudgeEval {
+        JudgeEval {
+            e2: precision.bind(store, &self.e2),
+            c: precision.bind(store, &self.c),
+        }
+    }
+}
+
+/// The judge at one inference precision: `σ(C(|E′(fi) − E′(fj)|))`
+/// written once over [`EvalStack::eval`], tape-free. At
+/// [`Precision::F32`] it is bit-identical to [`Judge::forward_logits`];
+/// at either precision every step treats batch rows independently, so a
+/// fused batch is bit-identical to per-pair calls, and a single pair
+/// allocates nothing in steady state.
+#[derive(Debug, Clone)]
+pub struct JudgeEval {
+    e2: EvalStack,
+    c: EvalStack,
+}
+
+impl JudgeEval {
     /// `C(|E′(fi) − E′(fj)|)` for the `feat_dim`-wide rows of `fi` / `fj`
-    /// into `logits` (one per row): [`Judge::forward_logits`] tape-free
-    /// through [`FeedForward::eval`], bit-identical to it.
+    /// into `logits` (one per row).
     fn eval_logits(&self, store: &ParamStore, fi: &[f32], fj: &[f32], logits: &mut [f32]) {
         EVAL_SCRATCH.with(|s| {
             let (ei, ej) = &mut *s.borrow_mut();
@@ -108,28 +141,32 @@ impl Judge {
         self.c.eval(store, ei, logits);
     }
 
-    /// Co-location probabilities for batched cached features.
+    /// Co-location probabilities for many cached feature pairs in one
+    /// fused pass through `E′` and `C`.
     ///
     /// When metrics are enabled the per-pair wall time lands in the
-    /// `judge/pair_latency_ns` histogram (the paper claims < 1 ms/pair).
-    pub fn predict_batch(&self, store: &ParamStore, fi: &Matrix, fj: &Matrix) -> Vec<f32> {
+    /// `judge/pair_latency_ns` histogram (the paper claims < 1 ms/pair),
+    /// whatever the precision, so latency dashboards compare them directly.
+    pub fn predict_batch(&self, store: &ParamStore, pairs: &[(&[f32], &[f32])]) -> Vec<f32> {
+        let Some(feat_dim) = pairs.first().map(|p| p.0.len()) else {
+            return Vec::new();
+        };
+        let fi = stack_rows(pairs.iter().map(|p| p.0), feat_dim);
+        let fj = stack_rows(pairs.iter().map(|p| p.1), feat_dim);
         let t0 = obs::enabled().then(std::time::Instant::now);
-        let mut probs = vec![0.0f32; fi.rows()];
+        let mut probs = vec![0.0f32; pairs.len()];
         self.eval_logits(store, fi.as_slice(), fj.as_slice(), &mut probs);
         for z in &mut probs {
             *z = p_co(*z);
         }
         if let Some(t0) = t0 {
-            if !probs.is_empty() {
-                let per_pair_ns = t0.elapsed().as_nanos() as f64 / probs.len() as f64;
-                obs::observe_n("judge/pair_latency_ns", per_pair_ns, probs.len() as u64);
-            }
+            let per_pair_ns = t0.elapsed().as_nanos() as f64 / probs.len() as f64;
+            obs::observe_n("judge/pair_latency_ns", per_pair_ns, probs.len() as u64);
         }
         probs
     }
 
-    /// Single-pair [`Judge::predict_batch`] over row-vector features,
-    /// heap-free.
+    /// Single-pair [`JudgeEval::predict_batch`], heap-free.
     pub fn predict(&self, store: &ParamStore, fi: &[f32], fj: &[f32]) -> f32 {
         let t0 = obs::enabled().then(std::time::Instant::now);
         let mut z = [0.0f32];
@@ -140,13 +177,20 @@ impl Judge {
         p_co(z[0])
     }
 
-    /// `E′` embeddings for a batch of cached features (`B × feat_dim` →
-    /// `B × embed_dim`). This is the representation the candidate index
-    /// stores and searches over.
-    pub fn embed_batch(&self, store: &ParamStore, feats: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(feats.rows(), self.e2.out_dim());
-        self.e2.eval(store, feats.as_slice(), out.as_mut_slice());
-        out
+    /// `E′` embeddings for many cached features, one per feature. This is
+    /// the representation the candidate index stores and searches over.
+    pub fn embed(&self, store: &ParamStore, feats: &[Vec<f32>]) -> Vec<Vec<f32>> {
+        let Some(feat_dim) = feats.first().map(Vec::len) else {
+            return Vec::new();
+        };
+        let x = stack_rows(feats.iter().map(Vec::as_slice), feat_dim);
+        let width = self.e2.out_dim();
+        let mut e = Matrix::zeros(feats.len(), width);
+        self.e2.eval(store, x.as_slice(), e.as_mut_slice());
+        e.as_slice()
+            .chunks_exact(width)
+            .map(<[f32]>::to_vec)
+            .collect()
     }
 
     /// Co-location probability from two precomputed `E′` embeddings:
@@ -161,98 +205,6 @@ impl Judge {
             self.eval_logits_from_embeddings(store, diff, ej, &mut z);
         });
         p_co(z[0])
-    }
-
-    /// Derives the int8 inference mirror of both stacks from the trained
-    /// f32 parameters (which stay in the store untouched).
-    pub fn quantize(&self, store: &ParamStore) -> QuantJudge {
-        QuantJudge {
-            e2: QuantFeedForward::from_feed_forward(store, &self.e2),
-            c: QuantFeedForward::from_feed_forward(store, &self.c),
-        }
-    }
-}
-
-/// Int8-quantized judge for the serving path: the same
-/// `σ(C(|E′(fi) − E′(fj)|))` pipeline, but through
-/// [`nn::QuantFeedForward`] stacks off-tape. Every step — the two `E′`
-/// embeddings, the element-wise absolute difference and the classifier —
-/// treats batch rows independently, so a fused batch is bit-identical to
-/// per-pair calls.
-#[derive(Debug, Clone)]
-pub struct QuantJudge {
-    /// Quantized `E′`.
-    pub e2: QuantFeedForward,
-    /// Quantized `C`.
-    pub c: QuantFeedForward,
-}
-
-impl QuantJudge {
-    /// Co-location probabilities for batched cached features. Feeds the
-    /// same `judge/pair_latency_ns` histogram as the f32 path so latency
-    /// dashboards compare precisions directly.
-    pub fn predict_batch(&self, fi: &Matrix, fj: &Matrix) -> Vec<f32> {
-        let t0 = obs::enabled().then(std::time::Instant::now);
-        let ei = self.e2.forward(fi);
-        let ej = self.e2.forward(fj);
-        let diff = ei.zip_map(&ej, |a, b| (a - b).abs());
-        let logits = self.c.forward(&diff);
-        let probs: Vec<f32> = logits.as_slice().iter().map(|&z| p_co(z)).collect();
-        if let Some(t0) = t0 {
-            if !probs.is_empty() {
-                let per_pair_ns = t0.elapsed().as_nanos() as f64 / probs.len() as f64;
-                obs::observe_n("judge/pair_latency_ns", per_pair_ns, probs.len() as u64);
-            }
-        }
-        probs
-    }
-
-    /// Single-pair judgement on the heap-free row path: no `Matrix`
-    /// construction at all, activations live in grow-only thread-local
-    /// buffers. Every f32 operation is the same (and in the same order)
-    /// as one row of [`QuantJudge::predict_batch`], so the probability is
-    /// bit-identical to the fused-batch result for this pair.
-    pub fn predict(&self, fi: &[f32], fj: &[f32]) -> f32 {
-        thread_local! {
-            static PAIR_SCRATCH: RefCell<(Vec<f32>, Vec<f32>, Vec<f32>)> =
-                const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
-        }
-        let t0 = obs::enabled().then(std::time::Instant::now);
-        let p = PAIR_SCRATCH.with(|s| {
-            let (ei, ej, z) = &mut *s.borrow_mut();
-            self.e2.forward_row(fi, ei);
-            self.e2.forward_row(fj, ej);
-            for (a, &b) in ei.iter_mut().zip(ej.iter()) {
-                *a = (*a - b).abs();
-            }
-            self.c.forward_row(ei, z);
-            p_co(z[0])
-        });
-        if let Some(t0) = t0 {
-            obs::observe("judge/pair_latency_ns", t0.elapsed().as_nanos() as f64);
-        }
-        p
-    }
-
-    /// Quantized `E′` embeddings for a batch of cached features.
-    pub fn embed_batch(&self, feats: &Matrix) -> Matrix {
-        self.e2.forward(feats)
-    }
-
-    /// Co-location probability from two precomputed quantized `E′`
-    /// embeddings; the classifier runs on the heap-free row path.
-    pub fn predict_from_embeddings(&self, ei: &[f32], ej: &[f32]) -> f32 {
-        thread_local! {
-            static EMB_SCRATCH: RefCell<(Vec<f32>, Vec<f32>)> =
-                const { RefCell::new((Vec::new(), Vec::new())) };
-        }
-        EMB_SCRATCH.with(|s| {
-            let (diff, z) = &mut *s.borrow_mut();
-            diff.clear();
-            diff.extend(ei.iter().zip(ej).map(|(a, b)| (a - b).abs()));
-            self.c.forward_row(diff, z);
-            p_co(z[0])
-        })
     }
 }
 
@@ -550,6 +502,7 @@ mod tests {
             losses.last()
         );
 
+        let judge = judge.at(&store, Precision::F32);
         let mut correct = 0usize;
         for (a, b, label) in &pairs {
             let p = judge.predict(&store, &feats[*a], &feats[*b]);
@@ -567,7 +520,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let cfg = cfg();
         let mut store = ParamStore::new();
-        let judge = Judge::new(&mut store, &cfg, 6, &mut rng);
+        let judge = Judge::new(&mut store, &cfg, 6, &mut rng).at(&store, Precision::F32);
         let a: Vec<f32> = (0..6).map(|i| i as f32 * 0.3 - 1.0).collect();
         let b: Vec<f32> = (0..6).map(|i| 1.0 - i as f32 * 0.2).collect();
         let pij = judge.predict(&store, &a, &b);
@@ -590,6 +543,7 @@ mod tests {
         let positives: Vec<_> = pairs.iter().filter(|p| p.2).map(mk).collect();
         let negatives: Vec<_> = pairs.iter().filter(|p| !p.2).map(mk).collect();
         train_judge(&judge, &mut store, &positives, &negatives, &cfg, &mut rng);
+        let judge = judge.at(&store, Precision::F32);
         let p = judge.predict(&store, &feats[0], &feats[0]);
         assert!(p > 0.5, "identical features must judge co-located, p = {p}");
     }
@@ -629,19 +583,22 @@ mod tests {
                 .iter()
                 .map(|&z| p_co(z).to_bits())
                 .collect();
-            let got = judge.predict_batch(&store, &fi, &fj);
+            let eval = judge.at(&store, Precision::F32);
+            let pairs: Vec<_> = (0..rows).map(|r| (fi.row(r), fj.row(r))).collect();
+            let got = eval.predict_batch(&store, &pairs);
             assert_eq!(got.iter().map(|p| p.to_bits()).collect::<Vec<_>>(), want);
 
             let ei_var = judge.e2.forward(&mut tape, &store, a);
+            let rows_of = |m: &Matrix| (0..rows).map(|r| m.row(r).to_vec()).collect::<Vec<_>>();
             let (ei, ej) = (
-                judge.embed_batch(&store, &fi),
-                judge.embed_batch(&store, &fj),
+                eval.embed(&store, &rows_of(&fi)),
+                eval.embed(&store, &rows_of(&fj)),
             );
-            assert_eq!(ei, *tape.value(ei_var));
+            assert_eq!(ei, rows_of(tape.value(ei_var)));
             for (r, &want) in want.iter().enumerate() {
-                let single = judge.predict(&store, fi.row(r), fj.row(r));
+                let single = eval.predict(&store, fi.row(r), fj.row(r));
                 assert_eq!(single.to_bits(), want);
-                let rescored = judge.predict_from_embeddings(&store, ei.row(r), ej.row(r));
+                let rescored = eval.predict_from_embeddings(&store, &ei[r], &ej[r]);
                 assert_eq!(rescored.to_bits(), want);
             }
         }
@@ -652,13 +609,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let cfg = cfg();
         let mut store = ParamStore::new();
-        let judge = Judge::new(&mut store, &cfg, 4, &mut rng);
+        let judge = Judge::new(&mut store, &cfg, 4, &mut rng).at(&store, Precision::F32);
         let f1 = vec![0.1, -0.4, 0.9, 0.0];
         let f2 = vec![1.0, 0.5, -0.2, 0.3];
         let f3 = vec![-0.9, 0.1, 0.2, 0.8];
-        let fi = Matrix::from_vec(2, 4, [f1.clone(), f3.clone()].concat());
-        let fj = Matrix::from_vec(2, 4, [f2.clone(), f2.clone()].concat());
-        let batch = judge.predict_batch(&store, &fi, &fj);
+        let batch = judge.predict_batch(&store, &[(&f1, &f2), (&f3, &f2)]);
         assert!((batch[0] - judge.predict(&store, &f1, &f2)).abs() < 1e-6);
         assert!((batch[1] - judge.predict(&store, &f3, &f2)).abs() < 1e-6);
     }

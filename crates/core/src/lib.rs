@@ -58,6 +58,6 @@ pub use ckpt::CheckpointConfig;
 pub use config::{ApproachSpec, ContentEncoder, HisRectConfig, HistoryEncoder, UnsupLoss};
 pub use error::{ModelError, TrainError};
 pub use fallback::FallbackJudge;
-pub use model::{HisRectModel, Precision, QuantModel};
+pub use model::{HisRectModel, Precision, Stacks};
 pub use nn::params::ParamSnapshot;
 pub use service::{profile_fingerprint, JudgeService, Judgement};

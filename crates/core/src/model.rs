@@ -7,12 +7,11 @@ use crate::config::{ApproachSpec, HistoryEncoder, TrainMode};
 use crate::error::{ModelError, TrainError};
 use crate::featurizer::{Featurizer, ProfileInput};
 use crate::fv::{fv_feature, one_hot_feature};
-use crate::judge::{comp2loc, try_train_judge, FeaturePair, Judge, QuantJudge};
+use crate::judge::{comp2loc, try_train_judge, FeaturePair, Judge, JudgeEval};
 use crate::ssl::{try_train_featurizer_with_validation, SslNets, SslStats};
 use faultsim::FaultKind;
 use nn::params::ParamSnapshot;
-use nn::QuantFeedForward;
-use nn::{Adam, AdamConfig, ParamStore, Tape};
+use nn::{Adam, AdamConfig, EvalStack, FeedForward, ParamStore, QuantFeedForward, Tape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -31,8 +30,8 @@ pub struct Ablation {
 }
 
 /// Numeric precision of the inference path. Training is always f32;
-/// `Int8` derives a quantized mirror of the feed-forward stacks at model
-/// load ([`HisRectModel::quantize`]) while the f32 parameters stay
+/// `Int8` derives quantized weights for the feed-forward stacks at model
+/// load ([`HisRectModel::stacks`]) while the f32 parameters stay
 /// authoritative for checkpoints and hot-reload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Precision {
@@ -50,6 +49,15 @@ impl Precision {
         match self {
             Precision::F32 => "f32",
             Precision::Int8 => "int8",
+        }
+    }
+
+    /// Binds a trained stack to this precision's arithmetic — the one
+    /// place the inference path branches on precision.
+    pub fn bind(self, store: &ParamStore, ff: &FeedForward) -> EvalStack {
+        match self {
+            Precision::F32 => EvalStack::F32(ff.clone()),
+            Precision::Int8 => EvalStack::Int8(QuantFeedForward::from_feed_forward(store, ff)),
         }
     }
 }
@@ -72,22 +80,23 @@ impl std::fmt::Display for Precision {
     }
 }
 
-/// The int8 inference mirror of a trained model: the featurizer head and
-/// both judge stacks, quantized with per-output-channel symmetric scales.
-/// Derived (never persisted) — rebuild it with [`HisRectModel::quantize`]
-/// after any reload.
+/// The three dense stacks of the inference path — the featurizer head,
+/// `E′` and `C` — bound to one [`Precision`]. Derived (never persisted):
+/// rebuild with [`HisRectModel::stacks`] after any reload.
 #[derive(Debug, Clone)]
-pub struct QuantModel {
-    /// Quantized featurizer head.
-    pub head: QuantFeedForward,
-    /// Quantized judge (`E′` and `C`).
-    pub judge: QuantJudge,
+pub struct Stacks {
+    /// The `Qf`-layer featurizer head.
+    pub head: EvalStack,
+    /// `E′` and `C`.
+    pub judge: JudgeEval,
 }
 
-impl QuantModel {
-    /// Total i8 weight bytes across all quantized stacks.
-    pub fn payload_bytes(&self) -> usize {
-        self.head.payload_bytes() + self.judge.e2.payload_bytes() + self.judge.c.payload_bytes()
+impl Stacks {
+    fn bind(store: &ParamStore, featurizer: &Featurizer, judge: &Judge, p: Precision) -> Self {
+        Self {
+            head: featurizer.head_at(store, p),
+            judge: judge.at(store, p),
+        }
     }
 }
 
@@ -112,12 +121,15 @@ pub struct HisRectModel {
     pub spec: ApproachSpec,
     /// Size of the POI universe the model was trained against.
     n_pois: usize,
-    store: ParamStore,
+    pub(crate) store: ParamStore,
     vocab: Vocab,
     skipgram: SkipGram,
-    featurizer: Featurizer,
+    pub(crate) featurizer: Featurizer,
     nets: SslNets,
     judge: Judge,
+    /// The f32 inference stacks: ids into `store`, so they follow the
+    /// weights through training.
+    f32: Stacks,
     /// Loss traces from featurizer training.
     pub ssl_stats: SslStats,
     /// Loss trace from judge training (empty for One-phase, whose joint
@@ -224,6 +236,7 @@ impl HisRectModel {
             obs::incr("train/warm_starts");
         }
 
+        let f32 = Stacks::bind(&store, &featurizer, &judge, Precision::F32);
         let mut model = Self {
             spec: spec.clone(),
             n_pois: dataset.world.pois.len(),
@@ -233,6 +246,7 @@ impl HisRectModel {
             featurizer,
             nets,
             judge,
+            f32,
             ssl_stats: SslStats::default(),
             judge_losses: Vec::new(),
             one_phase_losses: Vec::new(),
@@ -358,7 +372,7 @@ impl HisRectModel {
                 })
                 .collect();
             let refs: Vec<&ProfileInput> = owned.iter().collect();
-            let feats = this.featurizer.features(&this.store, &refs);
+            let feats = this.featurize_inputs(&refs);
             chunk
                 .iter()
                 .enumerate()
@@ -508,19 +522,22 @@ impl HisRectModel {
         ablation: Ablation,
     ) -> HashMap<ProfileIdx, Vec<f32>> {
         let profiles: Vec<&Profile> = idxs.iter().map(|&i| dataset.profile(i)).collect();
-        let feats = self.features_profiles(&dataset.world.pois, &profiles, ablation);
+        let feats =
+            self.features_profiles(&dataset.world.pois, &profiles, ablation, &self.f32.head);
         idxs.iter().copied().zip(feats).collect()
     }
 
     /// Evaluation-mode HisRect features for explicit profiles against an
-    /// explicit POI universe, in input order. This is the one shared
-    /// featurization path under [`HisRectModel::featurize_many`], the CLI
-    /// `judge` command and the serving layer's cache fills.
+    /// explicit POI universe, in input order, through `head` (from
+    /// [`HisRectModel::stacks`]). This is the one shared featurization
+    /// path under [`HisRectModel::featurize_many`], the CLI `judge`
+    /// command and the serving layer's cache fills, at either precision.
     pub fn features_profiles(
         &self,
         pois: &geo::PoiSet,
         profiles: &[&Profile],
         ablation: Ablation,
+        head: &EvalStack,
     ) -> Vec<Vec<f32>> {
         let _span = obs::span("model/featurize_many");
         // Eval-mode featurization is pure per chunk, so chunks fan out
@@ -533,7 +550,7 @@ impl HisRectModel {
                 .map(|p| self.profile_input(pois, p, ablation))
                 .collect();
             let refs: Vec<&ProfileInput> = owned.iter().collect();
-            let feats = self.featurizer.features(&self.store, &refs);
+            let feats = self.featurizer.features(&self.store, &refs, head);
             (0..chunk.len())
                 .map(|k| feats.row(k).to_vec())
                 .collect::<Vec<_>>()
@@ -541,144 +558,45 @@ impl HisRectModel {
         parts.into_iter().flatten().collect()
     }
 
-    /// Eval-mode features for precomputed inputs (`B x feat_dim` rows).
+    /// Binds the featurizer head, `E′` and `C` to `precision`. `Int8`
+    /// quantizes their trained f32 weights — one pass over them, cheap
+    /// enough to run at every model (re)load.
+    pub fn stacks(&self, precision: Precision) -> Stacks {
+        let _span = obs::span("model/stacks");
+        Stacks::bind(&self.store, &self.featurizer, &self.judge, precision)
+    }
+
+    /// Eval-mode f32 features for precomputed inputs (`B x feat_dim` rows).
     pub fn featurize_inputs(&self, inputs: &[&ProfileInput]) -> Matrix {
-        self.featurizer.features(&self.store, inputs)
+        self.featurizer
+            .features(&self.store, inputs, &self.f32.head)
     }
 
     /// `F(r)` for a single profile.
     pub fn feature(&self, dataset: &Dataset, idx: ProfileIdx, ablation: Ablation) -> Vec<f32> {
         let input = self.profile_input_for(dataset, dataset.profile(idx), ablation);
-        self.featurizer
-            .features(&self.store, &[&input])
-            .row(0)
-            .to_vec()
+        self.featurize_inputs(&[&input]).row(0).to_vec()
     }
 
     /// Co-location probability for a profile pair.
     pub fn judge_pair(&self, dataset: &Dataset, i: ProfileIdx, j: ProfileIdx) -> f32 {
         let fi = self.feature(dataset, i, Ablation::default());
         let fj = self.feature(dataset, j, Ablation::default());
-        self.judge.predict(&self.store, &fi, &fj)
+        self.judge_features(&fi, &fj)
     }
 
-    /// Co-location probability from cached features.
+    /// Co-location probability from cached features, at f32.
     pub fn judge_features(&self, fi: &[f32], fj: &[f32]) -> f32 {
-        self.judge.predict(&self.store, fi, fj)
+        self.f32.judge.predict(&self.store, fi, fj)
     }
 
-    /// Co-location probabilities for many cached feature pairs in one
+    /// f32 co-location probabilities for many cached feature pairs in one
     /// batched forward pass through `E'` and `C`. Each output row is
     /// bit-identical to the corresponding single-pair
     /// [`HisRectModel::judge_features`] call (per-row accumulation order
     /// does not depend on the batch size).
     pub fn judge_features_batch(&self, pairs: &[(&[f32], &[f32])]) -> Vec<f32> {
-        if pairs.is_empty() {
-            return Vec::new();
-        }
-        let feat_dim = pairs[0].0.len();
-        let fi = Matrix::from_fn(pairs.len(), feat_dim, |r, c| pairs[r].0[c]);
-        let fj = Matrix::from_fn(pairs.len(), feat_dim, |r, c| pairs[r].1[c]);
-        self.judge.predict_batch(&self.store, &fi, &fj)
-    }
-
-    /// `E'` embeddings for many cached features (one row per feature).
-    /// These are what the candidate index stores: retrieval distance and
-    /// re-scoring both run over them without touching the featurizer.
-    pub fn judge_embeddings(&self, feats: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        if feats.is_empty() {
-            return Vec::new();
-        }
-        let dim = feats[0].len();
-        let m = Matrix::from_fn(feats.len(), dim, |r, c| feats[r][c]);
-        let e = self.judge.embed_batch(&self.store, &m);
-        (0..feats.len()).map(|r| e.row(r).to_vec()).collect()
-    }
-
-    /// Co-location probability from two precomputed `E'` embeddings.
-    pub fn judge_from_embeddings(&self, ei: &[f32], ej: &[f32]) -> f32 {
-        self.judge.predict_from_embeddings(&self.store, ei, ej)
-    }
-
-    /// [`HisRectModel::judge_embeddings`] through the quantized judge.
-    pub fn judge_embeddings_quant(&self, feats: &[Vec<f32>], qm: &QuantModel) -> Vec<Vec<f32>> {
-        if feats.is_empty() {
-            return Vec::new();
-        }
-        let dim = feats[0].len();
-        let m = Matrix::from_fn(feats.len(), dim, |r, c| feats[r][c]);
-        let e = qm.judge.embed_batch(&m);
-        (0..feats.len()).map(|r| e.row(r).to_vec()).collect()
-    }
-
-    /// [`HisRectModel::judge_from_embeddings`] through the quantized
-    /// judge.
-    pub fn judge_from_embeddings_quant(&self, ei: &[f32], ej: &[f32], qm: &QuantModel) -> f32 {
-        qm.judge.predict_from_embeddings(ei, ej)
-    }
-
-    /// Derives the int8 inference mirror (featurizer head + judge) from
-    /// the trained f32 parameters. Cheap enough to run at every model
-    /// (re)load: one pass over the feed-forward weights.
-    pub fn quantize(&self) -> QuantModel {
-        let _span = obs::span("model/quantize");
-        QuantModel {
-            head: self.featurizer.quantize_head(&self.store),
-            judge: self.judge.quantize(&self.store),
-        }
-    }
-
-    /// [`HisRectModel::featurize_inputs`] through the quantized head.
-    pub fn featurize_inputs_quant(&self, inputs: &[&ProfileInput], qm: &QuantModel) -> Matrix {
-        self.featurizer
-            .features_quant(&self.store, inputs, &qm.head)
-    }
-
-    /// [`HisRectModel::features_profiles`] through the quantized head,
-    /// with the same chunked fan-out and per-chunk determinism.
-    pub fn features_profiles_quant(
-        &self,
-        pois: &geo::PoiSet,
-        profiles: &[&Profile],
-        ablation: Ablation,
-        qm: &QuantModel,
-    ) -> Vec<Vec<f32>> {
-        let _span = obs::span("model/featurize_many");
-        let chunks: Vec<&[&Profile]> = profiles.chunks(64).collect();
-        let parts = parallel::parallel_map(&chunks, |chunk| {
-            let owned: Vec<ProfileInput> = chunk
-                .iter()
-                .map(|p| self.profile_input(pois, p, ablation))
-                .collect();
-            let refs: Vec<&ProfileInput> = owned.iter().collect();
-            let feats = self.featurize_inputs_quant(&refs, qm);
-            (0..chunk.len())
-                .map(|k| feats.row(k).to_vec())
-                .collect::<Vec<_>>()
-        });
-        parts.into_iter().flatten().collect()
-    }
-
-    /// [`HisRectModel::judge_features`] through the quantized judge.
-    pub fn judge_features_quant(&self, fi: &[f32], fj: &[f32], qm: &QuantModel) -> f32 {
-        qm.judge.predict(fi, fj)
-    }
-
-    /// [`HisRectModel::judge_features_batch`] through the quantized
-    /// judge: one fused i8 GEMM per layer across the whole batch, each
-    /// output row bit-identical to the single-pair call.
-    pub fn judge_features_batch_quant(
-        &self,
-        pairs: &[(&[f32], &[f32])],
-        qm: &QuantModel,
-    ) -> Vec<f32> {
-        if pairs.is_empty() {
-            return Vec::new();
-        }
-        let feat_dim = pairs[0].0.len();
-        let fi = Matrix::from_fn(pairs.len(), feat_dim, |r, c| pairs[r].0[c]);
-        let fj = Matrix::from_fn(pairs.len(), feat_dim, |r, c| pairs[r].1[c]);
-        qm.judge.predict_batch(&fi, &fj)
+        self.f32.judge.predict_batch(&self.store, pairs)
     }
 
     /// POI class probabilities from a cached feature.
@@ -777,6 +695,7 @@ impl HisRectModel {
                 store.len()
             )));
         }
+        let f32 = Stacks::bind(&store, &featurizer, &judge, Precision::F32);
         Ok(Self {
             spec: snap.spec,
             n_pois: snap.n_pois,
@@ -786,6 +705,7 @@ impl HisRectModel {
             featurizer,
             nets,
             judge,
+            f32,
             ssl_stats: SslStats::default(),
             judge_losses: Vec::new(),
             one_phase_losses: Vec::new(),

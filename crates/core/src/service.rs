@@ -11,7 +11,7 @@
 use crate::ckpt::fnv1a64;
 use crate::error::ModelError;
 use crate::fallback::FallbackJudge;
-use crate::model::{Ablation, HisRectModel, Precision, QuantModel};
+use crate::model::{Ablation, HisRectModel, Precision, Stacks};
 use geo::PoiSet;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -49,15 +49,16 @@ impl Judgement {
 /// queries. Immutable after construction, so it is freely shared across
 /// server worker threads.
 ///
-/// Built at [`Precision::Int8`], the service derives a quantized mirror
-/// of the feed-forward stacks once at construction and routes every
-/// feature/judgement call through it; the offline CLI, the bench harness
-/// and the HTTP server therefore share one quantized path.
+/// The service binds the model's three dense stacks (featurizer head,
+/// `E′`, `C`) to its [`Precision`] once at construction — `Int8`
+/// quantizes them there — and every feature/judgement call below runs the
+/// same body over them; the offline CLI, the bench harness and the HTTP
+/// server therefore share one path at either precision.
 pub struct JudgeService {
     model: HisRectModel,
     pois: PoiSet,
     precision: Precision,
-    quant: Option<QuantModel>,
+    stacks: Stacks,
     fallback: FallbackJudge,
 }
 
@@ -68,19 +69,15 @@ impl JudgeService {
         Self::with_precision(model, pois, Precision::F32)
     }
 
-    /// [`JudgeService::new`] at an explicit inference precision. `Int8`
-    /// quantizes the feed-forward weights here, once.
+    /// [`JudgeService::new`] at an explicit inference precision.
     pub fn with_precision(model: HisRectModel, pois: PoiSet, precision: Precision) -> Self {
-        let quant = match precision {
-            Precision::F32 => None,
-            Precision::Int8 => Some(model.quantize()),
-        };
+        let stacks = model.stacks(precision);
         let fallback = FallbackJudge::from_config(&model.spec.config, None);
         Self {
             model,
             pois,
             precision,
-            quant,
+            stacks,
             fallback,
         }
     }
@@ -129,43 +126,30 @@ impl JudgeService {
         let input = self
             .model
             .profile_input(&self.pois, profile, Ablation::default());
-        match &self.quant {
-            Some(qm) => self
-                .model
-                .featurize_inputs_quant(&[&input], qm)
-                .row(0)
-                .to_vec(),
-            None => self.model.featurize_inputs(&[&input]).row(0).to_vec(),
-        }
+        let model = &self.model;
+        let feats = model
+            .featurizer
+            .features(&model.store, &[&input], &self.stacks.head);
+        feats.row(0).to_vec()
     }
 
     /// Eval-mode features for many profiles, in input order, fanned out
     /// across workers (identical values to [`JudgeService::features_for`]
     /// per profile).
     pub fn features_many(&self, profiles: &[&Profile], ablation: Ablation) -> Vec<Vec<f32>> {
-        match &self.quant {
-            Some(qm) => self
-                .model
-                .features_profiles_quant(&self.pois, profiles, ablation, qm),
-            None => self.model.features_profiles(&self.pois, profiles, ablation),
-        }
+        self.model
+            .features_profiles(&self.pois, profiles, ablation, &self.stacks.head)
     }
 
     /// Co-location probability from cached features.
     pub fn judge_features(&self, fa: &[f32], fb: &[f32]) -> f32 {
-        match &self.quant {
-            Some(qm) => self.model.judge_features_quant(fa, fb, qm),
-            None => self.model.judge_features(fa, fb),
-        }
+        self.stacks.judge.predict(&self.model.store, fa, fb)
     }
 
     /// Batched co-location probabilities from cached feature pairs; each
     /// row is bit-identical to the single-pair call at either precision.
     pub fn judge_features_batch(&self, pairs: &[(&[f32], &[f32])]) -> Vec<f32> {
-        match &self.quant {
-            Some(qm) => self.model.judge_features_batch_quant(pairs, qm),
-            None => self.model.judge_features_batch(pairs),
-        }
+        self.stacks.judge.predict_batch(&self.model.store, pairs)
     }
 
     /// End-to-end probability for two profiles (features are computed
@@ -185,19 +169,15 @@ impl JudgeService {
     /// `E'` embeddings for many cached features, at the service's
     /// precision. Candidate retrieval indexes exactly these vectors.
     pub fn judge_embeddings(&self, feats: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        match &self.quant {
-            Some(qm) => self.model.judge_embeddings_quant(feats, qm),
-            None => self.model.judge_embeddings(feats),
-        }
+        self.stacks.judge.embed(&self.model.store, feats)
     }
 
     /// Co-location probability from two precomputed `E'` embeddings, at
     /// the service's precision.
     pub fn judge_from_embeddings(&self, ei: &[f32], ej: &[f32]) -> f32 {
-        match &self.quant {
-            Some(qm) => self.model.judge_from_embeddings_quant(ei, ej, qm),
-            None => self.model.judge_from_embeddings(ei, ej),
-        }
+        self.stacks
+            .judge
+            .predict_from_embeddings(&self.model.store, ei, ej)
     }
 
     /// The degraded-mode judge this service falls back to when the
@@ -366,28 +346,31 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let ds = generate(&SimConfig::tiny(5));
-        let model = HisRectModel::train(&ds, &fast_spec(), 5);
-        let service = JudgeService::with_precision(model, ds.world.pois.clone(), Precision::Int8);
-        let profiles: Vec<&Profile> = ds.test.labeled.iter().map(|&i| ds.profile(i)).collect();
-        let feats = service.features_many(&profiles, Ablation::default());
-        let mut rng = StdRng::seed_from_u64(99);
-        // Random batch compositions, batch = 1 included: bit-identity,
-        // not just verdict identity.
-        for batch_len in [1usize, 2, 3, 7, 16] {
-            let idx: Vec<(usize, usize)> = (0..batch_len)
-                .map(|_| (rng.gen_range(0..feats.len()), rng.gen_range(0..feats.len())))
-                .collect();
-            let pairs: Vec<(&[f32], &[f32])> = idx
-                .iter()
-                .map(|&(a, b)| (feats[a].as_slice(), feats[b].as_slice()))
-                .collect();
-            let fused = service.judge_features_batch(&pairs);
-            for (k, &(a, b)) in idx.iter().enumerate() {
-                assert_eq!(
-                    fused[k],
-                    service.judge_features(&feats[a], &feats[b]),
-                    "batch {batch_len}, element {k}"
-                );
+        let trained = HisRectModel::train(&ds, &fast_spec(), 5);
+        for precision in [Precision::F32, Precision::Int8] {
+            let model = HisRectModel::from_snapshot(trained.snapshot());
+            let service = JudgeService::with_precision(model, ds.world.pois.clone(), precision);
+            let profiles: Vec<&Profile> = ds.test.labeled.iter().map(|&i| ds.profile(i)).collect();
+            let feats = service.features_many(&profiles, Ablation::default());
+            let mut rng = StdRng::seed_from_u64(99);
+            // Random batch compositions, batch = 1 included: bit-identity,
+            // not just verdict identity.
+            for batch_len in [1usize, 2, 3, 7, 16] {
+                let idx: Vec<(usize, usize)> = (0..batch_len)
+                    .map(|_| (rng.gen_range(0..feats.len()), rng.gen_range(0..feats.len())))
+                    .collect();
+                let pairs: Vec<(&[f32], &[f32])> = idx
+                    .iter()
+                    .map(|&(a, b)| (feats[a].as_slice(), feats[b].as_slice()))
+                    .collect();
+                let fused = service.judge_features_batch(&pairs);
+                for (k, &(a, b)) in idx.iter().enumerate() {
+                    assert_eq!(
+                        fused[k].to_bits(),
+                        service.judge_features(&feats[a], &feats[b]).to_bits(),
+                        "{precision}: batch {batch_len}, element {k}"
+                    );
+                }
             }
         }
     }

@@ -10,6 +10,7 @@ use crate::ckpt::{self, BestState, CheckpointConfig, MemorySnapshot, TrainCheckp
 use crate::config::{HisRectConfig, UnsupLoss};
 use crate::error::TrainError;
 use crate::featurizer::{Featurizer, ProfileInput};
+use crate::model::Precision;
 use faultsim::FaultKind;
 use nn::{Adam, AdamConfig, FeedForward, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
@@ -597,11 +598,12 @@ fn validation_loss(
     // pure forward; fan them out and reduce in chunk order (bit-identical
     // to the serial accumulation).
     let chunks: Vec<&[(ProfileIdx, usize)]> = sample.chunks(64).collect();
+    let head = featurizer.head_at(store, Precision::F32);
     let losses = parallel::parallel_map(&chunks, |chunk| {
         let ins: Vec<&ProfileInput> = chunk.iter().map(|(idx, _)| &inputs[idx]).collect();
         let targets: Vec<usize> = chunk.iter().map(|&(_, pid)| pid).collect();
         let mut tape = Tape::new();
-        let feats = tape.input(featurizer.features(store, &ins));
+        let feats = tape.input(featurizer.features(store, &ins, &head));
         let logits = nets.classifier.forward(&mut tape, store, feats);
         let loss = tape.softmax_cross_entropy(logits, &targets);
         tape.scalar(loss) as f64 * chunk.len() as f64

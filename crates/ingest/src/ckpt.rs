@@ -1,24 +1,21 @@
 //! Durable ingest checkpoints: stream cursor + pipeline state.
 //!
-//! Same format discipline as the training checkpoints in
+//! A typed shell over the training checkpoints' format and writer in
 //! `hisrect::ckpt`: a `HISRECT-CKPT-V1 <fnv1a64>` header over a JSON
 //! payload, written atomically (temp file, `sync_all`, rename), with a
-//! keep-2 rotation and a corrupt-skipping `latest_valid` loader. A crash
+//! keep-2 rotation and a corrupt-skipping newest-valid loader. A crash
 //! mid-write leaves the previous checkpoint intact; a corrupt latest
 //! file falls back to its predecessor.
 
-use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::pipeline::IngestorState;
-use hisrect::ckpt::fnv1a64;
+use hisrect::ckpt::{self, CkptError};
 use serde::{Deserialize, Serialize};
 use twitter_sim::stream::StreamCursor;
 
-const HEADER: &str = "HISRECT-CKPT-V1";
-/// Checkpoints kept on disk (current + one fallback).
-const KEEP: usize = 2;
+/// File-name prefix of ingest checkpoints (`ingest_{seq:08}.ckpt`).
+const PREFIX: &str = "ingest_";
 
 /// Everything needed to restart the closed loop exactly where it stopped.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -33,127 +30,35 @@ pub struct IngestCheckpoint {
     pub trained_to: i64,
 }
 
-/// Why a checkpoint could not be written or read.
-#[derive(Debug)]
-pub enum CkptIoError {
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// Header or checksum mismatch.
-    Corrupt(String),
-}
-
-impl From<std::io::Error> for CkptIoError {
-    fn from(e: std::io::Error) -> Self {
-        CkptIoError::Io(e)
-    }
-}
-
-impl std::fmt::Display for CkptIoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CkptIoError::Io(e) => write!(f, "checkpoint io: {e}"),
-            CkptIoError::Corrupt(m) => write!(f, "checkpoint corrupt: {m}"),
-        }
-    }
-}
-
-fn path_for(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("ingest_{seq:08}.ckpt"))
-}
-
 /// Atomically writes checkpoint number `seq` into `dir` (created if
-/// missing) and prunes everything older than the newest [`KEEP`].
-pub fn save_checkpoint(
-    dir: &Path,
-    seq: u64,
-    ck: &IngestCheckpoint,
-) -> Result<PathBuf, CkptIoError> {
-    fs::create_dir_all(dir)?;
-    let payload =
-        serde_json::to_string(ck).map_err(|e| CkptIoError::Corrupt(format!("serialize: {e}")))?;
-    let body = format!("{HEADER} {:016x}\n{payload}", fnv1a64(payload.as_bytes()));
-    let final_path = path_for(dir, seq);
-    let tmp = dir.join(format!(".ingest_{seq:08}.tmp"));
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(body.as_bytes())?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, &final_path)?;
-    prune(dir)?;
-    Ok(final_path)
-}
-
-/// Removes all but the newest [`KEEP`] checkpoints.
-fn prune(dir: &Path) -> Result<(), CkptIoError> {
-    let mut seqs = list_seqs(dir)?;
-    seqs.sort_unstable();
-    while seqs.len() > KEEP {
-        let seq = seqs.remove(0);
-        let _ = fs::remove_file(path_for(dir, seq));
-    }
-    Ok(())
-}
-
-fn list_seqs(dir: &Path) -> Result<Vec<u64>, CkptIoError> {
-    let mut seqs = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let name = name.to_string_lossy();
-        if let Some(rest) = name
-            .strip_prefix("ingest_")
-            .and_then(|r| r.strip_suffix(".ckpt"))
-        {
-            if let Ok(seq) = rest.parse::<u64>() {
-                seqs.push(seq);
-            }
-        }
-    }
-    Ok(seqs)
-}
-
-/// Parses one checkpoint file, verifying header and checksum.
-fn load_one(path: &Path) -> Result<IngestCheckpoint, CkptIoError> {
-    let raw = fs::read_to_string(path)?;
-    let (head, payload) = raw
-        .split_once('\n')
-        .ok_or_else(|| CkptIoError::Corrupt("missing header line".into()))?;
-    let (magic, sum) = head
-        .split_once(' ')
-        .ok_or_else(|| CkptIoError::Corrupt("malformed header".into()))?;
-    if magic != HEADER {
-        return Err(CkptIoError::Corrupt(format!("bad magic {magic:?}")));
-    }
-    let want = u64::from_str_radix(sum, 16)
-        .map_err(|_| CkptIoError::Corrupt("unparsable checksum".into()))?;
-    let got = fnv1a64(payload.as_bytes());
-    if want != got {
-        return Err(CkptIoError::Corrupt(format!(
-            "checksum mismatch: header {want:016x}, payload {got:016x}"
-        )));
-    }
-    serde_json::from_str(payload).map_err(|e| CkptIoError::Corrupt(format!("payload: {e}")))
+/// missing) and prunes everything older than the newest two.
+pub fn save_checkpoint(dir: &Path, seq: u64, ck: &IngestCheckpoint) -> Result<PathBuf, CkptError> {
+    let payload = serde_json::to_string(ck).map_err(|e| CkptError::Parse(e.to_string()))?;
+    let path = ckpt::write_framed(dir, &format!("{PREFIX}{seq:08}.ckpt"), &payload)?;
+    ckpt::prune(dir, PREFIX)?;
+    Ok(path)
 }
 
 /// The newest checkpoint in `dir` that parses and passes its checksum,
 /// with its sequence number. Corrupt or truncated files are skipped.
 /// `None` when the directory is missing or holds no valid checkpoint.
 pub fn latest_valid(dir: &Path) -> Option<(u64, IngestCheckpoint)> {
-    let mut seqs = list_seqs(dir).ok()?;
-    seqs.sort_unstable_by(|a, b| b.cmp(a));
-    for seq in seqs {
-        if let Ok(ck) = load_one(&path_for(dir, seq)) {
-            return Some((seq, ck));
-        }
-    }
-    None
+    let load = |path: &Path| {
+        serde_json::from_str(&ckpt::read_framed(path)?).map_err(|e| CkptError::Parse(e.to_string()))
+    };
+    ckpt::newest_valid(dir, PREFIX, load).map(|(seq, ck, _)| (seq, ck))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{IngestConfig, Ingestor};
+    use std::fs;
     use twitter_sim::{SimConfig, TweetStream};
+
+    fn path_for(dir: &Path, seq: u64) -> PathBuf {
+        dir.join(format!("{PREFIX}{seq:08}.ckpt"))
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =

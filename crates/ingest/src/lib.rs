@@ -36,7 +36,7 @@ pub mod driver;
 pub mod mirror;
 pub mod pipeline;
 
-pub use ckpt::{latest_valid, save_checkpoint, CkptIoError, IngestCheckpoint};
+pub use ckpt::{latest_valid, save_checkpoint, IngestCheckpoint};
 pub use driver::{fine_tune, publish_reload, record_staleness, DriverConfig, FineTuneOutcome};
 pub use mirror::CandidateMirror;
 pub use pipeline::{Edge, IngestConfig, Ingestor, IngestorState, PKey};

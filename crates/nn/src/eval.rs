@@ -19,6 +19,7 @@
 use crate::layers::{BiLstm, Conv1d, FeedForward, Linear, Lstm};
 use crate::lstm::LstmPass;
 use crate::params::ParamStore;
+use crate::quant::QuantFeedForward;
 use std::cell::RefCell;
 use tensor::{matmul_into, matmul_naive_into};
 
@@ -59,43 +60,97 @@ impl Linear {
     }
 }
 
+/// The skeleton every dense stack evaluates through: layer `i` maps the
+/// `dims(layer).0`-wide rows of its input to `dims(layer).1`-wide rows
+/// via `apply`, a ReLU follows every layer but the last (and the last too
+/// under `relu_last`), and hidden activations ping-pong through a
+/// grow-only per-thread buffer. Rows are independent, so any batch split
+/// gives the same bits.
+pub(crate) fn eval_stack<L>(
+    layers: &[L],
+    relu_last: bool,
+    dims: impl Fn(&L) -> (usize, usize),
+    apply: impl Fn(&L, &[f32], &mut [f32]),
+    x: &[f32],
+    out: &mut [f32],
+) {
+    thread_local! {
+        static HIDDEN: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    }
+    let last = layers.len() - 1;
+    let rows = x.len() / dims(&layers[0]).0;
+    assert_eq!(out.len(), rows * dims(&layers[last]).1, "eval output shape");
+    let widest = layers[..last].iter().map(|l| dims(l).1).max();
+    let half = rows * widest.unwrap_or(0);
+    HIDDEN.with(|hidden| {
+        let hidden = &mut *hidden.borrow_mut();
+        hidden.clear();
+        hidden.resize(2 * half, 0.0);
+        let (mut src, mut dst) = hidden.split_at_mut(half);
+        for (i, layer) in layers.iter().enumerate() {
+            let (in_dim, out_dim) = dims(layer);
+            let input = if i == 0 { x } else { &src[..rows * in_dim] };
+            let output = if i == last {
+                &mut *out
+            } else {
+                &mut dst[..rows * out_dim]
+            };
+            apply(layer, input, output);
+            if i != last || relu_last {
+                relu(output);
+            }
+            std::mem::swap(&mut src, &mut dst);
+        }
+    });
+}
+
 impl FeedForward {
     /// Evaluation-mode [`FeedForward::forward`] for the rows of `x` into
-    /// `out` (`rows × out_dim`); hidden activations ping-pong through a
-    /// grow-only per-thread buffer. Rows are independent, so any batch
-    /// split gives the same bits.
+    /// `out` (`rows × out_dim`), through the shared `eval_stack` skeleton.
     pub fn eval(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
-        thread_local! {
-            static HIDDEN: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+        eval_stack(
+            &self.layers,
+            self.relu_last,
+            |l| (l.in_dim, l.out_dim),
+            |l, x, out| l.eval(store, x, out),
+            x,
+            out,
+        );
+    }
+}
+
+/// A trained [`FeedForward`] bound to the arithmetic that evaluates it —
+/// the one place inference precision is decided. Everything downstream of
+/// `F(r)`'s recurrent encoder (the featurizer head, `E′`, `C`) is written
+/// once over [`EvalStack::eval`].
+#[derive(Debug, Clone)]
+pub enum EvalStack {
+    /// f32 weights read by reference from the [`ParamStore`]
+    /// ([`FeedForward::eval`], bit-identical to the tape).
+    F32(FeedForward),
+    /// int8 weights derived from the store when the stack was bound
+    /// ([`QuantFeedForward::eval`]); rebuild after the store changes.
+    Int8(QuantFeedForward),
+}
+
+impl EvalStack {
+    /// The `in_dim`-wide rows of `x` through the stack into the
+    /// `out_dim`-wide rows of `out`. Heap-free in steady state at either
+    /// precision, and row-independent: a fused batch reproduces the bits
+    /// of one-row calls.
+    pub fn eval(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
+        match self {
+            Self::F32(ff) => ff.eval(store, x, out),
+            Self::Int8(q) => q.eval(x, out),
         }
-        let rows = x.len() / self.layers[0].in_dim;
-        assert_eq!(out.len(), rows * self.out_dim(), "eval output shape");
-        let last = self.layers.len() - 1;
-        let widest = self.layers[..last].iter().map(|l| l.out_dim).max();
-        let half = rows * widest.unwrap_or(0);
-        HIDDEN.with(|hidden| {
-            let hidden = &mut *hidden.borrow_mut();
-            hidden.clear();
-            hidden.resize(2 * half, 0.0);
-            let (mut src, mut dst) = hidden.split_at_mut(half);
-            for (i, layer) in self.layers.iter().enumerate() {
-                let input = if i == 0 {
-                    x
-                } else {
-                    &src[..rows * layer.in_dim]
-                };
-                let output = if i == last {
-                    &mut *out
-                } else {
-                    &mut dst[..rows * layer.out_dim]
-                };
-                layer.eval(store, input, output);
-                if i != last || self.relu_last {
-                    relu(output);
-                }
-                std::mem::swap(&mut src, &mut dst);
-            }
-        });
+    }
+
+    /// Output width.
+    pub fn out_dim(&self) -> usize {
+        match self {
+            Self::F32(ff) => ff.out_dim(),
+            Self::Int8(q) => q.out_dim(),
+        }
     }
 }
 

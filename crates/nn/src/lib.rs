@@ -13,7 +13,8 @@
 //! - [`params`] — named trainable parameters with gradient accumulators.
 //! - [`layers`] — `Linear`, feed-forward stacks, `Lstm`, `BiLstm`, `Conv1d`.
 //! - [`eval`] — tape-free evaluation-mode forwards of the same layers,
-//!   bit-identical to the tape.
+//!   bit-identical to the tape, and [`EvalStack`]: one dense stack
+//!   evaluated at f32 or, through [`quant`], at int8.
 //! - `lstm` — the LSTM recurrence over a whole sequence and its
 //!   hand-written BPTT: the kernel under both [`eval`] and the fused
 //!   [`Tape::lstm_seq`] node the paper's encoders train through.
@@ -38,7 +39,8 @@ pub mod quant;
 pub mod tape;
 
 pub use adam::{Adam, AdamConfig, AdamState};
+pub use eval::EvalStack;
 pub use layers::{BiGru, BiLstm, Conv1d, FeedForward, Gru, Linear, Lstm};
 pub use params::{Param, ParamId, ParamStore};
-pub use quant::{QuantFeedForward, QuantLinear};
+pub use quant::QuantFeedForward;
 pub use tape::{Tape, Var};

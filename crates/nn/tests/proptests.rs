@@ -114,32 +114,45 @@ proptest! {
         }
     }
 
-    /// The serve micro-batcher's byte-identity contract: pushing a batch
-    /// through a quantized stack fused must return, row for row, the
-    /// exact bits of judging each row alone — for any stack shape, any
-    /// batch, and both the Matrix and the heap-free row entry points.
+    /// The serve micro-batcher's byte-identity contract, for both arms of
+    /// the one dense evaluator: pushing a batch through an [`EvalStack`]
+    /// fused must return, row for row, the exact bits of evaluating each
+    /// row alone — for any stack shape and any batch — and the f32 arm
+    /// must equal the tape forward it replaces.
     #[test]
     fn quant_fused_batch_bit_identical_to_single_rows(
-        rows in 1usize..6,
+        rows in 1usize..18,
         dims in proptest::collection::vec(1usize..14, 2..5),
         relu_last in 0u8..2,
         seed in 0u64..1 << 32,
     ) {
-        use nn::{FeedForward, QuantFeedForward};
+        use nn::{EvalStack, FeedForward, QuantFeedForward};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(seed);
         let ff = FeedForward::new(&mut store, "ff", &dims, relu_last == 1, 0.0, &mut rng);
-        let qff = QuantFeedForward::from_feed_forward(&store, &ff);
         let x = tensor::randn(&mut rng, rows, dims[0], 1.5);
-        let fused = qff.forward(&x);
-        let mut row_out = Vec::new();
-        for i in 0..rows {
-            let alone = qff.forward(&Matrix::row_vector(x.row(i)));
-            prop_assert_eq!(alone.row(0), fused.row(i), "matrix row {}", i);
-            qff.forward_row(x.row(i), &mut row_out);
-            prop_assert_eq!(row_out.as_slice(), fused.row(i), "row kernel {}", i);
+        let width = ff.out_dim();
+        let mut tape = Tape::new();
+        let xv = tape.input(x.clone());
+        let on_tape = ff.forward(&mut tape, &store, xv);
+        for stack in [
+            EvalStack::Int8(QuantFeedForward::from_feed_forward(&store, &ff)),
+            EvalStack::F32(ff.clone()),
+        ] {
+            prop_assert_eq!(stack.out_dim(), width);
+            let mut fused = vec![f32::NAN; rows * width];
+            stack.eval(&store, x.as_slice(), &mut fused);
+            let mut alone = vec![f32::NAN; width];
+            for (i, fused) in fused.chunks_exact(width).enumerate() {
+                stack.eval(&store, x.row(i), &mut alone);
+                prop_assert_eq!(bits(&alone), bits(fused), "row {} of {:?}", i, &stack);
+            }
+            if matches!(stack, EvalStack::F32(_)) {
+                prop_assert_eq!(bits(&fused), bits(tape.value(on_tape).as_slice()));
+            }
         }
     }
 }

@@ -13,15 +13,7 @@
 //! ejection ([`HashRing::owner_where`]) trivially safe — failover just
 //! warms a different shard's feature cache.
 
-/// FNV-1a 64-bit over a byte string — the repo's standard cheap hash.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use hisrect::ckpt::fnv1a64;
 
 /// splitmix64's finalizer: raw FNV over short, similar strings (vnode
 /// labels, little-endian ids) leaves the high bits correlated, which

@@ -21,6 +21,4 @@ pub use matrix::{
     flush_dispatch_stats, matmul_into, matmul_naive_into, pack_threshold, par_threshold,
     set_pack_threshold, set_par_threshold, Matrix, DEFAULT_PACK_THRESHOLD, DEFAULT_PAR_THRESHOLD,
 };
-pub use quant::{
-    qmatmul, qmatmul_bias, qmatvec_bias, qmatvec_bias_scratch, quantize_row, QuantMatrix,
-};
+pub use quant::{qmatmul, qmatmul_into, quantize_row, QuantMatrix};

@@ -265,9 +265,9 @@ thread_local! {
 
 /// One activation row through the quantized weights: quantizes `x` into
 /// `qx` with a dynamic symmetric scale, then fills `out[j]` for every
-/// output channel. This is THE row kernel — the batched [`qmatmul_bias`]
-/// and the allocation-free [`qmatvec_bias`] both call it, which is what
-/// makes fused and per-row results bit-identical by construction.
+/// output channel. This is THE row kernel — every product below is a loop
+/// over it, which is what makes fused and per-row results bit-identical by
+/// construction.
 fn qmatvec_bias_into(
     x: &[f32],
     qw: &QuantMatrix,
@@ -289,63 +289,35 @@ fn qmatvec_bias_into(
     }
 }
 
-/// A single row `x` (length `k`) through `qw` into `out` (length `n`),
-/// heap-free: the i8 scratch is a grow-only thread-local. The fast path
-/// for single-pair judgement, bit-identical to one row of
-/// [`qmatmul_bias`].
-pub fn qmatvec_bias(x: &[f32], qw: &QuantMatrix, bias: Option<&[f32]>, out: &mut [f32]) {
-    QX.with(|qx| qmatvec_bias_scratch(x, qw, bias, &mut qx.borrow_mut(), out));
-}
-
-/// [`qmatvec_bias`] with a caller-held i8 scratch buffer, for hot loops
-/// that want to pay the thread-local access once instead of per layer.
-pub fn qmatvec_bias_scratch(
-    x: &[f32],
-    qw: &QuantMatrix,
-    bias: Option<&[f32]>,
-    qx: &mut Vec<i8>,
-    out: &mut [f32],
-) {
+/// The `k`-wide rows of `x` through quantized weights `qw` (`k` in, `n`
+/// out) into the `n`-wide rows of `out`, with an optional per-channel
+/// bias added inside the dequantize epilogue. Each input row is quantized
+/// independently, so output rows are bit-identical whether computed fused
+/// or one at a time. Heap-free: the i8 scratch is a grow-only
+/// thread-local.
+pub fn qmatmul_into(x: &[f32], qw: &QuantMatrix, bias: Option<&[f32]>, out: &mut [f32]) {
     let (k, n) = (qw.cols(), qw.rows());
-    assert_eq!(x.len(), k, "qmatvec: input width {} vs depth {k}", x.len());
-    assert_eq!(out.len(), n, "qmatvec: output width {} vs {n}", out.len());
-    if let Some(b) = bias {
-        assert_eq!(b.len(), n, "qmatvec: bias length mismatch");
-    }
-    qx.resize(k, 0);
-    qmatvec_bias_into(x, qw, bias, qx, out);
-}
-
-/// `x` (`m`×`k`) through quantized weights `qw` (`k` in, `n` out) into an
-/// `m`×`n` f32 output, with optional per-channel bias added inside the
-/// dequantize epilogue. Each input row is quantized independently, so
-/// output rows are bit-identical whether computed fused or one at a time.
-/// The f32 output draws from the tensor buffer pool like every `Matrix`.
-pub fn qmatmul_bias(x: &Matrix, qw: &QuantMatrix, bias: Option<&[f32]>) -> Matrix {
-    let (m, k, n) = (x.rows(), x.cols(), qw.rows());
-    assert_eq!(
-        k,
-        qw.cols(),
-        "qmatmul: input width {k} vs quantized depth {}",
-        qw.cols()
-    );
+    let rows = x.len() / k;
+    assert_eq!(x.len(), rows * k, "qmatmul: input rows are not {k} wide");
+    assert_eq!(out.len(), rows * n, "qmatmul: output is not {rows} x {n}");
     if let Some(b) = bias {
         assert_eq!(b.len(), n, "qmatmul: bias length mismatch");
     }
-    let mut out = Matrix::zeros(m, n);
     QX.with(|qx| {
         let mut qx = qx.borrow_mut();
         qx.resize(k, 0);
-        for i in 0..m {
-            qmatvec_bias_into(x.row(i), qw, bias, &mut qx, out.row_mut(i));
+        for (x, out) in x.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            qmatvec_bias_into(x, qw, bias, &mut qx, out);
         }
     });
-    out
 }
 
-/// [`qmatmul_bias`] without a bias term.
+/// [`qmatmul_into`] over a [`Matrix`], without bias, into a pool-backed
+/// `m`×`n` output.
 pub fn qmatmul(x: &Matrix, qw: &QuantMatrix) -> Matrix {
-    qmatmul_bias(x, qw, None)
+    let mut out = Matrix::zeros(x.rows(), qw.rows());
+    qmatmul_into(x.as_slice(), qw, None, out.as_mut_slice());
+    out
 }
 
 #[cfg(test)]
@@ -464,11 +436,12 @@ mod tests {
         let w = sample_weights(21, 6);
         let bias: Vec<f32> = (0..6).map(|j| j as f32 * 0.11 - 0.3).collect();
         let q = QuantMatrix::from_weights(&w);
-        let fused = qmatmul_bias(&x, &q, Some(&bias));
-        for i in 0..7 {
-            let one = Matrix::row_vector(x.row(i));
-            let alone = qmatmul_bias(&one, &q, Some(&bias));
-            assert_eq!(alone.row(0), fused.row(i), "row {i} differs under fusion");
+        let mut fused = vec![f32::NAN; 7 * 6];
+        qmatmul_into(x.as_slice(), &q, Some(&bias), &mut fused);
+        for (i, fused) in fused.chunks_exact(6).enumerate() {
+            let mut alone = [f32::NAN; 6];
+            qmatmul_into(x.row(i), &q, Some(&bias), &mut alone);
+            assert_eq!(alone, fused, "row {i} differs under fusion");
         }
     }
 }

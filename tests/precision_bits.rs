@@ -33,17 +33,16 @@ fn precision_bits_are_pinned() {
             ..HisRectConfig::fast()
         };
     });
-    let snapshot = HisRectModel::train(&ds, &spec, SEED).snapshot();
-    let json = serde_json::to_string(&snapshot).expect("serializable snapshot");
+    let trained = HisRectModel::train(&ds, &spec, SEED);
     let pair = ds.test.pos_pairs[0];
     let (a, b) = (ds.profile(pair.i), ds.profile(pair.j));
 
     for (precision, [p_co, feat_sum, embed_sum]) in PINNED {
+        let model = HisRectModel::from_snapshot(trained.snapshot());
+        let service = JudgeService::with_precision(model, ds.world.pois.clone(), precision);
         for portable in [None, Some(true)] {
             tensor::force_portable(portable);
             let tag = format!("{precision}, force_portable({portable:?})");
-            let model = HisRectModel::from_snapshot(serde_json::from_str(&json).expect("snapshot"));
-            let service = JudgeService::with_precision(model, ds.world.pois.clone(), precision);
 
             let (fa, fb) = (service.features_for(a), service.features_for(b));
             assert_eq!(
