@@ -6,8 +6,9 @@
 //! `HISRECT_MODEL`): the fault plan is process-global, so injection only
 //! reaches an in-process batcher. Three phases:
 //!
-//! 1. **Baseline** — a calm closed loop establishes the pre-burst goodput
-//!    (in-deadline 200s per second).
+//! 1. **Baseline** — a calm closed loop, sized by time (one second) so
+//!    the goodput it establishes (in-deadline 200s per second) is a rate
+//!    measured over thousands of requests rather than a few milliseconds.
 //! 2. **Burst** — 4x the baseline client count, while a controller thread
 //!    keeps `slow-judge` armed (each slow flush blows the breaker's
 //!    latency budget) and twice arms `stall` so the watchdog must restart
@@ -28,7 +29,8 @@
 //! * burst goodput stays at or above 70% of the pre-burst baseline.
 //!
 //! Tunables: `HISRECT_BROWNOUT_CLIENTS` (default 4 baseline clients; the
-//! burst uses 4x), `HISRECT_BROWNOUT_REQUESTS` (default 150 per client),
+//! burst uses 4x), `HISRECT_BROWNOUT_REQUESTS` (default 150 per burst
+//! client, a floor under the burst's own 2.5 s minimum),
 //! `HISRECT_BROWNOUT_POOL` (default 12 profiles), `HISRECT_SEED`
 //! (default 7). Evidence lands in `results/brownout.json`.
 
@@ -50,6 +52,11 @@ use twitter_sim::io::CorpusFile;
 /// Per-request deadline carried in `x-deadline-ms` during the burst; the
 /// baseline uses the same value so goodput is measured under one rule.
 const DEADLINE_MS: u64 = 400;
+
+/// How long the calm baseline loops. A request count cannot size it: an
+/// idle-flushed `/judge` answers in ~0.1 ms, so any fixed count is over
+/// before the rate means anything.
+const BASELINE_WALL: Duration = Duration::from_secs(1);
 
 /// Injected flush crawl. Above the breaker's latency budget, below the
 /// request deadline: a slow batch trips the breaker but still answers.
@@ -315,14 +322,8 @@ fn run() -> Result<BrownoutRow, String> {
     let pool = env_usize("HISRECT_BROWNOUT_POOL", 12).clamp(2, profiles);
 
     // Phase 1: calm baseline, no faults armed.
-    let (baseline, baseline_wall_s) = run_phase(
-        addr,
-        baseline_clients,
-        per_client,
-        Duration::ZERO,
-        pool,
-        0xb52e_11ae,
-    );
+    let (baseline, baseline_wall_s) =
+        run_phase(addr, baseline_clients, 0, BASELINE_WALL, pool, 0xb52e_11ae);
     let baseline_goodput = goodput_rps(&baseline, baseline_wall_s);
     if count_status(&baseline, 200) == 0 {
         return Err("baseline produced no 200s; nothing to gate against".to_string());

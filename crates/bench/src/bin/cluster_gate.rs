@@ -8,7 +8,8 @@
 //!
 //! 1. **Single-shard throughput** — a closed-loop keep-alive burst
 //!    against one shard must sustain at least the thread-per-connection
-//!    baseline archived in `results/loadgen.json` (`throughput_rps`).
+//!    baseline (1 674.7 rps, the last `results/loadgen.json` recorded
+//!    before the event loop).
 //! 2. **Connection scale** — the router must accept and hold 10k+
 //!    concurrent keep-alive connections and still answer on a spread of
 //!    them plus a fresh one.
@@ -45,9 +46,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Thread-per-connection-era throughput recorded in the committed
-/// `results/loadgen.json`; the fallback floor when that file is absent.
-const FALLBACK_BASELINE_RPS: f64 = 1674.7;
+/// Thread-per-connection-era throughput, from the last
+/// `results/loadgen.json` recorded before the event loop. A constant, not
+/// read from that file: the file is regenerated by later runs, and a
+/// floor that follows whichever box last ran loadgen gates nothing.
+const BASELINE_RPS: f64 = 1674.7;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -304,21 +307,10 @@ fn sorted_latencies(samples: &[(u16, f64)]) -> Vec<f64> {
     v
 }
 
-/// The archived thread-per-connection throughput this run must match:
-/// `results/loadgen.json#throughput_rps`, overridable via
-/// `HISRECT_CLUSTER_BASELINE_RPS`.
+/// The thread-per-connection throughput this run must match, overridable
+/// via `HISRECT_CLUSTER_BASELINE_RPS`.
 fn baseline_rps() -> f64 {
-    if let Ok(v) = std::env::var("HISRECT_CLUSTER_BASELINE_RPS") {
-        if let Ok(rps) = v.parse() {
-            return rps;
-        }
-    }
-    let path = bench::report::results_dir().join("loadgen.json");
-    std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|json| serde_json::from_str::<serde::Value>(&json).ok())
-        .and_then(|v| v.get("throughput_rps").and_then(|r| r.as_f64()))
-        .unwrap_or(FALLBACK_BASELINE_RPS)
+    env_f64("HISRECT_CLUSTER_BASELINE_RPS", BASELINE_RPS)
 }
 
 #[derive(Serialize)]

@@ -438,6 +438,17 @@ impl<T> Channel<T> {
         }
     }
 
+    /// Moves up to `max` already-queued items onto the end of `out`,
+    /// oldest first, under one lock and without ever blocking; returns how
+    /// many moved (0 when nothing is queued). Like [`Channel::recv`], it
+    /// keeps handing out what was queued before a [`Channel::close`].
+    pub fn drain_into(&self, out: &mut Vec<T>, max: usize) -> usize {
+        let mut st = self.lock();
+        let n = max.min(st.queue.len());
+        out.extend(st.queue.drain(..n));
+        n
+    }
+
     /// Closes the channel: senders start failing, receivers drain what is
     /// left and then observe the close. Idempotent.
     pub fn close(&self) {
@@ -650,6 +661,37 @@ mod tests {
             ch.recv_timeout(Duration::from_millis(5)),
             RecvTimeout::Closed
         );
+    }
+
+    #[test]
+    fn drain_into_is_fifo_bounded_and_never_blocks() {
+        let ch = Channel::bounded(8);
+        let mut out = vec![0];
+        assert_eq!(ch.drain_into(&mut out, 4), 0, "empty queue moves nothing");
+        for i in 1..=5 {
+            ch.try_send(i).unwrap();
+        }
+        assert_eq!(ch.drain_into(&mut out, 0), 0);
+        assert_eq!(ch.drain_into(&mut out, 3), 3, "stops at max");
+        assert_eq!(out, vec![0, 1, 2, 3], "appends oldest first");
+        assert_eq!(ch.len(), 2);
+        assert_eq!(ch.drain_into(&mut out, 16), 2, "stops at the backlog");
+        assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
+        assert!(ch.is_empty());
+    }
+
+    #[test]
+    fn drain_into_still_sees_leftovers_after_close() {
+        let ch = Channel::bounded(4);
+        ch.try_send("a").unwrap();
+        ch.try_send("b").unwrap();
+        ch.close();
+        let mut out = Vec::new();
+        assert_eq!(ch.drain_into(&mut out, 1), 1);
+        assert_eq!(ch.recv(), Some("b"), "recv and drain share one FIFO");
+        assert_eq!(ch.drain_into(&mut out, 1), 0);
+        assert_eq!(out, vec!["a"]);
+        assert_eq!(ch.recv(), None);
     }
 
     #[test]

@@ -1,11 +1,26 @@
 //! Request micro-batcher.
 //!
 //! Concurrent `/judge` requests are coalesced into one batched forward
-//! pass through the judge MLP: the flusher thread pulls the first queued
-//! job, then keeps collecting until the batch is full or the flush
-//! deadline passes. `tensor`'s blocked matmul accumulates each output row
-//! independently of the batch row count, so a batched row is bit-identical
-//! to the single-pair judgement — batching changes latency, never answers.
+//! pass through the judge MLP. The flusher thread blocks for a batch's
+//! first job, takes whatever else is already queued (up to `batch_size`),
+//! and then **lingers only while the server knows another `/judge` is on
+//! its way**: a request handler holds an [`Arrival`] ticket from the
+//! moment its body is parsed until immediately before it submits, and the
+//! flusher waits for the queue only while such a ticket is out — never
+//! past `deadline` after the batch's oldest job was submitted. With no
+//! ticket out the batch is flushed at once, so a lone request pays no
+//! timer; under load the jobs that arrive while one flush runs are all
+//! taken by the next, which is where batches come from. `tensor`'s blocked
+//! matmul accumulates each output row independently of the batch row
+//! count, so a batched row is bit-identical to the single-pair judgement —
+//! batching changes latency, never answers.
+//!
+//! The ticket is released *before* `submit`, so the count can only err
+//! low: a request between its release and its enqueue may miss the batch
+//! (cost: a smaller batch), but a job that is already queued is never
+//! counted as still coming (cost: a full deadline asleep). A ticket whose
+//! request bails out (400, shed, degraded) is dropped on the way out; a
+//! flusher already waiting for it wakes at the cap.
 //!
 //! The queue is bounded; a full queue surfaces as backpressure
 //! ([`SubmitError::Overloaded`] → 503 + `Retry-After`) instead of
@@ -30,7 +45,7 @@ use crate::admission::AdmissionGate;
 use crate::registry::LoadedModel;
 use parallel::{Channel, RecvTimeout, TrySendError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -129,16 +144,40 @@ pub enum SubmitError {
     Closed,
 }
 
+/// A queued job plus when it entered the queue (stamped by
+/// [`Batcher::submit`]): the linger cap and `serve/batcher_wait_ms` are
+/// both measured from it.
+struct Queued {
+    job: JudgeJob,
+    submitted: Instant,
+}
+
+/// Announces a `/judge` that has been dispatched but has not reached
+/// [`Batcher::submit`] yet; see [`Batcher::arrival`]. Dropping it
+/// withdraws the announcement.
+pub struct Arrival<'a> {
+    arrivals: &'a AtomicUsize,
+}
+
+impl Drop for Arrival<'_> {
+    fn drop(&mut self) {
+        self.arrivals.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// State shared between the [`Batcher`] handle and its flusher threads.
 /// Lives behind one `Arc` so a superseded flusher can keep observing it
 /// after a restart replaced it.
 struct Core {
-    queue: Channel<JudgeJob>,
+    queue: Channel<Queued>,
     stats: BatchStats,
     batch_size: usize,
-    flush_deadline: Duration,
-    /// Bumped by the live flusher every loop iteration; the watchdog's
-    /// liveness signal.
+    /// Longest a batch's oldest job may wait for announced company.
+    linger_cap: Duration,
+    /// [`Arrival`] tickets currently out.
+    arrivals: AtomicUsize,
+    /// Bumped by the live flusher every loop iteration and before each
+    /// wait for an announced job; the watchdog's liveness signal.
     heartbeat: AtomicU64,
     /// Flusher generation: a restart bumps it and the superseded thread
     /// exits at its next check. Starts at 0, so the count of restarts.
@@ -157,10 +196,12 @@ pub struct Batcher {
 }
 
 impl Batcher {
-    /// Spawns the flusher. `batch_size` is the flush-on-size threshold,
-    /// `deadline` the flush-on-time threshold measured from the first job
-    /// of a batch, `queue_depth` the backpressure bound. Flush sizes are
-    /// reported to `admission` (when given) for drain-rate tracking.
+    /// Spawns the flusher. `batch_size` is the largest batch, `deadline`
+    /// the longest a batch's oldest job may be held back waiting for an
+    /// announced request (see [`Batcher::arrival`]; with none announced
+    /// the flush is immediate), `queue_depth` the backpressure bound.
+    /// Flush sizes are reported to `admission` (when given) for
+    /// drain-rate tracking.
     pub fn new(
         batch_size: usize,
         deadline: Duration,
@@ -171,7 +212,8 @@ impl Batcher {
             queue: Channel::bounded(queue_depth.max(1)),
             stats: BatchStats::default(),
             batch_size: batch_size.max(1),
-            flush_deadline: deadline,
+            linger_cap: deadline,
+            arrivals: AtomicUsize::new(0),
             heartbeat: AtomicU64::new(0),
             generation: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
@@ -204,9 +246,30 @@ impl Batcher {
         self.core.generation.load(Ordering::Relaxed)
     }
 
+    /// Announces a request that is about to [`Batcher::submit`]: while
+    /// the ticket is out, a flusher with an open batch waits for the
+    /// queue (up to the deadline) instead of flushing at once. Release it
+    /// immediately **before** `submit` — never after, or the flusher
+    /// would wait for a job it already holds.
+    pub fn arrival(&self) -> Arrival<'_> {
+        self.core.arrivals.fetch_add(1, Ordering::SeqCst);
+        Arrival {
+            arrivals: &self.core.arrivals,
+        }
+    }
+
+    /// [`Arrival`] tickets currently out.
+    pub fn arrivals(&self) -> usize {
+        self.core.arrivals.load(Ordering::SeqCst)
+    }
+
     /// Enqueues a job without blocking.
     pub fn submit(&self, job: JudgeJob) -> Result<(), SubmitError> {
-        match self.core.queue.try_send(job) {
+        let queued = Queued {
+            job,
+            submitted: Instant::now(),
+        };
+        match self.core.queue.try_send(queued) {
             Ok(()) => Ok(()),
             Err(TrySendError::Full(_)) => {
                 obs::incr("serve/backpressure_503");
@@ -267,6 +330,7 @@ fn spawn_flusher(core: Arc<Core>, generation: u64) -> JoinHandle<()> {
 
 fn run(core: &Core, my_generation: u64) {
     let superseded = || core.generation.load(Ordering::SeqCst) != my_generation;
+    let mut batch: Vec<Queued> = Vec::with_capacity(core.batch_size);
     loop {
         if superseded() {
             return;
@@ -289,24 +353,9 @@ fn run(core: &Core, my_generation: u64) {
         let Some(first) = core.queue.recv() else {
             return; // closed and drained
         };
-        let flush_at = Instant::now() + core.flush_deadline;
-        let mut batch = vec![first];
-        let mut closed = false;
-        while batch.len() < core.batch_size {
-            let left = flush_at.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break;
-            }
-            match core.queue.recv_timeout(left) {
-                RecvTimeout::Item(job) => batch.push(job),
-                RecvTimeout::TimedOut => break,
-                RecvTimeout::Closed => {
-                    closed = true;
-                    break;
-                }
-            }
-        }
-        flush(batch, core);
+        batch.push(first);
+        let closed = collect(core, &mut batch);
+        flush(&mut batch, core);
         core.heartbeat.fetch_add(1, Ordering::Relaxed);
         if closed {
             return;
@@ -314,35 +363,67 @@ fn run(core: &Core, my_generation: u64) {
     }
 }
 
-/// Judges one collected batch. Expired jobs are shed first (no forward
-/// pass for them); the rest are grouped by model generation so a
-/// hot-reload mid-batch never mixes snapshots in one forward pass.
-fn flush(batch: Vec<JudgeJob>, core: &Core) {
+/// Fills `batch` behind its first job: everything already queued, then —
+/// only while an [`Arrival`] is out — whatever the queue delivers before
+/// the oldest job has waited `linger_cap`. Returns true when the queue
+/// closed meanwhile.
+fn collect(core: &Core, batch: &mut Vec<Queued>) -> bool {
+    let flush_at = batch[0].submitted + core.linger_cap;
+    loop {
+        core.queue.drain_into(batch, core.batch_size - batch.len());
+        // Drain first, count second: a request that releases its ticket
+        // and enqueues between the two is missed, never waited for.
+        if batch.len() >= core.batch_size || core.arrivals.load(Ordering::SeqCst) == 0 {
+            return false;
+        }
+        let left = flush_at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return false;
+        }
+        // Waiting for an announced job is progress, not a stall.
+        core.heartbeat.fetch_add(1, Ordering::Relaxed);
+        match core.queue.recv_timeout(left) {
+            RecvTimeout::Item(job) => batch.push(job),
+            RecvTimeout::TimedOut => return false,
+            RecvTimeout::Closed => return true,
+        }
+    }
+}
+
+/// Judges one collected batch and leaves `batch` empty. Expired jobs are
+/// shed first (no forward pass for them); the rest are grouped by model
+/// generation so a hot-reload mid-batch never mixes snapshots in one
+/// forward pass.
+fn flush(batch: &mut Vec<Queued>, core: &Core) {
     let now = Instant::now();
-    let (expired, live): (Vec<JudgeJob>, Vec<JudgeJob>) = batch
-        .into_iter()
-        .partition(|job| job.deadline.is_some_and(|d| d <= now));
+    // FIFO queue: the first job is the one that waited longest.
+    let waited = now.saturating_duration_since(batch[0].submitted);
+    obs::observe("serve/batcher_wait_ms", waited.as_secs_f64() * 1e3);
     // Shed and expired jobs drain the queue just like judged ones, so
     // both feed the drain-rate estimate behind `Retry-After`.
     if let Some(gate) = &core.admission {
-        gate.record_drain(expired.len() + live.len());
+        gate.record_drain(batch.len());
     }
-    for job in &expired {
-        obs::incr("serve/shed_deadline");
-        let _ = job.responder.send(Err(JobError::Expired));
-    }
-    if live.is_empty() {
+    batch.retain(|queued| {
+        let expired = queued.job.deadline.is_some_and(|d| d <= now);
+        if expired {
+            obs::incr("serve/shed_deadline");
+            let _ = queued.job.responder.send(Err(JobError::Expired));
+        }
+        !expired
+    });
+    if batch.is_empty() {
         return;
     }
 
     let stats = &core.stats;
     stats.batches.fetch_add(1, Ordering::Relaxed);
-    stats.jobs.fetch_add(live.len() as u64, Ordering::Relaxed);
-    let bucket = bucket_index(live.len());
+    stats.jobs.fetch_add(batch.len() as u64, Ordering::Relaxed);
+    let bucket = bucket_index(batch.len());
     stats.size_buckets[bucket].fetch_add(1, Ordering::Relaxed);
     obs::incr("serve/batches");
-    obs::add("serve/batched_requests", live.len() as u64);
-    obs::observe("serve/batch_size", live.len() as f64);
+    obs::add("serve/batched_requests", batch.len() as u64);
+    obs::observe("serve/batch_size", batch.len() as f64);
     // obs counters want 'static names; one per bucket, aligned with
     // BATCH_BUCKET_LABELS.
     const BUCKET_COUNTERS: [&str; 6] = [
@@ -363,7 +444,7 @@ fn flush(batch: Vec<JudgeJob>, core: &Core) {
     }
 
     let mut groups: Vec<(u64, Vec<JudgeJob>)> = Vec::new();
-    for job in live {
+    for Queued { job, .. } in batch.drain(..) {
         let generation = job.model.generation;
         match groups.iter_mut().find(|(g, _)| *g == generation) {
             Some((_, jobs)) => jobs.push(job),

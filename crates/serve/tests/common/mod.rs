@@ -4,9 +4,13 @@
 
 use hisrect::config::{ApproachSpec, HisRectConfig};
 use hisrect::model::HisRectModel;
+use serve::batcher::{JobError, JudgeJob};
+use serve::registry::LoadedModel;
 use serve::{serve, ModelRegistry, ServeConfig, ServerHandle};
 use std::path::PathBuf;
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 use twitter_sim::{generate, Dataset, SimConfig};
 
 pub struct Fixture {
@@ -38,6 +42,39 @@ pub fn fixture() -> &'static Fixture {
     })
 }
 
+/// The fixture snapshot as a server would load it, for tests that drive
+/// a stand-alone [`serve::Batcher`].
+#[allow(dead_code)] // each test binary uses its own slice of the helpers
+pub fn loaded_model() -> Arc<LoadedModel> {
+    registry(hisrect::Precision::F32).current()
+}
+
+fn registry(precision: hisrect::Precision) -> ModelRegistry {
+    let fix = fixture();
+    ModelRegistry::load_with_precision(&fix.model_path, Arc::clone(&fix.corpus), precision)
+        .expect("load fixture model")
+}
+
+/// A batcher job judging fixture profiles `(i, j)` on `model`, plus the
+/// receiving end of its answer.
+#[allow(dead_code)] // each test binary uses its own slice of the helpers
+pub fn judge_job(
+    model: &Arc<LoadedModel>,
+    (i, j): (usize, usize),
+    deadline: Option<Instant>,
+) -> (JudgeJob, Receiver<Result<f32, JobError>>) {
+    let corpus = &fixture().corpus;
+    let (tx, rx) = sync_channel(1);
+    let job = JudgeJob {
+        model: Arc::clone(model),
+        fa: Arc::new(model.service.features_for(corpus.profile(i))),
+        fb: Arc::new(model.service.features_for(corpus.profile(j))),
+        deadline,
+        responder: tx,
+    };
+    (job, rx)
+}
+
 /// Starts a server over the fixture model on an ephemeral port.
 #[allow(dead_code)] // each test binary uses its own slice of the helpers
 pub fn start_server(tune: impl FnOnce(&mut ServeConfig)) -> ServerHandle {
@@ -50,10 +87,7 @@ pub fn start_server_with_precision(
     precision: hisrect::Precision,
     tune: impl FnOnce(&mut ServeConfig),
 ) -> ServerHandle {
-    let fix = fixture();
-    let registry =
-        ModelRegistry::load_with_precision(&fix.model_path, Arc::clone(&fix.corpus), precision)
-            .expect("load fixture model");
+    let registry = registry(precision);
     let mut config = ServeConfig {
         addr: "127.0.0.1:0".into(),
         precision,

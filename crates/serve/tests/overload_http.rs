@@ -7,10 +7,9 @@
 mod common;
 
 use common::{start_server, test_pairs};
-use serve::batcher::{Batcher, JobError, JudgeJob};
-use serve::{AdmissionConfig, BreakerConfig, HttpClient, ModelRegistry, WatchdogConfig};
-use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Mutex};
+use serve::batcher::{Batcher, JobError};
+use serve::{AdmissionConfig, BreakerConfig, HttpClient, WatchdogConfig};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 // The fault plan and the slow-judge env knob are process-global; these
@@ -29,11 +28,16 @@ fn judge_body(i: usize, j: usize) -> String {
 fn expired_deadline_is_shed_with_typed_504_and_close_deadlines_survive() {
     let _g = lock();
     faultsim::clear();
-    // A long flush timer guarantees the 1ms deadline expires while the
-    // job waits for the batch to fill.
+    // A lone job is flushed at once, so the 1ms deadline can only expire
+    // behind a held flusher: armed before the server starts, the stall
+    // parks the flusher on its first iteration, and the job waits in the
+    // queue until the watchdog's replacement collects it.
+    faultsim::configure_str("stall@1").unwrap();
     let server = start_server(|c| {
-        c.batch_size = 64;
-        c.batch_deadline = Duration::from_millis(120);
+        c.watchdog = WatchdogConfig {
+            interval: Duration::from_millis(20),
+            stall_timeout: Duration::from_millis(100),
+        };
     });
     let mut client = HttpClient::new(server.addr());
     let (i, j) = test_pairs(1)[0];
@@ -44,14 +48,19 @@ fn expired_deadline_is_shed_with_typed_504_and_close_deadlines_survive() {
     assert_eq!(r.status, 504, "expired job must be shed: {}", r.body);
     assert_eq!(r.header("x-hisrect-shed"), Some("deadline"));
     assert!(r.body.contains("deadline"), "{}", r.body);
+    assert!(
+        server.watchdog_restarts() >= 1,
+        "the stall held the flusher"
+    );
 
-    // The race in the other direction: a deadline beyond the flush timer
-    // is answered normally.
+    // The race in the other direction: a deadline beyond the queueing
+    // time is answered normally.
     let r = client
         .post_with_headers("/judge", &judge_body(i, j), &[("x-deadline-ms", "5000")])
         .unwrap();
     assert_eq!(r.status, 200, "{}", r.body);
     assert_eq!(r.header("x-hisrect-degraded"), None);
+    faultsim::clear();
     server.shutdown();
 }
 
@@ -241,33 +250,16 @@ fn watchdog_restarts_stalled_flusher_without_losing_jobs() {
 fn shutdown_answers_expired_jobs_still_queued() {
     let _g = lock();
     faultsim::clear();
-    let fix = common::fixture();
-    let registry = ModelRegistry::load_with_precision(
-        &fix.model_path,
-        Arc::clone(&fix.corpus),
-        hisrect::Precision::F32,
-    )
-    .expect("load fixture model");
-    let model = registry.current();
-    let (i, j) = test_pairs(1)[0];
-    let fa = Arc::new(model.service.features_for(fix.corpus.profile(i)));
-    let fb = Arc::new(model.service.features_for(fix.corpus.profile(j)));
+    let model = common::loaded_model();
 
-    // Long flush timer: the job sits in the collect loop, already
-    // expired, when shutdown closes the queue.
+    // The stall parks the flusher on its first iteration, so the job is
+    // still queued, already expired, when shutdown closes the queue.
+    faultsim::configure_str("stall@1").unwrap();
     let batcher = Batcher::new(64, Duration::from_millis(500), 8, None);
-    let (tx, rx) = sync_channel(1);
-    batcher
-        .submit(JudgeJob {
-            model,
-            fa,
-            fb,
-            deadline: Some(Instant::now()),
-            responder: tx,
-        })
-        .expect("submit");
-    std::thread::sleep(Duration::from_millis(30));
+    let (job, rx) = common::judge_job(&model, test_pairs(1)[0], Some(Instant::now()));
+    batcher.submit(job).expect("submit");
     batcher.shutdown();
+    faultsim::clear();
     match rx.try_recv() {
         Ok(Err(JobError::Expired)) => {}
         other => panic!("expired queued job must get a typed answer, got {other:?}"),

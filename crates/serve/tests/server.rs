@@ -6,9 +6,9 @@
 
 mod common;
 
-use common::{fixture, start_server, test_pairs};
+use common::{fixture, judge_job, loaded_model, start_server, test_pairs};
 use hisrect::{JudgeService, Judgement};
-use serve::HttpClient;
+use serve::{Batcher, HttpClient};
 use std::time::Duration;
 
 /// The offline reference: exactly what the CLI computes for a pair,
@@ -79,61 +79,37 @@ fn judge_batch_matches_single_judgements() {
 
 #[test]
 fn concurrent_judgements_coalesce_into_batches() {
-    // A generous flush deadline makes coalescing deterministic enough to
-    // assert on: 16 concurrent clients land well inside 50ms.
-    let server = start_server(|c| {
-        c.workers = 8;
-        c.batch_size = 8;
-        c.batch_deadline = Duration::from_millis(50);
-    });
-    let addr = server.addr();
-    let pairs = test_pairs(4);
-    let expected: Vec<String> = pairs
+    const N: usize = 4;
+    let model = loaded_model();
+    let pairs = test_pairs(N);
+    // An outstanding arrival keeps the batch open however the submits
+    // interleave with the flusher, so it can only flush on size: N jobs,
+    // one forward pass.
+    let batcher = Batcher::new(N, Duration::from_secs(5), 2 * N, None);
+    let announced = batcher.arrival();
+    let answers: Vec<_> = pairs
         .iter()
-        .map(|&(i, j)| offline_judgement(i, j))
-        .collect();
-
-    // Warm the feature cache first so concurrent requests reach the
-    // batcher together instead of serializing on feature computation.
-    let mut warm = HttpClient::new(addr);
-    for (i, j) in &pairs {
-        let r = warm
-            .post("/judge", &format!("{{\"i\":{i},\"j\":{j}}}"))
-            .unwrap();
-        assert_eq!(r.status, 200);
-    }
-
-    let threads: Vec<_> = (0..16)
-        .map(|k| {
-            let pairs = pairs.clone();
-            let expected = expected.clone();
-            std::thread::spawn(move || {
-                let mut client = HttpClient::new(addr);
-                for round in 0..4 {
-                    let pick = (k + round) % pairs.len();
-                    let (i, j) = pairs[pick];
-                    let r = client
-                        .post("/judge", &format!("{{\"i\":{i},\"j\":{j}}}"))
-                        .unwrap();
-                    assert_eq!(r.status, 200, "concurrent judge failed: {}", r.body);
-                    assert_eq!(r.body, expected[pick], "response drifted under concurrency");
-                }
-            })
+        .map(|&pair| {
+            let (job, rx) = judge_job(&model, pair, None);
+            batcher.submit(job).expect("queue has room");
+            rx
         })
         .collect();
-    for t in threads {
-        t.join().expect("client thread panicked");
+    for (&(i, j), rx) in pairs.iter().zip(answers) {
+        let p = rx
+            .recv_timeout(Duration::from_secs(1))
+            .expect("a full batch flushes without waiting out the linger cap")
+            .expect("judged");
+        let body = serde_json::to_string(&Judgement::from_probability(i, j, p)).unwrap();
+        assert_eq!(body, offline_judgement(i, j), "batched row drifted");
     }
-
-    let (batches, jobs) = server.batch_stats();
-    assert!(batches > 0);
-    assert!(
-        jobs as f64 / batches as f64 > 1.0,
-        "16 concurrent clients must coalesce: {jobs} jobs over {batches} batches"
+    drop(announced);
+    assert_eq!(
+        batcher.stats().mean_batch_size(),
+        N as f64,
+        "one batch of N"
     );
-    let (hits, _) = server.cache_stats();
-    assert!(hits > 0);
-    server.shutdown();
+    batcher.shutdown();
 }
 
 #[test]
@@ -183,6 +159,14 @@ fn metrics_endpoint_reports_serving_counters() {
             .unwrap_or(0)
             > 0,
         "metrics must count requests: {}",
+        metrics.body
+    );
+    let waits = parsed
+        .get("histograms")
+        .and_then(|h| h.get("serve/batcher_wait_ms"));
+    assert!(
+        waits.is_some(),
+        "metrics must carry the batcher-wait stage: {}",
         metrics.body
     );
     server.shutdown();
