@@ -2,25 +2,13 @@
 //!
 //! Concurrent `/judge` requests are coalesced into one batched forward
 //! pass through the judge MLP. The flusher thread blocks for a batch's
-//! first job, takes whatever else is already queued (up to `batch_size`),
-//! and then **lingers only while the server knows another `/judge` is on
-//! its way**: a request handler holds an [`Arrival`] ticket from the
-//! moment its body is parsed until immediately before it submits, and the
-//! flusher waits for the queue only while such a ticket is out — never
-//! past `deadline` after the batch's oldest job was submitted. With no
-//! ticket out the batch is flushed at once, so a lone request pays no
-//! timer; under load the jobs that arrive while one flush runs are all
-//! taken by the next, which is where batches come from. `tensor`'s blocked
-//! matmul accumulates each output row independently of the batch row
-//! count, so a batched row is bit-identical to the single-pair judgement —
-//! batching changes latency, never answers.
-//!
-//! The ticket is released *before* `submit`, so the count can only err
-//! low: a request between its release and its enqueue may miss the batch
-//! (cost: a smaller batch), but a job that is already queued is never
-//! counted as still coming (cost: a full deadline asleep). A ticket whose
-//! request bails out (400, shed, degraded) is dropped on the way out; a
-//! flusher already waiting for it wakes at the cap.
+//! first job, takes whatever else is already queued (up to `batch_size`)
+//! and flushes at once — there is no flush timer, so a lone request never
+//! waits for company. Batches come from load: the jobs that arrive while
+//! one flush runs are all taken by the next. `tensor`'s blocked matmul
+//! accumulates each output row independently of the batch row count, so a
+//! batched row is bit-identical to the single-pair judgement — batching
+//! changes latency, never answers.
 //!
 //! The queue is bounded; a full queue surfaces as backpressure
 //! ([`SubmitError::Overloaded`] → 503 + `Retry-After`) instead of
@@ -43,9 +31,9 @@
 
 use crate::admission::AdmissionGate;
 use crate::registry::LoadedModel;
-use parallel::{Channel, RecvTimeout, TrySendError};
+use parallel::{Channel, TrySendError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -145,24 +133,10 @@ pub enum SubmitError {
 }
 
 /// A queued job plus when it entered the queue (stamped by
-/// [`Batcher::submit`]): the linger cap and `serve/batcher_wait_ms` are
-/// both measured from it.
+/// [`Batcher::submit`]): `serve/batcher_wait_ms` is measured from it.
 struct Queued {
     job: JudgeJob,
     submitted: Instant,
-}
-
-/// Announces a `/judge` that has been dispatched but has not reached
-/// [`Batcher::submit`] yet; see [`Batcher::arrival`]. Dropping it
-/// withdraws the announcement.
-pub struct Arrival<'a> {
-    arrivals: &'a AtomicUsize,
-}
-
-impl Drop for Arrival<'_> {
-    fn drop(&mut self) {
-        self.arrivals.fetch_sub(1, Ordering::SeqCst);
-    }
 }
 
 /// State shared between the [`Batcher`] handle and its flusher threads.
@@ -172,12 +146,8 @@ struct Core {
     queue: Channel<Queued>,
     stats: BatchStats,
     batch_size: usize,
-    /// Longest a batch's oldest job may wait for announced company.
-    linger_cap: Duration,
-    /// [`Arrival`] tickets currently out.
-    arrivals: AtomicUsize,
-    /// Bumped by the live flusher every loop iteration and before each
-    /// wait for an announced job; the watchdog's liveness signal.
+    /// Bumped by the live flusher every loop iteration; the watchdog's
+    /// liveness signal.
     heartbeat: AtomicU64,
     /// Flusher generation: a restart bumps it and the superseded thread
     /// exits at its next check. Starts at 0, so the count of restarts.
@@ -196,15 +166,14 @@ pub struct Batcher {
 }
 
 impl Batcher {
-    /// Spawns the flusher. `batch_size` is the largest batch, `deadline`
-    /// the longest a batch's oldest job may be held back waiting for an
-    /// announced request (see [`Batcher::arrival`]; with none announced
-    /// the flush is immediate), `queue_depth` the backpressure bound.
-    /// Flush sizes are reported to `admission` (when given) for
-    /// drain-rate tracking.
+    /// Spawns the flusher. `batch_size` is the largest batch,
+    /// `queue_depth` the backpressure bound. Flush sizes are reported to
+    /// `admission` (when given) for drain-rate tracking. `_deadline` was
+    /// the flush timer; nothing waits on a timer any more and the
+    /// parameter only keeps existing callers compiling.
     pub fn new(
         batch_size: usize,
-        deadline: Duration,
+        _deadline: Duration,
         queue_depth: usize,
         admission: Option<Arc<AdmissionGate>>,
     ) -> Self {
@@ -212,8 +181,6 @@ impl Batcher {
             queue: Channel::bounded(queue_depth.max(1)),
             stats: BatchStats::default(),
             batch_size: batch_size.max(1),
-            linger_cap: deadline,
-            arrivals: AtomicUsize::new(0),
             heartbeat: AtomicU64::new(0),
             generation: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
@@ -244,23 +211,6 @@ impl Batcher {
     /// How many times the flusher has been restarted in place.
     pub fn restarts(&self) -> u64 {
         self.core.generation.load(Ordering::Relaxed)
-    }
-
-    /// Announces a request that is about to [`Batcher::submit`]: while
-    /// the ticket is out, a flusher with an open batch waits for the
-    /// queue (up to the deadline) instead of flushing at once. Release it
-    /// immediately **before** `submit` — never after, or the flusher
-    /// would wait for a job it already holds.
-    pub fn arrival(&self) -> Arrival<'_> {
-        self.core.arrivals.fetch_add(1, Ordering::SeqCst);
-        Arrival {
-            arrivals: &self.core.arrivals,
-        }
-    }
-
-    /// [`Arrival`] tickets currently out.
-    pub fn arrivals(&self) -> usize {
-        self.core.arrivals.load(Ordering::SeqCst)
     }
 
     /// Enqueues a job without blocking.
@@ -354,39 +304,8 @@ fn run(core: &Core, my_generation: u64) {
             return; // closed and drained
         };
         batch.push(first);
-        let closed = collect(core, &mut batch);
+        core.queue.drain_into(&mut batch, core.batch_size - 1);
         flush(&mut batch, core);
-        core.heartbeat.fetch_add(1, Ordering::Relaxed);
-        if closed {
-            return;
-        }
-    }
-}
-
-/// Fills `batch` behind its first job: everything already queued, then —
-/// only while an [`Arrival`] is out — whatever the queue delivers before
-/// the oldest job has waited `linger_cap`. Returns true when the queue
-/// closed meanwhile.
-fn collect(core: &Core, batch: &mut Vec<Queued>) -> bool {
-    let flush_at = batch[0].submitted + core.linger_cap;
-    loop {
-        core.queue.drain_into(batch, core.batch_size - batch.len());
-        // Drain first, count second: a request that releases its ticket
-        // and enqueues between the two is missed, never waited for.
-        if batch.len() >= core.batch_size || core.arrivals.load(Ordering::SeqCst) == 0 {
-            return false;
-        }
-        let left = flush_at.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return false;
-        }
-        // Waiting for an announced job is progress, not a stall.
-        core.heartbeat.fetch_add(1, Ordering::Relaxed);
-        match core.queue.recv_timeout(left) {
-            RecvTimeout::Item(job) => batch.push(job),
-            RecvTimeout::TimedOut => return false,
-            RecvTimeout::Closed => return true,
-        }
     }
 }
 

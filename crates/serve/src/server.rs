@@ -44,11 +44,11 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Total feature-cache capacity (entries).
     pub cache_capacity: usize,
-    /// Largest micro-batch; a full batch is flushed without waiting.
+    /// Largest micro-batch.
     pub batch_size: usize,
-    /// Linger cap of the micro-batcher: the longest a queued `/judge` is
-    /// held back for another request the server knows is on its way.
-    /// Not a floor — with nobody else coming the flush is immediate.
+    /// Was the micro-batch flush timer. The batcher no longer waits on
+    /// a timer, so the value is ignored; the field (and its CLI flag)
+    /// only keep existing configurations working.
     pub batch_deadline: Duration,
     /// Bound on queued connections and queued judge jobs; beyond it the
     /// server answers 503 + `Retry-After`.
@@ -218,12 +218,6 @@ impl ServerHandle {
             stats.batches.load(std::sync::atomic::Ordering::Relaxed),
             stats.jobs.load(std::sync::atomic::Ordering::Relaxed),
         )
-    }
-
-    /// `/judge` requests currently announced to the micro-batcher (parsed,
-    /// not yet submitted); 0 whenever no request is in flight.
-    pub fn judge_arrivals(&self) -> usize {
-        self.shared.batcher.arrivals()
     }
 
     /// Stops the event loop, drains the compute pool, joins all threads.
@@ -401,9 +395,6 @@ fn handle_judge(shared: &Shared, request: &Request) -> Response {
         Ok(r) => r,
         Err(resp) => return resp,
     };
-    // Lets an open batch wait for this request; every early return
-    // below drops it.
-    let arrival = shared.batcher.arrival();
     if let Err(retry_secs) = shared.admission.admit(shared.batcher.queue_len()) {
         return Response::error(503, "admission control: server overloaded")
             .with_header("retry-after", &retry_secs.to_string())
@@ -446,9 +437,6 @@ fn handle_judge(shared: &Shared, request: &Request) -> Response {
         responder: tx,
     };
     let submitted = Instant::now();
-    // Before `submit`, not after: the flusher must never wait for a job
-    // that is already in its queue.
-    drop(arrival);
     match shared.batcher.submit(job) {
         Ok(()) => {}
         Err(SubmitError::Overloaded) => {

@@ -4,6 +4,7 @@
 
 use hisrect::config::{ApproachSpec, HisRectConfig};
 use hisrect::model::HisRectModel;
+use hisrect::{JudgeService, Judgement};
 use serve::batcher::{JobError, JudgeJob};
 use serve::registry::LoadedModel;
 use serve::{serve, ModelRegistry, ServeConfig, ServerHandle};
@@ -73,6 +74,19 @@ pub fn judge_job(
         responder: tx,
     };
     (job, rx)
+}
+
+/// The offline reference: exactly what the CLI computes for a pair,
+/// loading the same snapshot from disk.
+#[allow(dead_code)] // each test binary uses its own slice of the helpers
+pub fn offline_judgement(i: usize, j: usize) -> String {
+    let fix = fixture();
+    let service = JudgeService::load(&fix.model_path, fix.corpus.world.pois.clone())
+        .expect("load fixture model");
+    let fa = service.features_for(fix.corpus.profile(i));
+    let fb = service.features_for(fix.corpus.profile(j));
+    let p = service.judge_features(&fa, &fb);
+    serde_json::to_string(&Judgement::from_probability(i, j, p)).expect("serializable")
 }
 
 /// Starts a server over the fixture model on an ephemeral port.

@@ -7,6 +7,7 @@
 mod common;
 
 use common::{start_server, test_pairs};
+use hisrect::Judgement;
 use serve::batcher::{Batcher, JobError};
 use serve::{AdmissionConfig, BreakerConfig, HttpClient, WatchdogConfig};
 use std::sync::Mutex;
@@ -244,6 +245,50 @@ fn watchdog_restarts_stalled_flusher_without_losing_jobs() {
     );
     faultsim::clear();
     server.shutdown();
+}
+
+#[test]
+fn backlog_behind_a_held_flusher_is_one_batch() {
+    let _g = lock();
+    faultsim::clear();
+    const N: usize = 4;
+    let model = common::loaded_model();
+    let pairs = test_pairs(N);
+
+    // The stall parks the flusher before it takes a job; once it has
+    // fired, everything submitted stays queued until the replacement's
+    // first drain.
+    faultsim::configure_str("stall@1").unwrap();
+    let batcher = Batcher::new(N, Duration::ZERO, N, None);
+    let armed = Instant::now();
+    while faultsim::pending(faultsim::FaultKind::BatcherStall) {
+        assert!(armed.elapsed() < Duration::from_secs(5), "never stalled");
+        std::thread::yield_now();
+    }
+    let answers: Vec<_> = pairs
+        .iter()
+        .map(|&pair| {
+            let (job, rx) = common::judge_job(&model, pair, None);
+            batcher.submit(job).expect("queue has room");
+            rx
+        })
+        .collect();
+    batcher.restart();
+    for (&(i, j), rx) in pairs.iter().zip(answers) {
+        let p = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the replacement answers the backlog")
+            .expect("judged");
+        let body = serde_json::to_string(&Judgement::from_probability(i, j, p)).unwrap();
+        assert_eq!(body, common::offline_judgement(i, j), "batched row drifted");
+    }
+    assert_eq!(
+        batcher.stats().mean_batch_size(),
+        N as f64,
+        "one batch of N"
+    );
+    faultsim::clear();
+    batcher.shutdown();
 }
 
 #[test]

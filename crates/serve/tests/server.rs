@@ -6,22 +6,9 @@
 
 mod common;
 
-use common::{fixture, judge_job, loaded_model, start_server, test_pairs};
-use hisrect::{JudgeService, Judgement};
-use serve::{Batcher, HttpClient};
-use std::time::Duration;
-
-/// The offline reference: exactly what the CLI computes for a pair,
-/// loading the same snapshot from disk.
-fn offline_judgement(i: usize, j: usize) -> String {
-    let fix = fixture();
-    let service = JudgeService::load(&fix.model_path, fix.corpus.world.pois.clone())
-        .expect("load fixture model");
-    let fa = service.features_for(fix.corpus.profile(i));
-    let fb = service.features_for(fix.corpus.profile(j));
-    let p = service.judge_features(&fa, &fb);
-    serde_json::to_string(&Judgement::from_probability(i, j, p)).expect("serializable")
-}
+use common::{offline_judgement, start_server, test_pairs};
+use serve::HttpClient;
+use std::time::{Duration, Instant};
 
 #[test]
 fn judge_is_byte_identical_to_offline_cold_and_warm() {
@@ -79,37 +66,86 @@ fn judge_batch_matches_single_judgements() {
 
 #[test]
 fn concurrent_judgements_coalesce_into_batches() {
-    const N: usize = 4;
-    let model = loaded_model();
-    let pairs = test_pairs(N);
-    // An outstanding arrival keeps the batch open however the submits
-    // interleave with the flusher, so it can only flush on size: N jobs,
-    // one forward pass.
-    let batcher = Batcher::new(N, Duration::from_secs(5), 2 * N, None);
-    let announced = batcher.arrival();
-    let answers: Vec<_> = pairs
+    let server = start_server(|c| {
+        c.workers = 8;
+        c.batch_size = 8;
+    });
+    let addr = server.addr();
+    let pairs = test_pairs(4);
+    let expected: Vec<String> = pairs
         .iter()
-        .map(|&pair| {
-            let (job, rx) = judge_job(&model, pair, None);
-            batcher.submit(job).expect("queue has room");
-            rx
+        .map(|&(i, j)| offline_judgement(i, j))
+        .collect();
+
+    // Warm the feature cache first so concurrent requests reach the
+    // batcher together instead of serializing on feature computation.
+    let mut warm = HttpClient::new(addr);
+    for (i, j) in &pairs {
+        let r = warm
+            .post("/judge", &format!("{{\"i\":{i},\"j\":{j}}}"))
+            .unwrap();
+        assert_eq!(r.status, 200);
+    }
+
+    let threads: Vec<_> = (0..16)
+        .map(|k| {
+            let pairs = pairs.clone();
+            let expected = expected.clone();
+            std::thread::spawn(move || {
+                let mut client = HttpClient::new(addr);
+                for round in 0..4 {
+                    let pick = (k + round) % pairs.len();
+                    let (i, j) = pairs[pick];
+                    let r = client
+                        .post("/judge", &format!("{{\"i\":{i},\"j\":{j}}}"))
+                        .unwrap();
+                    assert_eq!(r.status, 200, "concurrent judge failed: {}", r.body);
+                    assert_eq!(r.body, expected[pick], "response drifted under concurrency");
+                }
+            })
         })
         .collect();
-    for (&(i, j), rx) in pairs.iter().zip(answers) {
-        let p = rx
-            .recv_timeout(Duration::from_secs(1))
-            .expect("a full batch flushes without waiting out the linger cap")
-            .expect("judged");
-        let body = serde_json::to_string(&Judgement::from_probability(i, j, p)).unwrap();
-        assert_eq!(body, offline_judgement(i, j), "batched row drifted");
+    for t in threads {
+        t.join().expect("client thread panicked");
     }
-    drop(announced);
-    assert_eq!(
-        batcher.stats().mean_batch_size(),
-        N as f64,
-        "one batch of N"
-    );
-    batcher.shutdown();
+
+    // How the 68 jobs split into batches is thread timing; that a backlog
+    // is judged as one batch is pinned without a race in
+    // `overload_http::backlog_behind_a_held_flusher_is_one_batch`.
+    let (batches, jobs) = server.batch_stats();
+    assert_eq!(jobs, 4 + 16 * 4);
+    assert!(batches > 0);
+    let (hits, _) = server.cache_stats();
+    assert!(hits > 0);
+    server.shutdown();
+}
+
+#[test]
+fn lone_judge_is_flushed_without_a_timer() {
+    // The micro-batcher has no flush timer: a request with no company is
+    // judged at once. `batch_deadline` (the old timer) is set to 5 s and
+    // each exchange must take under 1 s — a 5 000x margin over the real
+    // cost, so only a reinstated timer fails this, not a slow box.
+    let server = start_server(|c| {
+        c.batch_size = 64;
+        c.batch_deadline = Duration::from_secs(5);
+    });
+    let mut client = HttpClient::new(server.addr());
+    let (i, j) = test_pairs(1)[0];
+    for _ in 0..3 {
+        let start = Instant::now();
+        let r = client
+            .post("/judge", &format!("{{\"i\":{i},\"j\":{j}}}"))
+            .unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "a lone /judge waited {:?}",
+            start.elapsed()
+        );
+    }
+    assert_eq!(server.batch_stats(), (3, 3), "three batches of one");
+    server.shutdown();
 }
 
 #[test]
