@@ -53,9 +53,9 @@ use twitter_sim::io::CorpusFile;
 /// baseline uses the same value so goodput is measured under one rule.
 const DEADLINE_MS: u64 = 400;
 
-/// How long the calm baseline loops. A request count cannot size it: an
-/// idle-flushed `/judge` answers in ~0.1 ms, so any fixed count is over
-/// before the rate means anything.
+/// How long the calm baseline loops. Sized by time, not by a request
+/// count, so the rate is measured over a full second however fast a
+/// `/judge` is answered.
 const BASELINE_WALL: Duration = Duration::from_secs(1);
 
 /// Injected flush crawl. Above the breaker's latency budget, below the

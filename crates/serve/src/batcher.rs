@@ -2,13 +2,16 @@
 //!
 //! Concurrent `/judge` requests are coalesced into one batched forward
 //! pass through the judge MLP. The flusher thread blocks for a batch's
-//! first job, takes whatever else is already queued (up to `batch_size`)
-//! and flushes at once — there is no flush timer, so a lone request never
-//! waits for company. Batches come from load: the jobs that arrive while
-//! one flush runs are all taken by the next. `tensor`'s blocked matmul
-//! accumulates each output row independently of the batch row count, so a
-//! batched row is bit-identical to the single-pair judgement — batching
-//! changes latency, never answers.
+//! first job and keeps collecting until the batch is full or the flush
+//! window closes — and the window is measured from the **previous flush**,
+//! not from the first job. An idle flusher's window closed long ago, so a
+//! request with no company is judged at once; under sustained load flushes
+//! stay `deadline` apart, exactly the old timer's pace, and everything
+//! that arrived in between rides in one batch. No job ever waits longer
+//! than it did when the window opened at the first job. `tensor`'s blocked
+//! matmul accumulates each output row independently of the batch row
+//! count, so a batched row is bit-identical to the single-pair judgement —
+//! batching changes latency, never answers.
 //!
 //! The queue is bounded; a full queue surfaces as backpressure
 //! ([`SubmitError::Overloaded`] → 503 + `Retry-After`) instead of
@@ -31,7 +34,7 @@
 
 use crate::admission::AdmissionGate;
 use crate::registry::LoadedModel;
-use parallel::{Channel, TrySendError};
+use parallel::{Channel, RecvTimeout, TrySendError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
@@ -146,6 +149,8 @@ struct Core {
     queue: Channel<Queued>,
     stats: BatchStats,
     batch_size: usize,
+    /// Least time between the starts of two flushes.
+    flush_spacing: Duration,
     /// Bumped by the live flusher every loop iteration; the watchdog's
     /// liveness signal.
     heartbeat: AtomicU64,
@@ -166,14 +171,15 @@ pub struct Batcher {
 }
 
 impl Batcher {
-    /// Spawns the flusher. `batch_size` is the largest batch,
-    /// `queue_depth` the backpressure bound. Flush sizes are reported to
-    /// `admission` (when given) for drain-rate tracking. `_deadline` was
-    /// the flush timer; nothing waits on a timer any more and the
-    /// parameter only keeps existing callers compiling.
+    /// Spawns the flusher. `batch_size` is the flush-on-size threshold,
+    /// `deadline` the least time between two flushes (a batch that opens
+    /// sooner than that after the previous flush keeps collecting until
+    /// then; one that opens later is flushed at once), `queue_depth` the
+    /// backpressure bound. Flush sizes are reported to `admission` (when
+    /// given) for drain-rate tracking.
     pub fn new(
         batch_size: usize,
-        _deadline: Duration,
+        deadline: Duration,
         queue_depth: usize,
         admission: Option<Arc<AdmissionGate>>,
     ) -> Self {
@@ -181,6 +187,7 @@ impl Batcher {
             queue: Channel::bounded(queue_depth.max(1)),
             stats: BatchStats::default(),
             batch_size: batch_size.max(1),
+            flush_spacing: deadline,
             heartbeat: AtomicU64::new(0),
             generation: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
@@ -281,6 +288,9 @@ fn spawn_flusher(core: Arc<Core>, generation: u64) -> JoinHandle<()> {
 fn run(core: &Core, my_generation: u64) {
     let superseded = || core.generation.load(Ordering::SeqCst) != my_generation;
     let mut batch: Vec<Queued> = Vec::with_capacity(core.batch_size);
+    // When the batch being collected must be flushed at the latest. `None`
+    // before this thread's first flush: nothing to keep a distance from.
+    let mut window_ends: Option<Instant> = None;
     loop {
         if superseded() {
             return;
@@ -304,8 +314,33 @@ fn run(core: &Core, my_generation: u64) {
             return; // closed and drained
         };
         batch.push(first);
-        core.queue.drain_into(&mut batch, core.batch_size - 1);
+        let closed = collect(core, &mut batch, window_ends);
+        window_ends = Some(Instant::now() + core.flush_spacing);
         flush(&mut batch, core);
+        if closed {
+            return;
+        }
+    }
+}
+
+/// Fills `batch` (which holds its first job) with what is queued and, while
+/// there is room and `window_ends` lies ahead, with what still arrives.
+/// Returns whether the queue closed meanwhile.
+fn collect(core: &Core, batch: &mut Vec<Queued>, window_ends: Option<Instant>) -> bool {
+    loop {
+        let room = core.batch_size - batch.len();
+        core.queue.drain_into(batch, room);
+        let left = window_ends.map_or(Duration::ZERO, |at| {
+            at.saturating_duration_since(Instant::now())
+        });
+        if batch.len() == core.batch_size || left.is_zero() {
+            return false;
+        }
+        match core.queue.recv_timeout(left) {
+            RecvTimeout::Item(queued) => batch.push(queued),
+            RecvTimeout::TimedOut => return false,
+            RecvTimeout::Closed => return true,
+        }
     }
 }
 

@@ -44,11 +44,12 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Total feature-cache capacity (entries).
     pub cache_capacity: usize,
-    /// Largest micro-batch.
+    /// Micro-batch flush-on-size threshold.
     pub batch_size: usize,
-    /// Was the micro-batch flush timer. The batcher no longer waits on
-    /// a timer, so the value is ignored; the field (and its CLI flag)
-    /// only keep existing configurations working.
+    /// Least time between two micro-batch flushes. A `/judge` that finds
+    /// the flusher idle for at least this long is judged at once; one
+    /// that arrives sooner after a flush collects company until this
+    /// much time has passed since that flush.
     pub batch_deadline: Duration,
     /// Bound on queued connections and queued judge jobs; beyond it the
     /// server answers 503 + `Retry-After`.

@@ -29,10 +29,11 @@ fn judge_body(i: usize, j: usize) -> String {
 fn expired_deadline_is_shed_with_typed_504_and_close_deadlines_survive() {
     let _g = lock();
     faultsim::clear();
-    // A lone job is flushed at once, so the 1ms deadline can only expire
-    // behind a held flusher: armed before the server starts, the stall
-    // parks the flusher on its first iteration, and the job waits in the
-    // queue until the watchdog's replacement collects it.
+    // A job that finds the flusher idle is flushed at once, so the 1ms
+    // deadline can only expire behind a held flusher: armed before the
+    // server starts, the stall parks the flusher on its first iteration,
+    // and the job waits in the queue until the watchdog's replacement
+    // collects it.
     faultsim::configure_str("stall@1").unwrap();
     let server = start_server(|c| {
         c.watchdog = WatchdogConfig {

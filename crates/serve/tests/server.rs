@@ -7,7 +7,11 @@
 mod common;
 
 use common::{offline_judgement, start_server, test_pairs};
+use hisrect::Judgement;
+use serve::batcher::{Batcher, JobError};
 use serve::HttpClient;
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::Receiver;
 use std::time::{Duration, Instant};
 
 #[test]
@@ -109,9 +113,9 @@ fn concurrent_judgements_coalesce_into_batches() {
         t.join().expect("client thread panicked");
     }
 
-    // How the 68 jobs split into batches is thread timing; that a backlog
-    // is judged as one batch is pinned without a race in
-    // `overload_http::backlog_behind_a_held_flusher_is_one_batch`.
+    // How the 68 jobs split into batches is thread timing; coalescing is
+    // pinned without a race in `jobs_that_follow_a_flush_closely_share_the_next_one`
+    // and `overload_http::backlog_behind_a_held_flusher_is_one_batch`.
     let (batches, jobs) = server.batch_stats();
     assert_eq!(jobs, 4 + 16 * 4);
     assert!(batches > 0);
@@ -121,31 +125,101 @@ fn concurrent_judgements_coalesce_into_batches() {
 }
 
 #[test]
-fn lone_judge_is_flushed_without_a_timer() {
-    // The micro-batcher has no flush timer: a request with no company is
-    // judged at once. `batch_deadline` (the old timer) is set to 5 s and
-    // each exchange must take under 1 s — a 5 000x margin over the real
-    // cost, so only a reinstated timer fails this, not a slow box.
+fn judge_after_an_idle_spell_is_flushed_at_once() {
+    // The flush window is measured from the previous flush, so a request
+    // that finds the flusher idle never waits for company. With flushes
+    // kept 5 s apart the exchange must take under 1 s — a 5 000x margin
+    // over the real cost, so only a timer armed at the first job fails
+    // this, not a slow box.
     let server = start_server(|c| {
         c.batch_size = 64;
         c.batch_deadline = Duration::from_secs(5);
     });
     let mut client = HttpClient::new(server.addr());
     let (i, j) = test_pairs(1)[0];
-    for _ in 0..3 {
-        let start = Instant::now();
-        let r = client
-            .post("/judge", &format!("{{\"i\":{i},\"j\":{j}}}"))
-            .unwrap();
-        assert_eq!(r.status, 200, "{}", r.body);
-        assert!(
-            start.elapsed() < Duration::from_secs(1),
-            "a lone /judge waited {:?}",
-            start.elapsed()
-        );
-    }
-    assert_eq!(server.batch_stats(), (3, 3), "three batches of one");
+    let start = Instant::now();
+    let r = client
+        .post("/judge", &format!("{{\"i\":{i},\"j\":{j}}}"))
+        .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "a lone /judge waited {:?}",
+        start.elapsed()
+    );
+    assert_eq!(server.batch_stats(), (1, 1));
     server.shutdown();
+}
+
+#[test]
+fn jobs_that_follow_a_flush_closely_share_the_next_one() {
+    const SPACING: Duration = Duration::from_millis(300);
+    let model = common::loaded_model();
+    let pairs = test_pairs(3);
+    let batcher = Batcher::new(8, SPACING, 8, None);
+    let judged = |rx: Receiver<Result<f32, JobError>>, (i, j): (usize, usize)| {
+        let p = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the flusher answers")
+            .expect("judged");
+        let body = serde_json::to_string(&Judgement::from_probability(i, j, p)).unwrap();
+        assert_eq!(body, offline_judgement(i, j), "batched row drifted");
+    };
+
+    // The first job finds an idle flusher: a batch of one, at once.
+    let start = Instant::now();
+    let (job, rx) = common::judge_job(&model, pairs[0], None);
+    batcher.submit(job).expect("queue has room");
+    judged(rx, pairs[0]);
+    assert!(start.elapsed() < SPACING, "the first job waited");
+
+    // The next two arrive inside the window that flush opened: they are
+    // held until it closes and judged together.
+    let followers: Vec<_> = pairs[1..]
+        .iter()
+        .map(|&pair| {
+            let (job, rx) = common::judge_job(&model, pair, None);
+            batcher.submit(job).expect("queue has room");
+            rx
+        })
+        .collect();
+    for (rx, &pair) in followers.into_iter().zip(&pairs[1..]) {
+        judged(rx, pair);
+    }
+    assert!(
+        start.elapsed() >= SPACING,
+        "two flushes only {:?} apart",
+        start.elapsed()
+    );
+    let stats = batcher.stats();
+    assert_eq!(stats.batches.load(Ordering::Relaxed), 2);
+    assert_eq!(stats.jobs.load(Ordering::Relaxed), 3);
+    batcher.shutdown();
+}
+
+#[test]
+fn shutdown_closes_an_open_window() {
+    let model = common::loaded_model();
+    let pair = test_pairs(1)[0];
+    let batcher = Batcher::new(8, Duration::from_secs(5), 8, None);
+    let (job, rx) = common::judge_job(&model, pair, None);
+    batcher.submit(job).expect("queue has room");
+    rx.recv_timeout(Duration::from_secs(1))
+        .expect("an idle flusher answers at once")
+        .expect("judged");
+
+    // Already expired, and held for company until 5 s after that flush —
+    // unless the queue closes first.
+    let (job, rx) = common::judge_job(&model, pair, Some(Instant::now()));
+    batcher.submit(job).expect("queue has room");
+    let start = Instant::now();
+    batcher.shutdown();
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "shutdown waited the window out: {:?}",
+        start.elapsed()
+    );
+    assert_eq!(rx.try_recv(), Ok(Err(JobError::Expired)));
 }
 
 #[test]
