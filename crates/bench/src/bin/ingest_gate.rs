@@ -17,23 +17,23 @@
 //!   least the stale generation-0 model's accuracy;
 //! * zero handler/batcher panics.
 //!
-//! Tunables: `HISRECT_INGEST_WARMUP` (default 700 events),
-//! `HISRECT_INGEST_CYCLE_EVENTS` (default 400), `HISRECT_INGEST_CYCLES`
-//! (default 2), `HISRECT_INGEST_ITERS` (default 30), `HISRECT_SEED`
-//! (default 7). Evidence lands in `results/ingest_gate.json`.
+//! `HISRECT_SEED` (default 7) seeds the stream and training. Evidence
+//! lands in `results/ingest_gate.json`.
 
+use bench::gate::{self, Load, Stop, Verdict};
 use bench::report::Report;
 use hisrect::{ApproachSpec, HisRectModel};
 use ingest::{DriverConfig, IngestConfig, Ingestor};
 use rand::rngs::StdRng;
 use rand::{derive_seed, SeedableRng};
 use serde::Serialize;
-use serve::{HttpClient, ModelRegistry, ServeConfig};
+use serve::{ModelRegistry, ServeConfig};
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+use twitter_sim::types::Timestamp;
 use twitter_sim::{assemble, AssembleParams, Dataset, SimConfig, TweetStream};
 
 /// Vocabulary epoch length: the stream rotates its POI vocabulary every
@@ -41,25 +41,17 @@ use twitter_sim::{assemble, AssembleParams, Dataset, SimConfig, TweetStream};
 /// away from what generation 0 trained on.
 const DRIFT_DAYS: u32 = 2;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Events ingested before generation 0 trains.
+const WARMUP: usize = 700;
 
-/// SplitMix64 — deterministic per-client pair selection.
-struct Lcg(u64);
+/// Events streamed per fine-tune → reload cycle.
+const CYCLE_EVENTS: usize = 400;
 
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
+/// Fine-tune → reload cycles.
+const CYCLES: usize = 2;
+
+/// Featurizer and judge iterations per fine-tune.
+const ITERS: usize = 30;
 
 /// Assembles the ingestor's retained window exactly as the fine-tune
 /// driver does, so evaluation and serving share the §6.1.1 protocol.
@@ -95,26 +87,6 @@ fn judge_accuracy(model: &HisRectModel, ds: &Dataset) -> (f64, usize) {
     (correct as f64 / total.max(1) as f64, total)
 }
 
-fn scrape_panics(addr: SocketAddr) -> Result<u64, String> {
-    let mut client = HttpClient::new(addr);
-    let resp = client
-        .get("/metrics")
-        .map_err(|e| format!("/metrics: {e}"))?;
-    if resp.status != 200 {
-        return Err(format!("/metrics returned {}", resp.status));
-    }
-    let snapshot: serde::Value =
-        serde_json::from_str(&resp.body).map_err(|e| format!("/metrics body: {e}"))?;
-    let counter = |name: &str| -> u64 {
-        snapshot
-            .get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(|v| v.as_u64())
-            .unwrap_or(0)
-    };
-    Ok(counter("serve/handler_panic") + counter("serve/batch_panic"))
-}
-
 #[derive(Serialize)]
 struct CycleRow {
     generation: u64,
@@ -142,14 +114,42 @@ struct IngestGateRow {
     wall_s: f64,
 }
 
+/// The closed loop: stream → fine-tune → publish → measure staleness.
+fn reload_cycles(
+    ing: &mut Ingestor,
+    stream: &mut TweetStream,
+    dcfg: &DriverConfig,
+    addr: SocketAddr,
+    mut trained_to: Timestamp,
+) -> Result<Vec<CycleRow>, String> {
+    let mut rows = Vec::new();
+    for cycle in 0..CYCLES {
+        for _ in 0..CYCLE_EVENTS {
+            ing.offer(stream.next_event());
+        }
+        ing.flush();
+        let generation = (cycle + 1) as u64;
+        let staleness_before = ingest::record_staleness(ing.watermark(), trained_to);
+        let out = ingest::fine_tune(ing, dcfg, generation)
+            .map_err(|e| format!("generation {generation}: {e}"))?;
+        let server_generation = ingest::publish_reload(addr, &out.model_path)
+            .map_err(|e| format!("reload generation {generation}: {e}"))?;
+        trained_to = out.trained_to;
+        rows.push(CycleRow {
+            generation,
+            events_streamed: CYCLE_EVENTS,
+            staleness_before_s: staleness_before,
+            staleness_after_s: ingest::record_staleness(ing.watermark(), trained_to),
+            server_generation,
+            n_profiles: out.n_profiles,
+        });
+    }
+    Ok(rows)
+}
+
 fn run() -> Result<IngestGateRow, String> {
     let started = Instant::now();
-    let seed = env_usize("HISRECT_SEED", 7) as u64;
-    let warmup = env_usize("HISRECT_INGEST_WARMUP", 700);
-    let cycle_events = env_usize("HISRECT_INGEST_CYCLE_EVENTS", 400);
-    let cycles = env_usize("HISRECT_INGEST_CYCLES", 2).max(2);
-    let iters = env_usize("HISRECT_INGEST_ITERS", 30);
-
+    let seed = gate::env_or("HISRECT_SEED", 7u64);
     let dir = std::env::temp_dir().join(format!("hisrect-ingest-gate-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -161,17 +161,16 @@ fn run() -> Result<IngestGateRow, String> {
         stream.config().n_users,
         IngestConfig::default(),
     );
-    for _ in 0..warmup {
+    for _ in 0..WARMUP {
         ing.offer(stream.next_event());
     }
     ing.flush();
     let mut dcfg = DriverConfig::new(dir.clone(), seed);
     dcfg.spec = ApproachSpec::hisrect().with_config(|c| {
-        c.featurizer_iters = iters;
-        c.judge_iters = iters;
+        c.featurizer_iters = ITERS;
+        c.judge_iters = ITERS;
     });
     let gen0 = ingest::fine_tune(&ing, &dcfg, 0).map_err(|e| format!("generation 0: {e}"))?;
-    let mut trained_to = gen0.trained_to;
 
     // Serve generation 0 over the warm-up window's dataset.
     let ds0 = Arc::new(window_dataset(
@@ -202,75 +201,20 @@ fn run() -> Result<IngestGateRow, String> {
     // keep succeeding while generations swap underneath them.
     let stop = Arc::new(AtomicBool::new(false));
     let pool = ds0.profiles.len().min(12);
-    let clients: Vec<_> = (0..2u64)
-        .map(|client_id| {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || -> (u64, u64, u64, u64) {
-                let mut rng = Lcg(0x1276_e57a ^ (client_id << 32));
-                let mut http = HttpClient::new(addr);
-                let (mut requests, mut ok, mut err5xx, mut transport) = (0u64, 0u64, 0u64, 0u64);
-                while !stop.load(Ordering::Relaxed) {
-                    let i = rng.next() as usize % pool;
-                    let mut j = rng.next() as usize % pool;
-                    if j == i {
-                        j = (j + 1) % pool;
-                    }
-                    requests += 1;
-                    match http.post("/judge", &format!("{{\"i\":{i},\"j\":{j}}}")) {
-                        Ok(resp) if resp.status == 200 => ok += 1,
-                        Ok(resp) if resp.status >= 500 => err5xx += 1,
-                        Ok(_) => {}
-                        Err(_) => transport += 1,
-                    }
-                }
-                (requests, ok, err5xx, transport)
-            })
-        })
-        .collect();
-
-    // The closed loop: stream → fine-tune → publish → measure staleness.
-    let mut cycle_rows = Vec::new();
-    for cycle in 0..cycles {
-        for _ in 0..cycle_events {
-            ing.offer(stream.next_event());
-        }
-        ing.flush();
-        let generation = (cycle + 1) as u64;
-        let staleness_before = ingest::record_staleness(ing.watermark(), trained_to);
-        let out = ingest::fine_tune(&ing, &dcfg, generation)
-            .map_err(|e| format!("generation {generation}: {e}"))?;
-        let server_generation = ingest::publish_reload(addr, &out.model_path)
-            .map_err(|e| format!("reload generation {generation}: {e}"))?;
-        trained_to = out.trained_to;
-        let staleness_after = ingest::record_staleness(ing.watermark(), trained_to);
-        cycle_rows.push(CycleRow {
-            generation,
-            events_streamed: cycle_events,
-            staleness_before_s: staleness_before,
-            staleness_after_s: staleness_after,
-            server_generation,
-            n_profiles: out.n_profiles,
-        });
-    }
-
+    let load = Load::new(2, Stop::Flag(Arc::clone(&stop)), pool, 0x1276_e57a);
+    let clients = std::thread::spawn(move || gate::drive(addr, &load));
+    let cycles = reload_cycles(&mut ing, &mut stream, &dcfg, addr, gen0.trained_to);
     stop.store(true, Ordering::Relaxed);
-    let (mut requests, mut ok, mut err5xx, mut transport) = (0u64, 0u64, 0u64, 0u64);
-    for c in clients {
-        let (r, o, e, t) = c.join().expect("client thread panicked");
-        requests += r;
-        ok += o;
-        err5xx += e;
-        transport += t;
-    }
-    let panics = scrape_panics(addr)?;
+    let judged = clients.join().expect("load clients panicked");
+    let cycles = cycles?;
+    let panics = gate::panics(&gate::get_json(addr, "/metrics")?);
     handle.shutdown();
 
     // Drift-window evaluation: the retrained model vs the stale
     // generation 0, both judged on the *final* (drifted) window.
     let ds_final = window_dataset(&ing, "ingest-gate-final", derive_seed(seed, 200));
-    let latest =
-        HisRectModel::try_load_json(&dir.join(format!("model_gen_{}.json", cycle_rows.len())))
-            .map_err(|e| format!("latest generation: {e}"))?;
+    let latest = HisRectModel::try_load_json(&dir.join(format!("model_gen_{}.json", cycles.len())))
+        .map_err(|e| format!("latest generation: {e}"))?;
     let stale =
         HisRectModel::try_load_json(&gen0.model_path).map_err(|e| format!("generation 0: {e}"))?;
     let (acc_retrained, eval_pairs) = judge_accuracy(&latest, &ds_final);
@@ -278,12 +222,12 @@ fn run() -> Result<IngestGateRow, String> {
 
     let _ = std::fs::remove_dir_all(&dir);
     Ok(IngestGateRow {
-        warmup_events: warmup,
-        cycles: cycle_rows,
-        judge_requests: requests,
-        judge_200: ok,
-        judge_5xx: err5xx,
-        transport_errors: transport,
+        warmup_events: WARMUP,
+        cycles,
+        judge_requests: judged.samples.len() as u64,
+        judge_200: judged.count(200..=200),
+        judge_5xx: judged.count(500..=598),
+        transport_errors: judged.count(599..=599),
         panics,
         acc_retrained,
         acc_stale,
@@ -293,109 +237,38 @@ fn run() -> Result<IngestGateRow, String> {
 }
 
 fn main() -> ExitCode {
-    let mut report = Report::new("ingest_gate");
+    let report = Report::new("ingest_gate");
     let row = match run() {
         Ok(row) => row,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return gate::fatal(&e),
     };
-    report.table(
-        &[
-            "cycle",
-            "generation",
-            "events",
-            "staleness_before_s",
-            "staleness_after_s",
-            "server_gen",
-            "profiles",
-        ],
-        &row.cycles
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                vec![
-                    (i + 1).to_string(),
-                    c.generation.to_string(),
-                    c.events_streamed.to_string(),
-                    format!("{:.0}", c.staleness_before_s),
-                    format!("{:.0}", c.staleness_after_s),
-                    c.server_generation.to_string(),
-                    c.n_profiles.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    report.line(&format!(
-        "{} judge requests ({} ok, {} 5xx, {} transport errors, {} panics) across {} reloads; \
-         drift accuracy retrained {:.3} vs stale {:.3} on {} pairs; wall {:.1}s",
-        row.judge_requests,
-        row.judge_200,
-        row.judge_5xx,
-        row.transport_errors,
-        row.panics,
-        row.cycles.len(),
-        row.acc_retrained,
-        row.acc_stale,
-        row.eval_pairs,
-        row.wall_s,
-    ));
-    report.save(&row);
+    gate::save(report, &row);
 
     // Ingest-gate acceptance criteria — see the module docs.
-    let mut failures = Vec::new();
-    if row.judge_200 == 0 {
-        failures.push("no judge request succeeded; the gate is vacuous".to_string());
-    }
-    if row.judge_5xx > 0 {
-        failures.push(format!("{} judge responses were 5xx", row.judge_5xx));
-    }
-    if row.transport_errors > 0 {
-        failures.push(format!(
-            "{} judge requests failed at the transport",
-            row.transport_errors
-        ));
-    }
-    if row.panics > 0 {
-        failures.push(format!("{} handler/batcher panics", row.panics));
-    }
-    if row.cycles.len() < 2 {
-        failures.push("fewer than 2 fine-tune/reload cycles ran".to_string());
-    }
+    let mut verdict = Verdict::new("ingest gate");
+    verdict.at_least("judge 200s", row.judge_200, 1);
+    verdict.equal("judge 5xx", row.judge_5xx, 0);
+    verdict.equal("judge transport errors", row.transport_errors, 0);
+    verdict.equal("handler/batcher panics", row.panics, 0);
+    verdict.at_least("fine-tune/reload cycles", row.cycles.len(), 2);
     for (i, c) in row.cycles.iter().enumerate() {
-        if c.staleness_after_s >= c.staleness_before_s {
-            failures.push(format!(
-                "cycle {}: staleness did not drop after reload ({:.0}s -> {:.0}s)",
-                i + 1,
-                c.staleness_before_s,
-                c.staleness_after_s
-            ));
-        }
+        let cycle = i + 1;
+        verdict.expect(
+            c.staleness_after_s < c.staleness_before_s,
+            format!(
+                "cycle {cycle}: staleness did not drop after reload ({:.0}s -> {:.0}s)",
+                c.staleness_before_s, c.staleness_after_s
+            ),
+        );
         // The registry is born at generation 1, so reload `n` lands at
         // `n + 1`.
-        if c.server_generation as usize != i + 2 {
-            failures.push(format!(
-                "cycle {}: server registry generation was {}, expected {}",
-                i + 1,
-                c.server_generation,
-                i + 2
-            ));
-        }
+        let what = format!("cycle {cycle}: server registry generation");
+        verdict.equal(&what, c.server_generation, cycle as u64 + 1);
     }
-    if row.acc_retrained < row.acc_stale {
-        failures.push(format!(
-            "retraining lost accuracy on the drifted window: {:.3} < {:.3}",
-            row.acc_retrained, row.acc_stale
-        ));
-    }
-    if failures.is_empty() {
-        println!("ingest gate: PASS");
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("ingest gate: FAIL — {f}");
-        }
-        ExitCode::FAILURE
-    }
+    verdict.at_least(
+        "drift-window accuracy, retrained vs stale",
+        row.acc_retrained,
+        row.acc_stale,
+    );
+    verdict.finish()
 }

@@ -7,6 +7,7 @@
 //! Tunables: `HISRECT_SEED` (simulation/training seed, default 7) and
 //! `HISRECT_QUANT_GATE_ITERS` (featurizer/judge iterations, default 150).
 
+use bench::gate::{env_or, Verdict};
 use bench::report::{m4, Report};
 use eval::averaged_metrics;
 use hisrect::config::{ApproachSpec, HisRectConfig};
@@ -28,13 +29,6 @@ struct GateRow {
     rec: f64,
     pre: f64,
     f1: f64,
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Table-4 metrics of one service over the test split, features
@@ -61,8 +55,8 @@ fn table4_metrics(service: &JudgeService, ds: &Dataset) -> eval::BinaryMetrics {
 }
 
 fn main() -> ExitCode {
-    let seed = env_u64("HISRECT_SEED", 7);
-    let iters = env_u64("HISRECT_QUANT_GATE_ITERS", 150) as usize;
+    let seed = env_or("HISRECT_SEED", 7u64);
+    let iters = env_or("HISRECT_QUANT_GATE_ITERS", 150usize);
     let mut report = Report::new("quant_gate");
 
     let mut cfg = SimConfig::tiny(seed);
@@ -126,7 +120,7 @@ fn main() -> ExitCode {
             .collect::<Vec<_>>(),
     );
 
-    let mut failures = Vec::new();
+    let mut verdict = Verdict::new("quant gate");
     for (name, f, q) in [
         ("Acc", mf.acc, mq.acc),
         ("Rec", mf.rec, mq.rec),
@@ -142,24 +136,8 @@ fn main() -> ExitCode {
             drift * 100.0,
             MAX_DRIFT * 100.0
         ));
-        if drift > MAX_DRIFT {
-            failures.push(format!(
-                "{name} drifted {:.2} pt (f32 {:.4} vs int8 {:.4})",
-                drift * 100.0,
-                f,
-                q
-            ));
-        }
+        verdict.at_most(&format!("{name} |f32 - int8| drift"), drift, MAX_DRIFT);
     }
     report.save(&rows);
-
-    if failures.is_empty() {
-        println!("quant gate: PASS");
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("quant gate: FAIL: {f}");
-        }
-        ExitCode::FAILURE
-    }
+    verdict.finish()
 }

@@ -22,6 +22,7 @@
 //! `BENCH_7.json` at the repo root.
 
 use ann::{AnnConfig, AnnIndex, AnnItem, Neighbor};
+use bench::gate::{env_or, Verdict};
 use bench::report::{m4, Report};
 use geo::GeoPoint;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -43,13 +44,6 @@ const DELTA_T: i64 = 14_400;
 const RADIUS_M: f64 = 2_000.0;
 const K: usize = 10;
 const EMBED_DIM: usize = 16;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// One standard gaussian draw (Box–Muller).
 fn gaussian(rng: &mut StdRng) -> f64 {
@@ -119,9 +113,9 @@ struct GateReport {
 }
 
 fn main() -> ExitCode {
-    let seed = env_u64("HISRECT_SEED", 7);
-    let n = env_u64("HISRECT_RECALL_N", 100_000) as usize;
-    let n_queries = (env_u64("HISRECT_RECALL_QUERIES", 256) as usize).min(n);
+    let seed = env_or("HISRECT_SEED", 7u64);
+    let n = env_or("HISRECT_RECALL_N", 100_000usize);
+    let n_queries = env_or("HISRECT_RECALL_QUERIES", 256usize).min(n);
     let mut report = Report::new("recall_gate");
 
     let t0 = Instant::now();
@@ -238,27 +232,15 @@ fn main() -> ExitCode {
     report.save(&payload);
     write_bench7(&payload);
 
-    let mut failures = Vec::new();
-    if mean_recall < MIN_RECALL {
-        failures.push(format!("recall@{K} {mean_recall:.4} < {MIN_RECALL}"));
-    }
-    if speedup < MIN_SPEEDUP {
-        failures.push(format!("speedup {speedup:.1}× < {MIN_SPEEDUP}×"));
-    }
-    if !deterministic {
-        failures.push(format!(
-            "index structure differs across worker counts ({fp1:016x} vs {fp4:016x})"
-        ));
-    }
-    if failures.is_empty() {
-        println!("recall gate: PASS (recall@{K} {mean_recall:.4}, {speedup:.1}× speedup)");
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("recall gate: FAIL: {f}");
-        }
-        ExitCode::FAILURE
-    }
+    let mut verdict = Verdict::new("recall gate");
+    verdict.at_least(&format!("recall@{K}"), mean_recall, MIN_RECALL);
+    verdict.at_least("speedup vs exhaustive", speedup, MIN_SPEEDUP);
+    verdict.equal(
+        "index fingerprint at 4 workers vs 1",
+        format!("{fp4:016x}"),
+        format!("{fp1:016x}"),
+    );
+    verdict.finish()
 }
 
 /// Writes `BENCH_7.json` at the repo root: the committed evidence for
