@@ -18,7 +18,7 @@ use hisrect::judge::Judge;
 use hisrect::model::{Ablation, HisRectModel};
 use hisrect::ssl::{train_featurizer, SslNets};
 use hisrect::{JudgeService, Precision};
-use nn::{BiLstm, ParamStore, Tape};
+use nn::{BiLstm, ParamStore, SeqBatch, Tape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -284,32 +284,41 @@ fn bench_training(h: &mut Harness) {
     tensor::set_par_threshold(tensor::DEFAULT_PAR_THRESHOLD);
 }
 
-/// One BiLSTM layer at the trained shape (in = h = 24) over an 8-word
-/// tweet, forward and backward: the fused `lstm_seq` nodes every encoder
-/// trains through, against the per-step reference graph they are pinned
-/// to bit for bit.
+/// One BiLSTM layer at the trained shape (in = h = 24), forward and
+/// backward through the fused `lstm_seq` nodes every encoder trains
+/// through: over one 8-word tweet, and over a training batch of 24 ragged
+/// tweets of 4..=12 words in pairs that sum to 16, so the batch holds the
+/// rows of 24 single cases.
 fn bench_bilstm_train_step(h: &mut Harness) {
     let mut rng = StdRng::seed_from_u64(2);
     let mut store = ParamStore::new();
     let bi = BiLstm::new(&mut store, "bi", 24, 24, 0.3, &mut rng);
-    let x = randn(&mut rng, 8, 24, 1.0);
-    let step = |store: &mut ParamStore, fused: bool| {
+    let one = SeqBatch::new(&[8]);
+    // Pairs 8 ± k, k = 0..=4: lengths 4..=12 summing to 24 × 8.
+    let lens: Vec<usize> = (0..24)
+        .map(|i| {
+            let k = (i / 2) % 5;
+            if i % 2 == 0 {
+                8 + k
+            } else {
+                8 - k
+            }
+        })
+        .collect();
+    let batch = SeqBatch::new(&lens);
+    let step = |store: &mut ParamStore, seqs: &SeqBatch, x: &Matrix| {
         let mut tape = Tape::new();
-        let states = if fused {
-            let x = tape.input(x.clone());
-            bi.forward_rows(&mut tape, store, x)
-        } else {
-            let xs: Vec<_> = (0..x.rows())
-                .map(|r| tape.input(Matrix::row_vector(x.row(r))))
-                .collect();
-            let hs = bi.forward_concat(&mut tape, store, &xs);
-            tape.stack_rows(&hs)
-        };
+        let x = tape.input(x.clone());
+        let states = bi.forward_rows(&mut tape, store, x, seqs);
         let loss = tape.mean_all(states);
         tape.backward(loss, store)
     };
-    h.bench("bilstm_train_step_fused", || step(&mut store, true));
-    h.bench("bilstm_train_step_stepwise", || step(&mut store, false));
+    let x_one = randn(&mut rng, one.rows(), 24, 1.0);
+    let x_batch = randn(&mut rng, batch.rows(), 24, 1.0);
+    h.bench("bilstm_train_step_fused", || step(&mut store, &one, &x_one));
+    h.bench("bilstm_train_batch24", || {
+        step(&mut store, &batch, &x_batch)
+    });
 }
 
 /// The raw per-call cost of the obs entry points, disabled and enabled.
@@ -612,14 +621,21 @@ fn run_perf_gate(h: &mut Harness, mean_metrics_ratio: f64) -> Vec<String> {
             tape,
         );
     }
-    // The fused LSTM node against the per-step graph it replaced in
-    // training, forward + backward (2.7x measured): bookkeeping removed,
-    // not arithmetic, so the bar holds on both tiers.
-    if let Some(stepwise) = h.min_of("bilstm_train_step_stepwise") {
+    // A training batch of 24 ragged tweets against 24 single-tweet steps
+    // of the same rows, forward + backward: one B-row product per step
+    // instead of 24 one-row ones, one set of nodes instead of 24. Bars per
+    // tier: on AVX2 the packed kernel multiplies a 24-row block 2.9x
+    // faster than the simple one and the batch wins 1.7-2.5x (measured
+    // where this was written), so the bar is the 1.5x floor; the portable
+    // packed kernel is no faster than the simple one at these shapes,
+    // leaving only the per-sequence overhead (1.25-1.43x measured), so
+    // there the batch has to win 1.1x.
+    if let Some(single) = h.min_of("bilstm_train_step_fused") {
+        let factor = if simd { 1.5 } else { 1.1 };
         check(
-            "bilstm_train_step fused >= 2x faster than stepwise",
-            h.min_of("bilstm_train_step_fused"),
-            stepwise / 2.0,
+            &format!("bilstm_train_batch24 >= {factor}x faster than 24 single steps"),
+            h.min_of("bilstm_train_batch24"),
+            24.0 * single / factor,
         );
     }
     // Bars per tier: on AVX2 the sigmoid is bound by its ~30 operations

@@ -2,7 +2,7 @@
 //! vectors, plus the BLSTM and ConvLSTM ablations of Table 4.
 
 use crate::config::{ContentEncoder, HisRectConfig};
-use nn::{BiGru, BiLstm, Conv1d, ParamId, ParamStore, Tape, Var};
+use nn::{BiGru, BiLstm, Conv1d, ParamId, ParamStore, SeqBatch, Tape, Var};
 use rand::Rng;
 use std::cell::RefCell;
 use tensor::Matrix;
@@ -11,7 +11,6 @@ use tensor::Matrix;
 /// live in the shared [`ParamStore`].
 #[derive(Debug, Clone)]
 pub struct ContentNet {
-    kind: ContentEncoder,
     /// `Ql` stacked bidirectional LSTMs (Table 7 sweeps Ql).
     bilstms: Vec<BiLstm>,
     /// `Ql` stacked bidirectional GRUs (the BiGRU-C extension).
@@ -34,101 +33,38 @@ impl ContentNet {
         kind: ContentEncoder,
         rng: &mut R,
     ) -> Option<Self> {
-        let n = cfg.hidden_n;
-        let m = cfg.word_dim;
+        let (n, m, std) = (cfg.hidden_n, cfg.word_dim, cfg.init_std);
+        let in_dim = |l: usize| if l == 0 { m } else { 2 * n };
+        let layers = 0..cfg.ql.max(1);
+        let (mut bilstms, mut bigrus, mut convlstm) = (Vec::new(), Vec::new(), None);
         match kind {
-            ContentEncoder::None => None,
+            ContentEncoder::None => return None,
             ContentEncoder::BiLstmC | ContentEncoder::Blstm => {
-                let mut bilstms = Vec::with_capacity(cfg.ql.max(1));
-                let mut in_dim = m;
-                for l in 0..cfg.ql.max(1) {
-                    bilstms.push(BiLstm::new(
-                        store,
-                        &format!("fc/blstm{l}"),
-                        in_dim,
-                        n,
-                        cfg.init_std,
-                        rng,
-                    ));
-                    in_dim = 2 * n;
-                }
-                let (conv, out_dim) = if kind == ContentEncoder::BiLstmC {
-                    (
-                        Some(Conv1d::new(
-                            store,
-                            "fc/conv",
-                            3,
-                            2 * n,
-                            n,
-                            cfg.init_std,
-                            rng,
-                        )),
-                        n,
-                    )
-                } else {
-                    (None, 2 * n)
-                };
-                Some(Self {
-                    kind,
-                    bilstms,
-                    bigrus: Vec::new(),
-                    conv,
-                    convlstm: None,
-                    out_dim,
-                    word_dim: m,
-                    keep_prob: cfg.keep_prob,
-                })
+                bilstms = layers
+                    .map(|l| BiLstm::new(store, &format!("fc/blstm{l}"), in_dim(l), n, std, rng))
+                    .collect();
             }
             ContentEncoder::BiGruC => {
-                let mut bigrus = Vec::with_capacity(cfg.ql.max(1));
-                let mut in_dim = m;
-                for l in 0..cfg.ql.max(1) {
-                    bigrus.push(BiGru::new(
-                        store,
-                        &format!("fc/bgru{l}"),
-                        in_dim,
-                        n,
-                        cfg.init_std,
-                        rng,
-                    ));
-                    in_dim = 2 * n;
-                }
-                Some(Self {
-                    kind,
-                    bilstms: Vec::new(),
-                    bigrus,
-                    conv: Some(Conv1d::new(
-                        store,
-                        "fc/conv",
-                        3,
-                        2 * n,
-                        n,
-                        cfg.init_std,
-                        rng,
-                    )),
-                    convlstm: None,
-                    out_dim: n,
-                    word_dim: m,
-                    keep_prob: cfg.keep_prob,
-                })
+                bigrus = layers
+                    .map(|l| BiGru::new(store, &format!("fc/bgru{l}"), in_dim(l), n, std, rng))
+                    .collect();
             }
-            ContentEncoder::ConvLstm => Some(Self {
-                kind,
-                bilstms: Vec::new(),
-                bigrus: Vec::new(),
-                conv: None,
-                convlstm: Some(ConvLstmCell::new(
-                    store,
-                    "fc/convlstm",
-                    n,
-                    cfg.init_std,
-                    rng,
-                )),
-                out_dim: n,
-                word_dim: m,
-                keep_prob: cfg.keep_prob,
-            }),
+            ContentEncoder::ConvLstm => {
+                convlstm = Some(ConvLstmCell::new(store, "fc/convlstm", n, std, rng));
+            }
         }
+        // BiLSTM-C and BiGRU-C pool through the 3-wide convolution (Eq. 3).
+        let conv = matches!(kind, ContentEncoder::BiLstmC | ContentEncoder::BiGruC)
+            .then(|| Conv1d::new(store, "fc/conv", 3, 2 * n, n, std, rng));
+        Some(Self {
+            bilstms,
+            bigrus,
+            conv,
+            convlstm,
+            out_dim: n * if kind == ContentEncoder::Blstm { 2 } else { 1 },
+            word_dim: m,
+            keep_prob: cfg.keep_prob,
+        })
     }
 
     /// Output feature width.
@@ -149,8 +85,8 @@ impl ContentNet {
         ids
     }
 
-    /// Encodes a `T x M` word-vector matrix into a `1 x out_dim` feature.
-    /// `train` toggles the LSTM-layer dropout of §6.1.2.
+    /// Encodes a `T x M` word-vector matrix into a `1 x out_dim` feature:
+    /// [`ContentNet::forward_batch`] of one profile.
     pub fn forward<R: Rng>(
         &self,
         tape: &mut Tape,
@@ -159,15 +95,44 @@ impl ContentNet {
         train: bool,
         rng: &mut R,
     ) -> Var {
-        assert_eq!(words.cols(), self.word_dim, "word-vector width mismatch");
-        match self.kind {
-            ContentEncoder::ConvLstm => self
-                .convlstm
-                .as_ref()
-                .expect("convlstm allocated")
-                .forward(tape, store, words),
-            _ => self.forward_blstm(tape, store, words, train, rng),
+        self.forward_batch(tape, store, &[words], train, rng)
+    }
+
+    /// Encodes a batch of `T_i x M` word-vector matrices into a
+    /// `B x out_dim` node, row `i` for `words[i]`. `train` toggles the
+    /// LSTM-layer dropout of §6.1.2, drawn one profile at a time in batch
+    /// order. The paper's encoders (BiLSTM-C, BLSTM) run the whole batch
+    /// through one node per layer and direction, then one convolution and
+    /// one pooling; the BiGRU-C and ConvLSTM ablations keep their per-step
+    /// graphs, one profile at a time.
+    pub fn forward_batch<R: Rng>(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        words: &[&Matrix],
+        train: bool,
+        rng: &mut R,
+    ) -> Var {
+        for w in words {
+            assert_eq!(w.cols(), self.word_dim, "word-vector width mismatch");
         }
+        if !self.bilstms.is_empty() {
+            let lens: Vec<usize> = words.iter().map(|w| self.padded_len(w)).collect();
+            let seqs = SeqBatch::new(&lens);
+            let mut h = tape.input(seqs.pack(words, self.word_dim));
+            for bi in &self.bilstms {
+                h = bi.forward_rows(tape, store, h, &seqs);
+            }
+            return self.pool_states(tape, store, h, &seqs, train, rng);
+        }
+        let rows: Vec<Var> = words
+            .iter()
+            .map(|w| match &self.convlstm {
+                Some(cell) => cell.forward(tape, store, w),
+                None => self.forward_bigru(tape, store, w, train, rng),
+            })
+            .collect();
+        tape.stack_rows(&rows)
     }
 
     /// Evaluation-mode [`ContentNet::forward`] into `out` (`out_dim`
@@ -238,40 +203,8 @@ impl ContentNet {
             .collect()
     }
 
-    fn forward_blstm<R: Rng>(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        words: &Matrix,
-        train: bool,
-        rng: &mut R,
-    ) -> Var {
-        let h = if self.bigrus.is_empty() {
-            // The paper's encoders: one zero-padded `T x M` input, one
-            // fused node per layer and direction.
-            let mut x = Matrix::zeros(self.padded_len(words), self.word_dim);
-            x.as_mut_slice()[..words.len()].copy_from_slice(words.as_slice());
-            let mut h = tape.input(x);
-            for bi in &self.bilstms {
-                h = bi.forward_rows(tape, store, h);
-            }
-            h
-        } else {
-            // The BiGRU-C ablation keeps its per-step graph.
-            let mut xs = self.step_inputs(tape, words);
-            for bi in &self.bigrus {
-                xs = bi.forward_concat(tape, store, &xs);
-            }
-            tape.stack_rows(&xs)
-        };
-        self.pool_states(tape, store, h, train, rng)
-    }
-
-    /// [`ContentNet::forward`] of the BiLSTM encoders over the per-step
-    /// reference graph ([`BiLstm::forward_concat`]) the fused nodes are
-    /// pinned to.
-    #[cfg(test)]
-    pub(crate) fn forward_stepwise<R: Rng>(
+    /// The BiGRU-C ablation's per-step graph over one profile.
+    fn forward_bigru<R: Rng>(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
@@ -280,33 +213,36 @@ impl ContentNet {
         rng: &mut R,
     ) -> Var {
         let mut xs = self.step_inputs(tape, words);
-        for bi in &self.bilstms {
+        for bi in &self.bigrus {
             xs = bi.forward_concat(tape, store, &xs);
         }
+        let seqs = SeqBatch::new(&[xs.len()]);
         let h = tape.stack_rows(&xs);
-        self.pool_states(tape, store, h, train, rng)
+        self.pool_states(tape, store, h, &seqs, train, rng)
     }
 
-    /// Dropout over the `T x 2N` recurrent states, then the pooling of
+    /// Dropout over the `2N`-wide recurrent states laid out as `seqs`
+    /// (each profile's `T x 2N` mask in batch order), then the pooling of
     /// Eq. 3 (BiLSTM-C, BiGRU-C) or the plain mean over steps (BLSTM).
     fn pool_states<R: Rng>(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
         mut h: Var,
+        seqs: &SeqBatch,
         train: bool,
         rng: &mut R,
     ) -> Var {
         if train && self.keep_prob < 1.0 {
-            h = tape.dropout(h, self.keep_prob, rng);
+            h = tape.dropout_rows(h, self.keep_prob, seqs.rows_in_caller_order(), rng);
         }
         match &self.conv {
             Some(conv) => {
-                let y = conv.forward(tape, store, h); // (T-2) x N
+                let y = conv.forward(tape, store, h, seqs); // (T-2) x N each
                 let y = tape.relu(y);
-                tape.mean_over_rows(y) // 1 x N  (Eq. 3)
+                tape.mean_over_steps(y, &seqs.windows(conv.k)) // B x N  (Eq. 3)
             }
-            None => tape.mean_over_rows(h), // 1 x 2N
+            None => tape.mean_over_steps(h, seqs), // B x 2N
         }
     }
 }
@@ -365,6 +301,7 @@ impl ConvLstmCell {
     fn forward(&self, tape: &mut Tape, store: &ParamStore, words: &Matrix) -> Var {
         let m = words.cols(); // spatial extent = word-vector dimensionality
         let n = self.channels;
+        let padded = SeqBatch::new(&[m + 2]);
         let mut h = tape.input(Matrix::zeros(m, n));
         let mut c = tape.input(Matrix::zeros(m, n));
         let steps = words.rows().max(1);
@@ -378,8 +315,8 @@ impl ConvLstmCell {
             let xt = tape.input(xt);
             let xp = Self::pad_same(tape, xt, 1);
             let hp = Self::pad_same(tape, h, n);
-            let gx = self.conv_x.forward(tape, store, xp); // M x 4N
-            let gh = self.conv_h.forward(tape, store, hp); // M x 4N
+            let gx = self.conv_x.forward(tape, store, xp, &padded); // M x 4N
+            let gh = self.conv_h.forward(tape, store, hp, &padded); // M x 4N
             let gates = tape.add(gx, gh);
             let i_raw = tape.slice_cols(gates, 0, n);
             let f_raw = tape.slice_cols(gates, n, n);
@@ -395,7 +332,7 @@ impl ConvLstmCell {
             let tc = tape.tanh(c);
             h = tape.mul(o, tc);
         }
-        tape.mean_over_rows(h) // 1 x N
+        tape.mean_over_steps(h, &SeqBatch::new(&[m])) // 1 x N
     }
 }
 
@@ -539,7 +476,7 @@ mod tests {
             let mut tape = Tape::new();
             let f = net.forward(&mut tape, &store, &words(5, 11), false, &mut rng);
             let sq = tape.mul(f, f);
-            let loss = tape.sum_all(sq);
+            let loss = tape.mean_all(sq);
             tape.backward(loss, &mut store);
             let live = net
                 .param_ids()
@@ -553,6 +490,131 @@ mod tests {
                 "{kind:?}: only {live}/{} params got gradient",
                 net.param_ids().len()
             );
+        }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Features and every gradient of one training batch (dropout on)
+    /// under the loss `Σ f ⊙ w`, whose gradient reaches each feature row
+    /// exactly, whatever the batch.
+    fn train_step(
+        net: &ContentNet,
+        store: &mut ParamStore,
+        words: &[&Matrix],
+        w: Matrix,
+        rng: &mut StdRng,
+    ) -> (Matrix, Vec<Matrix>) {
+        store.zero_grads();
+        let mut tape = Tape::new();
+        let f = net.forward_batch(&mut tape, store, words, true, rng);
+        let fw = tape.mul_const(f, w);
+        let per_row = tape.row_sum(fw);
+        let ones = tape.input(Matrix::filled(1, words.len(), 1.0));
+        let loss = tape.matmul(ones, per_row);
+        let feats = tape.value(f).clone();
+        tape.backward(loss, store);
+        let grads = net.param_ids().into_iter();
+        (feats, grads.map(|id| store.get(id).grad.clone()).collect())
+    }
+
+    /// One batched training step against one step per profile drawing
+    /// dropout from the same stream: features equal by bits, gradients
+    /// within `1e-5` of the largest per tensor.
+    fn assert_batch_equals_singles(kind: ContentEncoder, ql: usize, ts: &[usize], seed: u64) {
+        let c = HisRectConfig {
+            word_dim: 8,
+            // 24 units put the batch's products on the packed kernel.
+            hidden_n: 24,
+            ql,
+            ..HisRectConfig::fast()
+        };
+        assert!(c.keep_prob < 1.0, "the step must draw dropout masks");
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let net = ContentNet::new(&mut store, &c, kind, &mut rng).unwrap();
+        let ws: Vec<Matrix> = ts.iter().map(|&t| words(t, rng.gen())).collect();
+        let refs: Vec<&Matrix> = ws.iter().collect();
+        let weights = randn(&mut rng, ts.len(), net.out_dim(), 1.0);
+        let drops: u64 = rng.gen();
+        let mut batch_rng = StdRng::seed_from_u64(drops);
+        let (feats, grads) = train_step(&net, &mut store, &refs, weights.clone(), &mut batch_rng);
+        let mut single_rng = StdRng::seed_from_u64(drops);
+        let mut summed: Vec<Matrix> = grads.iter().map(|g| g.scale(0.0)).collect();
+        for (k, w) in refs.iter().enumerate() {
+            let row = Matrix::row_vector(weights.row(k));
+            let (f, g) = train_step(&net, &mut store, &[w], row, &mut single_rng);
+            assert_eq!(bits(feats.row(k)), bits(f.as_slice()), "profile {k}");
+            for (acc, g) in summed.iter_mut().zip(&g) {
+                acc.add_assign(g);
+            }
+        }
+        for ((got, want), id) in grads.iter().zip(&summed).zip(net.param_ids()) {
+            let diff = got.sub(want).max_abs();
+            assert!(
+                diff <= 1e-5 * want.max_abs(),
+                "{}: max |Δ| {diff} against max |g| {}",
+                store.get(id).name,
+                want.max_abs()
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn training_batch_equals_one_profile_at_a_time(
+            conv in proptest::prelude::any::<bool>(),
+            ql in 1usize..=2,
+            // 0..2 are padded up to the conv width.
+            ts in proptest::collection::vec(0usize..=20, 1..=32),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let kind = if conv { ContentEncoder::BiLstmC } else { ContentEncoder::Blstm };
+            assert_batch_equals_singles(kind, ql, &ts, seed);
+        }
+    }
+
+    #[test]
+    fn training_batch_covers_the_padded_tweets_and_the_ablations() {
+        let ts = [0usize, 1, 2, 3, 9, 1, 0];
+        assert_batch_equals_singles(ContentEncoder::BiLstmC, 3, &ts, 1);
+        assert_batch_equals_singles(ContentEncoder::Blstm, 1, &ts, 2);
+        assert_batch_equals_singles(ContentEncoder::BiGruC, 1, &ts, 3);
+        assert_batch_equals_singles(ContentEncoder::ConvLstm, 1, &ts[..3], 4);
+    }
+
+    #[test]
+    fn batched_conv_and_pool_gradcheck() {
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(5);
+        let c = HisRectConfig {
+            word_dim: 3,
+            hidden_n: 2,
+            ..HisRectConfig::fast()
+        };
+        let net = ContentNet::new(&mut store, &c, ContentEncoder::BiLstmC, &mut rng).unwrap();
+        let ws: Vec<Matrix> = [4usize, 0, 6]
+            .iter()
+            .map(|&t| randn(&mut rng, t, 3, 1.0))
+            .collect();
+        let refs: Vec<&Matrix> = ws.iter().collect();
+        // The recurrent layers' gradients are checked in `nn`; here the
+        // filter bank, through the batched im2col and pooling, with a bias
+        // that keeps every window clear of the ReLU's kink.
+        let conv = net.conv.as_ref().expect("BiLSTM-C has a conv");
+        store.value_mut(conv.b).as_mut_slice().fill(1.0);
+        for id in conv.param_ids() {
+            let err = nn::gradcheck::gradcheck_scalar(&mut store, id, |tape, store| {
+                let mut rng = StdRng::seed_from_u64(6);
+                let f = net.forward_batch(tape, store, &refs, false, &mut rng);
+                let sq = tape.mul(f, f);
+                tape.mean_all(sq)
+            });
+            assert!(err < 2e-2, "{}: err = {err}", store.get(id).name);
         }
     }
 }

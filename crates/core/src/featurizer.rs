@@ -114,8 +114,9 @@ impl Featurizer {
 
     /// Featurizes a batch of profiles into a `B x feat_dim` node.
     ///
-    /// The recurrent part runs per profile (tweets have ragged lengths);
-    /// the head runs batched.
+    /// The whole batch goes through each stage at once: the content
+    /// encoder over the ragged tweets ([`ContentNet::forward_batch`]), then
+    /// the head over the `B x (fv_dim + fc_dim)` rows `[Fv | Fc]`.
     pub fn forward_batch<R: Rng>(
         &self,
         tape: &mut Tape,
@@ -127,23 +128,19 @@ impl Featurizer {
         assert!(!inputs.is_empty(), "empty featurizer batch");
         let _span = obs::span("featurizer/forward");
         obs::add("featurizer/profiles", inputs.len() as u64);
-        let mut rows: Vec<Var> = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            let mut parts: Vec<Var> = Vec::with_capacity(2);
-            if self.fv_dim > 0 {
-                assert_eq!(input.fv.len(), self.fv_dim, "Fv width mismatch");
-                parts.push(tape.input(Matrix::row_vector(&input.fv)));
-            }
-            if let Some(content) = &self.content {
-                parts.push(content.forward(tape, store, &input.words, train, rng));
-            }
-            let row = match parts.len() {
-                1 => parts[0],
-                _ => tape.concat_cols(parts[0], parts[1]),
-            };
-            rows.push(row);
-        }
-        let x = tape.stack_rows(&rows); // B x (fv_dim + fc_dim)
+        let fc = self.content.as_ref().map(|content| {
+            let words: Vec<&Matrix> = inputs.iter().map(|input| &input.words).collect();
+            content.forward_batch(tape, store, &words, train, rng)
+        });
+        let x = if self.fv_dim > 0 {
+            let fv_ok = inputs.iter().all(|input| input.fv.len() == self.fv_dim);
+            assert!(fv_ok, "Fv width mismatch");
+            let fv = Matrix::from_fn(inputs.len(), self.fv_dim, |r, c| inputs[r].fv[c]);
+            let fv = tape.input(fv);
+            fc.map_or(fv, |fc| tape.concat_cols(fv, fc))
+        } else {
+            fc.expect("a featurizer without Fv has a content encoder")
+        };
         if train && self.keep_prob < 1.0 {
             self.head
                 .forward_dropout(tape, store, x, self.keep_prob, rng)
@@ -328,7 +325,7 @@ mod tests {
         let mut tape = Tape::new();
         let out = f.forward_batch(&mut tape, &store, &refs, false, &mut rng);
         let sq = tape.mul(out, out);
-        let loss = tape.sum_all(sq);
+        let loss = tape.mean_all(sq);
         tape.backward(loss, &mut store);
         let live = f
             .param_ids()
@@ -342,9 +339,10 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The three evaluation entry points against the tape forward they
-    /// replaced, for one profile with a `t`-word tweet.
-    fn assert_eval_matches_tape(content: ContentEncoder, ql: usize, t: usize, seed: u64) {
+    /// The three evaluation entry points, one profile at a time, against
+    /// the tape forward of the whole ragged batch (`ts[k]` words for
+    /// profile `k`).
+    fn assert_eval_matches_tape(content: ContentEncoder, ql: usize, ts: &[usize], seed: u64) {
         let cfg = HisRectConfig {
             word_dim: 8,
             // 24 units: a 3-wide window is 144 floats, so the tape's
@@ -358,140 +356,75 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(seed);
         let f = Featurizer::new(&mut store, &cfg, HistoryEncoder::Rect, content, 5, &mut rng);
-        let inp = input(seed ^ 0x9e37, 5, t);
-
-        let mut tape = Tape::new();
-        let want = f.forward_batch(&mut tape, &store, &[&inp], false, &mut rng);
-        let got = features(&f, &store, &[&inp]);
-        assert_eq!(bits(got.as_slice()), bits(tape.value(want).as_slice()));
-
-        // The pre-head row, as the tape builds it: `[Fv | Fc]`.
-        let mut tape = Tape::new();
-        let fc = f.content.as_ref().expect("content encoder");
-        let fc = fc.forward(&mut tape, &store, &inp.words, false, &mut rng);
-        let mut row = inp.fv.clone();
-        row.extend_from_slice(tape.value(fc).as_slice());
-        let x = f.eval_inputs(&store, &[&inp]);
-        assert_eq!(bits(x.as_slice()), bits(&row));
-
-        let qhead = f.head_at(&store, Precision::Int8);
-        let mut want = vec![f32::NAN; f.feat_dim()];
-        qhead.eval(&store, &row, &mut want);
-        let got = f.features(&store, &[&inp], &qhead);
-        assert_eq!(bits(got.as_slice()), bits(&want));
-    }
-
-    /// [`Featurizer::forward_batch`] with the content encoder on its
-    /// per-step reference graph.
-    fn forward_batch_stepwise(
-        f: &Featurizer,
-        tape: &mut Tape,
-        store: &ParamStore,
-        inputs: &[&ProfileInput],
-        rng: &mut StdRng,
-    ) -> Var {
-        let content = f.content.as_ref().expect("content encoder");
-        let rows: Vec<Var> = inputs
+        let ins: Vec<ProfileInput> = ts
             .iter()
-            .map(|input| {
-                let fv = tape.input(Matrix::row_vector(&input.fv));
-                let fc = content.forward_stepwise(tape, store, &input.words, true, rng);
-                tape.concat_cols(fv, fc)
-            })
+            .enumerate()
+            .map(|(k, &t)| input(seed ^ (0x9e37 + k as u64), 5, t))
             .collect();
-        let x = tape.stack_rows(&rows);
-        f.head.forward_dropout(tape, store, x, f.keep_prob, rng)
-    }
-
-    /// Loss and every parameter gradient of one training step (dropout
-    /// on, same seed) through the fused LSTM nodes and through the
-    /// per-step graph.
-    fn assert_training_step_matches_stepwise(
-        content: ContentEncoder,
-        ql: usize,
-        t: usize,
-        seed: u64,
-    ) {
-        let cfg = HisRectConfig {
-            word_dim: 8,
-            hidden_n: 24,
-            feat_dim: 10,
-            qf: 2,
-            ql,
-            ..HisRectConfig::fast()
-        };
-        assert!(cfg.keep_prob < 1.0, "the step must draw dropout masks");
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let f = Featurizer::new(&mut store, &cfg, HistoryEncoder::Rect, content, 5, &mut rng);
-        let ins = [input(seed ^ 1, 5, t), input(seed ^ 2, 5, 40 - t)];
         let refs: Vec<&ProfileInput> = ins.iter().collect();
-        let mut step = |stepwise: bool| {
-            store.zero_grads();
-            let mut rng = StdRng::seed_from_u64(seed ^ 3);
-            let mut tape = Tape::new();
-            let out = if stepwise {
-                forward_batch_stepwise(&f, &mut tape, &store, &refs, &mut rng)
-            } else {
-                f.forward_batch(&mut tape, &store, &refs, true, &mut rng)
-            };
-            let loss = tape.softmax_cross_entropy(out, &[3, 7]);
-            let mut got = vec![vec![tape.backward(loss, &mut store).to_bits()]];
-            got.extend(
-                f.param_ids()
-                    .iter()
-                    .map(|&id| bits(store.get(id).grad.as_slice())),
-            );
-            got
-        };
-        assert_eq!(step(false), step(true));
+
+        let mut tape = Tape::new();
+        let want = f.forward_batch(&mut tape, &store, &refs, false, &mut rng);
+        let want = tape.value(want).clone();
+        // The pre-head rows, as the tape builds them: `[Fv | Fc]`.
+        let mut tape = Tape::new();
+        let words: Vec<&Matrix> = ins.iter().map(|i| &i.words).collect();
+        let fc = f.content.as_ref().expect("content encoder");
+        let fc = fc.forward_batch(&mut tape, &store, &words, false, &mut rng);
+        let qhead = f.head_at(&store, Precision::Int8);
+        for (k, inp) in ins.iter().enumerate() {
+            let got = features(&f, &store, &[inp]);
+            assert_eq!(bits(got.as_slice()), bits(want.row(k)), "profile {k}");
+
+            let mut row = inp.fv.clone();
+            row.extend_from_slice(tape.value(fc).row(k));
+            let x = f.eval_inputs(&store, &[inp]);
+            assert_eq!(bits(x.as_slice()), bits(&row), "profile {k}");
+
+            let mut want_q = vec![f32::NAN; f.feat_dim()];
+            qhead.eval(&store, &row, &mut want_q);
+            let got_q = f.features(&store, &[inp], &qhead);
+            assert_eq!(bits(got_q.as_slice()), bits(&want_q), "profile {k}");
+        }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(40))]
 
         #[test]
-        fn training_step_equals_the_per_step_graph_bit_for_bit(
-            conv in proptest::prelude::any::<bool>(),
-            ql in 1usize..=3,
-            // 0..2 are padded up to the conv width.
-            t in 0usize..=40,
-            seed in proptest::prelude::any::<u64>(),
-        ) {
-            let content = if conv { ContentEncoder::BiLstmC } else { ContentEncoder::Blstm };
-            assert_training_step_matches_stepwise(content, ql, t, seed);
-        }
-
-        #[test]
         fn eval_path_equals_tape_forward_bit_for_bit(
             conv in proptest::prelude::any::<bool>(),
             ql in 1usize..=3,
             // 0..2 are padded up to the conv width; 40 is well past it.
-            t in 0usize..=40,
+            ts in proptest::collection::vec(0usize..=40, 1..=8),
             seed in proptest::prelude::any::<u64>(),
         ) {
             let content = if conv { ContentEncoder::BiLstmC } else { ContentEncoder::Blstm };
-            assert_eval_matches_tape(content, ql, t, seed);
+            assert_eval_matches_tape(content, ql, &ts, seed);
         }
 
         #[test]
         fn ablation_encoders_still_equal_their_tape_forward(
             gru in proptest::prelude::any::<bool>(),
-            t in 0usize..=12,
+            ts in proptest::collection::vec(0usize..=12, 1..=3),
             seed in proptest::prelude::any::<u64>(),
         ) {
             let content = if gru { ContentEncoder::BiGruC } else { ContentEncoder::ConvLstm };
-            assert_eval_matches_tape(content, 1, t, seed);
+            assert_eval_matches_tape(content, 1, &ts, seed);
         }
     }
 
     #[test]
     fn eval_path_covers_the_padded_and_longest_tweets() {
-        // The proptest draws T at random; the edges are pinned here.
-        for t in [0usize, 1, 2, 3, 6, 7, 40] {
-            for ql in 1..=3 {
-                assert_eval_matches_tape(ContentEncoder::BiLstmC, ql, t, 7 + t as u64);
-                assert_eval_matches_tape(ContentEncoder::Blstm, ql, t, 11 + t as u64);
+        // The proptest draws T at random; the edges are pinned here, alone
+        // and in one batch.
+        let ts = [0usize, 1, 2, 3, 6, 7, 40];
+        for ql in 1..=3 {
+            assert_eval_matches_tape(ContentEncoder::BiLstmC, ql, &ts, 7 + ql as u64);
+            assert_eval_matches_tape(ContentEncoder::Blstm, ql, &ts, 11 + ql as u64);
+            for &t in &ts {
+                assert_eval_matches_tape(ContentEncoder::BiLstmC, ql, &[t], 7 + t as u64);
+                assert_eval_matches_tape(ContentEncoder::Blstm, ql, &[t], 11 + t as u64);
             }
         }
     }

@@ -188,8 +188,7 @@ impl Adam {
             let bc1 = 1.0 - self.cfg.beta1.powi(self.t as i32);
             let bc2 = 1.0 - self.cfg.beta2.powi(self.t as i32);
             for (k, &id) in self.ids.iter().enumerate() {
-                let p = store.get_mut(id);
-                let g = p.grad.scale(scale);
+                let g = store.get(id).grad.scale(scale);
                 // m = b1*m + (1-b1)*g ; v = b2*v + (1-b2)*g^2
                 self.m[k].scale_mut(self.cfg.beta1);
                 self.m[k].axpy(1.0 - self.cfg.beta1, &g);
@@ -199,7 +198,7 @@ impl Adam {
                 let mhat = self.m[k].scale(1.0 / bc1);
                 let vhat = self.v[k].scale(1.0 / bc2);
                 let update = mhat.zip_map(&vhat, |m, v| m / (v.sqrt() + self.cfg.eps));
-                p.value.axpy(-lr, &update);
+                store.value_mut(id).axpy(-lr, &update);
             }
         }
         store.zero_grads_of(&self.ids);
@@ -245,7 +244,7 @@ mod tests {
             let w = t.param(&store, id);
             let shifted = t.affine(w, 1.0, -3.0);
             let sq = t.mul(shifted, shifted);
-            let loss = t.sum_all(sq);
+            let loss = t.mean_all(sq);
             t.backward(loss, &mut store);
             adam.step(&mut store);
         }

@@ -40,7 +40,7 @@ pub fn relu(xs: &mut [f32]) {
 }
 
 /// Column-wise mean over the `out.len()`-wide rows of `x`, accumulated as
-/// the tape's `mean_over_rows` does: `Σ v / rows` in row order from `0.0`.
+/// the tape's `mean_over_steps` does: `Σ v / rows` in row order from `0.0`.
 pub fn mean_over_rows(x: &[f32], out: &mut [f32]) {
     out.fill(0.0);
     let rows = (x.len() / out.len()).max(1) as f32;
@@ -155,8 +155,8 @@ impl EvalStack {
 }
 
 impl Lstm {
-    /// Evaluation-mode [`Lstm::forward_seq`] over the `in_dim`-wide rows
-    /// of `xs`, zero initial state: the shared [`LstmPass::forward`]
+    /// Evaluation-mode [`Lstm::forward_rows`] over the `in_dim`-wide rows
+    /// of `xs`, one sequence from zero state: the shared [`LstmPass::forward`]
     /// kernel reading weights from the store, its saved activations going
     /// to per-thread scratch. `h_t` lands at
     /// `out[t·out_stride + out_col ..][..hidden]`. With `reverse` the
@@ -176,6 +176,7 @@ impl Lstm {
         }
         let pass = LstmPass {
             xs,
+            lens: &[xs.len() / self.in_dim],
             in_dim: self.in_dim,
             wx: store.value(self.wx).as_slice(),
             wh: store.value(self.wh).as_slice(),
@@ -191,7 +192,7 @@ impl Lstm {
 }
 
 impl BiLstm {
-    /// Evaluation-mode [`BiLstm::forward_concat`]: row `t` of `out`
+    /// Evaluation-mode [`BiLstm::forward_rows`] over one sequence: row `t` of `out`
     /// (`steps × 2·hidden`) becomes `[h_fwd_t | h_bwd_t]`, written in
     /// place by the two recurrences.
     pub fn eval_concat(&self, store: &ParamStore, xs: &[f32], out: &mut [f32]) {
@@ -219,19 +220,14 @@ impl Conv1d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tape::{Tape, Var};
+    use crate::seq::SeqBatch;
+    use crate::tape::Tape;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tensor::{randn, Matrix};
+    use tensor::randn;
 
     fn bits(xs: &[f32]) -> Vec<u32> {
         xs.iter().map(|x| x.to_bits()).collect()
-    }
-
-    fn step_vars(tape: &mut Tape, xs: &Matrix) -> Vec<Var> {
-        (0..xs.rows())
-            .map(|r| tape.input(Matrix::row_vector(xs.row(r))))
-            .collect()
     }
 
     #[test]
@@ -272,17 +268,15 @@ mod tests {
             for steps in [1usize, 2, 7] {
                 let xs = randn(&mut rng, steps, in_dim, 1.0);
                 let mut tape = Tape::new();
-                let vars = step_vars(&mut tape, &xs);
-                let want = bi.forward_concat(&mut tape, &store, &vars);
+                let x = tape.input(xs.clone());
+                let want = bi.forward_rows(&mut tape, &store, x, &SeqBatch::new(&[steps]));
                 let mut got = vec![f32::NAN; steps * 2 * hidden];
                 bi.eval_concat(&store, xs.as_slice(), &mut got);
-                for (t, w) in want.iter().enumerate() {
-                    assert_eq!(
-                        bits(&got[t * 2 * hidden..(t + 1) * 2 * hidden]),
-                        bits(tape.value(*w).as_slice()),
-                        "hidden {hidden}, {steps} steps, row {t}"
-                    );
-                }
+                assert_eq!(
+                    bits(&got),
+                    bits(tape.value(want).as_slice()),
+                    "hidden {hidden}, {steps} steps"
+                );
             }
         }
     }
@@ -298,9 +292,10 @@ mod tests {
             let x = randn(&mut rng, t, 48, 1.0);
             let mut tape = Tape::new();
             let xv = tape.input(x.clone());
-            let y = conv.forward(&mut tape, &store, xv);
+            let seqs = SeqBatch::new(&[t]);
+            let y = conv.forward(&mut tape, &store, xv, &seqs);
             let y = tape.relu(y);
-            let want = tape.mean_over_rows(y);
+            let want = tape.mean_over_steps(y, &seqs.windows(3));
             let mut y = vec![f32::NAN; (t - 2) * 24];
             conv.eval(&store, x.as_slice(), &mut y);
             relu(&mut y);

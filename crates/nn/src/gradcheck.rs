@@ -31,17 +31,17 @@ pub fn gradcheck_scalar(
     for i in 0..n {
         let orig = store.value(id).as_slice()[i];
 
-        store.get_mut(id).value.as_mut_slice()[i] = orig + eps;
+        store.value_mut(id).as_mut_slice()[i] = orig + eps;
         let mut tp = Tape::new();
         let lp = build(&mut tp, store);
         let fp = tp.scalar(lp);
 
-        store.get_mut(id).value.as_mut_slice()[i] = orig - eps;
+        store.value_mut(id).as_mut_slice()[i] = orig - eps;
         let mut tm = Tape::new();
         let lm = build(&mut tm, store);
         let fm = tm.scalar(lm);
 
-        store.get_mut(id).value.as_mut_slice()[i] = orig;
+        store.value_mut(id).as_mut_slice()[i] = orig;
 
         let numeric = (fp - fm) / (2.0 * eps);
         let a = analytic.as_slice()[i];
@@ -58,29 +58,29 @@ mod tests {
 
     #[test]
     fn detects_correct_gradient() {
-        // loss = sum(p^2): gradient is 2p, which Mul implements.
+        // loss = mean(p^2): gradient is 2p/3, which Mul implements.
         let mut store = ParamStore::new();
         let id = store.add("p", Matrix::from_vec(1, 3, vec![0.5, -1.0, 2.0]));
         let err = gradcheck_scalar(&mut store, id, |t, s| {
             let p = t.param(s, id);
             let sq = t.mul(p, p);
-            t.sum_all(sq)
+            t.mean_all(sq)
         });
         assert!(err < 1e-3, "err = {err}");
     }
 
     #[test]
     fn detects_wrong_gradient() {
-        // Deliberately mismatch: value is sum(2p) but we route the gradient
-        // through mul(p, p) by computing sum(p*p) with p doubled only in the
+        // Deliberately mismatch: value is mean(2p) but we route the gradient
+        // through mul(p, p) by computing mean(p*p) with p doubled only in the
         // forward value via affine. affine(2p) has gradient 2, while
-        // sum(p^2) would need 2p — the checker must flag small p values.
+        // mean(p^2) would need 2p — the checker must flag small p values.
         let mut store = ParamStore::new();
         let id = store.add("p", Matrix::from_vec(1, 2, vec![5.0, 7.0]));
         let err = gradcheck_scalar(&mut store, id, |t, s| {
             let p = t.param(s, id);
-            let sq = t.mul(p, p); // analytic: 2p = [10, 14]
-            t.sum_all(sq)
+            let sq = t.mul(p, p); // analytic: 2p/2 = [5, 7]
+            t.mean_all(sq)
         });
         assert!(err < 1e-3);
         // Now a genuinely wrong pairing: analytic from |p| but numeric from
@@ -92,8 +92,8 @@ mod tests {
                 let p = t.param(s, id);
                 let tripled = t.affine(p, 3.0, 0.0); // analytic: 3
                 let sq = t.mul(p, p);
-                let a = t.sum_all(sq);
-                let b = t.sum_all(tripled);
+                let a = t.mean_all(sq);
+                let b = t.mean_all(tripled);
                 t.add(a, b)
             })
         };

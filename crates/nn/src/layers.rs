@@ -6,6 +6,7 @@
 //! Θ_F / Θ_P / Θ_E optimizer groups.
 
 use crate::params::{ParamId, ParamStore};
+use crate::seq::SeqBatch;
 use crate::tape::{Tape, Var};
 use rand::Rng;
 use tensor::{randn, Matrix};
@@ -207,52 +208,21 @@ impl Lstm {
         }
     }
 
-    /// Runs the recurrence over the rows of `x` (`T x in_dim`) as one
-    /// fused [`Tape::lstm_seq`] node; initial hidden and cell states are
-    /// zero (§6.1.2). Row `t` of the `T x hidden` result is `h_t`, also
-    /// when `reverse` runs the recurrence from the last row to the first.
-    pub fn forward_rows(&self, tape: &mut Tape, store: &ParamStore, x: Var, reverse: bool) -> Var {
-        let wx = tape.param(store, self.wx);
-        let wh = tape.param(store, self.wh);
-        let b = tape.param(store, self.b);
-        tape.lstm_seq(x, wx, wh, b, reverse)
-    }
-
-    /// The recurrence spelled out as 17 tape nodes per step over `xs`
-    /// (each `1 x in_dim`), returning one `1 x hidden` state per step.
-    /// This is the reference definition: tests pin [`Lstm::forward_rows`]
-    /// (values and gradients) and the tape-free `eval` forward to it by
-    /// bits, and nothing else calls it.
-    pub fn forward_seq(&self, tape: &mut Tape, store: &ParamStore, xs: &[Var]) -> Vec<Var> {
-        let wx = tape.param(store, self.wx);
-        let wh = tape.param(store, self.wh);
-        let b = tape.param(store, self.b);
-        let h0 = tape.input(Matrix::zeros(1, self.hidden));
-        let c0 = tape.input(Matrix::zeros(1, self.hidden));
-        let mut h = h0;
-        let mut c = c0;
-        let mut out = Vec::with_capacity(xs.len());
-        for &x in xs {
-            let xg = tape.matmul(x, wx);
-            let hg = tape.matmul(h, wh);
-            let gsum = tape.add(xg, hg);
-            let gates = tape.add_bias(gsum, b);
-            let i_raw = tape.slice_cols(gates, 0, self.hidden);
-            let f_raw = tape.slice_cols(gates, self.hidden, self.hidden);
-            let g_raw = tape.slice_cols(gates, 2 * self.hidden, self.hidden);
-            let o_raw = tape.slice_cols(gates, 3 * self.hidden, self.hidden);
-            let i = tape.sigmoid(i_raw);
-            let f = tape.sigmoid(f_raw);
-            let g = tape.tanh(g_raw);
-            let o = tape.sigmoid(o_raw);
-            let fc = tape.mul(f, c);
-            let ig = tape.mul(i, g);
-            c = tape.add(fc, ig);
-            let tc = tape.tanh(c);
-            h = tape.mul(o, tc);
-            out.push(h);
-        }
-        out
+    /// Runs the recurrence over every sequence of `x` (rows laid out as
+    /// `seqs`, `in_dim` wide) as one fused [`Tape::lstm_seq`] node;
+    /// initial hidden and cell states are zero (§6.1.2). Row `r` of the
+    /// `rows x hidden` result is the state at row `r`'s step, also when
+    /// `reverse` runs each sequence from its last step to its first.
+    pub fn forward_rows(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        x: Var,
+        seqs: &SeqBatch,
+        reverse: bool,
+    ) -> Var {
+        let w = [self.wx, self.wh, self.b].map(|id| tape.param(store, id));
+        tape.lstm_seq(x, w, seqs, reverse)
     }
 
     /// Parameter ids.
@@ -423,39 +393,20 @@ impl BiLstm {
         }
     }
 
-    /// `[h_fwd_t | h_bwd_t]` for every row `t` of `x` (`T x in_dim`) as a
-    /// `T x 2h` node: one fused [`Tape::lstm_seq`] per direction. Binds
-    /// the forward direction's parameters, then the backward's.
-    pub fn forward_rows(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        let hf = self.fwd.forward_rows(tape, store, x, false);
-        let hb = self.bwd.forward_rows(tape, store, x, true);
-        tape.concat_cols(hf, hb)
-    }
-
-    /// Reference per-step graph (see [`Lstm::forward_seq`]): per-step
-    /// `(h_fwd_t, h_bwd_t)` pairs, both aligned to the original sequence
-    /// order.
-    pub fn forward_seq(
+    /// `[h_fwd | h_bwd]` at every row of `x` (rows laid out as `seqs`,
+    /// `in_dim` wide) as a `rows x 2h` node: one fused [`Tape::lstm_seq`]
+    /// per direction. Binds the forward direction's parameters, then the
+    /// backward's.
+    pub fn forward_rows(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
-        xs: &[Var],
-    ) -> (Vec<Var>, Vec<Var>) {
-        let hf = self.fwd.forward_seq(tape, store, xs);
-        let reversed: Vec<Var> = xs.iter().rev().copied().collect();
-        let mut hb = self.bwd.forward_seq(tape, store, &reversed);
-        hb.reverse();
-        (hf, hb)
-    }
-
-    /// Reference per-step graph of [`BiLstm::forward_rows`]: per-step
-    /// concatenation `[h_fwd | h_bwd]`, each `1 x 2h`.
-    pub fn forward_concat(&self, tape: &mut Tape, store: &ParamStore, xs: &[Var]) -> Vec<Var> {
-        let (hf, hb) = self.forward_seq(tape, store, xs);
-        hf.into_iter()
-            .zip(hb)
-            .map(|(f, b)| tape.concat_cols(f, b))
-            .collect()
+        x: Var,
+        seqs: &SeqBatch,
+    ) -> Var {
+        let hf = self.fwd.forward_rows(tape, store, x, seqs, false);
+        let hb = self.bwd.forward_rows(tape, store, x, seqs, true);
+        tape.concat_cols(hf, hb)
     }
 
     /// Parameter ids of both directions.
@@ -515,10 +466,11 @@ impl Conv1d {
         }
     }
 
-    /// Applies the convolution to a `T x in_dim` node (`T >= k`), giving
-    /// `(T-k+1) x out_dim`.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        let cols = tape.im2col(x, self.k);
+    /// Applies the convolution to every sequence of `x` (rows laid out as
+    /// `seqs`, `in_dim` wide, each sequence at least `k` long), giving
+    /// `out_dim`-wide rows laid out as `seqs.windows(k)`.
+    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var, seqs: &SeqBatch) -> Var {
+        let cols = tape.im2col(x, seqs, self.k);
         let w = tape.param(store, self.w);
         let b = tape.param(store, self.b);
         let y = tape.matmul(cols, w);
@@ -548,8 +500,8 @@ mod tests {
         let mut store = ParamStore::new();
         let lin = Linear::new(&mut store, "l", 3, 2, 0.1, &mut rng(0));
         // Overwrite with known weights.
-        store.get_mut(lin.w).value = Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
-        store.get_mut(lin.b).value = Matrix::from_vec(1, 2, vec![0.5, -0.5]);
+        *store.value_mut(lin.w) = Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
+        *store.value_mut(lin.b) = Matrix::from_vec(1, 2, vec![0.5, -0.5]);
         let mut t = Tape::new();
         let x = t.input(Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]));
         let y = lin.forward(&mut t, &store, x);
@@ -590,35 +542,27 @@ mod tests {
     fn lstm_output_shapes_and_bounds() {
         let mut store = ParamStore::new();
         let lstm = Lstm::new(&mut store, "lstm", 3, 4, 0.3, &mut rng(5));
+        let seqs = SeqBatch::new(&[6, 2]);
         let mut t = Tape::new();
-        let xs: Vec<Var> = (0..6)
-            .map(|i| t.input(trandn(&mut rng(10 + i), 1, 3, 1.0)))
-            .collect();
-        let hs = lstm.forward_seq(&mut t, &store, &xs);
-        assert_eq!(hs.len(), 6);
-        for h in &hs {
-            assert_eq!(t.value(*h).shape(), (1, 4));
-            // h = o * tanh(c) is bounded by (-1, 1).
-            assert!(t.value(*h).as_slice().iter().all(|&x| x.abs() < 1.0));
-        }
+        let x = t.input(trandn(&mut rng(10), 8, 3, 1.0));
+        let h = lstm.forward_rows(&mut t, &store, x, &seqs, false);
+        assert_eq!(t.value(h).shape(), (8, 4));
+        // h = o * tanh(c) is bounded by (-1, 1).
+        assert!(t.value(h).as_slice().iter().all(|&x| x.abs() < 1.0));
     }
 
     #[test]
     fn lstm_gradcheck_all_params() {
         let mut store = ParamStore::new();
         let lstm = Lstm::new(&mut store, "lstm", 2, 3, 0.4, &mut rng(6));
-        let xs: Vec<Matrix> = (0..4)
-            .map(|i| trandn(&mut rng(20 + i), 1, 2, 1.0))
-            .collect();
+        let x = trandn(&mut rng(20), 4, 2, 1.0);
+        let seqs = SeqBatch::new(&[4]);
         for id in lstm.param_ids() {
-            let xs = xs.clone();
-            let lstm = lstm.clone();
-            let err = gradcheck_scalar(&mut store, id, move |t, s| {
-                let vars: Vec<Var> = xs.iter().map(|x| t.input(x.clone())).collect();
-                let hs = lstm.forward_seq(t, s, &vars);
-                let stacked = t.stack_rows(&hs);
-                let sq = t.mul(stacked, stacked);
-                t.sum_all(sq)
+            let err = gradcheck_scalar(&mut store, id, |t, s| {
+                let xv = t.input(x.clone());
+                let h = lstm.forward_rows(t, s, xv, &seqs, false);
+                let sq = t.mul(h, h);
+                t.mean_all(sq)
             });
             assert!(err < 2e-2, "param {id:?}: err = {err}");
         }
@@ -630,25 +574,22 @@ mod tests {
         // perturbing the final element and watching h_bwd[0] change.
         let mut store = ParamStore::new();
         let bi = BiLstm::new(&mut store, "bi", 2, 3, 0.5, &mut rng(7));
-        let base: Vec<Matrix> = (0..5)
-            .map(|i| trandn(&mut rng(30 + i), 1, 2, 1.0))
-            .collect();
-        let run = |store: &ParamStore, xs: &[Matrix]| {
+        let base = trandn(&mut rng(30), 5, 2, 1.0);
+        let seqs = SeqBatch::new(&[5]);
+        let run = |xs: &Matrix| {
             let mut t = Tape::new();
-            let vars: Vec<Var> = xs.iter().map(|x| t.input(x.clone())).collect();
-            let (hf, hb) = bi.forward_seq(&mut t, store, &vars);
-            (
-                t.value(hf[0]).clone(),
-                t.value(hb[0]).clone(),
-                t.value(*hf.last().unwrap()).clone(),
-            )
+            let x = t.input(xs.clone());
+            let h = bi.forward_rows(&mut t, &store, x, &seqs);
+            t.value(h).row(0).to_vec()
         };
-        let (f0, b0, _) = run(&store, &base);
+        let first = run(&base);
         let mut perturbed = base.clone();
-        perturbed[4] = perturbed[4].scale(-2.0);
-        let (f0p, b0p, _) = run(&store, &perturbed);
-        assert!(f0.approx_eq(&f0p, 1e-7), "forward t=0 must ignore future");
-        assert!(!b0.approx_eq(&b0p, 1e-5), "backward t=0 must see future");
+        for v in perturbed.row_mut(4) {
+            *v *= -2.0;
+        }
+        let moved = run(&perturbed);
+        assert_eq!(first[..3], moved[..3], "forward t=0 must ignore future");
+        assert_ne!(first[3..], moved[3..], "backward t=0 must see future");
     }
 
     #[test]
@@ -656,35 +597,31 @@ mod tests {
         let mut store = ParamStore::new();
         let bi = BiLstm::new(&mut store, "bi", 2, 3, 0.3, &mut rng(8));
         let mut t = Tape::new();
-        let xs: Vec<Var> = (0..4)
-            .map(|i| t.input(trandn(&mut rng(40 + i), 1, 2, 1.0)))
-            .collect();
-        let cat = bi.forward_concat(&mut t, &store, &xs);
-        assert_eq!(cat.len(), 4);
-        for h in cat {
-            assert_eq!(t.value(h).shape(), (1, 6));
-        }
+        let x = t.input(trandn(&mut rng(40), 7, 2, 1.0));
+        let h = bi.forward_rows(&mut t, &store, x, &SeqBatch::new(&[4, 3]));
+        assert_eq!(t.value(h).shape(), (7, 6));
     }
 
     #[test]
     fn conv1d_shape_and_gradcheck() {
         let mut store = ParamStore::new();
         let conv = Conv1d::new(&mut store, "conv", 3, 4, 2, 0.4, &mut rng(9));
-        let x = trandn(&mut rng(50), 7, 4, 1.0);
+        let x = trandn(&mut rng(50), 11, 4, 1.0);
+        // Windows: 5 of the first sequence, 1 of the second.
+        let seqs = SeqBatch::new(&[7, 4]);
         {
             let mut t = Tape::new();
             let xv = t.input(x.clone());
-            let y = conv.forward(&mut t, &store, xv);
-            assert_eq!(t.value(y).shape(), (5, 2));
+            let y = conv.forward(&mut t, &store, xv, &seqs);
+            assert_eq!(t.value(y).shape(), (7, 2));
         }
         for id in conv.param_ids() {
-            let x = x.clone();
-            let conv = conv.clone();
-            let err = gradcheck_scalar(&mut store, id, move |t, s| {
+            let err = gradcheck_scalar(&mut store, id, |t, s| {
                 let xv = t.input(x.clone());
-                let y = conv.forward(t, s, xv);
+                let y = conv.forward(t, s, xv, &seqs);
                 let r = t.relu(y);
-                t.mean_all(r)
+                let m = t.mean_over_steps(r, &seqs.windows(3));
+                t.mean_all(m)
             });
             assert!(err < 2e-2, "param {id:?}: err = {err}");
         }
@@ -722,7 +659,7 @@ mod tests {
                 let hs = gru.forward_seq(t, s, &vars);
                 let stacked = t.stack_rows(&hs);
                 let sq = t.mul(stacked, stacked);
-                t.sum_all(sq)
+                t.mean_all(sq)
             });
             assert!(err < 2e-2, "param {id:?}: err = {err}");
         }

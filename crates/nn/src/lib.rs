@@ -15,9 +15,10 @@
 //! - [`eval`] — tape-free evaluation-mode forwards of the same layers,
 //!   bit-identical to the tape, and [`EvalStack`]: one dense stack
 //!   evaluated at f32 or, through [`quant`], at int8.
-//! - `lstm` — the LSTM recurrence over a whole sequence and its
-//!   hand-written BPTT: the kernel under both [`eval`] and the fused
-//!   [`Tape::lstm_seq`] node the paper's encoders train through.
+//! - `lstm` — the LSTM recurrence over a [`SeqBatch`] of ragged sequences
+//!   and its hand-written BPTT: the kernel under both [`eval`] (one
+//!   sequence) and the fused [`Tape::lstm_seq`] node the encoders train
+//!   through.
 //! - [`adam`] — Adam with learning-rate decay, ℓ2 regularization and
 //!   global-norm gradient clipping.
 //! - [`gradcheck`] — finite-difference gradient checking used heavily in
@@ -36,6 +37,7 @@ pub mod layers;
 mod lstm;
 pub mod params;
 pub mod quant;
+mod seq;
 pub mod tape;
 
 pub use adam::{Adam, AdamConfig, AdamState};
@@ -43,4 +45,5 @@ pub use eval::EvalStack;
 pub use layers::{BiGru, BiLstm, Conv1d, FeedForward, Gru, Linear, Lstm};
 pub use params::{Param, ParamId, ParamStore};
 pub use quant::QuantFeedForward;
+pub use seq::SeqBatch;
 pub use tape::{Tape, Var};

@@ -1,42 +1,34 @@
-//! One direction of an LSTM over a whole sequence, as two kernels on plain
-//! slices: the forward recurrence — the only copy of it, shared by
-//! [`crate::Lstm::eval_seq`] and [`crate::Tape::lstm_seq`] — and the
-//! hand-written back-propagation through time behind the tape op.
+//! One LSTM direction over a batch of ragged sequences, as two kernels on
+//! plain slices: the forward recurrence — the only copy of it, shared by
+//! [`crate::Lstm::eval_seq`] (one sequence) and [`crate::Tape::lstm_seq`]
+//! (a training batch) — and the hand-written back-propagation through
+//! time behind the tape op.
 //!
-//! Both are pinned by `to_bits` tests to the per-step tape graph of
-//! [`crate::Lstm::forward_seq`], which remains the definition. For the
-//! forward that means the tape's association order (`((x·Wx) + (h·Wh)) +
-//! b`, `f·c + i·g`) over ascending-k product chains from `0.0`. For the
-//! backward it means computing every quantity the way [`crate::Tape`]
-//! would have accumulated it over that graph's 17 nodes per step:
+//! The rows follow a [`crate::SeqBatch`] layout, so each step's live rows
+//! are one contiguous block: the step is one `live × h · h × 4h` product
+//! against the packed recurrent weights, after one input projection of
+//! all rows. The reverse direction walks the steps from the last to the
+//! first, a sequence joining from its zero state when its own last step
+//! comes up: rows are aligned on steps remaining.
 //!
-//! - steps are visited in reverse processing order, as the node list is;
-//! - `dh_t = G_t + dh_rec` and `dc_t = dc_carry + d_tc·(1 − tc²)`: the
-//!   upstream gradient reaches `h_t` before the recurrent one, the carry
-//!   reaches `c_t` before the local term, and the first step visited has
-//!   the single term (no `+ 0.0`, which would turn a `-0.0` positive);
-//! - gate derivatives are written as the tape's `Sigmoid` / `Tanh` nodes
-//!   write them, `(g·y)·(1 − y)` and `g·(1 − y·y)`, and each lands in the
-//!   `4h`-wide gate gradient through a `slice_cols` scatter into zeros,
-//!   i.e. `+ 0.0`;
-//! - `dWx`, `dWh` and `db` are sums of one delta per step, each delta a
-//!   one-term product chain `0.0 + x·dg`, the first moved and the rest
-//!   added. Accumulating `x·dg` into zeros gives the same bits: the running
-//!   sum is never `-0.0` (it starts as `0.0 + p`, and a sum is `-0.0` only
-//!   when both terms are), and adding `p` or `0.0 + p` to anything but
-//!   `-0.0` agrees;
-//! - `dh_rec` and the rows of `dX` are `dg·Whᵀ` / `dg·Wxᵀ`: per output an
-//!   ascending-k dot chain from `0.0`, run over a transposed copy of the
-//!   weights so the loop vectorises across outputs instead of along k;
-//! - multiply, then add. Never a fused multiply-add.
+//! Rows never mix: every element of every product is one ascending-k
+//! chain from `0.0` (multiply, then add, never fused) on any kernel tier,
+//! and the rest is per row. A sequence's states and `dX` rows have the
+//! same bits in any batch as alone; only the parameter gradients, sums
+//! over all rows, depend on the batch.
 
+use crate::seq::active;
+use std::borrow::Cow;
 use std::cell::RefCell;
-use tensor::{act, matmul_naive_into};
+use tensor::gemm::{self, PackedB, Variant};
+use tensor::{act, matmul_naive_into, pack_threshold, Matrix};
 
-/// One LSTM direction over one sequence: what both kernels read.
+/// One LSTM direction over a batch of sequences: what both kernels read.
 pub(crate) struct LstmPass<'a> {
-    /// The `steps × in_dim` input rows.
+    /// The input rows, laid out over `lens` as a [`crate::SeqBatch`].
     pub xs: &'a [f32],
+    /// Sequence lengths, non-increasing.
+    pub lens: &'a [usize],
     pub in_dim: usize,
     /// `in_dim × 4h`, gate order `[i | f | g | o]`.
     pub wx: &'a [f32],
@@ -44,19 +36,72 @@ pub(crate) struct LstmPass<'a> {
     pub wh: &'a [f32],
     /// `4h`.
     pub b: &'a [f32],
-    /// Run from the last row to the first (the backward half of a BiLSTM);
-    /// every state still lands at its own row.
+    /// Run every sequence from its last step to its first (the backward
+    /// half of a BiLSTM); every state still lands at its own row.
     pub reverse: bool,
 }
 
-/// Parameter (and optionally input) gradients of one pass: zeroed by the
-/// caller, accumulated into.
-pub(crate) struct LstmGrads<'a> {
-    pub dwx: &'a mut [f32],
-    pub dwh: &'a mut [f32],
-    pub db: &'a mut [f32],
-    /// `steps × in_dim`; `None` when the input is a constant.
-    pub dx: Option<&'a mut [f32]>,
+/// `(t, first row, live rows)` of every step of `lens`, in ascending or
+/// descending `t`.
+fn walk(lens: &[usize], rows: usize, down: bool) -> impl Iterator<Item = [usize; 3]> + '_ {
+    let steps = lens.first().copied().unwrap_or(0);
+    let mut row = if down { rows } else { 0 };
+    (0..steps).map(move |i| {
+        let t = if down { steps - 1 - i } else { i };
+        let live = active(lens, t);
+        row = if down { row - live } else { row + live };
+        [t, if down { row } else { row - live }, live]
+    })
+}
+
+/// A `k × n` right-hand operand multiplied on the calling thread: packed
+/// once when a `block`-row product reaches the packed kernel's threshold,
+/// read as stored (or as a transposed copy) by the simple kernel below it.
+/// One sequence therefore stays on the simple kernel, as the eval path
+/// always has; both tiers give the same bits.
+enum Rhs<'a> {
+    Packed(PackedB, [usize; 2]),
+    Plain(Cow<'a, [f32]>, [usize; 2]),
+}
+
+impl<'a> Rhs<'a> {
+    /// `w` is stored `k × n`, or `n × k` when `transposed`.
+    fn new(w: &'a [f32], transposed: bool, k: usize, n: usize, block: usize) -> Self {
+        if block * k * n >= pack_threshold() {
+            let (variant, cols) = if transposed {
+                (Variant::Nt, k)
+            } else {
+                (Variant::Nn, n)
+            };
+            return Rhs::Packed(gemm::pack_b(variant, w, cols, k, n), [k, n]);
+        }
+        if !transposed {
+            return Rhs::Plain(Cow::Borrowed(w), [k, n]);
+        }
+        let mut t = vec![0.0; k * n];
+        for (r, row) in w.chunks_exact(k).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                t[c * n + r] = v;
+            }
+        }
+        Rhs::Plain(Cow::Owned(t), [k, n])
+    }
+
+    /// `out = a · w` for the `k`-wide rows of `a`.
+    fn mul(&self, a: &[f32], out: &mut [f32]) {
+        match self {
+            Rhs::Packed(pb, [k, n]) => {
+                gemm::gemm_rows(Variant::Nn, a, *k, out.len() / n, pb, 0, out)
+            }
+            Rhs::Plain(w, [k, n]) => matmul_naive_into(a, *k, *k, w, *n, out),
+        }
+    }
+}
+
+/// `out = aᵀ · b` on the calling thread, `a` and `b` sharing their rows.
+fn mul_tn(a: &[f32], m: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    let pb = gemm::pack_b(Variant::Tn, b, n, b.len() / n, n);
+    gemm::gemm_rows(Variant::Tn, a, m, m, &pb, 0, out);
 }
 
 impl LstmPass<'_> {
@@ -64,163 +109,150 @@ impl LstmPass<'_> {
         self.b.len() / 4
     }
 
-    pub fn steps(&self) -> usize {
+    pub fn rows(&self) -> usize {
         self.xs.len() / self.in_dim
     }
 
-    /// Floats [`LstmPass::forward`] needs in `acts`: per step the
+    /// Floats [`LstmPass::forward`] needs in `acts`: per row the
     /// post-activation gates (`4h`), `c_t` and `tanh(c_t)` — what
-    /// [`LstmPass::backward`] reads back — then `6h` of working state.
+    /// [`LstmPass::backward`] reads back — then `6h` of working state per
+    /// sequence.
     pub fn acts_len(&self) -> usize {
-        (self.steps() + 1) * 6 * self.hidden()
+        (self.rows() + self.lens.len()) * 6 * self.hidden()
     }
 
-    fn time(&self, s: usize) -> usize {
-        if self.reverse {
-            self.steps() - 1 - s
-        } else {
-            s
-        }
-    }
-
-    /// Runs the recurrence from zero state. `h_t` lands at
-    /// `out[t·out_stride + out_col ..][..h]`; `acts` is left holding the
+    /// Runs the recurrence from zero state. `h_t` of a row lands at
+    /// `out[row·out_stride + out_col ..][..h]`; `acts` is left holding the
     /// saved activations (see [`LstmPass::acts_len`]).
     pub fn forward(&self, acts: &mut [f32], out: &mut [f32], out_stride: usize, out_col: usize) {
-        let (h, steps) = (self.hidden(), self.steps());
+        let (h, rows, batch) = (self.hidden(), self.rows(), self.lens.len());
         assert_eq!(acts.len(), self.acts_len(), "lstm activation buffer");
-        let (gates, rest) = acts.split_at_mut(steps * 4 * h);
-        let (cs, rest) = rest.split_at_mut(steps * h);
-        let (tcs, rest) = rest.split_at_mut(steps * h);
-        let (hg, rest) = rest.split_at_mut(4 * h);
-        let (state, c) = rest.split_at_mut(h);
+        let (gates, rest) = acts.split_at_mut(rows * 4 * h);
+        let (cs, rest) = rest.split_at_mut(rows * h);
+        let (tcs, rest) = rest.split_at_mut(rows * h);
+        let (hg, rest) = rest.split_at_mut(batch * 4 * h);
+        let (state, cells) = rest.split_at_mut(batch * h);
         state.fill(0.0);
-        c.fill(0.0);
-        // The input projection for every step in one pass, then the
-        // recurrence turns each row of it into that step's gates in place.
-        matmul_naive_into(self.xs, self.in_dim, self.in_dim, self.wx, 4 * h, gates);
-        for s in 0..steps {
-            let t = self.time(s);
-            let gates = &mut gates[t * 4 * h..(t + 1) * 4 * h];
-            matmul_naive_into(state, h, h, self.wh, 4 * h, hg);
-            for ((g, &hv), &bv) in gates.iter_mut().zip(hg.iter()).zip(self.b) {
-                *g = (*g + hv) + bv;
+        cells.fill(0.0);
+        // The input projection of every row at once; the recurrence turns
+        // each row of it into that step's gates in place.
+        Rhs::new(self.wx, false, self.in_dim, 4 * h, batch).mul(self.xs, gates);
+        let wh = Rhs::new(self.wh, false, h, 4 * h, batch);
+        for [_, start, live] in walk(self.lens, rows, self.reverse) {
+            wh.mul(&state[..live * h], &mut hg[..live * 4 * h]);
+            for r in 0..live {
+                let row = start + r;
+                let gates = &mut gates[row * 4 * h..(row + 1) * 4 * h];
+                for ((g, &hv), &bv) in gates.iter_mut().zip(&hg[r * 4 * h..]).zip(self.b) {
+                    *g = (*g + hv) + bv;
+                }
+                // Gate order [i | f | g | o]: i and f share one sigmoid pass.
+                act::sigmoid(&mut gates[..2 * h]);
+                act::tanh(&mut gates[2 * h..3 * h]);
+                act::sigmoid(&mut gates[3 * h..]);
+                let c = &mut cells[r * h..(r + 1) * h];
+                for j in 0..h {
+                    c[j] = gates[h + j] * c[j] + gates[j] * gates[2 * h + j];
+                }
+                let tc = &mut tcs[row * h..(row + 1) * h];
+                cs[row * h..(row + 1) * h].copy_from_slice(c);
+                tc.copy_from_slice(c);
+                act::tanh(tc);
+                let state = &mut state[r * h..(r + 1) * h];
+                for j in 0..h {
+                    state[j] = gates[3 * h + j] * tc[j];
+                }
+                let at = row * out_stride + out_col;
+                out[at..at + h].copy_from_slice(state);
             }
-            // Gate order [i | f | g | o]: i and f share one sigmoid pass.
-            act::sigmoid(&mut gates[..2 * h]);
-            act::tanh(&mut gates[2 * h..3 * h]);
-            act::sigmoid(&mut gates[3 * h..]);
-            for j in 0..h {
-                c[j] = gates[h + j] * c[j] + gates[j] * gates[2 * h + j];
-            }
-            let tc = &mut tcs[t * h..(t + 1) * h];
-            cs[t * h..(t + 1) * h].copy_from_slice(c);
-            tc.copy_from_slice(c);
-            act::tanh(tc);
-            for j in 0..h {
-                state[j] = gates[3 * h + j] * tc[j];
-            }
-            let at = t * out_stride + out_col;
-            out[at..at + h].copy_from_slice(state);
         }
     }
 
-    /// Back-propagates `g_out` (`steps × h`, the gradient of the states
+    /// Back-propagates `g_out` (`rows × h`, the gradient of the states
     /// `hs` the forward wrote with `out_stride = h`) through the pass,
-    /// reading the activations [`LstmPass::forward`] left in `acts`.
-    pub fn backward(&self, acts: &[f32], hs: &[f32], g_out: &[f32], grads: LstmGrads<'_>) {
+    /// reading the activations [`LstmPass::forward`] left in `acts`, into
+    /// `[dWx, dWh, db]` and, when `want_dx`, `dX`. The steps go in reverse
+    /// processing order, carrying `dh` and `dc` per slot; the parameter
+    /// and input gradients are then one product each over all rows.
+    pub fn backward(
+        &self,
+        acts: &[f32],
+        hs: &[f32],
+        g_out: &[f32],
+        want_dx: bool,
+    ) -> ([Matrix; 3], Option<Matrix>) {
         thread_local! {
             static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
         }
-        let (h, steps, n) = (self.hidden(), self.steps(), self.in_dim);
-        let LstmGrads {
-            dwx,
-            dwh,
-            db,
-            mut dx,
-        } = grads;
-        let (gates, rest) = acts.split_at(steps * 4 * h);
-        let (cs, rest) = rest.split_at(steps * h);
-        let tcs = &rest[..steps * h];
+        let (h, rows, batch, n) = (self.hidden(), self.rows(), self.lens.len(), self.in_dim);
+        let (gates, rest) = acts.split_at(rows * 4 * h);
+        let (cs, rest) = rest.split_at(rows * h);
+        let tcs = &rest[..rows * h];
+        let steps = self.lens.first().copied().unwrap_or(0);
+        let wh_t = Rhs::new(self.wh, true, 4 * h, h, batch);
         SCRATCH.with(|scratch| {
-            // Whᵀ: 4h × h | Wxᵀ: 4h × n | dg: 4h | dh_rec, dc, zeros: h each.
+            // dG: rows × 4h | h_prev: rows × h | dh, dc: batch × h | zeros: h.
             let scratch = &mut *scratch.borrow_mut();
-            let wxt_len = if dx.is_some() { 4 * h * n } else { 0 };
-            scratch.resize(4 * h * h + wxt_len + 7 * h, 0.0);
-            let (wht, rest) = scratch.split_at_mut(4 * h * h);
-            let (wxt, rest) = rest.split_at_mut(wxt_len);
-            let (dg, rest) = rest.split_at_mut(4 * h);
-            let (dh_rec, rest) = rest.split_at_mut(h);
-            let (dc, zeros) = rest.split_at_mut(h);
-            zeros.fill(0.0);
-            transpose_into(self.wh, 4 * h, wht);
-            if dx.is_some() {
-                transpose_into(self.wx, 4 * h, wxt);
-            }
-            for s in (0..steps).rev() {
-                let t = self.time(s);
-                let first = s + 1 == steps;
-                // The state the step started from: zero for the first one.
-                let (h_prev, c_prev): (&[f32], &[f32]) = if s == 0 {
-                    (zeros, zeros)
+            scratch.clear();
+            scratch.resize(rows * 5 * h + (2 * batch + 1) * h, 0.0);
+            let (dgs, rest) = scratch.split_at_mut(rows * 4 * h);
+            let (h_prev, rest) = rest.split_at_mut(rows * h);
+            let (dhs, rest) = rest.split_at_mut(batch * h);
+            let (dcs, zeros) = rest.split_at_mut(batch * h);
+            for [t, start, live] in walk(self.lens, rows, !self.reverse) {
+                // The step each slot ran before this one, if any: its first
+                // row and how many slots it had.
+                let prev = if !self.reverse && t > 0 {
+                    let p = active(self.lens, t - 1);
+                    Some((start - p, p))
+                } else if self.reverse && t + 1 < steps {
+                    Some((start + live, active(self.lens, t + 1)))
                 } else {
-                    let p = self.time(s - 1);
-                    (row(hs, p, h), row(cs, p, h))
+                    None
                 };
-                let gt = row(gates, t, 4 * h);
-                let (tc, g_t) = (row(tcs, t, h), row(g_out, t, h));
-                for j in 0..h {
-                    let (i, f, g, o) = (gt[j], gt[h + j], gt[2 * h + j], gt[3 * h + j]);
-                    let dh = if first { g_t[j] } else { g_t[j] + dh_rec[j] };
-                    let d_o = dh * tc[j];
-                    let d_tc = dh * o;
-                    let local = d_tc * (1.0 - tc[j] * tc[j]);
-                    let dcj = if first { local } else { dc[j] + local };
-                    let (d_i, d_g, d_f) = (dcj * g, dcj * i, dcj * c_prev[j]);
-                    dc[j] = dcj * f;
-                    dg[j] = d_i * i * (1.0 - i) + 0.0;
-                    dg[h + j] = d_f * f * (1.0 - f) + 0.0;
-                    dg[2 * h + j] = d_g * (1.0 - g * g) + 0.0;
-                    dg[3 * h + j] = d_o * o * (1.0 - o) + 0.0;
+                for r in 0..live {
+                    let row = start + r;
+                    let p = prev.filter(|&(_, p)| r < p).map(|(s, _)| s + r);
+                    let (hp, c_prev) = match p {
+                        Some(p) => (&hs[p * h..(p + 1) * h], &cs[p * h..(p + 1) * h]),
+                        None => (&*zeros, &*zeros),
+                    };
+                    h_prev[row * h..(row + 1) * h].copy_from_slice(hp);
+                    let gt = &gates[row * 4 * h..(row + 1) * 4 * h];
+                    let (tc, g_t) = (&tcs[row * h..], &g_out[row * h..]);
+                    let dg = &mut dgs[row * 4 * h..(row + 1) * 4 * h];
+                    let (dh_rec, dc) = (&dhs[r * h..(r + 1) * h], &mut dcs[r * h..(r + 1) * h]);
+                    for j in 0..h {
+                        let (i, f, g, o) = (gt[j], gt[h + j], gt[2 * h + j], gt[3 * h + j]);
+                        let dh = g_t[j] + dh_rec[j];
+                        let dcj = dc[j] + dh * o * (1.0 - tc[j] * tc[j]);
+                        dc[j] = dcj * f;
+                        dg[j] = dcj * g * i * (1.0 - i);
+                        dg[h + j] = dcj * c_prev[j] * f * (1.0 - f);
+                        dg[2 * h + j] = dcj * i * (1.0 - g * g);
+                        dg[3 * h + j] = dh * tc[j] * o * (1.0 - o);
+                    }
                 }
-                for (d, &v) in db.iter_mut().zip(dg.iter()) {
+                // dh for each slot's previous step: dG · Whᵀ.
+                let block = &dgs[start * 4 * h..(start + live) * 4 * h];
+                wh_t.mul(block, &mut dhs[..live * h]);
+            }
+            let mut db = Matrix::zeros(1, 4 * h);
+            for dg in dgs.chunks_exact(4 * h) {
+                for (d, &v) in db.as_mut_slice().iter_mut().zip(dg) {
                     *d += v;
                 }
-                add_outer(dwx, row(self.xs, t, n), dg);
-                add_outer(dwh, h_prev, dg);
-                // dg·Whᵀ and dg·Wxᵀ as one-row products over the transposes.
-                if s > 0 {
-                    matmul_naive_into(dg, 4 * h, 4 * h, wht, h, dh_rec);
-                }
-                if let Some(dx) = dx.as_deref_mut() {
-                    matmul_naive_into(dg, 4 * h, 4 * h, wxt, n, &mut dx[t * n..(t + 1) * n]);
-                }
             }
-        });
-    }
-}
-
-/// Row `r` of a row-major matrix with `width` columns.
-fn row(m: &[f32], r: usize, width: usize) -> &[f32] {
-    &m[r * width..(r + 1) * width]
-}
-
-/// `out = wᵀ` for a row-major `w` with `cols` columns.
-fn transpose_into(w: &[f32], cols: usize, out: &mut [f32]) {
-    let rows = w.len() / cols;
-    for (r, w_row) in w.chunks_exact(cols).enumerate() {
-        for (c, &v) in w_row.iter().enumerate() {
-            out[c * rows + r] = v;
-        }
-    }
-}
-
-/// `acc[i][j] += a[i] · b[j]`.
-fn add_outer(acc: &mut [f32], a: &[f32], b: &[f32]) {
-    for (acc_row, &av) in acc.chunks_exact_mut(b.len()).zip(a) {
-        for (o, &bv) in acc_row.iter_mut().zip(b) {
-            *o += av * bv;
-        }
+            let (mut dwx, mut dwh) = (Matrix::zeros(n, 4 * h), Matrix::zeros(h, 4 * h));
+            mul_tn(self.xs, n, dgs, 4 * h, dwx.as_mut_slice());
+            mul_tn(h_prev, h, dgs, 4 * h, dwh.as_mut_slice());
+            let dx = want_dx.then(|| {
+                let mut dx = Matrix::zeros(rows, n);
+                Rhs::new(self.wx, true, 4 * h, n, batch).mul(dgs, dx.as_mut_slice());
+                dx
+            });
+            ([dwx, dwh, db], dx)
+        })
     }
 }
 
@@ -228,138 +260,179 @@ fn add_outer(acc: &mut [f32], a: &[f32], b: &[f32]) {
 mod tests {
     use crate::gradcheck::gradcheck_scalar;
     use crate::layers::{BiLstm, Lstm};
-    use crate::params::ParamStore;
+    use crate::params::{ParamId, ParamStore};
+    use crate::seq::SeqBatch;
     use crate::tape::{Tape, Var};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use tensor::{randn, Matrix};
 
-    fn bits(m: &Matrix) -> Vec<u32> {
-        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// A scalar of the `T x 2h` states whose gradient is uneven across
-    /// elements and, where dropout zeroes it, a zero of either sign.
-    fn loss(tape: &mut Tape, h: Var, weights: &Matrix) -> Var {
-        let d = tape.dropout(h, 0.7, &mut StdRng::seed_from_u64(5));
-        let w = tape.mul_const(d, weights.clone());
-        let w = tape.affine(w, 1.0, 0.3);
-        let a = tape.tanh(w);
-        let sq = tape.mul(a, a);
-        tape.mean_all(sq)
+    /// `Σ h ⊙ w` as a `1 x 1` node, through ops whose gradients are exact,
+    /// so `h` receives `w` itself whatever the batch around it.
+    fn weighted_sum(tape: &mut Tape, h: Var, w: Matrix) -> Var {
+        let rows = w.rows();
+        let hw = tape.mul_const(h, w);
+        let per_row = tape.row_sum(hw);
+        let ones = tape.input(Matrix::filled(1, rows, 1.0));
+        tape.matmul(ones, per_row)
     }
 
-    /// Loss, states and every parameter gradient of `build`'s graph.
+    /// States and the store's gradients after `layers` stacked BiLSTMs
+    /// over the input parameter `x` laid out as `seqs`, dropout on the
+    /// states, and [`weighted_sum`].
     fn run(
         store: &mut ParamStore,
-        weights: &Matrix,
-        build: impl Fn(&mut Tape, &ParamStore) -> Var,
-    ) -> Vec<Vec<u32>> {
+        layers: &[BiLstm],
+        x: ParamId,
+        seqs: &SeqBatch,
+        w: Matrix,
+        rng: &mut StdRng,
+    ) -> (Matrix, Vec<Matrix>) {
         store.zero_grads();
         let mut tape = Tape::new();
-        let h = build(&mut tape, store);
-        let l = loss(&mut tape, h, weights);
-        tape.backward(l, store);
-        let mut out = vec![bits(tape.value(l)), bits(tape.value(h))];
-        out.extend(store.ids().map(|id| bits(&store.get(id).grad)));
-        out
+        let mut h = tape.param(store, x);
+        for bi in layers {
+            h = bi.forward_rows(&mut tape, store, h, seqs);
+        }
+        let d = tape.dropout_rows(h, 0.7, seqs.rows_in_caller_order(), rng);
+        let loss = weighted_sum(&mut tape, d, w);
+        let states = tape.value(h).clone();
+        tape.backward(loss, store);
+        (
+            states,
+            store.ids().map(|id| store.get(id).grad.clone()).collect(),
+        )
     }
 
-    fn step_inputs(tape: &mut Tape, x: &Matrix) -> Vec<Var> {
-        (0..x.rows())
-            .map(|r| tape.input(Matrix::row_vector(x.row(r))))
-            .collect()
-    }
+    /// One batched run against one run per sequence, each a batch of one,
+    /// drawing dropout from the same stream in the same order.
+    fn assert_batch_equals_singles(lens: &[usize], hidden: usize, depth: usize, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let in_dim = hidden + 1;
+        let mut store = ParamStore::new();
+        let layers: Vec<BiLstm> = (0..depth)
+            .map(|l| {
+                let width = if l == 0 { in_dim } else { 2 * hidden };
+                BiLstm::new(&mut store, &format!("bi{l}"), width, hidden, 0.4, &mut rng)
+            })
+            .collect();
+        let xs: Vec<Matrix> = lens
+            .iter()
+            .map(|&t| randn(&mut rng, t, in_dim, 1.0))
+            .collect();
+        let ws: Vec<Matrix> = lens
+            .iter()
+            .map(|&t| randn(&mut rng, t, 2 * hidden, 1.0))
+            .collect();
+        let x_ids: Vec<ParamId> = xs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| store.add(format!("x{i}"), x.clone()))
+            .collect();
+        let seqs = SeqBatch::new(lens);
+        let x_refs: Vec<&Matrix> = xs.iter().collect();
+        let w_refs: Vec<&Matrix> = ws.iter().collect();
+        let x_all = store.add("x", seqs.pack(&x_refs, in_dim));
+        let w_all = seqs.pack(&w_refs, 2 * hidden);
 
-    #[test]
-    fn fused_rows_equal_the_per_step_graph_bit_for_bit() {
-        let mut rng = StdRng::seed_from_u64(11);
-        // hidden = 5 leaves vector tails; three layers send gradient
-        // through two levels of dX.
-        for (in_dim, hidden, depth) in [(3usize, 5usize, 1usize), (6, 8, 2), (24, 24, 3)] {
-            let mut store = ParamStore::new();
-            let layers: Vec<BiLstm> = (0..depth)
-                .map(|l| {
-                    let width = if l == 0 { in_dim } else { 2 * hidden };
-                    BiLstm::new(&mut store, &format!("bi{l}"), width, hidden, 0.4, &mut rng)
-                })
-                .collect();
-            for steps in [1usize, 2, 3, 7, 12] {
-                let x = randn(&mut rng, steps, in_dim, 1.0);
-                let weights = randn(&mut rng, steps, 2 * hidden, 1.0);
-                let want = run(&mut store, &weights, |tape, store| {
-                    let mut xs = step_inputs(tape, &x);
-                    for bi in &layers {
-                        xs = bi.forward_concat(tape, store, &xs);
-                    }
-                    tape.stack_rows(&xs)
-                });
-                let got = run(&mut store, &weights, |tape, store| {
-                    let mut h = tape.input(x.clone());
-                    for bi in &layers {
-                        h = bi.forward_rows(tape, store, h);
-                    }
-                    h
-                });
+        let drops = rng.gen::<u64>();
+        let mut batch_rng = StdRng::seed_from_u64(drops);
+        let (states, grads) = run(&mut store, &layers, x_all, &seqs, w_all, &mut batch_rng);
+        let mut single_rng = StdRng::seed_from_u64(drops);
+        let mut summed: Vec<Matrix> = grads
+            .iter()
+            .map(|g| Matrix::zeros(g.rows(), g.cols()))
+            .collect();
+        let dx_all = &grads[x_all.index()];
+        for (i, (&t, w)) in lens.iter().zip(&ws).enumerate() {
+            let one = SeqBatch::new(&[t]);
+            let (s, g) = run(
+                &mut store,
+                &layers,
+                x_ids[i],
+                &one,
+                w.clone(),
+                &mut single_rng,
+            );
+            let slot = seqs.order().iter().position(|&c| c == i).unwrap();
+            for step in 0..t {
+                let row = seqs.row(slot, step);
                 assert_eq!(
-                    got, want,
-                    "in {in_dim}, hidden {hidden}, {depth} layers, T {steps}"
+                    bits(states.row(row)),
+                    bits(s.row(step)),
+                    "states, seq {i} step {step}"
+                );
+                let dx = &g[x_ids[i].index()];
+                assert_eq!(
+                    bits(dx_all.row(row)),
+                    bits(dx.row(step)),
+                    "dX, seq {i} step {step}"
+                );
+            }
+            for (acc, g) in summed.iter_mut().zip(&g) {
+                acc.add_assign(g);
+            }
+        }
+        for bi in &layers {
+            for id in bi.param_ids() {
+                let (got, want) = (&grads[id.index()], &summed[id.index()]);
+                let diff = got.sub(want).max_abs();
+                assert!(
+                    diff <= 1e-5 * want.max_abs(),
+                    "param {}: max |Δ| {diff} against max |g| {}",
+                    store.get(id).name,
+                    want.max_abs()
                 );
             }
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn batched_pass_equals_one_pass_per_sequence(
+            lens in proptest::collection::vec(0usize..=12, 1..=32),
+            // 24 units put a batch's products on the packed kernel while a
+            // single sequence stays on the simple one.
+            wide in any::<bool>(),
+            depth in 1usize..=2,
+            seed in any::<u64>(),
+        ) {
+            assert_batch_equals_singles(&lens, if wide { 24 } else { 5 }, depth, seed);
+        }
+    }
+
     #[test]
-    fn input_gradient_equals_the_per_step_graph_bit_for_bit() {
-        // The words as parameters, one per step: the per-step graph reads
-        // them directly, the fused node through `stack_rows`, so their
-        // gradients are the rows of dX (backward direction first).
-        let mut rng = StdRng::seed_from_u64(12);
-        let mut store = ParamStore::new();
-        let bi = BiLstm::new(&mut store, "bi", 4, 5, 0.5, &mut rng);
-        let words: Vec<_> = (0..6)
-            .map(|t| store.add(format!("x{t}"), randn(&mut rng, 1, 4, 1.0)))
-            .collect();
-        let weights = randn(&mut rng, 6, 10, 1.0);
-        let bind = |tape: &mut Tape, store: &ParamStore| -> Vec<Var> {
-            words.iter().map(|&id| tape.param(store, id)).collect()
-        };
-        let want = run(&mut store, &weights, |tape, store| {
-            let xs = bind(tape, store);
-            let hs = bi.forward_concat(tape, store, &xs);
-            tape.stack_rows(&hs)
-        });
-        let got = run(&mut store, &weights, |tape, store| {
-            let xs = bind(tape, store);
-            let x = tape.stack_rows(&xs);
-            bi.forward_rows(tape, store, x)
-        });
-        assert_eq!(got, want);
-        let live = words
-            .iter()
-            .filter(|&&id| store.get(id).grad.max_abs() > 0.0);
-        assert_eq!(live.count(), words.len(), "dX must reach every step");
+    fn batched_pass_covers_empty_single_and_full_batches() {
+        assert_batch_equals_singles(&[0], 5, 1, 1);
+        assert_batch_equals_singles(&[1], 24, 2, 2);
+        assert_batch_equals_singles(&[3, 0, 1, 3, 12], 24, 2, 3);
+        let full: Vec<usize> = (0..32).map(|i| i % 13).collect();
+        assert_batch_equals_singles(&full, 24, 1, 4);
     }
 
     #[test]
     fn lstm_seq_gradcheck_both_directions() {
+        // A ragged batch with an empty sequence, the input bound as a
+        // parameter so dX is checked too.
         let mut store = ParamStore::new();
-        let lstm = Lstm::new(
-            &mut store,
-            "lstm",
-            2,
-            3,
-            0.4,
-            &mut StdRng::seed_from_u64(13),
-        );
-        let x = randn(&mut StdRng::seed_from_u64(14), 4, 2, 1.0);
+        let mut rng = StdRng::seed_from_u64(13);
+        let lstm = Lstm::new(&mut store, "lstm", 2, 3, 0.4, &mut rng);
+        let seqs = SeqBatch::new(&[3, 0, 5, 1]);
+        let x = store.add("x", randn(&mut rng, seqs.rows(), 2, 1.0));
         for reverse in [false, true] {
-            for id in lstm.param_ids() {
+            for id in lstm.param_ids().into_iter().chain([x]) {
                 let err = gradcheck_scalar(&mut store, id, |tape, store| {
-                    let xv = tape.input(x.clone());
-                    let h = lstm.forward_rows(tape, store, xv, reverse);
+                    let xv = tape.param(store, x);
+                    let h = lstm.forward_rows(tape, store, xv, &seqs, reverse);
                     let sq = tape.mul(h, h);
-                    tape.sum_all(sq)
+                    tape.mean_all(sq)
                 });
                 assert!(err < 2e-2, "reverse {reverse}, param {id:?}: err = {err}");
             }

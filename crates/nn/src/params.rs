@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use tensor::Matrix;
 
 /// Handle to a parameter inside a [`ParamStore`].
@@ -20,8 +21,9 @@ impl ParamId {
 pub struct Param {
     /// Unique dotted-path name (used by snapshots).
     pub name: String,
-    /// Current parameter values.
-    pub value: Matrix,
+    /// Current parameter values, shared with the [`crate::Tape`]s that
+    /// bind them (copy-on-write: see [`ParamStore::value_mut`]).
+    pub value: Arc<Matrix>,
     /// Accumulated gradient (same shape as `value`).
     pub grad: Matrix,
 }
@@ -50,7 +52,7 @@ impl ParamStore {
         let grad = Matrix::zeros(value.rows(), value.cols());
         self.params.push(Param {
             name: name.into(),
-            value,
+            value: Arc::new(value),
             grad,
         });
         id
@@ -84,6 +86,12 @@ impl ParamStore {
     /// The current value of a parameter.
     pub fn value(&self, id: ParamId) -> &Matrix {
         &self.params[id.0].value
+    }
+
+    /// Mutable access to a parameter's value; copies only while a tape
+    /// still shares it.
+    pub fn value_mut(&mut self, id: ParamId) -> &mut Matrix {
+        Arc::make_mut(&mut self.params[id.0].value)
     }
 
     /// All ids in registration order.
@@ -174,7 +182,7 @@ impl ParamStore {
         let mut n = 0;
         for p in &mut self.params {
             if let Some(sm) = snap.params.get(&p.name) {
-                p.value = Matrix::from_vec(sm.rows, sm.cols, sm.data.clone());
+                p.value = Arc::new(Matrix::from_vec(sm.rows, sm.cols, sm.data.clone()));
                 n += 1;
             }
         }
@@ -245,7 +253,7 @@ mod tests {
         let mut store = ParamStore::new();
         let id = store.add("layer/w", Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
         let snap = store.to_snapshot();
-        store.get_mut(id).value = Matrix::zeros(2, 2);
+        *store.value_mut(id) = Matrix::zeros(2, 2);
         let restored = store.load_snapshot(&snap);
         assert_eq!(restored, 1);
         assert_eq!(store.value(id).as_slice(), &[1.0, 2.0, 3.0, 4.0]);

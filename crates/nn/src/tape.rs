@@ -3,11 +3,20 @@
 //! A [`Tape`] records one forward pass as a flat list of nodes; calling
 //! [`Tape::backward`] walks the list in reverse and accumulates gradients,
 //! scattering those of bound parameters back into the [`ParamStore`]. Tapes
-//! are cheap, single-use values: build one per training step and drop it.
+//! are cheap, single-use values: build one per training step, and
+//! `backward` consumes it.
+//!
+//! Parameters are bound by sharing, not copying: a node holds an `Arc` of
+//! the store's value, and each [`ParamId`] is bound at most once per tape,
+//! so every use of it on the tape sums into one gradient, added to the
+//! store once.
 
-use crate::lstm::{LstmGrads, LstmPass};
+use crate::lstm::LstmPass;
 use crate::params::{ParamId, ParamStore};
+use crate::seq::SeqBatch;
 use rand::Rng;
+use std::collections::HashMap;
+use std::sync::Arc;
 use tensor::Matrix;
 
 /// Handle to a node on a [`Tape`].
@@ -21,83 +30,33 @@ enum Op {
     Input,
     /// Bound parameter.
     Param,
-    MatMul {
-        a: usize,
-        b: usize,
-    },
-    Add {
-        a: usize,
-        b: usize,
-    },
-    Sub {
-        a: usize,
-        b: usize,
-    },
-    Mul {
-        a: usize,
-        b: usize,
-    },
+    MatMul(usize, usize),
+    Add(usize, usize),
+    Sub(usize, usize),
+    Mul(usize, usize),
     /// `x + bias` where bias is `1 x C` broadcast across rows.
-    AddBias {
-        x: usize,
-        bias: usize,
-    },
+    AddBias(usize, usize),
     /// `alpha * a + beta` elementwise.
-    Affine {
-        a: usize,
-        alpha: f32,
-    },
-    /// Elementwise multiply by a constant (non-differentiated) matrix.
-    MulConst {
-        a: usize,
-        c: Matrix,
-    },
-    Relu {
-        a: usize,
-    },
-    Sigmoid {
-        a: usize,
-    },
-    Tanh {
-        a: usize,
-    },
-    ConcatCols {
-        a: usize,
-        b: usize,
-    },
-    SliceCols {
-        a: usize,
-        start: usize,
-    },
+    Affine(usize, f32),
+    /// Elementwise multiply by a constant (non-differentiated) matrix,
+    /// e.g. a dropout mask.
+    MulConst(usize, Matrix),
+    Relu(usize),
+    Sigmoid(usize),
+    Tanh(usize),
+    ConcatCols(usize, usize),
+    SliceCols(usize, usize),
     /// Vertical stack of row blocks.
-    StackRows {
-        parts: Vec<usize>,
-    },
-    /// Column-wise mean over rows: `(R x C) -> (1 x C)`.
-    MeanOverRows {
-        a: usize,
-    },
+    StackRows(Vec<usize>),
+    /// Per-sequence mean over the steps of a [`SeqBatch`]: `B x C`.
+    MeanOverSteps(usize, SeqBatch),
     /// Row-wise sum: `(R x C) -> (R x 1)`.
-    RowSum {
-        a: usize,
-    },
-    /// Sliding windows of `k` rows flattened: `(T x C) -> ((T-k+1) x kC)`.
-    Im2Col {
-        a: usize,
-        k: usize,
-    },
+    RowSum(usize),
+    /// Each sequence's windows of `k` steps, flattened to `kC` columns.
+    Im2Col(usize, SeqBatch, usize),
     /// Rows rescaled to unit ℓ2 norm (rows with norm < eps pass through).
-    L2NormRows {
-        a: usize,
-    },
-    AbsDiff {
-        a: usize,
-        b: usize,
-    },
-    Dropout {
-        a: usize,
-        mask: Matrix,
-    },
+    L2NormRows(usize),
+    AbsDiff(usize, usize),
     /// Mean softmax cross-entropy over rows; `probs` are saved softmaxes.
     SoftmaxCE {
         logits: usize,
@@ -110,26 +69,22 @@ enum Op {
         labels: Matrix,
         sig: Matrix,
     },
-    SumAll {
-        a: usize,
-    },
-    MeanAll {
-        a: usize,
-    },
-    /// One LSTM direction over a whole `T x in` sequence; `acts` holds the
-    /// activations [`LstmPass::forward`] saved for the backward.
+    MeanAll(usize),
+    /// One LSTM direction over a batch of sequences of lengths `lens`;
+    /// `acts` holds the activations [`LstmPass::forward`] saved for the
+    /// backward.
     LstmSeq {
         x: usize,
-        wx: usize,
-        wh: usize,
-        b: usize,
+        /// `wx`, `wh`, `b`.
+        w: [usize; 3],
+        lens: Vec<usize>,
         reverse: bool,
         acts: Matrix,
     },
 }
 
 struct Node {
-    value: Matrix,
+    value: Arc<Matrix>,
     op: Op,
 }
 
@@ -137,20 +92,21 @@ struct Node {
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
-    bindings: Vec<(ParamId, usize)>,
+    /// The node each bound parameter lives at.
+    params: HashMap<ParamId, Var>,
 }
 
 impl Tape {
     /// An empty tape.
     pub fn new() -> Self {
-        Self {
-            nodes: Vec::with_capacity(256),
-            bindings: Vec::new(),
-        }
+        Self::default()
     }
 
-    fn push(&mut self, value: Matrix, op: Op) -> Var {
-        self.nodes.push(Node { value, op });
+    fn push(&mut self, value: impl Into<Arc<Matrix>>, op: Op) -> Var {
+        self.nodes.push(Node {
+            value: value.into(),
+            op,
+        });
         Var(self.nodes.len() - 1)
     }
 
@@ -181,36 +137,40 @@ impl Tape {
         self.push(m, Op::Input)
     }
 
-    /// Binds a parameter: copies its current value onto the tape and
-    /// remembers the id so [`Tape::backward`] can scatter its gradient.
+    /// Binds a parameter: shares its current value with the store, once
+    /// per tape — binding `id` again returns the same node — so
+    /// [`Tape::backward`] adds its gradient to the store once.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        let v = self.push(store.value(id).clone(), Op::Param);
-        self.bindings.push((id, v.0));
+        if let Some(&v) = self.params.get(&id) {
+            return v;
+        }
+        let v = self.push(Arc::clone(&store.get(id).value), Op::Param);
+        self.params.insert(id, v);
         v
     }
 
     /// `a @ b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let value = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
-        self.push(value, Op::MatMul { a: a.0, b: b.0 })
+        self.push(value, Op::MatMul(a.0, b.0))
     }
 
     /// `a + b` (same shape).
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         let value = self.nodes[a.0].value.add(&self.nodes[b.0].value);
-        self.push(value, Op::Add { a: a.0, b: b.0 })
+        self.push(value, Op::Add(a.0, b.0))
     }
 
     /// `a - b` (same shape).
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
         let value = self.nodes[a.0].value.sub(&self.nodes[b.0].value);
-        self.push(value, Op::Sub { a: a.0, b: b.0 })
+        self.push(value, Op::Sub(a.0, b.0))
     }
 
     /// Elementwise `a * b` (same shape).
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
         let value = self.nodes[a.0].value.hadamard(&self.nodes[b.0].value);
-        self.push(value, Op::Mul { a: a.0, b: b.0 })
+        self.push(value, Op::Mul(a.0, b.0))
     }
 
     /// `x + bias`, bias broadcast across rows.
@@ -218,49 +178,43 @@ impl Tape {
         let value = self.nodes[x.0]
             .value
             .add_row_broadcast(&self.nodes[bias.0].value);
-        self.push(
-            value,
-            Op::AddBias {
-                x: x.0,
-                bias: bias.0,
-            },
-        )
+        self.push(value, Op::AddBias(x.0, bias.0))
     }
 
     /// `alpha * a + beta` elementwise.
     pub fn affine(&mut self, a: Var, alpha: f32, beta: f32) -> Var {
         let value = self.nodes[a.0].value.map(|x| alpha * x + beta);
-        self.push(value, Op::Affine { a: a.0, alpha })
+        self.push(value, Op::Affine(a.0, alpha))
     }
 
     /// Elementwise multiply by a constant matrix (no gradient into `c`).
     pub fn mul_const(&mut self, a: Var, c: Matrix) -> Var {
         let value = self.nodes[a.0].value.hadamard(&c);
-        self.push(value, Op::MulConst { a: a.0, c })
+        self.push(value, Op::MulConst(a.0, c))
     }
 
     /// `max(0, a)` via the fused [`Matrix::relu`] kernel.
     pub fn relu(&mut self, a: Var) -> Var {
         let value = self.nodes[a.0].value.relu();
-        self.push(value, Op::Relu { a: a.0 })
+        self.push(value, Op::Relu(a.0))
     }
 
     /// Logistic sigmoid via the fused [`Matrix::sigmoid`] kernel.
     pub fn sigmoid(&mut self, a: Var) -> Var {
         let value = self.nodes[a.0].value.sigmoid();
-        self.push(value, Op::Sigmoid { a: a.0 })
+        self.push(value, Op::Sigmoid(a.0))
     }
 
     /// Hyperbolic tangent via the fused [`Matrix::tanh`] kernel.
     pub fn tanh(&mut self, a: Var) -> Var {
         let value = self.nodes[a.0].value.tanh();
-        self.push(value, Op::Tanh { a: a.0 })
+        self.push(value, Op::Tanh(a.0))
     }
 
     /// `[a | b]` column concatenation.
     pub fn concat_cols(&mut self, a: Var, b: Var) -> Var {
         let value = self.nodes[a.0].value.concat_cols(&self.nodes[b.0].value);
-        self.push(value, Op::ConcatCols { a: a.0, b: b.0 })
+        self.push(value, Op::ConcatCols(a.0, b.0))
     }
 
     /// Columns `start..start+len` of `a`.
@@ -273,7 +227,7 @@ impl Tape {
                 .row_mut(r)
                 .copy_from_slice(&src.row(r)[start..start + len]);
         }
-        self.push(value, Op::SliceCols { a: a.0, start })
+        self.push(value, Op::SliceCols(a.0, start))
     }
 
     /// Vertical stack of row blocks (all with equal column counts).
@@ -291,49 +245,57 @@ impl Tape {
                 r += 1;
             }
         }
-        self.push(
-            value,
-            Op::StackRows {
-                parts: parts.iter().map(|p| p.0).collect(),
-            },
-        )
+        self.push(value, Op::StackRows(parts.iter().map(|p| p.0).collect()))
     }
 
-    /// One LSTM direction (§4.2) over the rows of `x` (`T x in`) from zero
-    /// state, as a single node: `wx` is `in x 4h`, `wh` is `h x 4h`, `b` is
-    /// `1 x 4h`, gate order `[i | f | g | o]`; `reverse` runs from the
-    /// last row to the first. Row `t` of the `T x h` result is `h_t`.
-    /// Values and gradients equal, bit for bit, those of the per-step
-    /// graph [`crate::Lstm::forward_seq`] records; a constant `x` gets no
-    /// gradient.
-    pub fn lstm_seq(&mut self, x: Var, wx: Var, wh: Var, b: Var, reverse: bool) -> Var {
-        let pass = self.lstm_pass(x.0, wx.0, wh.0, b.0, reverse);
-        let (steps, h) = (pass.steps(), pass.hidden());
+    /// One LSTM direction (§4.2) from zero state over the sequences of
+    /// `x`, whose `in`-wide rows follow the layout `seqs`, as a single
+    /// node: `wx` is `in x 4h`, `wh` is `h x 4h`, `b` is `1 x 4h`, gate
+    /// order `[i | f | g | o]`; `reverse` runs each sequence from its last
+    /// step to its first. Row `r` of the `rows x h` result is the state
+    /// at row `r`'s step. A constant `x` gets no gradient.
+    pub fn lstm_seq(
+        &mut self,
+        x: Var,
+        [wx, wh, b]: [Var; 3],
+        seqs: &SeqBatch,
+        reverse: bool,
+    ) -> Var {
+        let lens = seqs.lens().to_vec();
+        let pass = self.lstm_pass(x.0, [wx.0, wh.0, b.0], &lens, reverse);
+        let h = pass.hidden();
         let mut acts = Matrix::zeros(1, pass.acts_len());
-        let mut value = Matrix::zeros(steps, h);
+        let mut value = Matrix::zeros(pass.rows(), h);
         pass.forward(acts.as_mut_slice(), value.as_mut_slice(), h, 0);
         self.push(
             value,
             Op::LstmSeq {
                 x: x.0,
-                wx: wx.0,
-                wh: wh.0,
-                b: b.0,
+                w: [wx.0, wh.0, b.0],
+                lens,
                 reverse,
                 acts,
             },
         )
     }
 
-    fn lstm_pass(&self, x: usize, wx: usize, wh: usize, b: usize, reverse: bool) -> LstmPass<'_> {
-        let value = |i: usize| &self.nodes[i].value;
+    fn lstm_pass<'a>(
+        &'a self,
+        x: usize,
+        [wx, wh, b]: [usize; 3],
+        lens: &'a [usize],
+        reverse: bool,
+    ) -> LstmPass<'a> {
+        let value = |i: usize| &*self.nodes[i].value;
         let (in_dim, h) = (value(wx).rows(), value(wh).rows());
         assert_eq!(value(x).cols(), in_dim, "lstm_seq input width mismatch");
+        assert_eq!(value(x).rows(), lens.iter().sum(), "lstm_seq row count");
         assert_eq!(value(wx).cols(), 4 * h, "lstm_seq wx shape mismatch");
         assert_eq!(value(wh).cols(), 4 * h, "lstm_seq wh shape mismatch");
         assert_eq!(value(b).shape(), (1, 4 * h), "lstm_seq bias shape mismatch");
         LstmPass {
             xs: value(x).as_slice(),
+            lens,
             in_dim,
             wx: value(wx).as_slice(),
             wh: value(wh).as_slice(),
@@ -342,49 +304,60 @@ impl Tape {
         }
     }
 
-    /// Column-wise mean over rows: `(R x C) -> (1 x C)`.
-    pub fn mean_over_rows(&mut self, a: Var) -> Var {
+    /// Per-sequence column-wise mean of the rows of `a` laid out as
+    /// `seqs`: row `i` of the `B x C` result is caller sequence `i`'s
+    /// `Σ_t v_t / len` in step order (zero for an empty sequence).
+    pub fn mean_over_steps(&mut self, a: Var, seqs: &SeqBatch) -> Var {
         let m = &self.nodes[a.0].value;
-        let rows = m.rows().max(1) as f32;
-        let mut out = Matrix::zeros(1, m.cols());
-        for r in 0..m.rows() {
-            for c in 0..m.cols() {
-                out.set(0, c, out.get(0, c) + m.get(r, c) / rows);
+        assert_eq!(m.rows(), seqs.rows(), "mean_over_steps layout mismatch");
+        let mut out = Matrix::zeros(seqs.order().len(), m.cols());
+        for (slot, (&caller, &len)) in seqs.order().iter().zip(seqs.lens()).enumerate() {
+            let n = len.max(1) as f32;
+            let o = out.row_mut(caller);
+            for t in 0..len {
+                for (o, &v) in o.iter_mut().zip(m.row(seqs.row(slot, t))) {
+                    *o += v / n;
+                }
             }
         }
-        self.push(out, Op::MeanOverRows { a: a.0 })
+        let seqs = seqs.clone();
+        self.push(out, Op::MeanOverSteps(a.0, seqs))
     }
 
     /// Row-wise sum: `(R x C) -> (R x 1)`.
     pub fn row_sum(&mut self, a: Var) -> Var {
         let m = &self.nodes[a.0].value;
         let out = Matrix::from_fn(m.rows(), 1, |r, _| m.row(r).iter().sum());
-        self.push(out, Op::RowSum { a: a.0 })
+        self.push(out, Op::RowSum(a.0))
     }
 
-    /// Sliding windows of `k` consecutive rows, flattened per window:
-    /// `(T x C) -> ((T-k+1) x kC)`. This is the im2col of a stride-1 1-D
-    /// convolution over time; combined with [`Tape::matmul`] it implements
-    /// the 3×N convolution of BiLSTM-C (Eq. 3).
-    pub fn im2col(&mut self, a: Var, k: usize) -> Var {
+    /// Each sequence's windows of `k` consecutive steps, flattened per
+    /// window: the rows of `a` laid out as `seqs` (`C` wide) become `kC`-
+    /// wide rows laid out as `seqs.windows(k)`. This is the im2col of a
+    /// stride-1 1-D convolution over time; combined with [`Tape::matmul`]
+    /// it implements the 3×N convolution of BiLSTM-C (Eq. 3).
+    pub fn im2col(&mut self, a: Var, seqs: &SeqBatch, k: usize) -> Var {
         let m = &self.nodes[a.0].value;
-        assert!(k >= 1 && m.rows() >= k, "im2col window larger than input");
-        let (t, c) = m.shape();
-        let out_rows = t - k + 1;
-        let mut out = Matrix::zeros(out_rows, k * c);
-        for w in 0..out_rows {
-            for dk in 0..k {
-                out.row_mut(w)[dk * c..(dk + 1) * c].copy_from_slice(m.row(w + dk));
+        assert_eq!(m.rows(), seqs.rows(), "im2col layout mismatch");
+        let (win, c) = (seqs.windows(k), m.cols());
+        let mut out = Matrix::zeros(win.rows(), k * c);
+        for (slot, &len) in win.lens().iter().enumerate() {
+            for t in 0..len {
+                let o = out.row_mut(win.row(slot, t));
+                for dk in 0..k {
+                    o[dk * c..(dk + 1) * c].copy_from_slice(m.row(seqs.row(slot, t + dk)));
+                }
             }
         }
-        self.push(out, Op::Im2Col { a: a.0, k })
+        let seqs = seqs.clone();
+        self.push(out, Op::Im2Col(a.0, seqs, k))
     }
 
     /// Rows rescaled to unit ℓ2 norm. Rows whose norm falls below `1e-12`
     /// pass through unchanged (gradient treated as identity there).
     pub fn l2_normalize_rows(&mut self, a: Var) -> Var {
         let m = &self.nodes[a.0].value;
-        let mut out = m.clone();
+        let mut out = Matrix::clone(m);
         for r in 0..out.rows() {
             let norm = row_norm(m.row(r));
             if norm > 1e-12 {
@@ -393,7 +366,7 @@ impl Tape {
                 }
             }
         }
-        self.push(out, Op::L2NormRows { a: a.0 })
+        self.push(out, Op::L2NormRows(a.0))
     }
 
     /// Elementwise `|a - b|`.
@@ -401,24 +374,41 @@ impl Tape {
         let value = self.nodes[a.0]
             .value
             .zip_map(&self.nodes[b.0].value, |x, y| (x - y).abs());
-        self.push(value, Op::AbsDiff { a: a.0, b: b.0 })
+        self.push(value, Op::AbsDiff(a.0, b.0))
     }
 
     /// Inverted dropout with keep probability `keep`; scales surviving
     /// activations by `1/keep` so evaluation needs no rescaling (§6.1.2
-    /// uses keep = 0.8 at the LSTM layer and before every FC layer).
+    /// uses keep = 0.8 at the LSTM layer and before every FC layer). The
+    /// mask is drawn row-major.
     pub fn dropout<R: Rng>(&mut self, a: Var, keep: f32, rng: &mut R) -> Var {
+        let rows = self.nodes[a.0].value.rows();
+        self.dropout_rows(a, keep, 0..rows, rng)
+    }
+
+    /// [`Tape::dropout`] with the mask drawn row by row in the order of
+    /// `rows`, which lists every row of `a` once (e.g.
+    /// [`SeqBatch::rows_in_caller_order`]).
+    pub fn dropout_rows<R: Rng>(
+        &mut self,
+        a: Var,
+        keep: f32,
+        rows: impl IntoIterator<Item = usize>,
+        rng: &mut R,
+    ) -> Var {
         assert!((0.0..=1.0).contains(&keep) && keep > 0.0, "bad keep prob");
-        let shape = self.nodes[a.0].value.shape();
-        let mask = Matrix::from_fn(shape.0, shape.1, |_, _| {
-            if rng.gen::<f32>() < keep {
-                1.0 / keep
-            } else {
-                0.0
+        let (r, c) = self.nodes[a.0].value.shape();
+        let mut mask = Matrix::zeros(r, c);
+        for row in rows {
+            for m in mask.row_mut(row) {
+                *m = if rng.gen::<f32>() < keep {
+                    1.0 / keep
+                } else {
+                    0.0
+                };
             }
-        });
-        let value = self.nodes[a.0].value.hadamard(&mask);
-        self.push(value, Op::Dropout { a: a.0, mask })
+        }
+        self.mul_const(a, mask)
     }
 
     /// Mean softmax cross-entropy of `logits` (`B x K`) against class
@@ -477,26 +467,22 @@ impl Tape {
         )
     }
 
-    /// Sum of all elements as a `1 x 1` node.
-    pub fn sum_all(&mut self, a: Var) -> Var {
-        let s = self.nodes[a.0].value.sum();
-        self.push(Matrix::from_vec(1, 1, vec![s]), Op::SumAll { a: a.0 })
-    }
-
     /// Mean of all elements as a `1 x 1` node.
     pub fn mean_all(&mut self, a: Var) -> Var {
         let s = self.nodes[a.0].value.mean();
-        self.push(Matrix::from_vec(1, 1, vec![s]), Op::MeanAll { a: a.0 })
+        self.push(Matrix::from_vec(1, 1, vec![s]), Op::MeanAll(a.0))
     }
 
     /// Runs the backward pass from the scalar node `loss`, accumulating the
     /// gradients of every bound parameter into `store` (`+=`, so batches
-    /// can be split across multiple tapes). Returns the loss value.
-    pub fn backward(&self, loss: Var, store: &mut ParamStore) -> f32 {
+    /// can be split across multiple tapes), and drops the tape — releasing
+    /// its shares of the parameter values before an optimizer writes them.
+    /// Returns the loss value.
+    pub fn backward(self, loss: Var, store: &mut ParamStore) -> f32 {
         let grads = self.backward_grads(loss);
-        for &(pid, node) in &self.bindings {
-            if let Some(g) = &grads[node] {
-                store.get_mut(pid).grad.add_assign(g);
+        for (&id, v) in &self.params {
+            if let Some(g) = &grads[v.0] {
+                store.get_mut(id).grad.add_assign(g);
             }
         }
         self.scalar(loss)
@@ -529,25 +515,25 @@ impl Tape {
         };
         match &self.nodes[i].op {
             Op::Input | Op::Param => {}
-            Op::MatMul { a, b } => {
+            Op::MatMul(a, b) => {
                 let da = g.matmul_nt(&self.nodes[*b].value);
                 let db = self.nodes[*a].value.matmul_tn(g);
                 acc(grads, *a, da);
                 acc(grads, *b, db);
             }
-            Op::Add { a, b } => {
+            Op::Add(a, b) => {
                 acc(grads, *a, g.clone());
                 acc(grads, *b, g.clone());
             }
-            Op::Sub { a, b } => {
+            Op::Sub(a, b) => {
                 acc(grads, *a, g.clone());
                 acc(grads, *b, g.scale(-1.0));
             }
-            Op::Mul { a, b } => {
+            Op::Mul(a, b) => {
                 acc(grads, *a, g.hadamard(&self.nodes[*b].value));
                 acc(grads, *b, g.hadamard(&self.nodes[*a].value));
             }
-            Op::AddBias { x, bias } => {
+            Op::AddBias(x, bias) => {
                 acc(grads, *x, g.clone());
                 let mut db = Matrix::zeros(1, g.cols());
                 for r in 0..g.rows() {
@@ -557,9 +543,9 @@ impl Tape {
                 }
                 acc(grads, *bias, db);
             }
-            Op::Affine { a, alpha } => acc(grads, *a, g.scale(*alpha)),
-            Op::MulConst { a, c } => acc(grads, *a, g.hadamard(c)),
-            Op::Relu { a } => {
+            Op::Affine(a, alpha) => acc(grads, *a, g.scale(*alpha)),
+            Op::MulConst(a, c) => acc(grads, *a, g.hadamard(c)),
+            Op::Relu(a) => {
                 let y = &self.nodes[i].value;
                 acc(
                     grads,
@@ -567,15 +553,15 @@ impl Tape {
                     g.zip_map(y, |gi, yi| if yi > 0.0 { gi } else { 0.0 }),
                 );
             }
-            Op::Sigmoid { a } => {
+            Op::Sigmoid(a) => {
                 let y = &self.nodes[i].value;
                 acc(grads, *a, g.zip_map(y, |gi, yi| gi * yi * (1.0 - yi)));
             }
-            Op::Tanh { a } => {
+            Op::Tanh(a) => {
                 let y = &self.nodes[i].value;
                 acc(grads, *a, g.zip_map(y, |gi, yi| gi * (1.0 - yi * yi)));
             }
-            Op::ConcatCols { a, b } => {
+            Op::ConcatCols(a, b) => {
                 let ca = self.nodes[*a].value.cols();
                 let mut da = Matrix::zeros(g.rows(), ca);
                 let mut db = Matrix::zeros(g.rows(), g.cols() - ca);
@@ -587,7 +573,7 @@ impl Tape {
                 acc(grads, *a, da);
                 acc(grads, *b, db);
             }
-            Op::SliceCols { a, start } => {
+            Op::SliceCols(a, start) => {
                 let src = &self.nodes[*a].value;
                 let mut da = Matrix::zeros(src.rows(), src.cols());
                 for r in 0..g.rows() {
@@ -595,7 +581,7 @@ impl Tape {
                 }
                 acc(grads, *a, da);
             }
-            Op::StackRows { parts } => {
+            Op::StackRows(parts) => {
                 let mut r0 = 0;
                 for &p in parts {
                     let rows = self.nodes[p].value.rows();
@@ -606,44 +592,50 @@ impl Tape {
                     r0 += rows;
                 }
             }
-            Op::MeanOverRows { a } => {
-                let rows = self.nodes[*a].value.rows().max(1);
-                let scale = 1.0 / rows as f32;
-                let da = Matrix::from_fn(rows, g.cols(), |_, c| g.get(0, c) * scale);
-                acc(grads, *a, da);
-            }
-            Op::RowSum { a } => {
-                let src = &self.nodes[*a].value;
-                let da = Matrix::from_fn(src.rows(), src.cols(), |r, _| g.get(r, 0));
-                acc(grads, *a, da);
-            }
-            Op::Im2Col { a, k } => {
-                let src = &self.nodes[*a].value;
-                let (t, c) = src.shape();
-                let mut da = Matrix::zeros(t, c);
-                for w in 0..(t - k + 1) {
-                    // Window by window, row by row: the (w, dk, c) add order.
-                    for (dk, g_row) in g.row(w).chunks_exact(c).enumerate() {
-                        for (d, &gv) in da.row_mut(w + dk).iter_mut().zip(g_row) {
-                            *d += gv;
+            Op::MeanOverSteps(a, seqs) => {
+                let mut da = Matrix::zeros(seqs.rows(), g.cols());
+                for (slot, (&caller, &len)) in seqs.order().iter().zip(seqs.lens()).enumerate() {
+                    let scale = 1.0 / len.max(1) as f32;
+                    for t in 0..len {
+                        let d = da.row_mut(seqs.row(slot, t));
+                        for (d, &gv) in d.iter_mut().zip(g.row(caller)) {
+                            *d = gv * scale;
                         }
                     }
                 }
                 acc(grads, *a, da);
             }
-            Op::L2NormRows { a } => {
+            Op::RowSum(a) => {
+                let src = &self.nodes[*a].value;
+                let da = Matrix::from_fn(src.rows(), src.cols(), |r, _| g.get(r, 0));
+                acc(grads, *a, da);
+            }
+            Op::Im2Col(a, seqs, k) => {
+                let (win, c) = (seqs.windows(*k), self.nodes[*a].value.cols());
+                let mut da = Matrix::zeros(seqs.rows(), c);
+                // Sequence by sequence, window by window, row by row: the
+                // (t, dk) add order of each row is that of the sequence alone.
+                for (slot, &len) in win.lens().iter().enumerate() {
+                    for t in 0..len {
+                        let g_row = g.row(win.row(slot, t));
+                        for (dk, g_part) in g_row.chunks_exact(c).enumerate() {
+                            let d = da.row_mut(seqs.row(slot, t + dk));
+                            for (d, &gv) in d.iter_mut().zip(g_part) {
+                                *d += gv;
+                            }
+                        }
+                    }
+                }
+                acc(grads, *a, da);
+            }
+            Op::L2NormRows(a) => {
                 let x = &self.nodes[*a].value;
                 let y = &self.nodes[i].value;
                 let mut da = Matrix::zeros(x.rows(), x.cols());
                 for r in 0..x.rows() {
                     let norm = row_norm(x.row(r));
                     if norm > 1e-12 {
-                        let gy: f32 = g
-                            .row(r)
-                            .iter()
-                            .zip(y.row(r).iter())
-                            .map(|(&gi, &yi)| gi * yi)
-                            .sum();
+                        let gy: f32 = g.row(r).iter().zip(y.row(r)).map(|(&g, &y)| g * y).sum();
                         for c in 0..x.cols() {
                             da.set(r, c, (g.get(r, c) - y.get(r, c) * gy) / norm);
                         }
@@ -653,22 +645,13 @@ impl Tape {
                 }
                 acc(grads, *a, da);
             }
-            Op::AbsDiff { a, b } => {
+            Op::AbsDiff(a, b) => {
                 let va = &self.nodes[*a].value;
                 let vb = &self.nodes[*b].value;
-                let sign = va.zip_map(vb, |x, y| {
-                    if x > y {
-                        1.0
-                    } else if x < y {
-                        -1.0
-                    } else {
-                        0.0
-                    }
-                });
+                let sign = va.zip_map(vb, |x, y| ((x > y) as i8 - (x < y) as i8) as f32);
                 acc(grads, *a, g.hadamard(&sign));
                 acc(grads, *b, g.hadamard(&sign).scale(-1.0));
             }
-            Op::Dropout { a, mask } => acc(grads, *a, g.hadamard(mask)),
             Op::SoftmaxCE {
                 logits,
                 targets,
@@ -690,49 +673,28 @@ impl Tape {
                 let dz = sig.zip_map(labels, |s, y| (s - y) * scale);
                 acc(grads, *logits, dz);
             }
-            Op::SumAll { a } => {
-                let shape = self.nodes[*a].value.shape();
-                acc(grads, *a, Matrix::filled(shape.0, shape.1, g.get(0, 0)));
-            }
-            Op::MeanAll { a } => {
+            Op::MeanAll(a) => {
                 let shape = self.nodes[*a].value.shape();
                 let n = (shape.0 * shape.1).max(1) as f32;
                 acc(grads, *a, Matrix::filled(shape.0, shape.1, g.get(0, 0) / n));
             }
             Op::LstmSeq {
                 x,
-                wx,
-                wh,
-                b,
+                w,
+                lens,
                 reverse,
                 acts,
             } => {
-                let pass = self.lstm_pass(*x, *wx, *wh, *b, *reverse);
-                let (h, n) = (pass.hidden(), pass.in_dim);
-                let mut dwx = Matrix::zeros(n, 4 * h);
-                let mut dwh = Matrix::zeros(h, 4 * h);
-                let mut db = Matrix::zeros(1, 4 * h);
-                let mut dx = match self.nodes[*x].op {
-                    Op::Input => None,
-                    _ => Some(Matrix::zeros(pass.steps(), n)),
-                };
-                pass.backward(
-                    acts.as_slice(),
-                    self.nodes[i].value.as_slice(),
-                    g.as_slice(),
-                    LstmGrads {
-                        dwx: dwx.as_mut_slice(),
-                        dwh: dwh.as_mut_slice(),
-                        db: db.as_mut_slice(),
-                        dx: dx.as_mut().map(Matrix::as_mut_slice),
-                    },
-                );
+                let pass = self.lstm_pass(*x, *w, lens, *reverse);
+                let hs = self.nodes[i].value.as_slice();
+                let want_dx = !matches!(self.nodes[*x].op, Op::Input);
+                let (dw, dx) = pass.backward(acts.as_slice(), hs, g.as_slice(), want_dx);
                 if let Some(dx) = dx {
                     acc(grads, *x, dx);
                 }
-                acc(grads, *wx, dwx);
-                acc(grads, *wh, dwh);
-                acc(grads, *b, db);
+                for (&p, d) in w.iter().zip(dw) {
+                    acc(grads, p, d);
+                }
             }
         }
     }
@@ -772,7 +734,7 @@ mod tests {
             move |t, p| {
                 let c = t.input(c.clone());
                 let y = t.matmul(p, c);
-                t.sum_all(y)
+                t.mean_all(y)
             },
             seeded(2, 3, 1),
         );
@@ -787,7 +749,7 @@ mod tests {
                 let a = t.add(p, o);
                 let s = t.sub(a, p);
                 let m = t.mul(s, p);
-                t.sum_all(m)
+                t.mean_all(m)
             },
             seeded(2, 3, 2),
         );
@@ -801,7 +763,7 @@ mod tests {
                 let x = t.input(x.clone());
                 let y = t.add_bias(x, p);
                 let z = t.tanh(y);
-                t.sum_all(z)
+                t.mean_all(z)
             },
             seeded(1, 3, 3),
         );
@@ -829,7 +791,7 @@ mod tests {
                 let cat = t.concat_cols(p, o);
                 let left = t.slice_cols(cat, 1, 3);
                 let st = t.stack_rows(&[left, left]);
-                t.sum_all(st)
+                t.mean_all(st)
             },
             seeded(2, 3, 7),
         );
@@ -839,9 +801,9 @@ mod tests {
     fn grad_reductions() {
         check(
             |t, p| {
-                let m = t.mean_over_rows(p);
+                let m = t.mean_over_steps(p, &SeqBatch::new(&[4]));
                 let s = t.row_sum(m);
-                t.sum_all(s)
+                t.mean_all(s)
             },
             seeded(4, 3, 8),
         );
@@ -852,7 +814,7 @@ mod tests {
         let w = seeded(6, 2, 13);
         check(
             move |t, p| {
-                let cols = t.im2col(p, 3);
+                let cols = t.im2col(p, &SeqBatch::new(&[5]), 3);
                 let w = t.input(w.clone());
                 let y = t.matmul(cols, w);
                 let y = t.relu(y);
@@ -881,7 +843,7 @@ mod tests {
             move |t, p| {
                 let o = t.input(other.clone());
                 let d = t.abs_diff(p, o);
-                t.sum_all(d)
+                t.mean_all(d)
             },
             seeded(2, 3, 15),
         );
@@ -911,7 +873,7 @@ mod tests {
             move |t, p| {
                 let a = t.affine(p, -2.0, 0.5);
                 let m = t.mul_const(a, c.clone());
-                t.sum_all(m)
+                t.mean_all(m)
             },
             seeded(2, 2, 19),
         );
@@ -937,10 +899,12 @@ mod tests {
         let p = t.param(&store, id);
         let mut rng = StdRng::seed_from_u64(3);
         let d = t.dropout(p, 0.5, &mut rng);
-        let loss = t.sum_all(d);
+        let y = t.value(d).clone();
+        // `mean_all` of 16 elements, scaled back to their sum.
+        let sum = t.affine(d, 16.0, 0.0);
+        let loss = t.mean_all(sum);
         t.backward(loss, &mut store);
         let g = &store.get(id).grad;
-        let y = t.value(d);
         for r in 0..4 {
             for c in 0..4 {
                 if y.get(r, c) == 0.0 {
@@ -981,7 +945,8 @@ mod tests {
         for _ in 0..3 {
             let mut t = Tape::new();
             let p = t.param(&store, id);
-            let loss = t.sum_all(p);
+            let sum = t.affine(p, 2.0, 0.0);
+            let loss = t.mean_all(sum);
             t.backward(loss, &mut store);
         }
         assert_eq!(store.get(id).grad.as_slice(), &[3.0, 3.0]);
@@ -995,12 +960,32 @@ mod tests {
         let mut t = Tape::new();
         let p = t.param(&store, id);
         let y = t.add(p, p);
-        let loss = t.sum_all(y);
+        let sum = t.affine(y, 4.0, 0.0);
+        let loss = t.mean_all(sum);
         t.backward(loss, &mut store);
         assert!(store
             .get(id)
             .grad
             .approx_eq(&Matrix::filled(2, 2, 2.0), 1e-6));
+    }
+
+    #[test]
+    fn a_param_bound_twice_is_one_node_with_one_gradient() {
+        let mut store = ParamStore::new();
+        let id = store.add("p", Matrix::filled(1, 2, 3.0));
+        let mut t = Tape::new();
+        let a = t.param(&store, id);
+        let len = t.len();
+        let b = t.param(&store, id);
+        assert_eq!(a, b, "the second binding must return the first node");
+        assert_eq!(t.len(), len, "and record nothing");
+        // Shared, not copied: the node holds the store's own values.
+        assert!(std::ptr::eq(t.value(a), store.value(id)));
+        let y = t.mul(a, b);
+        let loss = t.mean_all(y);
+        t.backward(loss, &mut store);
+        // d mean(p²) / dp = 2p / 2, added to the store once.
+        assert_eq!(store.get(id).grad.as_slice(), &[3.0, 3.0]);
     }
 
     #[test]
@@ -1076,7 +1061,8 @@ mod tests {
         let mut t = Tape::new();
         let p = t.param(&store, id);
         let n = t.l2_normalize_rows(p);
-        let loss = t.sum_all(n);
+        let sum = t.affine(n, 3.0, 0.0);
+        let loss = t.mean_all(sum);
         t.backward(loss, &mut store);
         assert!(store
             .get(id)

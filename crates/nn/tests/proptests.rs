@@ -3,7 +3,7 @@
 //! their algebraic invariants.
 
 use nn::gradcheck::gradcheck_scalar;
-use nn::{ParamStore, Tape};
+use nn::{ParamStore, SeqBatch, Tape};
 use proptest::prelude::*;
 use tensor::Matrix;
 
@@ -99,16 +99,24 @@ proptest! {
     }
 
     #[test]
-    fn im2col_preserves_window_contents(x in matrix(5, 2), k in 1usize..4) {
+    fn im2col_preserves_window_contents(x in matrix(9, 2), k in 1usize..4) {
+        // Two sequences, of 4 and 5 steps, in one batch.
+        let seqs = SeqBatch::new(&[4, 5]);
+        let win = seqs.windows(k);
         let mut t = Tape::new();
         let v = t.input(x.clone());
-        let c = t.im2col(v, k);
+        let c = t.im2col(v, &seqs, k);
         let m = t.value(c);
-        prop_assert_eq!(m.shape(), (5 - k + 1, k * 2));
-        for w in 0..(5 - k + 1) {
-            for dk in 0..k {
-                for col in 0..2 {
-                    prop_assert_eq!(m.get(w, dk * 2 + col), x.get(w + dk, col));
+        prop_assert_eq!(m.shape(), (9 - 2 * (k - 1), k * 2));
+        for (slot, &len) in win.lens().iter().enumerate() {
+            for w in 0..len {
+                for dk in 0..k {
+                    for col in 0..2 {
+                        prop_assert_eq!(
+                            m.get(win.row(slot, w), dk * 2 + col),
+                            x.get(seqs.row(slot, w + dk), col)
+                        );
+                    }
                 }
             }
         }

@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 
 /// Bucket labels of the batch-size distribution, smallest first. Also
 /// the suffixes of the `serve/batch_bucket_*` obs counters, so external
-/// scrapers (loadgen) recover the same distribution from `/metrics`.
+/// scrapers (`cluster_gate`) recover the same distribution from `/metrics`.
 pub const BATCH_BUCKET_LABELS: [&str; 6] = ["1", "2", "3_4", "5_8", "9_16", "17plus"];
 
 fn bucket_index(batch_len: usize) -> usize {

@@ -2,7 +2,7 @@
 //! answer `/judge` with exactly the bytes the offline int8 service
 //! produces, the micro-batched path must stay verdict-identical to
 //! per-request judgement, and `/healthz` must advertise the precision
-//! and kernel tier so loadgen can record them.
+//! and kernel tier so `cluster_gate` can record them.
 
 mod common;
 

@@ -30,6 +30,21 @@
 //! tape-free inference path is pinned to the tape forward by `to_bits`
 //! tests. Softmax `exp`, the loss `ln` and the judge's output sigmoid
 //! still go through libm.
+//!
+//! Re-blessed a second time when the content encoder began training in
+//! batches: each featurizer step runs its whole batch of tweets through
+//! one LSTM node per layer and direction, one convolution and one pooling,
+//! with each parameter bound once per tape. Every forward value keeps its
+//! bits (rows never mix; the first loss above is unchanged), but the
+//! parameter gradients are now sums over the whole batch in a different
+//! order — the recurrent weights' as one product over all rows, where the
+//! per-profile graph added one outer product per step and one binding per
+//! profile — so they differ in the last bits, and the trained values
+//! after the first step with them. The tolerance bar that replaced
+//! bit-identity for that change: batched gradients within `1e-5` of the
+//! largest of their tensor against one profile at a time, forward values
+//! and input gradients equal by bits (`nn::lstm` and `hisrect::fc`
+//! proptests).
 
 use hisrect::config::{ApproachSpec, HisRectConfig};
 use hisrect::model::{Ablation, HisRectModel};
@@ -37,7 +52,7 @@ use twitter_sim::{generate, SimConfig};
 
 /// `f32::to_bits` of [`fingerprint`], captured at seed 42 / 40+40 iters.
 const GOLDEN_BITS: &[u32] = &[
-    0x4004a4dc, 0x3fb4158d, 0x3fd79f80, 0x3f2fe21c, 0x3f2ec140, 0x3f35ee62, 0x40e06944, 0x4442c000,
+    0x4004a4dc, 0x3fb415a1, 0x3fd79f86, 0x3f2fe224, 0x3f2ec11d, 0x3f35ee7b, 0x40e0692c, 0x4442c000,
     0x42ea0000,
 ];
 

@@ -7,6 +7,11 @@
 //!
 //! A single `#[test]` in its own binary: `tensor::force_portable` is
 //! process-global.
+//!
+//! Re-blessed once, with `golden_run.rs`, when the content encoder began
+//! training in batches (see that file's header): the served code did not
+//! change, but the trained model it serves differs in the last bits.
+//! Every constant moved; the inference path that reads them is the same.
 
 use hisrect::config::{ApproachSpec, HisRectConfig};
 use hisrect::model::{Ablation, HisRectModel};
@@ -19,8 +24,8 @@ const ITERS: usize = 40;
 /// `to_bits` of `p_co` for `test.pos_pairs[0]`, of `Σ features_for(a)` and
 /// of `Σ judge_embeddings(..)[0]`.
 const PINNED: [(Precision, [u32; 3]); 2] = [
-    (Precision::F32, [0x3f35ee62, 0x40e06944, 0x3f83d43d]),
-    (Precision::Int8, [0x3f35ddfb, 0x40e0bad4, 0x3f84c43a]),
+    (Precision::F32, [0x3f35ee7b, 0x40e0692c, 0x3f83d37b]),
+    (Precision::Int8, [0x3f35de26, 0x40e0bb0e, 0x3f84b415]),
 ];
 
 #[test]
