@@ -417,6 +417,185 @@ mod tests {
         assert_batch_equals_singles(&full, 24, 1, 4);
     }
 
+    /// The recurrence spelled out as 17 tape nodes per step over `xs`
+    /// (each `1 x in_dim`): one `1 x hidden` state per step.
+    fn per_step(lstm: &Lstm, tape: &mut Tape, store: &ParamStore, xs: &[Var]) -> Vec<Var> {
+        let h = lstm.hidden;
+        let [wx, wh, b] = [lstm.wx, lstm.wh, lstm.b].map(|id| tape.param(store, id));
+        let mut state = tape.input(Matrix::zeros(1, h));
+        let mut c = tape.input(Matrix::zeros(1, h));
+        let mut out = Vec::with_capacity(xs.len());
+        for &x in xs {
+            let xg = tape.matmul(x, wx);
+            let hg = tape.matmul(state, wh);
+            let gsum = tape.add(xg, hg);
+            let gates = tape.add_bias(gsum, b);
+            let [i, f, g, o] = [0, 1, 2, 3].map(|k| tape.slice_cols(gates, k * h, h));
+            let (i, f, g, o) = (
+                tape.sigmoid(i),
+                tape.sigmoid(f),
+                tape.tanh(g),
+                tape.sigmoid(o),
+            );
+            let fc = tape.mul(f, c);
+            let ig = tape.mul(i, g);
+            c = tape.add(fc, ig);
+            let tc = tape.tanh(c);
+            state = tape.mul(o, tc);
+            out.push(state);
+        }
+        out
+    }
+
+    /// [`per_step`] in both directions: `[h_fwd | h_bwd]` per step.
+    fn per_step_concat(bi: &BiLstm, tape: &mut Tape, store: &ParamStore, xs: &[Var]) -> Vec<Var> {
+        let hf = per_step(&bi.fwd, tape, store, xs);
+        let reversed: Vec<Var> = xs.iter().rev().copied().collect();
+        let mut hb = per_step(&bi.bwd, tape, store, &reversed);
+        hb.reverse();
+        hf.into_iter()
+            .zip(hb)
+            .map(|(f, b)| tape.concat_cols(f, b))
+            .collect()
+    }
+
+    /// Loss and states (as bits) and every parameter gradient of
+    /// `build`'s graph under a loss whose gradient is uneven across
+    /// elements and, where dropout zeroes it, a zero of either sign.
+    fn run_graph(
+        store: &mut ParamStore,
+        weights: &Matrix,
+        build: impl Fn(&mut Tape, &ParamStore) -> Var,
+    ) -> ([Vec<u32>; 2], Vec<Matrix>) {
+        store.zero_grads();
+        let mut tape = Tape::new();
+        let h = build(&mut tape, store);
+        let d = tape.dropout(h, 0.7, &mut StdRng::seed_from_u64(5));
+        let w = tape.mul_const(d, weights.clone());
+        let w = tape.affine(w, 1.0, 0.3);
+        let a = tape.tanh(w);
+        let sq = tape.mul(a, a);
+        let l = tape.mean_all(sq);
+        let values = [
+            bits(tape.value(l).as_slice()),
+            bits(tape.value(h).as_slice()),
+        ];
+        tape.backward(l, store);
+        (
+            values,
+            store.ids().map(|id| store.get(id).grad.clone()).collect(),
+        )
+    }
+
+    /// Loss, states and the gradients of every parameter outside `layers`
+    /// (here: the inputs, so dX) by bits. The fused backward sums each
+    /// LSTM parameter gradient over all rows in one product, the per-step
+    /// graph step by step, so those agree within 1e-5 of the largest.
+    fn assert_matches_per_step(
+        store: &ParamStore,
+        layers: &[BiLstm],
+        got: &([Vec<u32>; 2], Vec<Matrix>),
+        want: &([Vec<u32>; 2], Vec<Matrix>),
+        case: &str,
+    ) {
+        assert_eq!(got.0, want.0, "loss and states, {case}");
+        let weights: Vec<ParamId> = layers.iter().flat_map(|bi| bi.param_ids()).collect();
+        for id in store.ids() {
+            let (g, w) = (&got.1[id.index()], &want.1[id.index()]);
+            let name = &store.get(id).name;
+            if weights.contains(&id) {
+                let diff = g.sub(w).max_abs();
+                assert!(
+                    diff <= 1e-5 * w.max_abs(),
+                    "param {name}, {case}: max |Δ| {diff} against max |g| {}",
+                    w.max_abs()
+                );
+            } else {
+                assert_eq!(
+                    bits(g.as_slice()),
+                    bits(w.as_slice()),
+                    "param {name}, {case}"
+                );
+            }
+        }
+    }
+
+    fn step_inputs(tape: &mut Tape, x: &Matrix) -> Vec<Var> {
+        (0..x.rows())
+            .map(|r| tape.input(Matrix::row_vector(x.row(r))))
+            .collect()
+    }
+
+    #[test]
+    fn fused_rows_equal_the_per_step_graph_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(11);
+        // hidden = 5 leaves vector tails; three layers send gradient
+        // through two levels of dX.
+        for (in_dim, hidden, depth) in [(3usize, 5usize, 1usize), (6, 8, 2), (24, 24, 3)] {
+            let mut store = ParamStore::new();
+            let layers: Vec<BiLstm> = (0..depth)
+                .map(|l| {
+                    let width = if l == 0 { in_dim } else { 2 * hidden };
+                    BiLstm::new(&mut store, &format!("bi{l}"), width, hidden, 0.4, &mut rng)
+                })
+                .collect();
+            for steps in [1usize, 2, 3, 7, 12] {
+                let x = randn(&mut rng, steps, in_dim, 1.0);
+                let weights = randn(&mut rng, steps, 2 * hidden, 1.0);
+                let want = run_graph(&mut store, &weights, |tape, store| {
+                    let mut xs = step_inputs(tape, &x);
+                    for bi in &layers {
+                        xs = per_step_concat(bi, tape, store, &xs);
+                    }
+                    tape.stack_rows(&xs)
+                });
+                let seqs = SeqBatch::new(&[steps]);
+                let got = run_graph(&mut store, &weights, |tape, store| {
+                    let mut h = tape.input(x.clone());
+                    for bi in &layers {
+                        h = bi.forward_rows(tape, store, h, &seqs);
+                    }
+                    h
+                });
+                let case = format!("in {in_dim}, hidden {hidden}, {depth} layers, T {steps}");
+                assert_matches_per_step(&store, &layers, &got, &want, &case);
+            }
+        }
+    }
+
+    #[test]
+    fn input_gradient_equals_the_per_step_graph_bit_for_bit() {
+        // The words as parameters, one per step: the per-step graph reads
+        // them directly, the fused node through `stack_rows`, so their
+        // gradients are the rows of dX (backward direction first).
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut store = ParamStore::new();
+        let bi = BiLstm::new(&mut store, "bi", 4, 5, 0.5, &mut rng);
+        let words: Vec<_> = (0..6)
+            .map(|t| store.add(format!("x{t}"), randn(&mut rng, 1, 4, 1.0)))
+            .collect();
+        let weights = randn(&mut rng, 6, 10, 1.0);
+        let bind = |tape: &mut Tape, store: &ParamStore| -> Vec<Var> {
+            words.iter().map(|&id| tape.param(store, id)).collect()
+        };
+        let want = run_graph(&mut store, &weights, |tape, store| {
+            let xs = bind(tape, store);
+            let hs = per_step_concat(&bi, tape, store, &xs);
+            tape.stack_rows(&hs)
+        });
+        let seqs = SeqBatch::new(&[words.len()]);
+        let got = run_graph(&mut store, &weights, |tape, store| {
+            let xs = bind(tape, store);
+            let x = tape.stack_rows(&xs);
+            bi.forward_rows(tape, store, x, &seqs)
+        });
+        assert_matches_per_step(&store, std::slice::from_ref(&bi), &got, &want, "dX");
+        let live = words
+            .iter()
+            .filter(|&&id| store.get(id).grad.max_abs() > 0.0);
+        assert_eq!(live.count(), words.len(), "dX must reach every step");
+    }
+
     #[test]
     fn lstm_seq_gradcheck_both_directions() {
         // A ragged batch with an empty sequence, the input bound as a
