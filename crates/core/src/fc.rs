@@ -135,48 +135,60 @@ impl ContentNet {
         tape.stack_rows(&rows)
     }
 
-    /// Evaluation-mode [`ContentNet::forward`] into `out` (`out_dim`
-    /// floats), bit-identical to it. The paper's encoders (BiLSTM-C,
-    /// BLSTM) run tape-free through `nn::eval` on per-thread scratch; the
-    /// BiGRU-C and ConvLSTM ablations, which nothing serves, keep going
-    /// through the tape.
-    pub fn eval_into(&self, store: &ParamStore, words: &Matrix, out: &mut [f32]) {
-        assert_eq!(words.cols(), self.word_dim, "word-vector width mismatch");
-        assert_eq!(out.len(), self.out_dim, "content feature width mismatch");
+    /// Evaluation-mode [`ContentNet::forward_batch`], bit-identical to it:
+    /// the feature of `words[i]` lands at `out[i·stride ..][..out_dim]`.
+    /// The paper's encoders (BiLSTM-C, BLSTM) run tape-free through
+    /// `nn::eval`: the tweets packed as one [`SeqBatch`] in per-thread
+    /// scratch, one recurrent pass per layer and direction over all of
+    /// them, one im2col product, then the pooling. The BiGRU-C and
+    /// ConvLSTM ablations, which nothing serves, go through the tape.
+    pub fn eval_batch_into(
+        &self,
+        store: &ParamStore,
+        words: &[&Matrix],
+        out: &mut [f32],
+        stride: usize,
+    ) {
+        let d = self.out_dim;
         if self.bilstms.is_empty() {
             let mut tape = Tape::new();
             let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-            let f = self.forward(&mut tape, store, words, false, &mut rng);
-            out.copy_from_slice(tape.value(f).as_slice());
+            let f = self.forward_batch(&mut tape, store, words, false, &mut rng);
+            for (k, row) in tape.value(f).as_slice().chunks_exact(d).enumerate() {
+                out[k * stride..k * stride + d].copy_from_slice(row);
+            }
             return;
         }
+        for w in words {
+            assert_eq!(w.cols(), self.word_dim, "word-vector width mismatch");
+        }
         thread_local! {
-            /// A layer's input and output sequences, swapped between layers.
-            static SEQUENCES: RefCell<(Vec<f32>, Vec<f32>)> =
+            /// A layer's input and output rows, swapped between layers.
+            static ROWS: RefCell<(Vec<f32>, Vec<f32>)> =
                 const { RefCell::new((Vec::new(), Vec::new())) };
         }
-        SEQUENCES.with(|s| {
-            let (seq, next) = &mut *s.borrow_mut();
-            // Same padding as the tape forward: zero rows up to the conv width.
-            let t = self.padded_len(words);
-            seq.clear();
-            seq.extend_from_slice(words.as_slice());
-            seq.resize(t * self.word_dim, 0.0);
+        // Same padding as the tape forward: zero rows up to the conv width.
+        let lens: Vec<usize> = words.iter().map(|w| self.padded_len(w)).collect();
+        let seqs = SeqBatch::new(&lens);
+        ROWS.with(|rows| {
+            let (x, next) = &mut *rows.borrow_mut();
+            x.resize(seqs.rows() * self.word_dim, 0.0);
+            seqs.pack_into(words, self.word_dim, x);
             for bi in &self.bilstms {
-                next.clear();
-                next.resize(t * 2 * bi.hidden(), 0.0);
-                bi.eval_concat(store, seq, next);
-                std::mem::swap(seq, next);
+                next.resize(seqs.rows() * 2 * bi.hidden(), 0.0);
+                bi.eval_rows(store, x, &seqs, next);
+                std::mem::swap(x, next);
             }
             match &self.conv {
                 Some(conv) => {
-                    next.clear();
-                    next.resize((t - 2) * conv.out_dim, 0.0);
-                    conv.eval(store, seq, next); // (T-2) x N
+                    let windows = seqs.windows(conv.k);
+                    next.resize(windows.rows() * conv.out_dim, 0.0);
+                    conv.eval_rows(store, x, &seqs, next); // (T-2) x N each
                     nn::eval::relu(next);
-                    nn::eval::mean_over_rows(next, out); // Eq. 3
+                    // Eq. 3
+                    windows.mean_over_steps_into(next, conv.out_dim, out, stride);
                 }
-                None => nn::eval::mean_over_rows(seq, out),
+                None => seqs.mean_over_steps_into(x, d, out, stride),
             }
         });
     }

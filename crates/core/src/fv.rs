@@ -1,16 +1,36 @@
 //! The historical-visit feature `Fv(r)` (§4.1, Eq. 1–2) and its one-hot
 //! ablation.
 
-use geo::PoiSet;
+use geo::{GeoPoint, PoiSet};
+use std::collections::HashMap;
 use twitter_sim::{Profile, Visit};
+
+/// Eq. 1's `εd/(εd + d(v, p_i))` for every POI `p_i`, in id order.
+fn relevance<'a>(
+    point: &'a GeoPoint,
+    pois: &'a PoiSet,
+    eps_d_m: f64,
+) -> impl Iterator<Item = f32> + 'a {
+    pois.centers()
+        .iter()
+        .map(move |center| (eps_d_m / (eps_d_m + point.fast_dist_m(center))) as f32)
+}
 
 /// Computes Eq. 1: the spatial relevance vector
 /// `w(v) = [εd/(εd + d(v, p_1)), ..., εd/(εd + d(v, p_|P|))]`.
 pub fn visit_relevance(visit: &Visit, pois: &PoiSet, eps_d_m: f64) -> Vec<f32> {
-    pois.center_distances_m(&visit.point)
-        .into_iter()
-        .map(|d| (eps_d_m / (eps_d_m + d)) as f32)
-        .collect()
+    relevance(&visit.point, pois, eps_d_m).collect()
+}
+
+/// Eq. 2's temporal weight `εt/(εt + r.ts − v.ts)` (ages clamp at 0).
+fn recency(profile: &Profile, visit: &Visit, eps_t_s: f64) -> f32 {
+    let age = (profile.ts - visit.ts).max(0) as f64;
+    (eps_t_s / (eps_t_s + age)) as f32
+}
+
+/// The §4.1 feature of a profile without history: `ℓ2-norm([1, ..., 1])`.
+fn uniform(n: usize) -> Vec<f32> {
+    vec![1.0 / (n as f32).sqrt(); n]
 }
 
 /// Computes Eq. 2:
@@ -19,23 +39,68 @@ pub fn visit_relevance(visit: &Visit, pois: &PoiSet, eps_d_m: f64) -> Vec<f32> {
 /// Profiles with no history get the uniform vector `ℓ2-norm([1, ..., 1])`
 /// (§4.1), so timelines without POI tweets still featurize.
 pub fn fv_feature(profile: &Profile, pois: &PoiSet, eps_d_m: f64, eps_t_s: f64) -> Vec<f32> {
-    let n = pois.len();
     if profile.visits.is_empty() {
-        let u = 1.0 / (n as f32).sqrt();
-        return vec![u; n];
+        return uniform(pois.len());
     }
-    let mut acc = vec![0.0f32; n];
+    let mut acc = vec![0.0f32; pois.len()];
     for v in &profile.visits {
-        let age = (profile.ts - v.ts).max(0) as f64;
-        let recency = (eps_t_s / (eps_t_s + age)) as f32;
+        let recency = recency(profile, v, eps_t_s);
         // Eq. 1 fused into the sum: `w(v)` is never materialized.
-        for (a, center) in acc.iter_mut().zip(pois.centers()) {
-            let d = v.point.fast_dist_m(center);
-            *a += recency * (eps_d_m / (eps_d_m + d)) as f32;
+        for (a, w) in acc.iter_mut().zip(relevance(&v.point, pois, eps_d_m)) {
+            *a += recency * w;
         }
     }
     l2_normalize(&mut acc);
     acc
+}
+
+/// [`fv_feature`] of every profile, in order and bit-identical to it,
+/// with Eq. 1's `w(v)` computed once per distinct visit point. Profiles
+/// of one user carry that user's history, so when a batch holds several
+/// of them most of their visits repeat a point already seen; the memo
+/// serves exactly those profiles, and a profile whose user appears once
+/// takes the fused loop, paying nothing for it. The sum adds the same
+/// `recency · w` products in the same order as the fused loop, whose `w`
+/// is already rounded to f32 before the multiply, so reading it from the
+/// memo changes no bit.
+pub fn fv_features(
+    profiles: &[&Profile],
+    pois: &PoiSet,
+    eps_d_m: f64,
+    eps_t_s: f64,
+) -> Vec<Vec<f32>> {
+    let n = pois.len();
+    let mut users: HashMap<u32, usize> = HashMap::new();
+    for profile in profiles {
+        *users.entry(profile.uid).or_default() += 1;
+    }
+    // Row of `weights` holding `w(v)` for each visit point seen so far,
+    // keyed by the point's bits.
+    let mut rows: HashMap<[u64; 2], usize> = HashMap::new();
+    let mut weights: Vec<f32> = Vec::new();
+    profiles
+        .iter()
+        .map(|profile| {
+            if users[&profile.uid] == 1 || profile.visits.is_empty() {
+                return fv_feature(profile, pois, eps_d_m, eps_t_s);
+            }
+            let mut acc = vec![0.0f32; n];
+            for v in &profile.visits {
+                let key = [v.point.lat.to_bits(), v.point.lon.to_bits()];
+                let next = rows.len();
+                let row = *rows.entry(key).or_insert_with(|| {
+                    weights.extend(relevance(&v.point, pois, eps_d_m));
+                    next
+                });
+                let recency = recency(profile, v, eps_t_s);
+                for (a, &w) in acc.iter_mut().zip(&weights[row * n..(row + 1) * n]) {
+                    *a += recency * w;
+                }
+            }
+            l2_normalize(&mut acc);
+            acc
+        })
+        .collect()
 }
 
 /// The §4.1 strawman the paper compares against (Table 4 "One-hot" row):
@@ -53,8 +118,7 @@ pub fn one_hot_feature(profile: &Profile, pois: &PoiSet) -> Vec<f32> {
         }
     }
     if !any {
-        let u = 1.0 / (n as f32).sqrt();
-        return vec![u; n];
+        return uniform(n);
     }
     l2_normalize(&mut acc);
     acc
@@ -249,5 +313,67 @@ mod tests {
         assert_eq!(oh[2], 0.0);
         let norm: f32 = oh.iter().map(|x| x * x).sum::<f32>().sqrt();
         assert!((norm - 1.0).abs() < 1e-5);
+    }
+
+    /// A profile at `ts` with `n` visits drawn around `base()`; a nonzero
+    /// `shift` moves every point by that many meters east.
+    fn random_profile(rng: &mut rand::rngs::StdRng, ts: i64, n: usize, shift: f64) -> Profile {
+        use rand::Rng;
+        let visits = (0..n)
+            .map(|_| Visit {
+                ts: rng.gen_range(0..ts + 100_000),
+                point: base().offset_m(
+                    rng.gen_range(-3000.0..12_000.0) + shift,
+                    rng.gen_range(-5000.0..5000.0),
+                ),
+            })
+            .collect();
+        profile(ts, visits)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn batched_fv_equals_fv_feature_bit_for_bit(
+            // Per profile: 0 = a new user with a disjoint history, 1 = the
+            // previous profile's user and history plus new visits (that
+            // user's next tweet), 2 = an empty history, 3 = a disjoint
+            // history under an earlier user.
+            kinds in proptest::collection::vec(0u8..4, 1..=40),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let set = pois();
+            let mut batch: Vec<Profile> = Vec::new();
+            for (k, &kind) in kinds.iter().enumerate() {
+                let ts = 1_000_000 + 10_000 * k as i64;
+                let fresh = rng.gen_range(0..30);
+                let earlier = rng.gen_range(0..=k as u32);
+                let mut p = match (kind, batch.last()) {
+                    (1, Some(prev)) => {
+                        let mut p = random_profile(&mut rng, ts, fresh % 4, 0.0);
+                        let mut visits = prev.visits.clone();
+                        visits.append(&mut p.visits);
+                        Profile { uid: prev.uid, ..profile(ts, visits) }
+                    }
+                    (2, _) => profile(ts, Vec::new()),
+                    _ => random_profile(&mut rng, ts, fresh + 1, k as f64),
+                };
+                if kind != 1 {
+                    p.uid = if kind == 0 { k as u32 } else { earlier };
+                }
+                batch.push(p);
+            }
+            let refs: Vec<&Profile> = batch.iter().collect();
+            let got = fv_features(&refs, &set, 1000.0, 86_400.0);
+            assert_eq!(got.len(), batch.len());
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (k, p) in batch.iter().enumerate() {
+                let want = fv_feature(p, &set, 1000.0, 86_400.0);
+                assert_eq!(bits(&got[k]), bits(&want), "profile {k}");
+            }
+        }
     }
 }

@@ -11,7 +11,7 @@
 use crate::ckpt::fnv1a64;
 use crate::error::ModelError;
 use crate::fallback::FallbackJudge;
-use crate::model::{Ablation, HisRectModel, Precision, Stacks};
+use crate::model::{Ablation, HisRectModel, Precision, Stacks, FEATURE_CHUNK};
 use geo::PoiSet;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -121,16 +121,24 @@ impl JudgeService {
         self.model.feat_dim()
     }
 
-    /// `F(r)` for one profile — the unit the serving layer caches.
+    /// `F(r)` for one profile — the unit the serving layer caches:
+    /// [`JudgeService::features_batch`] of one profile.
     pub fn features_for(&self, profile: &Profile) -> Vec<f32> {
-        let input = self
-            .model
-            .profile_input(&self.pois, profile, Ablation::default());
+        let mut feats = self.features_batch(&[profile]);
+        feats.pop().expect("one feature per profile")
+    }
+
+    /// Eval-mode features for many profiles, in input order, computed on
+    /// the calling thread a [`FEATURE_CHUNK`] at a time — the serving
+    /// layer fills a request's cache misses with one call. Each row has
+    /// the bits of [`JudgeService::features_for`].
+    pub fn features_batch(&self, profiles: &[&Profile]) -> Vec<Vec<f32>> {
         let model = &self.model;
-        let feats = model
-            .featurizer
-            .features(&model.store, &[&input], &self.stacks.head);
-        feats.row(0).to_vec()
+        let head = &self.stacks.head;
+        profiles
+            .chunks(FEATURE_CHUNK)
+            .flat_map(|chunk| model.features_chunk(&self.pois, chunk, Ablation::default(), head))
+            .collect()
     }
 
     /// Eval-mode features for many profiles, in input order, fanned out

@@ -2,26 +2,28 @@
 //!
 //! The [`crate::Tape`] forward is what training differentiates and what
 //! these kernels are pinned to, bit for bit; it is also far more than
-//! inference needs — it copies every bound parameter onto the tape and
-//! records a pooled `Matrix` per operation. The methods here compute the
-//! same values reading weights by reference from the [`ParamStore`] and
-//! writing into caller slices, with grow-only scratch vectors instead of
-//! per-op matrices.
+//! inference needs — it records a pooled `Matrix` per operation. The
+//! methods here compute the same values reading weights by reference from
+//! the [`ParamStore`] and writing into caller slices, with grow-only
+//! per-thread scratch instead of per-op matrices. The recurrent encoder's
+//! kernels take a whole [`SeqBatch`] at once, as training does.
 //!
-//! Bit-identity with the tape rests on two facts: every product goes
-//! through [`tensor::matmul_into`] / [`tensor::matmul_naive_into`], whose
-//! elements are the same ascending-k chains from `0.0` as
-//! [`tensor::Matrix::matmul`] on any tier; and every other operation is
-//! written in the tape's association order (`((x·Wx) + (h·Wh)) + b`,
-//! `f·c + i·g`, `Σ v/rows` in row order) over the shared
-//! [`tensor::act`] activations.
+//! Bit-identity with the tape rests on three facts: every element of
+//! every product is the same ascending-k chain from `0.0` as
+//! [`tensor::Matrix::matmul`] on any kernel tier, so a row's bits do not
+//! depend on the rows around it; the layout work (packing, im2col,
+//! pooling) is the tape's own [`SeqBatch`] code; and every other
+//! operation is written in the tape's association order
+//! (`((x·Wx) + (h·Wh)) + b`, `f·c + i·g`) over the shared [`tensor::act`]
+//! activations.
 
-use crate::layers::{BiLstm, Conv1d, FeedForward, Linear, Lstm};
-use crate::lstm::LstmPass;
+use crate::layers::{BiLstm, Conv1d, FeedForward, Linear};
+use crate::lstm::{LstmPass, Rhs};
 use crate::params::ParamStore;
 use crate::quant::QuantFeedForward;
+use crate::seq::SeqBatch;
 use std::cell::RefCell;
-use tensor::{matmul_into, matmul_naive_into};
+use tensor::matmul_into;
 
 /// `row += bias` for every `bias.len()`-wide row of `rows`.
 fn add_bias_rows(rows: &mut [f32], bias: &[f32]) {
@@ -36,18 +38,6 @@ fn add_bias_rows(rows: &mut [f32], bias: &[f32]) {
 pub fn relu(xs: &mut [f32]) {
     for x in xs {
         *x = x.max(0.0);
-    }
-}
-
-/// Column-wise mean over the `out.len()`-wide rows of `x`, accumulated as
-/// the tape's `mean_over_steps` does: `Σ v / rows` in row order from `0.0`.
-pub fn mean_over_rows(x: &[f32], out: &mut [f32]) {
-    out.fill(0.0);
-    let rows = (x.len() / out.len()).max(1) as f32;
-    for row in x.chunks_exact(out.len()) {
-        for (o, &v) in out.iter_mut().zip(row) {
-            *o += v / rows;
-        }
     }
 }
 
@@ -154,65 +144,55 @@ impl EvalStack {
     }
 }
 
-impl Lstm {
-    /// Evaluation-mode [`Lstm::forward_rows`] over the `in_dim`-wide rows
-    /// of `xs`, one sequence from zero state: the shared [`LstmPass::forward`]
-    /// kernel reading weights from the store, its saved activations going
-    /// to per-thread scratch. `h_t` lands at
-    /// `out[t·out_stride + out_col ..][..hidden]`. With `reverse` the
-    /// recurrence runs from the last row to the first (the backward half
-    /// of a [`BiLstm`]), still writing each state at its own row.
-    pub(crate) fn eval_seq(
-        &self,
-        store: &ParamStore,
-        xs: &[f32],
-        reverse: bool,
-        out: &mut [f32],
-        out_stride: usize,
-        out_col: usize,
-    ) {
+impl BiLstm {
+    /// Evaluation-mode [`BiLstm::forward_rows`]: row `r` of `out`
+    /// (`seqs.rows() × 2·hidden`) becomes `[h_fwd | h_bwd]` of input row
+    /// `r`. Each direction is one `LstmPass::forward` over every
+    /// sequence of the batch — the training kernel, reading weights from
+    /// the store and saving its activations to per-thread scratch — and
+    /// writes its half of each row in place.
+    pub fn eval_rows(&self, store: &ParamStore, xs: &[f32], seqs: &SeqBatch, out: &mut [f32]) {
         thread_local! {
             static ACTS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
         }
-        let pass = LstmPass {
-            xs,
-            lens: &[xs.len() / self.in_dim],
-            in_dim: self.in_dim,
-            wx: store.value(self.wx).as_slice(),
-            wh: store.value(self.wh).as_slice(),
-            b: store.value(self.b).as_slice(),
-            reverse,
-        };
-        ACTS.with(|acts| {
-            let acts = &mut *acts.borrow_mut();
-            acts.resize(pass.acts_len(), 0.0);
-            pass.forward(acts, out, out_stride, out_col);
-        });
-    }
-}
-
-impl BiLstm {
-    /// Evaluation-mode [`BiLstm::forward_rows`] over one sequence: row `t` of `out`
-    /// (`steps × 2·hidden`) becomes `[h_fwd_t | h_bwd_t]`, written in
-    /// place by the two recurrences.
-    pub fn eval_concat(&self, store: &ParamStore, xs: &[f32], out: &mut [f32]) {
         let h = self.hidden();
-        self.fwd.eval_seq(store, xs, false, out, 2 * h, 0);
-        self.bwd.eval_seq(store, xs, true, out, 2 * h, h);
+        for (lstm, reverse, col) in [(&self.fwd, false, 0), (&self.bwd, true, h)] {
+            let pass = LstmPass {
+                xs,
+                lens: seqs.lens(),
+                in_dim: lstm.in_dim,
+                wx: store.value(lstm.wx).as_slice(),
+                wh: store.value(lstm.wh).as_slice(),
+                b: store.value(lstm.b).as_slice(),
+                reverse,
+            };
+            ACTS.with(|acts| {
+                let acts = &mut *acts.borrow_mut();
+                acts.resize(pass.acts_len(), 0.0);
+                pass.forward(acts, out, 2 * h, col);
+            });
+        }
     }
 }
 
 impl Conv1d {
-    /// Evaluation-mode [`Conv1d::forward`] over a contiguous `T × in_dim`
-    /// sequence into `out` (`(T-k+1) × out_dim`). Window `w` is the
-    /// `k·in_dim` floats starting at row `w`, so the filter bank multiplies
-    /// overlapping rows of `x` directly — no `im2col` copy — always on the
-    /// simple kernel, whatever `T`.
-    pub fn eval(&self, store: &ParamStore, x: &[f32], out: &mut [f32]) {
-        let w = store.value(self.w).as_slice();
-        let windows = x.len() / self.in_dim + 1 - self.k;
+    /// Evaluation-mode [`Conv1d::forward`] over the `in_dim`-wide rows of
+    /// `x` laid out as `seqs` into `out`, laid out as `seqs.windows(k)`:
+    /// one im2col copy into per-thread scratch, then one filter-bank
+    /// product on the calling thread.
+    pub fn eval_rows(&self, store: &ParamStore, x: &[f32], seqs: &SeqBatch, out: &mut [f32]) {
+        thread_local! {
+            static COLS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+        }
+        let (width, windows) = (self.k * self.in_dim, seqs.windows(self.k).rows());
         assert_eq!(out.len(), windows * self.out_dim, "eval output shape");
-        matmul_naive_into(x, self.in_dim, self.k * self.in_dim, w, self.out_dim, out);
+        COLS.with(|cols| {
+            let cols = &mut *cols.borrow_mut();
+            cols.resize(windows * width, 0.0);
+            seqs.im2col_into(x, self.in_dim, self.k, cols);
+            let w = store.value(self.w).as_slice();
+            Rhs::new(w, false, width, self.out_dim, windows).mul(cols, out);
+        });
         add_bias_rows(out, store.value(self.b).as_slice());
     }
 }
@@ -262,20 +242,22 @@ mod tests {
     fn bilstm_eval_matches_tape_bits() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut store = ParamStore::new();
-        // hidden = 5 exercises the activation tails; 8 fills registers.
-        for (in_dim, hidden) in [(3usize, 5usize), (6, 8)] {
+        // hidden = 5 exercises the activation tails; 24 puts a batch's
+        // products on the packed kernel.
+        for (in_dim, hidden) in [(3usize, 5usize), (6, 8), (24, 24)] {
             let bi = BiLstm::new(&mut store, "bi", in_dim, hidden, 0.5, &mut rng);
-            for steps in [1usize, 2, 7] {
-                let xs = randn(&mut rng, steps, in_dim, 1.0);
+            for lens in [vec![1usize], vec![7], vec![2, 0, 7, 1, 7], vec![12; 40]] {
+                let seqs = SeqBatch::new(&lens);
+                let xs = randn(&mut rng, seqs.rows(), in_dim, 1.0);
                 let mut tape = Tape::new();
                 let x = tape.input(xs.clone());
-                let want = bi.forward_rows(&mut tape, &store, x, &SeqBatch::new(&[steps]));
-                let mut got = vec![f32::NAN; steps * 2 * hidden];
-                bi.eval_concat(&store, xs.as_slice(), &mut got);
+                let want = bi.forward_rows(&mut tape, &store, x, &seqs);
+                let mut got = vec![f32::NAN; seqs.rows() * 2 * hidden];
+                bi.eval_rows(&store, xs.as_slice(), &seqs, &mut got);
                 assert_eq!(
                     bits(&got),
                     bits(tape.value(want).as_slice()),
-                    "hidden {hidden}, {steps} steps"
+                    "hidden {hidden}, lengths {lens:?}"
                 );
             }
         }
@@ -286,22 +268,27 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut store = ParamStore::new();
         let conv = Conv1d::new(&mut store, "conv", 3, 48, 24, 0.2, &mut rng);
-        // 3 rows = one window; 40 rows put the tape's im2col product on
-        // the packed kernel while eval stays on the simple one.
-        for t in [3usize, 4, 9, 40] {
-            let x = randn(&mut rng, t, 48, 1.0);
+        // 3 rows = one window; one 4-row sequence stays under the packed
+        // kernel's threshold, the batches cross it.
+        for lens in [vec![3usize], vec![4], vec![9, 3, 40], vec![5; 33]] {
+            let seqs = SeqBatch::new(&lens);
+            let x = randn(&mut rng, seqs.rows(), 48, 1.0);
             let mut tape = Tape::new();
             let xv = tape.input(x.clone());
-            let seqs = SeqBatch::new(&[t]);
             let y = conv.forward(&mut tape, &store, xv, &seqs);
             let y = tape.relu(y);
             let want = tape.mean_over_steps(y, &seqs.windows(3));
-            let mut y = vec![f32::NAN; (t - 2) * 24];
-            conv.eval(&store, x.as_slice(), &mut y);
+            let windows = seqs.windows(3);
+            let mut y = vec![f32::NAN; windows.rows() * 24];
+            conv.eval_rows(&store, x.as_slice(), &seqs, &mut y);
             relu(&mut y);
-            let mut got = vec![f32::NAN; 24];
-            mean_over_rows(&y, &mut got);
-            assert_eq!(bits(&got), bits(tape.value(want).as_slice()), "T = {t}");
+            let mut got = vec![f32::NAN; lens.len() * 24];
+            windows.mean_over_steps_into(&y, 24, &mut got, 24);
+            assert_eq!(
+                bits(&got),
+                bits(tape.value(want).as_slice()),
+                "lengths {lens:?}"
+            );
         }
     }
 }

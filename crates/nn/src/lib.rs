@@ -16,9 +16,8 @@
 //!   bit-identical to the tape, and [`EvalStack`]: one dense stack
 //!   evaluated at f32 or, through [`quant`], at int8.
 //! - `lstm` — the LSTM recurrence over a [`SeqBatch`] of ragged sequences
-//!   and its hand-written BPTT: the kernel under both [`eval`] (one
-//!   sequence) and the fused [`Tape::lstm_seq`] node the encoders train
-//!   through.
+//!   and its hand-written BPTT: the kernel under both [`eval`] and the
+//!   fused [`Tape::lstm_seq`] node the encoders train through.
 //! - [`adam`] — Adam with learning-rate decay, ℓ2 regularization and
 //!   global-norm gradient clipping.
 //! - [`gradcheck`] — finite-difference gradient checking used heavily in

@@ -1,8 +1,8 @@
 //! One LSTM direction over a batch of ragged sequences, as two kernels on
 //! plain slices: the forward recurrence — the only copy of it, shared by
-//! [`crate::Lstm::eval_seq`] (one sequence) and [`crate::Tape::lstm_seq`]
-//! (a training batch) — and the hand-written back-propagation through
-//! time behind the tape op.
+//! the evaluation path ([`crate::BiLstm::eval_rows`]) and
+//! [`crate::Tape::lstm_seq`] (training) — and the hand-written
+//! back-propagation through time behind the tape op.
 //!
 //! The rows follow a [`crate::SeqBatch`] layout, so each step's live rows
 //! are one contiguous block: the step is one `live × h · h × 4h` product
@@ -57,16 +57,15 @@ fn walk(lens: &[usize], rows: usize, down: bool) -> impl Iterator<Item = [usize;
 /// A `k × n` right-hand operand multiplied on the calling thread: packed
 /// once when a `block`-row product reaches the packed kernel's threshold,
 /// read as stored (or as a transposed copy) by the simple kernel below it.
-/// One sequence therefore stays on the simple kernel, as the eval path
-/// always has; both tiers give the same bits.
-enum Rhs<'a> {
+/// Both tiers give the same bits.
+pub(crate) enum Rhs<'a> {
     Packed(PackedB, [usize; 2]),
     Plain(Cow<'a, [f32]>, [usize; 2]),
 }
 
 impl<'a> Rhs<'a> {
     /// `w` is stored `k × n`, or `n × k` when `transposed`.
-    fn new(w: &'a [f32], transposed: bool, k: usize, n: usize, block: usize) -> Self {
+    pub fn new(w: &'a [f32], transposed: bool, k: usize, n: usize, block: usize) -> Self {
         if block * k * n >= pack_threshold() {
             let (variant, cols) = if transposed {
                 (Variant::Nt, k)
@@ -88,7 +87,7 @@ impl<'a> Rhs<'a> {
     }
 
     /// `out = a · w` for the `k`-wide rows of `a`.
-    fn mul(&self, a: &[f32], out: &mut [f32]) {
+    pub fn mul(&self, a: &[f32], out: &mut [f32]) {
         match self {
             Rhs::Packed(pb, [k, n]) => {
                 gemm::gemm_rows(Variant::Nn, a, *k, out.len() / n, pb, 0, out)

@@ -93,16 +93,66 @@ impl SeqBatch {
     /// `width` floats; missing trailing rows are zeros) packed into this
     /// layout's rows.
     pub fn pack(&self, seqs: &[&Matrix], width: usize) -> Matrix {
-        assert_eq!(seqs.len(), self.order.len(), "one matrix per sequence");
         let mut out = Matrix::zeros(self.rows(), width);
+        self.pack_into(seqs, width, out.as_mut_slice());
+        out
+    }
+
+    /// [`SeqBatch::pack`] into `out` (`rows() × width` floats).
+    pub fn pack_into(&self, seqs: &[&Matrix], width: usize, out: &mut [f32]) {
+        assert_eq!(seqs.len(), self.order.len(), "one matrix per sequence");
+        assert_eq!(out.len(), self.rows() * width, "packed batch shape");
+        out.fill(0.0);
         for (slot, &caller) in self.order.iter().enumerate() {
             let seq = seqs[caller];
             assert_eq!(seq.cols(), width, "sequence width mismatch");
             for t in 0..seq.rows().min(self.lens[slot]) {
-                out.row_mut(self.row(slot, t)).copy_from_slice(seq.row(t));
+                let row = self.row(slot, t);
+                out[row * width..(row + 1) * width].copy_from_slice(seq.row(t));
             }
         }
-        out
+    }
+
+    /// Each sequence's windows of `k` consecutive steps, flattened per
+    /// window: the `width`-wide rows of `x` (this layout) become the
+    /// `k·width`-wide rows of `out`, laid out as [`SeqBatch::windows`].
+    pub(crate) fn im2col_into(&self, x: &[f32], width: usize, k: usize, out: &mut [f32]) {
+        let win = self.windows(k);
+        assert_eq!(x.len(), self.rows() * width, "im2col layout mismatch");
+        assert_eq!(out.len(), win.rows() * k * width, "im2col output shape");
+        let kw = k * width;
+        for (slot, &len) in win.lens().iter().enumerate() {
+            for t in 0..len {
+                let o = &mut out[win.row(slot, t) * kw..][..kw];
+                for (dk, o) in o.chunks_exact_mut(width).enumerate() {
+                    let src = self.row(slot, t + dk) * width;
+                    o.copy_from_slice(&x[src..src + width]);
+                }
+            }
+        }
+    }
+
+    /// Each sequence's mean step: row `i` of `out` (every `stride` floats)
+    /// becomes the mean of caller `i`'s `width`-wide rows of `x`,
+    /// accumulated as `Σ v / len` in step order from `0.0` (an empty
+    /// sequence gives zeros).
+    pub fn mean_over_steps_into(&self, x: &[f32], width: usize, out: &mut [f32], stride: usize) {
+        assert_eq!(
+            x.len(),
+            self.rows() * width,
+            "mean_over_steps layout mismatch"
+        );
+        for (slot, (&caller, &len)) in self.order.iter().zip(&self.lens).enumerate() {
+            let n = len.max(1) as f32;
+            let o = &mut out[caller * stride..][..width];
+            o.fill(0.0);
+            for t in 0..len {
+                let row = self.row(slot, t) * width;
+                for (o, &v) in o.iter_mut().zip(&x[row..row + width]) {
+                    *o += v / n;
+                }
+            }
+        }
     }
 }
 

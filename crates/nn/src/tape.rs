@@ -309,17 +309,8 @@ impl Tape {
     /// `Σ_t v_t / len` in step order (zero for an empty sequence).
     pub fn mean_over_steps(&mut self, a: Var, seqs: &SeqBatch) -> Var {
         let m = &self.nodes[a.0].value;
-        assert_eq!(m.rows(), seqs.rows(), "mean_over_steps layout mismatch");
         let mut out = Matrix::zeros(seqs.order().len(), m.cols());
-        for (slot, (&caller, &len)) in seqs.order().iter().zip(seqs.lens()).enumerate() {
-            let n = len.max(1) as f32;
-            let o = out.row_mut(caller);
-            for t in 0..len {
-                for (o, &v) in o.iter_mut().zip(m.row(seqs.row(slot, t))) {
-                    *o += v / n;
-                }
-            }
-        }
+        seqs.mean_over_steps_into(m.as_slice(), m.cols(), out.as_mut_slice(), m.cols());
         let seqs = seqs.clone();
         self.push(out, Op::MeanOverSteps(a.0, seqs))
     }
@@ -338,17 +329,8 @@ impl Tape {
     /// it implements the 3×N convolution of BiLSTM-C (Eq. 3).
     pub fn im2col(&mut self, a: Var, seqs: &SeqBatch, k: usize) -> Var {
         let m = &self.nodes[a.0].value;
-        assert_eq!(m.rows(), seqs.rows(), "im2col layout mismatch");
-        let (win, c) = (seqs.windows(k), m.cols());
-        let mut out = Matrix::zeros(win.rows(), k * c);
-        for (slot, &len) in win.lens().iter().enumerate() {
-            for t in 0..len {
-                let o = out.row_mut(win.row(slot, t));
-                for dk in 0..k {
-                    o[dk * c..(dk + 1) * c].copy_from_slice(m.row(seqs.row(slot, t + dk)));
-                }
-            }
-        }
+        let mut out = Matrix::zeros(seqs.windows(k).rows(), k * m.cols());
+        seqs.im2col_into(m.as_slice(), m.cols(), k, out.as_mut_slice());
         let seqs = seqs.clone();
         self.push(out, Op::Im2Col(a.0, seqs, k))
     }

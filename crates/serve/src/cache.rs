@@ -152,14 +152,18 @@ impl FeatureCache {
             .lock()
             .expect("cache shard poisoned")
             .get(key);
-        if found.is_some() {
+        self.count(found.is_some());
+        found
+    }
+
+    fn count(&self, hit: bool) {
+        if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
             obs::incr("serve/cache_hit");
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             obs::incr("serve/cache_miss");
         }
-        found
     }
 
     /// Inserts (or refreshes) a feature.
@@ -170,7 +174,52 @@ impl FeatureCache {
             .insert(key, value);
     }
 
-    /// Looks up a feature, computing and inserting it on a miss.
+    /// The features of `keys`, in order. Each distinct key is looked up
+    /// once; a repeat counts as a hit, as it would after a
+    /// [`FeatureCache::get_or_compute`] fill. `fill` gets the positions in
+    /// `keys` of the distinct keys that missed and returns their features
+    /// in that order, all computed in one call (none when nothing
+    /// missed); they are inserted.
+    pub fn get_or_fill(
+        &self,
+        keys: &[FeatureKey],
+        fill: impl FnOnce(&[usize]) -> Vec<Vec<f32>>,
+    ) -> Vec<Arc<Vec<f32>>> {
+        let mut first: HashMap<FeatureKey, usize> = HashMap::with_capacity(keys.len());
+        let mut found = Vec::with_capacity(keys.len());
+        let mut missing = Vec::new();
+        for (pos, key) in keys.iter().enumerate() {
+            let value = if first.contains_key(key) {
+                self.count(true);
+                None
+            } else {
+                first.insert(*key, pos);
+                let value = self.get(key);
+                if value.is_none() {
+                    missing.push(pos);
+                }
+                value
+            };
+            found.push(value);
+        }
+        let filled = if missing.is_empty() {
+            Vec::new()
+        } else {
+            fill(&missing)
+        };
+        assert_eq!(filled.len(), missing.len(), "one feature per miss");
+        for (&pos, value) in missing.iter().zip(filled) {
+            let value = Arc::new(value);
+            self.insert(keys[pos], Arc::clone(&value));
+            found[pos] = Some(value);
+        }
+        keys.iter()
+            .map(|key| found[first[key]].clone().expect("every miss is filled"))
+            .collect()
+    }
+
+    /// Looks up a feature, computing and inserting it on a miss: the
+    /// one-key [`FeatureCache::get_or_fill`].
     pub fn get_or_compute(
         &self,
         key: FeatureKey,
@@ -354,6 +403,29 @@ mod tests {
         });
         assert_eq!(calls, 1);
         assert_eq!(v1, v2);
+    }
+
+    #[test]
+    fn get_or_fill_fills_each_distinct_miss_once() {
+        let cache = FeatureCache::new(16);
+        cache.insert(key(2), val(2));
+        let keys = [key(1), key(2), key(1), key(3), key(3), key(2)];
+        let mut calls = 0;
+        let got = cache.get_or_fill(&keys, |missing| {
+            calls += 1;
+            assert_eq!(missing, &[0, 3], "first occurrences of the misses");
+            missing
+                .iter()
+                .map(|&pos| vec![keys[pos].2 as f32])
+                .collect()
+        });
+        assert_eq!(calls, 1);
+        let values: Vec<f32> = got.iter().map(|v| v[0]).collect();
+        assert_eq!(values, [1.0, 2.0, 1.0, 3.0, 3.0, 2.0]);
+        // Two misses; the cached key and every repeat hit.
+        assert_eq!((cache.hits(), cache.misses()), (4, 2));
+        assert_eq!(cache.len(), 3);
+        assert!(Arc::ptr_eq(&got[0], &cache.get(&key(1)).unwrap()));
     }
 
     #[test]

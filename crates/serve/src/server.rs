@@ -21,7 +21,7 @@
 use crate::admission::{AdmissionConfig, AdmissionGate};
 use crate::batcher::{Batcher, JobError, JudgeJob, SubmitError};
 use crate::breaker::{BreakerConfig, BreakerDecision, BreakerState, CircuitBreaker};
-use crate::cache::{verdict_key, FeatureCache, VerdictCache};
+use crate::cache::{verdict_key, FeatureCache, FeatureKey, VerdictCache};
 use crate::event_loop::{self, EventLoopConfig, EventLoopHandle, Service};
 use crate::http::{Limits, Request, Response};
 use crate::registry::{LoadedModel, ModelRegistry};
@@ -34,6 +34,7 @@ use std::path::Path;
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use twitter_sim::Profile;
 
 /// Server tuning knobs; every CLI `serve` flag lands here.
 #[derive(Debug, Clone)]
@@ -361,27 +362,39 @@ fn parse_body<T: serde::Deserialize>(body: &[u8]) -> Result<T, Response> {
     serde_json::from_str(text).map_err(|e| Response::error(400, &format!("bad request body: {e}")))
 }
 
-/// Resolves `F(r)` for a profile index through the cache.
-fn cached_feature(
-    shared: &Shared,
-    model: &Arc<LoadedModel>,
-    idx: usize,
-) -> Result<Arc<Vec<f32>>, Response> {
-    let corpus = shared.registry.corpus();
-    if idx >= corpus.profiles.len() {
-        return Err(Response::error(
+/// A 400 naming the first of `idxs` outside the corpus, if any.
+fn check_indices(shared: &Shared, idxs: &[usize]) -> Result<(), Response> {
+    let len = shared.registry.corpus().profiles.len();
+    match idxs.iter().find(|&&idx| idx >= len) {
+        Some(idx) => Err(Response::error(
             400,
-            &format!(
-                "profile index {idx} out of range (corpus has {} profiles)",
-                corpus.profiles.len()
-            ),
-        ));
+            &format!("profile index {idx} out of range (corpus has {len} profiles)"),
+        )),
+        None => Ok(()),
     }
-    let profile = corpus.profile(idx);
-    let key = (model.generation, profile.uid, profile_fingerprint(profile));
-    Ok(shared
-        .cache
-        .get_or_compute(key, || model.service.features_for(profile)))
+}
+
+/// `F(r)` of every profile index in `idxs`, in order, through the cache.
+/// Every index is checked before any work is done; the misses are then
+/// featurized in one serial batched call on this thread.
+fn cached_features(
+    shared: &Shared,
+    model: &LoadedModel,
+    idxs: &[usize],
+) -> Result<Vec<Arc<Vec<f32>>>, Response> {
+    check_indices(shared, idxs)?;
+    let corpus = shared.registry.corpus();
+    let keys: Vec<FeatureKey> = idxs
+        .iter()
+        .map(|&idx| {
+            let profile = corpus.profile(idx);
+            (model.generation, profile.uid, profile_fingerprint(profile))
+        })
+        .collect();
+    Ok(shared.cache.get_or_fill(&keys, |missing| {
+        let profiles: Vec<&Profile> = missing.iter().map(|&k| corpus.profile(idxs[k])).collect();
+        model.service.features_batch(&profiles)
+    }))
 }
 
 /// `/judge`: admission gate → breaker routing → batcher, with the
@@ -414,12 +427,9 @@ fn handle_judge(shared: &Shared, request: &Request) -> Response {
             shared.breaker.record_failure();
         }
     };
-    let (fa, fb) = match (
-        cached_feature(shared, &model, req.i),
-        cached_feature(shared, &model, req.j),
-    ) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(resp), _) | (_, Err(resp)) => {
+    let (fa, fb) = match cached_features(shared, &model, &[req.i, req.j]) {
+        Ok(feats) => (Arc::clone(&feats[0]), Arc::clone(&feats[1])),
+        Err(resp) => {
             probe_failed();
             return resp;
         }
@@ -485,18 +495,10 @@ fn handle_judge(shared: &Shared, request: &Request) -> Response {
 /// a stale cached probability when one is still in the window, else the
 /// spatial-heuristic fallback. Always labeled `x-hisrect-degraded`.
 fn degraded_judge(shared: &Shared, model: &Arc<LoadedModel>, i: usize, j: usize) -> Response {
-    let corpus = shared.registry.corpus();
-    for idx in [i, j] {
-        if idx >= corpus.profiles.len() {
-            return Response::error(
-                400,
-                &format!(
-                    "profile index {idx} out of range (corpus has {} profiles)",
-                    corpus.profiles.len()
-                ),
-            );
-        }
+    if let Err(resp) = check_indices(shared, &[i, j]) {
+        return resp;
     }
+    let corpus = shared.registry.corpus();
     obs::incr("serve/degraded_responses");
     if let Some(p) = shared.verdicts.get(&verdict_key(model.generation, i, j)) {
         obs::incr("serve/degraded_stale");
@@ -511,28 +513,22 @@ fn degraded_judge(shared: &Shared, model: &Arc<LoadedModel>, i: usize, j: usize)
 }
 
 /// An explicit batch skips the micro-batcher — it *is* a batch already —
-/// and goes straight through the batched forward pass.
+/// and goes straight through the batched forward pass, its cache misses
+/// featurized together.
 fn handle_judge_batch(shared: &Shared, body: &[u8]) -> Response {
     let req: JudgeBatchRequest = match parse_body(body) {
         Ok(r) => r,
         Err(resp) => return resp,
     };
     let model = shared.registry.current();
-    let mut features = Vec::with_capacity(req.pairs.len());
-    for &(i, j) in &req.pairs {
-        let fa = match cached_feature(shared, &model, i) {
-            Ok(f) => f,
-            Err(resp) => return resp,
-        };
-        let fb = match cached_feature(shared, &model, j) {
-            Ok(f) => f,
-            Err(resp) => return resp,
-        };
-        features.push((fa, fb));
-    }
+    let idxs: Vec<usize> = req.pairs.iter().flat_map(|&(i, j)| [i, j]).collect();
+    let features = match cached_features(shared, &model, &idxs) {
+        Ok(f) => f,
+        Err(resp) => return resp,
+    };
     let pairs: Vec<(&[f32], &[f32])> = features
-        .iter()
-        .map(|(a, b)| (a.as_slice(), b.as_slice()))
+        .chunks_exact(2)
+        .map(|pair| (pair[0].as_slice(), pair[1].as_slice()))
         .collect();
     let probs = model.service.judge_features_batch(&pairs);
     let judgements = req

@@ -6,8 +6,8 @@
 
 mod common;
 
-use common::{offline_judgement, start_server, test_pairs};
-use hisrect::Judgement;
+use common::{fixture, offline_judgement, start_server, start_server_with_precision, test_pairs};
+use hisrect::{Judgement, Precision};
 use serve::batcher::{Batcher, JobError};
 use serve::HttpClient;
 use std::sync::atomic::Ordering;
@@ -66,6 +66,72 @@ fn judge_batch_matches_single_judgements() {
         );
     }
     server.shutdown();
+}
+
+fn batch_body(pairs: &[(usize, usize)]) -> String {
+    let pairs: Vec<String> = pairs.iter().map(|(i, j)| format!("[{i},{j}]")).collect();
+    format!("{{\"pairs\":[{}]}}", pairs.join(","))
+}
+
+#[test]
+fn judge_batch_fills_each_cold_profile_once_and_checks_indices_first() {
+    let n = fixture().corpus.profiles.len();
+    for precision in [Precision::F32, Precision::Int8] {
+        let server = start_server_with_precision(precision, |_| {});
+        let mut client = HttpClient::new(server.addr());
+
+        // Rejected before any lookup: the 400 names the first bad index
+        // in request order, and nothing is featurized or cached.
+        let bad = batch_body(&[(0, 1), (2, 3), (n + 5, 4), (5, n + 9)]);
+        let r = client.post("/judge_batch", &bad).unwrap();
+        assert_eq!(r.status, 400, "{}", r.body);
+        let want = format!(
+            "profile index {} out of range (corpus has {n} profiles)",
+            n + 5
+        );
+        assert!(r.body.contains(&want), "{}", r.body);
+        let r = client
+            .post("/judge", &format!("{{\"i\":0,\"j\":{n}}}"))
+            .unwrap();
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert_eq!(
+            server.cache_stats(),
+            (0, 0),
+            "{precision}: rejected requests did work"
+        );
+
+        // Profiles 0 and 1 hot; 2..=5 cold, repeated within the batch.
+        let warm = client.post("/judge", "{\"i\":0,\"j\":1}").unwrap();
+        assert_eq!(warm.status, 200, "{}", warm.body);
+        assert_eq!(server.cache_stats(), (0, 2));
+        let pairs = [(0, 2), (2, 3), (3, 0), (4, 4), (1, 5), (2, 3)];
+        let batch = client.post("/judge_batch", &batch_body(&pairs)).unwrap();
+        assert_eq!(batch.status, 200, "{}", batch.body);
+        // One miss per distinct cold profile; every other lookup hits.
+        assert_eq!(server.cache_stats(), (2 * pairs.len() as u64 - 4, 2 + 4));
+
+        let singles: Vec<String> = pairs
+            .iter()
+            .map(|(i, j)| {
+                let r = client
+                    .post("/judge", &format!("{{\"i\":{i},\"j\":{j}}}"))
+                    .unwrap();
+                assert_eq!(r.status, 200, "{}", r.body);
+                r.body
+            })
+            .collect();
+        let want = format!("{{\"judgements\":[{}]}}", singles.join(","));
+        assert_eq!(
+            batch.body, want,
+            "{precision}: batch differs from per-pair /judge"
+        );
+        assert_eq!(
+            server.cache_stats().1,
+            6,
+            "per-pair /judge found every profile cached"
+        );
+        server.shutdown();
+    }
 }
 
 #[test]

@@ -95,6 +95,24 @@ fn warm_eval_forward_takes_only_its_input_and_output_rows_from_the_pool() {
     }
     assert_eq!(takes(), (2 * inputs.len() as u64, 0), "featurize_inputs");
 
+    // A batch lays its tweets out in scratch too: two buffers however
+    // many profiles it holds. Its products cross the packed kernel's
+    // threshold, whose operand panels also come from the pool (hits once
+    // warm), so the count is taken with every product on the simple
+    // kernel; the bits are the same either way.
+    let batch: Vec<_> = inputs.iter().cycle().take(32).collect();
+    service.model().featurize_inputs(&batch);
+    pool::reset_stats();
+    std::hint::black_box(service.model().featurize_inputs(&batch));
+    assert_eq!(takes().1, 0, "warm 32-profile featurize_inputs allocated");
+    let threshold = tensor::pack_threshold();
+    tensor::set_pack_threshold(usize::MAX);
+    pool::reset_stats();
+    std::hint::black_box(service.model().featurize_inputs(&batch));
+    let simple = takes();
+    tensor::set_pack_threshold(threshold);
+    assert_eq!(simple, (2, 0), "32-profile featurize_inputs");
+
     pool::reset_stats();
     for p in &profiles {
         std::hint::black_box(service.features_for(p));
