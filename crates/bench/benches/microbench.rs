@@ -243,6 +243,7 @@ fn toy_train_featurizer(threads: usize) {
             ProfileInput {
                 fv,
                 words: Matrix::zeros(0, 6),
+                ids: Vec::new(),
             },
         );
         labeled.push((k, class));
@@ -388,15 +389,21 @@ fn bench_features(h: &mut Harness, ds: &twitter_sim::Dataset) {
         ContentEncoder::BiLstmC,
         ds.world.pois.len(),
         &mut rng,
-    );
+    )
+    .with_word_vectors(model.skipgram().vectors());
     let head = featurizer.head_at(&store, Precision::F32);
     h.bench("featurize_one_profile_eval", || {
         featurizer.features(&store, &[&input], &head)
     });
-    // The rows of 32 single cases as one batched evaluation.
+    // The rows of 32 single cases as one batched evaluation, then through
+    // the int8 head.
     let batch32 = vec![&input; 32];
     h.bench("featurize_batch32_eval", || {
         featurizer.features(&store, &batch32, &head)
+    });
+    let qhead = featurizer.head_at(&store, Precision::Int8);
+    h.bench("featurize_batch32_eval_int8", || {
+        featurizer.features(&store, &batch32, &qhead)
     });
     h.bench("featurize_one_profile_tape", || {
         let mut tape = Tape::new();
@@ -597,15 +604,14 @@ fn run_perf_gate(h: &mut Harness, mean_metrics_ratio: f64) -> Vec<String> {
         h.report
             .line("gate SKIP seed-absolute checks (portable tier forced, HISRECT_SIMD=0)");
     }
-    // The quantized path's bars, measured in-run. Until the f32 judge left
-    // the tape this was "single-pair int8 >= 2x f32", which turned out to
-    // be tape bookkeeping, not arithmetic: at the served widths of 24-48
-    // the tape-free f32 judge is now the faster of the two and int8 buys
-    // 4x smaller weights. What is left to defend is where arithmetic
-    // dominates — the maddubs i8 GEMM against the f32 GEMM, and the whole
-    // judge at the paper's width (AVX2 only: the portable `dot_i8` is a
-    // plain widening loop) — and, on both tiers, that the int8 pair stays
-    // within reach of f32.
+    // The quantized path's bars, measured in-run. int8 pays at the served
+    // widths (24-48) now: `qmatmul_into` quantizes every row, then runs one
+    // blocked pass that takes four output channels per 32-byte k-block and
+    // one horizontal sum per four channels. It used to run one `dot_i8`
+    // with a scalar tail and a horizontal sum per channel and row, and the
+    // 16-pair judge batch ran 1.23x slower than f32 on AVX2. On AVX2 the
+    // i8 GEMM must stay >= 2x the f32 GEMM and the judge at the paper's
+    // width >= 1.3x; the served-width bars follow below.
     if simd {
         if let Some(f32_gemm) = h.min_of("matmul_16x256x256_f32") {
             check(
@@ -624,12 +630,27 @@ fn run_perf_gate(h: &mut Harness, mean_metrics_ratio: f64) -> Vec<String> {
             );
         }
     }
-    if let Some(f32_pair) = h.min_of("judge_pair_cached_features") {
-        check(
-            "judge_pair int8 within 2.5x of f32",
-            h.min_of("judge_pair_cached_features_int8"),
-            f32_pair * 2.5,
-        );
+    // Bars per tier, as int8 time over f32 time. The judge batch is all
+    // dense stacks: on AVX2 int8 must not lose (0.63-0.99x measured where
+    // this was written); the portable tier has no `maddubs` and ran
+    // 1.7-2.0x, so its bar is 2.5x, where the single-pair bar stood
+    // before. The featurize batch is mostly the f32 content encoder: the
+    // int8 head alone ran 0.91-0.96x its f32 twin there, but it is ~3 % of
+    // the case, whose run-to-run noise is +-15 % (0.83-1.21x measured
+    // across runs on AVX2, 1.00-1.07x portable), so both bars sit above
+    // that noise and catch only a head that got several times slower.
+    for (case, avx2_factor, portable_factor) in [
+        ("judge_batch16_cached_features", 1.0, 2.5),
+        ("featurize_batch32_eval", 1.25, 1.25),
+    ] {
+        if let Some(f32_case) = h.min_of(case) {
+            let factor = if simd { avx2_factor } else { portable_factor };
+            check(
+                &format!("{case} int8 within {factor}x of f32"),
+                h.min_of(&format!("{case}_int8")),
+                f32_case * factor,
+            );
+        }
     }
     // Same-run ratios, blocking on both tiers. The tape-free eval forward
     // against the tape forward of the same featurizer: both run the one

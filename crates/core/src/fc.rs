@@ -2,7 +2,7 @@
 //! vectors, plus the BLSTM and ConvLSTM ablations of Table 4.
 
 use crate::config::{ContentEncoder, HisRectConfig};
-use nn::{BiGru, BiLstm, Conv1d, ParamId, ParamStore, SeqBatch, Tape, Var};
+use nn::{BiGru, BiLstm, Conv1d, ParamId, ParamStore, SeqBatch, Tape, Var, WordTable};
 use rand::Rng;
 use std::cell::RefCell;
 use tensor::Matrix;
@@ -117,7 +117,7 @@ impl ContentNet {
             assert_eq!(w.cols(), self.word_dim, "word-vector width mismatch");
         }
         if !self.bilstms.is_empty() {
-            let lens: Vec<usize> = words.iter().map(|w| self.padded_len(w)).collect();
+            let lens: Vec<usize> = words.iter().map(|w| self.padded_len(w.rows())).collect();
             let seqs = SeqBatch::new(&lens);
             let mut h = tape.input(seqs.pack(words, self.word_dim));
             for bi in &self.bilstms {
@@ -135,46 +135,71 @@ impl ContentNet {
         tape.stack_rows(&rows)
     }
 
-    /// Evaluation-mode [`ContentNet::forward_batch`], bit-identical to it:
-    /// the feature of `words[i]` lands at `out[i·stride ..][..out_dim]`.
-    /// The paper's encoders (BiLSTM-C, BLSTM) run tape-free through
-    /// `nn::eval`: the tweets packed as one [`SeqBatch`] in per-thread
-    /// scratch, one recurrent pass per layer and direction over all of
-    /// them, one im2col product, then the pooling. The BiGRU-C and
-    /// ConvLSTM ablations, which nothing serves, go through the tape.
+    /// What [`ContentNet::eval_batch_into`] looks up per word instead of
+    /// computing, from the weights in `store` now: the first BiLSTM
+    /// layer's [`WordTable`] over the rows of `vectors` (the table
+    /// [`crate::featurizer::ProfileInput::ids`] index). `None` for the
+    /// BiGRU-C and ConvLSTM ablations.
+    pub fn word_table(&self, store: &ParamStore, vectors: &Matrix) -> Option<WordTable> {
+        assert_eq!(vectors.cols(), self.word_dim, "word-vector width mismatch");
+        let first = self.bilstms.first()?;
+        Some(first.word_table(store, vectors.as_slice()))
+    }
+
+    /// Evaluation-mode [`ContentNet::forward_batch`] over the tweets whose
+    /// words are the rows `ids[i]` of `vectors`, bit-identical to the tape
+    /// forward over those rows: the feature of tweet `i` lands at
+    /// `out[i·stride ..][..out_dim]`. The paper's encoders (BiLSTM-C,
+    /// BLSTM) run tape-free through `nn::eval`: the ids packed as one
+    /// [`SeqBatch`] in per-thread scratch, the first layer read through
+    /// `table` ([`ContentNet::word_table`] of the same `vectors`), one
+    /// recurrent pass per further layer and direction over all rows, one
+    /// im2col product, then the pooling. The BiGRU-C and ConvLSTM
+    /// ablations, which nothing serves, look their word vectors up and go
+    /// through the tape.
     pub fn eval_batch_into(
         &self,
         store: &ParamStore,
-        words: &[&Matrix],
+        vectors: &Matrix,
+        table: Option<&WordTable>,
+        ids: &[&[u32]],
         out: &mut [f32],
         stride: usize,
     ) {
         let d = self.out_dim;
-        if self.bilstms.is_empty() {
+        let Some((first, rest)) = self.bilstms.split_first() else {
+            let m = self.word_dim;
+            let words: Vec<Matrix> = ids
+                .iter()
+                .map(|ids| Matrix::from_fn(ids.len(), m, |r, c| vectors.get(ids[r] as usize, c)))
+                .collect();
+            let words: Vec<&Matrix> = words.iter().collect();
             let mut tape = Tape::new();
             let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-            let f = self.forward_batch(&mut tape, store, words, false, &mut rng);
+            let f = self.forward_batch(&mut tape, store, &words, false, &mut rng);
             for (k, row) in tape.value(f).as_slice().chunks_exact(d).enumerate() {
                 out[k * stride..k * stride + d].copy_from_slice(row);
             }
             return;
-        }
-        for w in words {
-            assert_eq!(w.cols(), self.word_dim, "word-vector width mismatch");
-        }
+        };
+        let table = table.expect("a BiLSTM encoder evaluates through its word table");
         thread_local! {
-            /// A layer's input and output rows, swapped between layers.
-            static ROWS: RefCell<(Vec<f32>, Vec<f32>)> =
-                const { RefCell::new((Vec::new(), Vec::new())) };
+            /// The packed ids, and a layer's input and output rows,
+            /// swapped between layers.
+            static ROWS: RefCell<(Vec<u32>, Vec<f32>, Vec<f32>)> =
+                const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
         }
-        // Same padding as the tape forward: zero rows up to the conv width.
-        let lens: Vec<usize> = words.iter().map(|w| self.padded_len(w)).collect();
+        // Same padding as the tape forward: zero rows (id 0) up to the
+        // conv width.
+        let lens: Vec<usize> = ids.iter().map(|ids| self.padded_len(ids.len())).collect();
         let seqs = SeqBatch::new(&lens);
         ROWS.with(|rows| {
-            let (x, next) = &mut *rows.borrow_mut();
-            x.resize(seqs.rows() * self.word_dim, 0.0);
-            seqs.pack_into(words, self.word_dim, x);
-            for bi in &self.bilstms {
+            let (packed, x, next) = &mut *rows.borrow_mut();
+            packed.resize(seqs.rows(), 0);
+            seqs.pack_ids_into(ids, packed);
+            x.resize(seqs.rows() * 2 * first.hidden(), 0.0);
+            first.eval_words(store, table, packed, &seqs, x);
+            for bi in rest {
                 next.resize(seqs.rows() * 2 * bi.hidden(), 0.0);
                 bi.eval_rows(store, x, &seqs, next);
                 std::mem::swap(x, next);
@@ -197,13 +222,13 @@ impl ContentNet {
     /// convolution always has a window (empty contents become all-zero
     /// rows, which the paper's `</s>`-only degenerate contents
     /// effectively are too).
-    fn padded_len(&self, words: &Matrix) -> usize {
-        words.rows().max(if self.conv.is_some() { 3 } else { 1 })
+    fn padded_len(&self, words: usize) -> usize {
+        words.max(if self.conv.is_some() { 3 } else { 1 })
     }
 
     /// The zero-padded words as one `1 x M` input node per step.
     fn step_inputs(&self, tape: &mut Tape, words: &Matrix) -> Vec<Var> {
-        (0..self.padded_len(words))
+        (0..self.padded_len(words.rows()))
             .map(|r| {
                 let row = if r < words.rows() {
                     Matrix::row_vector(words.row(r))

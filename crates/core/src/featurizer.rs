@@ -4,19 +4,24 @@
 use crate::config::{ContentEncoder, HisRectConfig, HistoryEncoder};
 use crate::fc::ContentNet;
 use crate::model::Precision;
-use nn::{EvalStack, FeedForward, ParamId, ParamStore, Tape, Var};
+use nn::{EvalStack, FeedForward, ParamId, ParamStore, Tape, Var, WordTable};
 use rand::Rng;
 use tensor::Matrix;
 
 /// Precomputed per-profile model inputs: the CPU-side `Fv` vector and the
-/// word-vector matrix of the recent tweet.
+/// recent tweet, as word vectors and as their ids.
 #[derive(Debug, Clone)]
 pub struct ProfileInput {
     /// `Fv(r)` (or its one-hot variant), length `|P|`; empty when the
     /// history encoder is `None`.
     pub fv: Vec<f32>,
-    /// `T x M` word vectors of `r.content`; zero-row matrix allowed.
+    /// `T x M` word vectors of `r.content`; zero-row matrix allowed. What
+    /// the training (tape) forward reads.
     pub words: Matrix,
+    /// The row of each of those vectors in the featurizer's word table
+    /// ([`Featurizer::with_word_vectors`]): `0` for the zero vector,
+    /// `w + 1` for vocabulary word `w`. What evaluation reads.
+    pub ids: Vec<u32>,
 }
 
 impl ProfileInput {
@@ -32,6 +37,7 @@ impl ProfileInput {
         Self {
             fv,
             words: self.words.clone(),
+            ids: self.ids.clone(),
         }
     }
 
@@ -41,8 +47,22 @@ impl ProfileInput {
         Self {
             fv: self.fv.clone(),
             words: Matrix::zeros(self.words.rows(), self.words.cols()),
+            ids: vec![0; self.ids.len()],
         }
     }
+}
+
+/// A featurizer bound for inference ([`Featurizer::head_at`]): its head at
+/// one precision and the [`WordTable`] of its recurrent content encoder.
+/// Both are derived from the store when bound; the table (like int8
+/// weights) is a snapshot of it, so bind again after the weights change.
+#[derive(Debug, Clone)]
+pub struct BoundHead {
+    /// The `Qf`-layer head over `[Fv | Fc]`.
+    pub stack: EvalStack,
+    /// What the content encoder's first layer computes per word; `None`
+    /// without a BiLSTM encoder.
+    words: Option<WordTable>,
 }
 
 /// The trainable featurizer `F`.
@@ -55,6 +75,9 @@ pub struct Featurizer {
     head: FeedForward,
     fv_dim: usize,
     keep_prob: f32,
+    /// The word table [`ProfileInput::ids`] index: row 0 zeros, row
+    /// `w + 1` the vector of vocabulary word `w`.
+    word_vectors: Matrix,
 }
 
 impl Featurizer {
@@ -88,7 +111,20 @@ impl Featurizer {
             head,
             fv_dim,
             keep_prob: cfg.keep_prob,
+            word_vectors: Matrix::zeros(1, cfg.word_dim),
         }
+    }
+
+    /// Sets the vectors evaluation looks word ids up in: `vectors` holds
+    /// vocabulary word `w` at row `w`, the table puts it at row `w + 1`
+    /// behind a zero row. Until this is called only id `0` is known.
+    pub fn with_word_vectors(mut self, vectors: &Matrix) -> Self {
+        let m = self.word_vectors.cols();
+        assert_eq!(vectors.cols(), m, "word-vector width mismatch");
+        let mut table = Matrix::zeros(vectors.rows() + 1, m);
+        table.as_mut_slice()[m..].copy_from_slice(vectors.as_slice());
+        self.word_vectors = table;
+        self
     }
 
     /// Output dimensionality of `F(r)`.
@@ -149,10 +185,19 @@ impl Featurizer {
         }
     }
 
-    /// Binds the `Qf`-layer head to `precision` for inference. `Int8`
-    /// quantizes the trained weights here (they stay in the store).
-    pub fn head_at(&self, store: &ParamStore, precision: Precision) -> EvalStack {
-        precision.bind(store, &self.head)
+    /// Binds the featurizer for inference from the weights in `store`
+    /// now: the `Qf`-layer head at `precision` (`Int8` quantizes the
+    /// trained weights here; they stay in the store) and the content
+    /// encoder's [`WordTable`] over the word vectors.
+    pub fn head_at(&self, store: &ParamStore, precision: Precision) -> BoundHead {
+        let words = self.content.as_ref().and_then(|content| {
+            let _span = obs::span("model/word_tables");
+            content.word_table(store, &self.word_vectors)
+        });
+        BoundHead {
+            stack: precision.bind(store, &self.head),
+            words,
+        }
     }
 
     /// Evaluation-mode features as a plain matrix (`B x feat_dim`):
@@ -163,11 +208,11 @@ impl Featurizer {
         &self,
         store: &ParamStore,
         inputs: &[&ProfileInput],
-        head: &EvalStack,
+        head: &BoundHead,
     ) -> Matrix {
-        let x = self.eval_inputs(store, inputs);
+        let x = self.eval_inputs(store, inputs, head);
         let mut out = Matrix::zeros(inputs.len(), self.feat_dim());
-        head.eval(store, x.as_slice(), out.as_mut_slice());
+        head.stack.eval(store, x.as_slice(), out.as_mut_slice());
         out
     }
 
@@ -175,12 +220,18 @@ impl Featurizer {
     /// input the head consumes at either precision. The recurrent content
     /// encoder stays f32 (ragged per-tweet recurrences quantize poorly)
     /// and fills the `Fc` columns of every row in one
-    /// [`ContentNet::eval_batch_into`] call. Rows never mix: a profile's
-    /// row has the same bits in any batch.
-    pub fn eval_inputs(&self, store: &ParamStore, inputs: &[&ProfileInput]) -> Matrix {
+    /// [`ContentNet::eval_batch_into`] call over the word ids, through
+    /// `head`'s word table. Rows never mix: a profile's row has the same
+    /// bits in any batch.
+    pub fn eval_inputs(
+        &self,
+        store: &ParamStore,
+        inputs: &[&ProfileInput],
+        head: &BoundHead,
+    ) -> Matrix {
         assert!(!inputs.is_empty(), "empty featurizer batch");
-        let _span = obs::span("featurizer/forward");
-        obs::add("featurizer/profiles", inputs.len() as u64);
+        let _span = obs::span("featurizer/eval");
+        obs::add("featurizer/eval_profiles", inputs.len() as u64);
         let width = self.head.layers[0].in_dim;
         let mut x = Matrix::zeros(inputs.len(), width);
         for (row, input) in x.as_mut_slice().chunks_exact_mut(width).zip(inputs) {
@@ -188,9 +239,10 @@ impl Featurizer {
             row[..self.fv_dim].copy_from_slice(&input.fv);
         }
         if let Some(content) = &self.content {
-            let words: Vec<&Matrix> = inputs.iter().map(|input| &input.words).collect();
+            let ids: Vec<&[u32]> = inputs.iter().map(|input| &input.ids[..]).collect();
             let fc = &mut x.as_mut_slice()[self.fv_dim..];
-            content.eval_batch_into(store, &words, fc, width);
+            let table = head.words.as_ref();
+            content.eval_batch_into(store, &self.word_vectors, table, &ids, fc, width);
         }
         x
     }
@@ -218,20 +270,46 @@ mod tests {
         f.features(store, inputs, &f.head_at(store, Precision::F32))
     }
 
+    /// Vocabulary size of the tests' word vectors.
+    const VOCAB: u32 = 20;
+
+    /// The tests' word vectors, vocabulary word `w` at row `w`.
+    fn vectors() -> Matrix {
+        randn(&mut StdRng::seed_from_u64(99), VOCAB as usize, 8, 1.0)
+    }
+
+    /// `Featurizer::new` bound to [`vectors`].
+    fn featurizer(
+        store: &mut ParamStore,
+        cfg: &HisRectConfig,
+        history: HistoryEncoder,
+        content: ContentEncoder,
+        n_pois: usize,
+        rng: &mut StdRng,
+    ) -> Featurizer {
+        Featurizer::new(store, cfg, history, content, n_pois, rng).with_word_vectors(&vectors())
+    }
+
+    /// A profile of `t` words drawn over every table row: `0` is the zero
+    /// vector (padding, blanked content), `1` vocabulary word 0, which
+    /// every unknown word maps to.
     fn input(seed: u64, n_pois: usize, t: usize) -> ProfileInput {
         let mut rng = StdRng::seed_from_u64(seed);
         let fv: Vec<f32> = (0..n_pois).map(|_| rng.gen_range(0.0..1.0)).collect();
-        ProfileInput {
-            fv,
-            words: randn(&mut rng, t, 8, 1.0),
-        }
+        let ids: Vec<u32> = (0..t).map(|_| rng.gen_range(0..=VOCAB)).collect();
+        let vectors = vectors();
+        let words = Matrix::from_fn(t, 8, |r, c| match ids[r] {
+            0 => 0.0,
+            w => vectors.get(w as usize - 1, c),
+        });
+        ProfileInput { fv, words, ids }
     }
 
     #[test]
     fn full_featurizer_shape() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
-        let f = Featurizer::new(
+        let f = featurizer(
             &mut store,
             &cfg(),
             HistoryEncoder::Rect,
@@ -251,7 +329,7 @@ mod tests {
     fn history_only_ignores_words() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
-        let f = Featurizer::new(
+        let f = featurizer(
             &mut store,
             &cfg(),
             HistoryEncoder::Rect,
@@ -260,8 +338,9 @@ mod tests {
             &mut rng,
         );
         let a = input(1, 5, 6);
+        let other = input(2, 5, 4);
         let mut b = a.clone();
-        b.words = randn(&mut rng, 4, 8, 1.0);
+        (b.words, b.ids) = (other.words, other.ids);
         let fa = features(&f, &store, &[&a]);
         let fb = features(&f, &store, &[&b]);
         assert!(fa.approx_eq(&fb, 0.0));
@@ -271,7 +350,7 @@ mod tests {
     fn tweet_only_ignores_fv() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
-        let f = Featurizer::new(
+        let f = featurizer(
             &mut store,
             &cfg(),
             HistoryEncoder::None,
@@ -290,7 +369,7 @@ mod tests {
     fn rejects_double_none() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
-        let _ = Featurizer::new(
+        let _ = featurizer(
             &mut store,
             &cfg(),
             HistoryEncoder::None,
@@ -309,13 +388,14 @@ mod tests {
         let no_t = a.without_content();
         assert_eq!(no_t.fv, a.fv);
         assert_eq!(no_t.words.sum(), 0.0);
+        assert!(no_t.ids.len() == a.ids.len() && no_t.ids.iter().all(|&w| w == 0));
     }
 
     #[test]
     fn gradients_reach_head_and_content() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
-        let f = Featurizer::new(
+        let f = featurizer(
             &mut store,
             &cfg(),
             HistoryEncoder::Rect,
@@ -343,8 +423,10 @@ mod tests {
     }
 
     /// The evaluation entry points over the whole ragged batch (`ts[k]`
-    /// words for profile `k`) and over each profile alone, against the
-    /// tape forward of the batch: every row equal by bits, f32 and int8.
+    /// words for profile `k`, every fifth profile's content blanked) and
+    /// over each profile alone, against the tape forward of the batch:
+    /// every row equal by bits, f32 and int8. Evaluation reads the ids
+    /// through the word table, the tape the word vectors.
     fn assert_eval_matches_tape(content: ContentEncoder, ql: usize, ts: &[usize], seed: u64) {
         let cfg = HisRectConfig {
             word_dim: 8,
@@ -358,11 +440,18 @@ mod tests {
         };
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(seed);
-        let f = Featurizer::new(&mut store, &cfg, HistoryEncoder::Rect, content, 5, &mut rng);
+        let f = featurizer(&mut store, &cfg, HistoryEncoder::Rect, content, 5, &mut rng);
         let ins: Vec<ProfileInput> = ts
             .iter()
             .enumerate()
-            .map(|(k, &t)| input(seed ^ (0x9e37 + k as u64), 5, t))
+            .map(|(k, &t)| {
+                let input = input(seed ^ (0x9e37 + k as u64), 5, t);
+                if k % 5 == 3 {
+                    input.without_content()
+                } else {
+                    input
+                }
+            })
             .collect();
         let refs: Vec<&ProfileInput> = ins.iter().collect();
 
@@ -377,15 +466,15 @@ mod tests {
         let qhead = f.head_at(&store, Precision::Int8);
 
         let batch = features(&f, &store, &refs);
-        let batch_x = f.eval_inputs(&store, &refs);
+        let batch_x = f.eval_inputs(&store, &refs, &qhead);
         let batch_q = f.features(&store, &refs, &qhead);
         for (k, inp) in ins.iter().enumerate() {
             let mut row = inp.fv.clone();
             row.extend_from_slice(tape.value(fc).row(k));
             let mut want_q = vec![f32::NAN; f.feat_dim()];
-            qhead.eval(&store, &row, &mut want_q);
+            qhead.stack.eval(&store, &row, &mut want_q);
             let alone = features(&f, &store, &[inp]);
-            let alone_x = f.eval_inputs(&store, &[inp]);
+            let alone_x = f.eval_inputs(&store, &[inp], &qhead);
             let alone_q = f.features(&store, &[inp], &qhead);
             for (got, case) in [(batch.row(k), "batch"), (alone.as_slice(), "alone")] {
                 assert_eq!(bits(got), bits(want.row(k)), "f32, {case}, profile {k}");
@@ -449,7 +538,7 @@ mod tests {
     fn batch_matches_single_bit_for_bit() {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(0);
-        let f = Featurizer::new(
+        let f = featurizer(
             &mut store,
             &cfg(),
             HistoryEncoder::Rect,

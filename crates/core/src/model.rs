@@ -5,7 +5,7 @@ use crate::affinity::build_affinity;
 use crate::ckpt::CheckpointConfig;
 use crate::config::{ApproachSpec, HistoryEncoder, TrainMode};
 use crate::error::{ModelError, TrainError};
-use crate::featurizer::{Featurizer, ProfileInput};
+use crate::featurizer::{BoundHead, Featurizer, ProfileInput};
 use crate::fv::{fv_features, one_hot_feature};
 use crate::judge::{comp2loc, try_train_judge, FeaturePair, Judge, JudgeEval};
 use crate::ssl::{try_train_featurizer_with_validation, SslNets, SslStats};
@@ -93,12 +93,13 @@ impl std::fmt::Display for Precision {
 }
 
 /// The three dense stacks of the inference path — the featurizer head,
-/// `E′` and `C` — bound to one [`Precision`]. Derived (never persisted):
-/// rebuild with [`HisRectModel::stacks`] after any reload.
+/// `E′` and `C` — bound to one [`Precision`], with the content encoder's
+/// word table. Derived (never persisted): rebuild with
+/// [`HisRectModel::stacks`] after any reload or training.
 #[derive(Debug, Clone)]
 pub struct Stacks {
-    /// The `Qf`-layer featurizer head.
-    pub head: EvalStack,
+    /// The `Qf`-layer featurizer head and the word table.
+    pub head: BoundHead,
     /// `E′` and `C`.
     pub judge: JudgeEval,
 }
@@ -139,8 +140,9 @@ pub struct HisRectModel {
     pub(crate) featurizer: Featurizer,
     nets: SslNets,
     judge: Judge,
-    /// The f32 inference stacks: ids into `store`, so they follow the
-    /// weights through training.
+    /// The f32 inference stacks. The dense stacks are ids into `store`,
+    /// but the word table is a snapshot of it: rebound after each
+    /// training phase.
     f32: Stacks,
     /// Loss traces from featurizer training.
     pub ssl_stats: SslStats,
@@ -220,7 +222,8 @@ impl HisRectModel {
             spec.content,
             dataset.world.pois.len(),
             &mut rng,
-        );
+        )
+        .with_word_vectors(skipgram.vectors());
         let nets = SslNets::new(
             &mut store,
             cfg,
@@ -331,6 +334,9 @@ impl HisRectModel {
                     ckpt,
                 )?;
                 drop(phase_span);
+                // The judge phase featurizes through the word tables of
+                // the trained weights, not of their initialization.
+                model.f32 = model.stacks(Precision::F32);
                 obs::logln(obs::Level::Info, "train: judge phase (E' + C)");
                 let _judge_span = obs::span("train/judge_phase");
                 model.train_judge_phase(dataset, &inputs, &mut rng, ckpt)?;
@@ -341,6 +347,7 @@ impl HisRectModel {
                 model.train_one_phase(dataset, &inputs, &mut rng);
             }
         }
+        model.f32 = model.stacks(Precision::F32);
         Ok(model)
     }
 
@@ -510,7 +517,8 @@ impl HisRectModel {
 
     /// Model inputs for a batch of profiles, in order: `Fv` per the
     /// history encoder (Eq. 1 computed once per distinct visit point of
-    /// the batch, [`fv_features`]) and the word vectors of each tweet.
+    /// the batch, [`fv_features`]) and the words of each tweet, as vectors
+    /// and as rows of the featurizer's word table.
     pub fn profile_inputs(
         &self,
         pois: &geo::PoiSet,
@@ -531,13 +539,15 @@ impl HisRectModel {
             .iter()
             .zip(fvs)
             .map(|(profile, fv)| {
-                let words = if ablation.drop_content {
-                    Matrix::zeros(profile.tokens.len(), cfg.word_dim)
-                } else {
-                    let ids = self.vocab.encode(&profile.tokens);
-                    self.skipgram.embed_sequence(&ids)
-                };
-                ProfileInput { fv, words }
+                if ablation.drop_content {
+                    let words = Matrix::zeros(profile.tokens.len(), cfg.word_dim);
+                    let ids = vec![0; profile.tokens.len()];
+                    return ProfileInput { fv, words, ids };
+                }
+                let vocab_ids = self.vocab.encode(&profile.tokens);
+                let words = self.skipgram.embed_sequence(&vocab_ids);
+                let ids = vocab_ids.iter().map(|&w| w as u32 + 1).collect();
+                ProfileInput { fv, words, ids }
             })
             .collect()
     }
@@ -568,7 +578,7 @@ impl HisRectModel {
         pois: &geo::PoiSet,
         profiles: &[&Profile],
         ablation: Ablation,
-        head: &EvalStack,
+        head: &BoundHead,
     ) -> Vec<Vec<f32>> {
         let _span = obs::span("model/featurize_many");
         let chunks: Vec<&[&Profile]> = profiles.chunks(FEATURE_CHUNK).collect();
@@ -587,7 +597,7 @@ impl HisRectModel {
         pois: &geo::PoiSet,
         profiles: &[&Profile],
         ablation: Ablation,
-        head: &EvalStack,
+        head: &BoundHead,
     ) -> Vec<Vec<f32>> {
         let inputs = self.profile_inputs(pois, profiles, ablation);
         let refs: Vec<&ProfileInput> = inputs.iter().collect();
@@ -718,7 +728,8 @@ impl HisRectModel {
             snap.spec.content,
             snap.n_pois,
             &mut rng,
-        );
+        )
+        .with_word_vectors(snap.skipgram.vectors());
         let nets = SslNets::new(
             &mut store,
             cfg,

@@ -660,6 +660,7 @@ mod tests {
                 ProfileInput {
                     fv,
                     words: Matrix::zeros(0, 6),
+                    ids: Vec::new(),
                 },
             );
             labeled.push((k, class));
@@ -718,6 +719,7 @@ mod tests {
             ProfileInput {
                 fv,
                 words: Matrix::zeros(0, 6),
+                ids: Vec::new(),
             }
         };
         let a = mk(0);
@@ -742,6 +744,7 @@ mod tests {
                 ProfileInput {
                     fv,
                     words: Matrix::zeros(0, 6),
+                    ids: Vec::new(),
                 }
             };
             let (a, b, c) = (mk(0, 0.0), mk(0, 0.02), mk(1, 0.0));
@@ -799,7 +802,8 @@ mod tests {
                 k,
                 ProfileInput {
                     fv,
-                    words: tensor::Matrix::zeros(0, 6),
+                    words: Matrix::zeros(0, 6),
+                    ids: Vec::new(),
                 },
             );
             if k < 40 {
@@ -831,6 +835,82 @@ mod tests {
         let first = stats.valid_losses.first().unwrap().1;
         let last = stats.valid_losses.last().unwrap().1;
         assert!(last < first, "first = {first}, last = {last}");
+    }
+
+    /// Early stopping's validation loss evaluates through word tables
+    /// bound from the weights of the moment: before and after training it
+    /// equals, by bits, the loss of the tape forward over the same
+    /// profiles (80 of them: two 64-profile chunks).
+    #[test]
+    fn validation_loss_equals_the_tape_loss_as_the_weights_move() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let cfg = HisRectConfig {
+            word_dim: 6,
+            hidden_n: 4,
+            feat_dim: 8,
+            embed_dim: 6,
+            batch: 8,
+            featurizer_iters: 20,
+            ..HisRectConfig::fast()
+        };
+        let vectors = tensor::randn(&mut rng, 12, 6, 1.0);
+        let mut store = ParamStore::new();
+        let featurizer = Featurizer::new(
+            &mut store,
+            &cfg,
+            HistoryEncoder::Rect,
+            ContentEncoder::BiLstmC,
+            4,
+            &mut rng,
+        )
+        .with_word_vectors(&vectors);
+        let nets = SslNets::new(&mut store, &cfg, featurizer.feat_dim(), 2, &mut rng);
+        let mut inputs = HashMap::new();
+        let mut labeled = Vec::new();
+        for k in 0..80usize {
+            let class = k % 2;
+            let mut fv = vec![0.05f32; 4];
+            fv[class] = 0.9;
+            let ids: Vec<u32> = (0..k % 9).map(|_| rng.gen_range(0..=12)).collect();
+            let words = Matrix::from_fn(ids.len(), 6, |r, c| match ids[r] {
+                0 => 0.0,
+                w => vectors.get(w as usize - 1, c),
+            });
+            inputs.insert(k, ProfileInput { fv, words, ids });
+            labeled.push((k, class));
+        }
+        let tape_loss = |store: &ParamStore| {
+            let losses: Vec<f64> = labeled
+                .chunks(64)
+                .map(|chunk| {
+                    let ins: Vec<&ProfileInput> = chunk.iter().map(|(k, _)| &inputs[k]).collect();
+                    let targets: Vec<usize> = chunk.iter().map(|&(_, pid)| pid).collect();
+                    let mut tape = Tape::new();
+                    let mut rng = StdRng::seed_from_u64(0);
+                    let feats = featurizer.forward_batch(&mut tape, store, &ins, false, &mut rng);
+                    let logits = nets.classifier.forward(&mut tape, store, feats);
+                    let loss = tape.softmax_cross_entropy(logits, &targets);
+                    tape.scalar(loss) as f64 * chunk.len() as f64
+                })
+                .collect();
+            (losses.into_iter().sum::<f64>() / labeled.len() as f64) as f32
+        };
+        let before = validation_loss(&featurizer, &nets, &store, &inputs, &labeled);
+        assert_eq!(before.to_bits(), tape_loss(&store).to_bits(), "untrained");
+        train_featurizer(
+            &featurizer,
+            &nets,
+            &mut store,
+            &inputs,
+            &labeled,
+            &[],
+            &cfg,
+            false,
+            &mut rng,
+        );
+        let after = validation_loss(&featurizer, &nets, &store, &inputs, &labeled);
+        assert_ne!(after, before, "training must move the loss");
+        assert_eq!(after.to_bits(), tape_loss(&store).to_bits(), "trained");
     }
 
     #[test]

@@ -46,6 +46,8 @@ fn composite_featurizer_loss_gradients_match_finite_differences() {
             ProfileInput {
                 fv,
                 words: randn(&mut rng, 3 + k, cfg.word_dim, 1.0),
+                // The tape forward reads only the vectors.
+                ids: Vec::new(),
             }
         })
         .collect();

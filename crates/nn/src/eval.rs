@@ -17,8 +17,8 @@
 //! (`((x·Wx) + (h·Wh)) + b`, `f·c + i·g`) over the shared [`tensor::act`]
 //! activations.
 
-use crate::layers::{BiLstm, Conv1d, FeedForward, Linear};
-use crate::lstm::{LstmPass, Rhs};
+use crate::layers::{BiLstm, Conv1d, FeedForward, Linear, Lstm};
+use crate::lstm::{Input, LstmPass, Rhs};
 use crate::params::ParamStore;
 use crate::quant::QuantFeedForward;
 use crate::seq::SeqBatch;
@@ -144,6 +144,18 @@ impl EvalStack {
     }
 }
 
+/// What layer 0 of a [`BiLstm`] computes from one input row alone, for a
+/// fixed set of input rows — the word vectors, indexed by word id: per
+/// direction, every word's input projection `v·Wx` and its first step
+/// `(h₁, c₁)` from the zero state. [`BiLstm::eval_words`] reads these
+/// instead of computing them. A snapshot of the weights it was built from
+/// ([`BiLstm::word_table`]): rebuild it whenever they change.
+#[derive(Debug, Clone)]
+pub struct WordTable {
+    /// `[proj, first]` of the forward direction, then of the backward.
+    dirs: [[Vec<f32>; 2]; 2],
+}
+
 impl BiLstm {
     /// Evaluation-mode [`BiLstm::forward_rows`]: row `r` of `out`
     /// (`seqs.rows() × 2·hidden`) becomes `[h_fwd | h_bwd]` of input row
@@ -152,16 +164,63 @@ impl BiLstm {
     /// the store and saving its activations to per-thread scratch — and
     /// writes its half of each row in place.
     pub fn eval_rows(&self, store: &ParamStore, xs: &[f32], seqs: &SeqBatch, out: &mut [f32]) {
+        self.eval_passes(store, seqs, out, |lstm, _| Input::Rows {
+            xs,
+            in_dim: lstm.in_dim,
+            wx: store.value(lstm.wx).as_slice(),
+        });
+    }
+
+    /// The tables [`BiLstm::eval_words`] reads, for the words whose
+    /// vectors are the `in_dim`-wide rows of `vectors` (word `w` at row
+    /// `w`), from the weights in `store` now.
+    pub fn word_table(&self, store: &ParamStore, vectors: &[f32]) -> WordTable {
+        let dir = |lstm: &Lstm| {
+            let [wx, wh, b] = [lstm.wx, lstm.wh, lstm.b].map(|id| store.value(id).as_slice());
+            LstmPass::word_tables(wx, wh, b, vectors)
+        };
+        WordTable {
+            dirs: [dir(&self.fwd), dir(&self.bwd)],
+        }
+    }
+
+    /// [`BiLstm::eval_rows`] over the words `ids` (laid out as `seqs`)
+    /// whose vectors `table` was built from: the same bits, with each
+    /// row's input projection and each sequence's first step looked up.
+    pub fn eval_words(
+        &self,
+        store: &ParamStore,
+        table: &WordTable,
+        ids: &[u32],
+        seqs: &SeqBatch,
+        out: &mut [f32],
+    ) {
+        self.eval_passes(store, seqs, out, |_, dir| {
+            let [proj, first] = &table.dirs[dir];
+            Input::Words { ids, proj, first }
+        });
+    }
+
+    /// One `LstmPass` per direction over `input(direction, 0 | 1)`,
+    /// writing its half of every `out` row.
+    fn eval_passes<'a>(
+        &'a self,
+        store: &'a ParamStore,
+        seqs: &'a SeqBatch,
+        out: &mut [f32],
+        input: impl Fn(&'a Lstm, usize) -> Input<'a>,
+    ) {
         thread_local! {
             static ACTS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
         }
         let h = self.hidden();
-        for (lstm, reverse, col) in [(&self.fwd, false, 0), (&self.bwd, true, h)] {
+        for (dir, (lstm, reverse)) in [(&self.fwd, false), (&self.bwd, true)]
+            .into_iter()
+            .enumerate()
+        {
             let pass = LstmPass {
-                xs,
+                input: input(lstm, dir),
                 lens: seqs.lens(),
-                in_dim: lstm.in_dim,
-                wx: store.value(lstm.wx).as_slice(),
                 wh: store.value(lstm.wh).as_slice(),
                 b: store.value(lstm.b).as_slice(),
                 reverse,
@@ -169,7 +228,7 @@ impl BiLstm {
             ACTS.with(|acts| {
                 let acts = &mut *acts.borrow_mut();
                 acts.resize(pass.acts_len(), 0.0);
-                pass.forward(acts, out, 2 * h, col);
+                pass.forward(acts, out, 2 * h, dir * h);
             });
         }
     }
@@ -203,8 +262,8 @@ mod tests {
     use crate::seq::SeqBatch;
     use crate::tape::Tape;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use tensor::randn;
+    use rand::{Rng, SeedableRng};
+    use tensor::{randn, Matrix};
 
     fn bits(xs: &[f32]) -> Vec<u32> {
         xs.iter().map(|x| x.to_bits()).collect()
@@ -244,21 +303,28 @@ mod tests {
         let mut store = ParamStore::new();
         // hidden = 5 exercises the activation tails; 24 puts a batch's
         // products on the packed kernel.
+        // The same rows as words: 9 vectors, the first all zeros, and
+        // each row's id drawn among them.
         for (in_dim, hidden) in [(3usize, 5usize), (6, 8), (24, 24)] {
             let bi = BiLstm::new(&mut store, "bi", in_dim, hidden, 0.5, &mut rng);
+            let mut vectors = randn(&mut rng, 9, in_dim, 1.0);
+            vectors.row_mut(0).fill(0.0);
+            let table = bi.word_table(&store, vectors.as_slice());
             for lens in [vec![1usize], vec![7], vec![2, 0, 7, 1, 7], vec![12; 40]] {
                 let seqs = SeqBatch::new(&lens);
-                let xs = randn(&mut rng, seqs.rows(), in_dim, 1.0);
+                let ids: Vec<u32> = (0..seqs.rows()).map(|_| rng.gen_range(0..9)).collect();
+                let xs =
+                    Matrix::from_fn(seqs.rows(), in_dim, |r, c| vectors.get(ids[r] as usize, c));
                 let mut tape = Tape::new();
                 let x = tape.input(xs.clone());
                 let want = bi.forward_rows(&mut tape, &store, x, &seqs);
+                let want = bits(tape.value(want).as_slice());
                 let mut got = vec![f32::NAN; seqs.rows() * 2 * hidden];
                 bi.eval_rows(&store, xs.as_slice(), &seqs, &mut got);
-                assert_eq!(
-                    bits(&got),
-                    bits(tape.value(want).as_slice()),
-                    "hidden {hidden}, lengths {lens:?}"
-                );
+                assert_eq!(bits(&got), want, "rows, hidden {hidden}, lengths {lens:?}");
+                let mut got = vec![f32::NAN; seqs.rows() * 2 * hidden];
+                bi.eval_words(&store, &table, &ids, &seqs, &mut got);
+                assert_eq!(bits(&got), want, "words, hidden {hidden}, lengths {lens:?}");
             }
         }
     }

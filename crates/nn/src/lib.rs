@@ -13,7 +13,8 @@
 //! - [`params`] — named trainable parameters with gradient accumulators.
 //! - [`layers`] — `Linear`, feed-forward stacks, `Lstm`, `BiLstm`, `Conv1d`.
 //! - [`eval`] — tape-free evaluation-mode forwards of the same layers,
-//!   bit-identical to the tape, and [`EvalStack`]: one dense stack
+//!   bit-identical to the tape, [`WordTable`]: what a first BiLSTM layer
+//!   computes from a word alone, and [`EvalStack`]: one dense stack
 //!   evaluated at f32 or, through [`quant`], at int8.
 //! - `lstm` — the LSTM recurrence over a [`SeqBatch`] of ragged sequences
 //!   and its hand-written BPTT: the kernel under both [`eval`] and the
@@ -40,7 +41,7 @@ mod seq;
 pub mod tape;
 
 pub use adam::{Adam, AdamConfig, AdamState};
-pub use eval::EvalStack;
+pub use eval::{EvalStack, WordTable};
 pub use layers::{BiGru, BiLstm, Conv1d, FeedForward, Gru, Linear, Lstm};
 pub use params::{Param, ParamId, ParamStore};
 pub use quant::QuantFeedForward;

@@ -1,8 +1,9 @@
 //! One LSTM direction over a batch of ragged sequences, as two kernels on
 //! plain slices: the forward recurrence — the only copy of it, shared by
-//! the evaluation path ([`crate::BiLstm::eval_rows`]) and
-//! [`crate::Tape::lstm_seq`] (training) — and the hand-written
-//! back-propagation through time behind the tape op.
+//! the evaluation path ([`crate::BiLstm::eval_rows`],
+//! [`crate::BiLstm::eval_words`]) and [`crate::Tape::lstm_seq`]
+//! (training) — and the hand-written back-propagation through time
+//! behind the tape op.
 //!
 //! The rows follow a [`crate::SeqBatch`] layout, so each step's live rows
 //! are one contiguous block: the step is one `live × h · h × 4h` product
@@ -16,6 +17,14 @@
 //! and the rest is per row. A sequence's states and `dX` rows have the
 //! same bits in any batch as alone; only the parameter gradients, sums
 //! over all rows, depend on the batch.
+//!
+//! The same fact lets a pass over word ids read two tables instead of
+//! computing ([`Input::Words`]): a row's input projection depends on its
+//! word alone, and so does the whole first step of a sequence, which
+//! starts from the zero state. A table entry is produced by the very code
+//! it replaces — the projection by this module's `Rhs` product, the
+//! first step by [`LstmPass::forward`] over one-step sequences — so the
+//! bits stay the same.
 
 use crate::seq::active;
 use std::borrow::Cow;
@@ -23,15 +32,32 @@ use std::cell::RefCell;
 use tensor::gemm::{self, PackedB, Variant};
 use tensor::{act, matmul_naive_into, pack_threshold, Matrix};
 
+/// What a pass reads at each row, laid out over its `lens` as a
+/// [`crate::SeqBatch`].
+pub(crate) enum Input<'a> {
+    /// `in_dim`-wide rows, projected through `wx` (`in_dim × 4h`, gate
+    /// order `[i | f | g | o]`) in one product.
+    Rows {
+        xs: &'a [f32],
+        in_dim: usize,
+        wx: &'a [f32],
+    },
+    /// One word id per row, read through the tables
+    /// [`LstmPass::word_tables`] built: `proj` holds each word's input
+    /// projection (`4h` wide), `first` the `[h₁ | c₁]` (`2h` wide) of a
+    /// step from the zero state. Forward only.
+    Words {
+        ids: &'a [u32],
+        proj: &'a [f32],
+        first: &'a [f32],
+    },
+}
+
 /// One LSTM direction over a batch of sequences: what both kernels read.
 pub(crate) struct LstmPass<'a> {
-    /// The input rows, laid out over `lens` as a [`crate::SeqBatch`].
-    pub xs: &'a [f32],
+    pub input: Input<'a>,
     /// Sequence lengths, non-increasing.
     pub lens: &'a [usize],
-    pub in_dim: usize,
-    /// `in_dim × 4h`, gate order `[i | f | g | o]`.
-    pub wx: &'a [f32],
     /// `h × 4h`.
     pub wh: &'a [f32],
     /// `4h`.
@@ -109,7 +135,46 @@ impl LstmPass<'_> {
     }
 
     pub fn rows(&self) -> usize {
-        self.xs.len() / self.in_dim
+        match self.input {
+            Input::Rows { xs, in_dim, .. } => xs.len() / in_dim,
+            Input::Words { ids, .. } => ids.len(),
+        }
+    }
+
+    /// The tables an [`Input::Words`] pass reads, for the words whose
+    /// vectors are the `in_dim`-wide rows of `vectors`: `proj` (`4h` per
+    /// word), each word's `x·Wx` by the product the `Rows` input runs,
+    /// and `first` (`2h` per word), the `[h₁ | c₁]` this pass's forward
+    /// leaves after one step from the zero state, every word a one-step
+    /// sequence.
+    pub fn word_tables(wx: &[f32], wh: &[f32], b: &[f32], vectors: &[f32]) -> [Vec<f32>; 2] {
+        let h = b.len() / 4;
+        let in_dim = wx.len() / (4 * h);
+        let words = vectors.len() / in_dim;
+        let mut proj = vec![0.0; words * 4 * h];
+        Rhs::new(wx, false, in_dim, 4 * h, words).mul(vectors, &mut proj);
+        let lens = vec![1; words];
+        let pass = LstmPass {
+            input: Input::Rows {
+                xs: vectors,
+                in_dim,
+                wx,
+            },
+            lens: &lens,
+            wh,
+            b,
+            reverse: false,
+        };
+        let mut acts = vec![0.0; pass.acts_len()];
+        let mut hs = vec![0.0; words * h];
+        pass.forward(&mut acts, &mut hs, h, 0);
+        let cs = &acts[words * 4 * h..words * 5 * h];
+        let mut first = Vec::with_capacity(words * 2 * h);
+        for (hr, cr) in hs.chunks_exact(h).zip(cs.chunks_exact(h)) {
+            first.extend_from_slice(hr);
+            first.extend_from_slice(cr);
+        }
+        [proj, first]
     }
 
     /// Floats [`LstmPass::forward`] needs in `acts`: per row the
@@ -122,7 +187,9 @@ impl LstmPass<'_> {
 
     /// Runs the recurrence from zero state. `h_t` of a row lands at
     /// `out[row·out_stride + out_col ..][..h]`; `acts` is left holding the
-    /// saved activations (see [`LstmPass::acts_len`]).
+    /// saved activations (see [`LstmPass::acts_len`]) — for a
+    /// [`Input::Words`] pass only those of the steps it computed, which
+    /// nothing reads back.
     pub fn forward(&self, acts: &mut [f32], out: &mut [f32], out_stride: usize, out_col: usize) {
         let (h, rows, batch) = (self.hidden(), self.rows(), self.lens.len());
         assert_eq!(acts.len(), self.acts_len(), "lstm activation buffer");
@@ -134,14 +201,38 @@ impl LstmPass<'_> {
         state.fill(0.0);
         cells.fill(0.0);
         // The input projection of every row at once; the recurrence turns
-        // each row of it into that step's gates in place.
-        Rhs::new(self.wx, false, self.in_dim, 4 * h, batch).mul(self.xs, gates);
+        // each row of it into that step's gates in place. Words look theirs
+        // up as their step comes.
+        let words = match self.input {
+            Input::Rows { xs, in_dim, wx } => {
+                Rhs::new(wx, false, in_dim, 4 * h, batch).mul(xs, gates);
+                None
+            }
+            Input::Words { ids, proj, first } => Some((ids, proj, first)),
+        };
         let wh = Rhs::new(self.wh, false, h, 4 * h, batch);
-        for [_, start, live] in walk(self.lens, rows, self.reverse) {
-            wh.mul(&state[..live * h], &mut hg[..live * 4 * h]);
-            for r in 0..live {
+        for [t, start, live] in walk(self.lens, rows, self.reverse) {
+            // Slots `computed..live` start their sequence at this step;
+            // from words, their step is read from `first`.
+            let computed = match words {
+                None => live,
+                Some(_) if self.reverse => active(self.lens, t + 1),
+                Some(_) => {
+                    if t == 0 {
+                        0
+                    } else {
+                        live
+                    }
+                }
+            };
+            wh.mul(&state[..computed * h], &mut hg[..computed * 4 * h]);
+            for r in 0..computed {
                 let row = start + r;
                 let gates = &mut gates[row * 4 * h..(row + 1) * 4 * h];
+                if let Some((ids, proj, _)) = words {
+                    let w = ids[row] as usize;
+                    gates.copy_from_slice(&proj[w * 4 * h..(w + 1) * 4 * h]);
+                }
                 for ((g, &hv), &bv) in gates.iter_mut().zip(&hg[r * 4 * h..]).zip(self.b) {
                     *g = (*g + hv) + bv;
                 }
@@ -164,6 +255,17 @@ impl LstmPass<'_> {
                 let at = row * out_stride + out_col;
                 out[at..at + h].copy_from_slice(state);
             }
+            if let Some((ids, _, first)) = words {
+                for r in computed..live {
+                    let row = start + r;
+                    let w = ids[row] as usize;
+                    let (h1, c1) = first[w * 2 * h..(w + 1) * 2 * h].split_at(h);
+                    state[r * h..(r + 1) * h].copy_from_slice(h1);
+                    cells[r * h..(r + 1) * h].copy_from_slice(c1);
+                    let at = row * out_stride + out_col;
+                    out[at..at + h].copy_from_slice(h1);
+                }
+            }
         }
     }
 
@@ -183,7 +285,10 @@ impl LstmPass<'_> {
         thread_local! {
             static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
         }
-        let (h, rows, batch, n) = (self.hidden(), self.rows(), self.lens.len(), self.in_dim);
+        let Input::Rows { xs, in_dim: n, wx } = self.input else {
+            panic!("lstm backward needs the input rows");
+        };
+        let (h, rows, batch) = (self.hidden(), self.rows(), self.lens.len());
         let (gates, rest) = acts.split_at(rows * 4 * h);
         let (cs, rest) = rest.split_at(rows * h);
         let tcs = &rest[..rows * h];
@@ -243,11 +348,11 @@ impl LstmPass<'_> {
                 }
             }
             let (mut dwx, mut dwh) = (Matrix::zeros(n, 4 * h), Matrix::zeros(h, 4 * h));
-            mul_tn(self.xs, n, dgs, 4 * h, dwx.as_mut_slice());
+            mul_tn(xs, n, dgs, 4 * h, dwx.as_mut_slice());
             mul_tn(h_prev, h, dgs, 4 * h, dwh.as_mut_slice());
             let dx = want_dx.then(|| {
                 let mut dx = Matrix::zeros(rows, n);
-                Rhs::new(self.wx, true, 4 * h, n, batch).mul(dgs, dx.as_mut_slice());
+                Rhs::new(wx, true, 4 * h, n, batch).mul(dgs, dx.as_mut_slice());
                 dx
             });
             ([dwx, dwh, db], dx)

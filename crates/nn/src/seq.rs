@@ -113,6 +113,19 @@ impl SeqBatch {
         }
     }
 
+    /// [`SeqBatch::pack_into`] for sequences of word ids: `seqs[i]` has at
+    /// most `lens[i]` ids, missing trailing ones are `0`.
+    pub fn pack_ids_into(&self, seqs: &[&[u32]], out: &mut [u32]) {
+        assert_eq!(seqs.len(), self.order.len(), "one id sequence per slot");
+        assert_eq!(out.len(), self.rows(), "packed id batch length");
+        out.fill(0);
+        for (slot, &caller) in self.order.iter().enumerate() {
+            for (t, &id) in seqs[caller].iter().take(self.lens[slot]).enumerate() {
+                out[self.row(slot, t)] = id;
+            }
+        }
+    }
+
     /// Each sequence's windows of `k` consecutive steps, flattened per
     /// window: the `width`-wide rows of `x` (this layout) become the
     /// `k·width`-wide rows of `out`, laid out as [`SeqBatch::windows`].

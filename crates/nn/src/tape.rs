@@ -11,7 +11,7 @@
 //! so every use of it on the tape sums into one gradient, added to the
 //! store once.
 
-use crate::lstm::LstmPass;
+use crate::lstm::{Input, LstmPass};
 use crate::params::{ParamId, ParamStore};
 use crate::seq::SeqBatch;
 use rand::Rng;
@@ -294,10 +294,12 @@ impl Tape {
         assert_eq!(value(wh).cols(), 4 * h, "lstm_seq wh shape mismatch");
         assert_eq!(value(b).shape(), (1, 4 * h), "lstm_seq bias shape mismatch");
         LstmPass {
-            xs: value(x).as_slice(),
+            input: Input::Rows {
+                xs: value(x).as_slice(),
+                in_dim,
+                wx: value(wx).as_slice(),
+            },
             lens,
-            in_dim,
-            wx: value(wx).as_slice(),
             wh: value(wh).as_slice(),
             b: value(b).as_slice(),
             reverse,

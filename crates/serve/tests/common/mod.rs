@@ -19,28 +19,42 @@ pub struct Fixture {
     pub model_path: PathBuf,
 }
 
+/// Trains the fixture model on `ds` from `seed` and saves it as `name`.
+fn train_and_save(ds: &Dataset, seed: u64, name: &str) -> PathBuf {
+    let spec = ApproachSpec::tweet_only().with_config(|c| {
+        *c = HisRectConfig {
+            featurizer_iters: 40,
+            judge_iters: 40,
+            ..HisRectConfig::fast()
+        };
+    });
+    let model = HisRectModel::train(ds, &spec, seed);
+    let dir = std::env::temp_dir().join(format!("hisrect-serve-fix-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create fixture dir");
+    let model_path = dir.join(name);
+    model.save_json(&model_path).expect("save fixture model");
+    model_path
+}
+
 /// Trains the fixture model once per test binary.
 pub fn fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(|| {
         let ds = generate(&SimConfig::tiny(5));
-        let spec = ApproachSpec::tweet_only().with_config(|c| {
-            *c = HisRectConfig {
-                featurizer_iters: 40,
-                judge_iters: 40,
-                ..HisRectConfig::fast()
-            };
-        });
-        let model = HisRectModel::train(&ds, &spec, 5);
-        let dir = std::env::temp_dir().join(format!("hisrect-serve-fix-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create fixture dir");
-        let model_path = dir.join("model.json");
-        model.save_json(&model_path).expect("save fixture model");
+        let model_path = train_and_save(&ds, 5, "model.json");
         Fixture {
             corpus: Arc::new(ds),
             model_path,
         }
     })
+}
+
+/// A second model over the fixture corpus, trained from another seed,
+/// for tests that `/reload` to different weights.
+#[allow(dead_code)] // each test binary uses its own slice of the helpers
+pub fn second_model_path() -> &'static PathBuf {
+    static PATH: OnceLock<PathBuf> = OnceLock::new();
+    PATH.get_or_init(|| train_and_save(&fixture().corpus, 6, "model-seed6.json"))
 }
 
 /// The fixture snapshot as a server would load it, for tests that drive

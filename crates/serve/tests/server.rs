@@ -6,8 +6,11 @@
 
 mod common;
 
-use common::{fixture, offline_judgement, start_server, start_server_with_precision, test_pairs};
-use hisrect::{Judgement, Precision};
+use common::{
+    fixture, offline_judgement, second_model_path, start_server, start_server_with_precision,
+    test_pairs,
+};
+use hisrect::{JudgeService, Judgement, Precision};
 use serve::batcher::{Batcher, JobError};
 use serve::HttpClient;
 use std::sync::atomic::Ordering;
@@ -313,6 +316,52 @@ fn reload_bumps_generation_and_answers_stay_identical() {
     assert_eq!(after.status, 200);
     assert_eq!(after.body, before.body);
     server.shutdown();
+}
+
+/// Word tables and int8 weights are derived per loaded model: after
+/// `/reload` to a model with other weights, `/judge_batch` (every profile
+/// a cache miss of the new generation) answers exactly what that model
+/// judges offline, at either precision.
+#[test]
+fn reload_to_a_second_model_serves_its_offline_judgements() {
+    let fix = fixture();
+    let second = second_model_path();
+    let pairs = test_pairs(4);
+    let offline = |path: &std::path::Path, precision: Precision| {
+        let pois = fix.corpus.world.pois.clone();
+        let service = JudgeService::load_with_precision(path, pois, precision).unwrap();
+        let judgements: Vec<String> = pairs
+            .iter()
+            .map(|&(i, j)| {
+                let fa = service.features_for(fix.corpus.profile(i));
+                let fb = service.features_for(fix.corpus.profile(j));
+                let p = service.judge_features(&fa, &fb);
+                serde_json::to_string(&Judgement::from_probability(i, j, p)).unwrap()
+            })
+            .collect();
+        format!("{{\"judgements\":[{}]}}", judgements.join(","))
+    };
+    let reload = format!(
+        "{{\"model\":{}}}",
+        serde_json::to_string(&second.display().to_string()).unwrap()
+    );
+    for precision in [Precision::F32, Precision::Int8] {
+        let server = start_server_with_precision(precision, |_| {});
+        let mut client = HttpClient::new(server.addr());
+        let first = offline(&fix.model_path, precision);
+        let r = client.post("/judge_batch", &batch_body(&pairs)).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(r.body, first, "{precision}: first model");
+
+        let r = client.post("/reload", &reload).unwrap();
+        assert_eq!(r.status, 200, "reload failed: {}", r.body);
+        let want = offline(second, precision);
+        assert_ne!(want, first, "the second model must judge differently");
+        let r = client.post("/judge_batch", &batch_body(&pairs)).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(r.body, want, "{precision}: after the reload");
+        server.shutdown();
+    }
 }
 
 #[test]

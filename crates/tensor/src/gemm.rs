@@ -408,21 +408,116 @@ unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
     sum
 }
 
-/// Row-dot-row i8 GEMM: `out[i*n + j] = dot_i8(a_row_i, b_row_j)` with
-/// `a` stored `m`×`k` and `b` stored `n`×`k` (nt layout — exactly how
+/// Depth of one i8 k-block: one 32-lane `maddubs` step. [`gemm_i8_nt`]
+/// reads its operands a whole block at a time, so their rows are
+/// zero-padded to a multiple of it (zeros add nothing to an exact sum).
+pub const I8_K_BLOCK: usize = 32;
+
+/// Output channels [`gemm_i8_nt`] computes per pass over a row: each
+/// k-block of the row is loaded once and multiplied into four channels.
+pub const I8_N_BLOCK: usize = 4;
+
+/// Blocked i8 GEMM: `out[i*n + j] = Σ_k a[i*k + k'] · b[j*k + k']`, with
+/// `a` stored `m`×`k` and `b` stored `n`×`k` (nt layout — how
 /// [`crate::quant::QuantMatrix`] stores weights, one output channel per
-/// row). No packing stage: quantized operands are already contiguous
-/// k-major on both sides, which is what the f32 nt repack existed to
-/// manufacture.
+/// row), values in [-127, 127]. `k` must be a multiple of [`I8_K_BLOCK`]
+/// and `n` of [`I8_N_BLOCK`]: callers zero-pad both operands once, so the
+/// kernel has no scalar tail. Each row takes four channels per pass over
+/// its k-blocks and reduces the four accumulators together, one
+/// horizontal sum per four channels instead of one per channel. Integer
+/// sums are exact, so every tier returns the [`dot_i8`] of each pair.
 pub fn gemm_i8_nt(a: &[i8], b: &[i8], k: usize, m: usize, n: usize, out: &mut [i32]) {
+    assert_eq!(
+        k % I8_K_BLOCK,
+        0,
+        "gemm_i8_nt: depth {k} is not whole k-blocks"
+    );
+    assert_eq!(
+        n % I8_N_BLOCK,
+        0,
+        "gemm_i8_nt: {n} channels are not whole blocks"
+    );
     assert_eq!(a.len(), m * k, "gemm_i8_nt: a shape mismatch");
     assert_eq!(b.len(), n * k, "gemm_i8_nt: b shape mismatch");
     assert_eq!(out.len(), m * n, "gemm_i8_nt: out shape mismatch");
+    debug_assert!(a.iter().chain(b).all(|&v| v != i8::MIN));
+    #[cfg(target_arch = "x86_64")]
+    {
+        if simd_active() {
+            // SAFETY: simd_active() is true only after AVX2 detection, and
+            // the shapes were just checked: every 32-byte load below lies
+            // inside `a` or `b`, every 16-byte store inside `out`.
+            unsafe { gemm_i8_nt_avx2(a, b, k, m, n, out) };
+            return;
+        }
+    }
+    gemm_i8_nt_portable(a, b, k, m, n, out);
+}
+
+fn gemm_i8_nt_portable(a: &[i8], b: &[i8], k: usize, m: usize, n: usize, out: &mut [i32]) {
+    for (ar, or) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)).take(m) {
+        for (bs, os) in b
+            .chunks_exact(I8_N_BLOCK * k)
+            .zip(or.chunks_exact_mut(I8_N_BLOCK))
+        {
+            let mut acc = [0i32; I8_N_BLOCK];
+            for (kb, ab) in ar.chunks_exact(I8_K_BLOCK).enumerate() {
+                for (c, acc) in acc.iter_mut().enumerate() {
+                    let bb = &bs[c * k + kb * I8_K_BLOCK..][..I8_K_BLOCK];
+                    // Fixed-width block: the autovectorizer emits packed
+                    // widening multiplies.
+                    let mut s = 0i32;
+                    for t in 0..I8_K_BLOCK {
+                        s += i32::from(ab[t]) * i32::from(bb[t]);
+                    }
+                    *acc += s;
+                }
+            }
+            os.copy_from_slice(&acc);
+        }
+    }
+}
+
+/// AVX2 transcription of [`gemm_i8_nt_portable`]: per k-block one load of
+/// `a` and its `|a|`, then the [`dot_i8_avx2`] step (`maddubs` on
+/// `|a| · sign(b, a)`, `madd` with ones) into one accumulator per
+/// channel; three `hadd`s and one cross-lane add reduce the four
+/// accumulators into the four outputs at once.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and the shapes must be those
+/// [`gemm_i8_nt`] asserts: `a` holds `m·k` and `b` `n·k` codes, `out`
+/// `m·n` sums, `k` a multiple of [`I8_K_BLOCK`] and `n` of [`I8_N_BLOCK`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_i8_nt_avx2(a: &[i8], b: &[i8], k: usize, m: usize, n: usize, out: &mut [i32]) {
+    use std::arch::x86_64::*;
+    let ones = _mm256_set1_epi16(1);
     for i in 0..m {
-        let ar = &a[i * k..(i + 1) * k];
-        let or = &mut out[i * n..(i + 1) * n];
-        for (j, o) in or.iter_mut().enumerate() {
-            *o = dot_i8(ar, &b[j * k..(j + 1) * k]);
+        let ar = a.as_ptr().add(i * k);
+        let mut j = 0;
+        while j < n {
+            let br = b.as_ptr().add(j * k);
+            let mut acc = [_mm256_setzero_si256(); I8_N_BLOCK];
+            let mut kk = 0;
+            while kk < k {
+                let va = _mm256_loadu_si256(ar.add(kk).cast());
+                let abs_a = _mm256_abs_epi8(va);
+                for (c, acc) in acc.iter_mut().enumerate() {
+                    let vb = _mm256_loadu_si256(br.add(c * k + kk).cast());
+                    let pairs = _mm256_maddubs_epi16(abs_a, _mm256_sign_epi8(vb, va));
+                    *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(pairs, ones));
+                }
+                kk += I8_K_BLOCK;
+            }
+            // Per 128-bit half: [Σc0, Σc1, Σc2, Σc3]; then add the halves.
+            let s01 = _mm256_hadd_epi32(acc[0], acc[1]);
+            let s23 = _mm256_hadd_epi32(acc[2], acc[3]);
+            let s = _mm256_hadd_epi32(s01, s23);
+            let sum = _mm_add_epi32(_mm256_castsi256_si128(s), _mm256_extracti128_si256(s, 1));
+            _mm_storeu_si128(out.as_mut_ptr().add(i * n + j).cast(), sum);
+            j += I8_N_BLOCK;
         }
     }
 }
@@ -518,15 +613,20 @@ mod tests {
 
     #[test]
     fn gemm_i8_nt_matches_per_row_dots() {
-        let (m, k, n) = (3, 70, 5);
+        // Three k-blocks and two channel blocks, on both tiers.
+        let (m, k, n) = (3, 3 * I8_K_BLOCK, 2 * I8_N_BLOCK);
         let a = ramp_i8(m * k, 3);
         let b = ramp_i8(n * k, 4);
-        let mut out = vec![0i32; m * n];
-        gemm_i8_nt(&a, &b, k, m, n, &mut out);
-        for i in 0..m {
-            for j in 0..n {
-                let expect = dot_i8(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
-                assert_eq!(out[i * n + j], expect, "({i},{j})");
+        for portable in [true, false] {
+            force_portable(Some(portable));
+            let mut out = vec![0i32; m * n];
+            gemm_i8_nt(&a, &b, k, m, n, &mut out);
+            force_portable(None);
+            for i in 0..m {
+                for j in 0..n {
+                    let expect = dot_i8(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+                    assert_eq!(out[i * n + j], expect, "({i},{j}), portable {portable}");
+                }
             }
         }
     }

@@ -15,6 +15,14 @@
 //! AVX2 kernel run `maddubs` on `|a|`/`sign(b,a)` without saturating
 //! (see [`crate::gemm::dot_i8`]).
 //!
+//! # Padding
+//!
+//! Every product is one [`gemm::gemm_i8_nt`] pass, which reads whole
+//! 32-byte k-blocks and four output channels at a time. The weights are
+//! zero-padded to that shape once, when they are quantized; each
+//! activation row is zero-padded in scratch. Zero codes add nothing to an
+//! exact integer sum, so the padding never shows in a result.
+//!
 //! # Why batching cannot change answers
 //!
 //! Every output row depends only on its own input row: the activation
@@ -30,6 +38,8 @@ use std::cell::RefCell;
 
 /// An i8 weight matrix in nt layout: `rows` output channels, each a
 /// contiguous `cols`-long i8 vector, with one symmetric scale per row.
+/// Stored zero-padded to whole [`gemm::I8_K_BLOCK`]s per row and whole
+/// [`gemm::I8_N_BLOCK`]s of rows, the shape [`gemm::gemm_i8_nt`] reads.
 /// The f32 source weights stay in the `ParamStore` untouched — this is a
 /// derived, inference-only artifact, so checkpointing and `/reload`
 /// hot-swap never see it.
@@ -37,6 +47,9 @@ use std::cell::RefCell;
 pub struct QuantMatrix {
     rows: usize,
     cols: usize,
+    /// `cols` rounded up to whole k-blocks: the row stride of `data`.
+    stride: usize,
+    /// `rows` rounded up to whole channel blocks, `stride` codes each.
     data: Vec<i8>,
     scales: Vec<f32>,
 }
@@ -48,7 +61,8 @@ impl QuantMatrix {
     pub fn from_weights(w: &Matrix) -> Self {
         let (k, n) = (w.rows(), w.cols());
         let src = w.as_slice();
-        let mut data = vec![0i8; n * k];
+        let stride = k.next_multiple_of(gemm::I8_K_BLOCK);
+        let mut data = vec![0i8; n.next_multiple_of(gemm::I8_N_BLOCK) * stride];
         let mut scales = vec![1.0f32; n];
         for j in 0..n {
             let mut max_abs = 0.0f32;
@@ -57,7 +71,7 @@ impl QuantMatrix {
             }
             let scale = symmetric_scale(max_abs);
             let inv = 1.0 / scale;
-            let row = &mut data[j * k..(j + 1) * k];
+            let row = &mut data[j * stride..j * stride + k];
             for (i, q) in row.iter_mut().enumerate() {
                 *q = quantize_value(src[i * n + j], inv);
             }
@@ -66,6 +80,7 @@ impl QuantMatrix {
         Self {
             rows: n,
             cols: k,
+            stride,
             data,
             scales,
         }
@@ -83,7 +98,7 @@ impl QuantMatrix {
 
     /// One quantized output channel.
     pub fn row(&self, r: usize) -> &[i8] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
+        &self.data[r * self.stride..r * self.stride + self.cols]
     }
 
     /// The symmetric scale of output channel `r`.
@@ -96,14 +111,14 @@ impl QuantMatrix {
     /// (half a quantization step); the proptests pin that bound.
     pub fn dequantize(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| {
-            f32::from(self.data[j * self.cols + i]) * self.scales[j]
+            f32::from(self.row(j)[i]) * self.scales[j]
         })
     }
 
-    /// Bytes of i8 payload (scales excluded) — 4× smaller than the f32
-    /// weights it was derived from.
+    /// Bytes of i8 payload (scales and padding excluded) — 4× smaller
+    /// than the f32 weights it was derived from.
     pub fn payload_bytes(&self) -> usize {
-        self.data.len()
+        self.rows * self.cols
     }
 }
 
@@ -147,9 +162,8 @@ pub fn quantize_row(src: &[f32], dst: &mut [i8]) -> f32 {
     assert_eq!(src.len(), dst.len(), "quantize_row length mismatch");
     #[cfg(target_arch = "x86_64")]
     {
-        // One 8-lane step already amortizes the constant setup, so the
-        // vector kernel wins from a single full block onward.
-        if src.len() >= 8 && gemm::simd_active() {
+        // A row shorter than one 8-lane block is one padded block.
+        if gemm::simd_active() {
             // SAFETY: simd_active() is true only after AVX2 detection,
             // and src/dst were just checked to be the same length.
             return unsafe { quantize_row_avx2(src, dst) };
@@ -197,19 +211,29 @@ fn quantize_row_portable(src: &[f32], dst: &mut [i8]) -> f32 {
 /// - NaN lanes are zeroed by an ordered-compare mask, matching the
 ///   scalar saturating `as i32` cast of NaN;
 /// - the i32→i8 `packs` pair cannot saturate because every code is
-///   already in [-127, 127].
+///   already in [-127, 127];
+/// - the last `len % 8` values ride one masked load, zero-padded,
+///   through both passes: a zero lane never raises the maximum, and its
+///   code is dropped.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `dst` must be as long as `src`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn quantize_row_avx2(src: &[f32], dst: &mut [i8]) -> f32 {
     use std::arch::x86_64::*;
     let n = src.len();
+    let full = n - n % 8;
+    // Masked lanes load as zeros, without touching memory past the row.
+    let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((n - full) as i32), lane);
+    let tail = _mm256_maskload_ps(src.as_ptr().add(full), mask);
     let abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
-    let mut vmax = _mm256_setzero_ps();
-    let mut i = 0;
-    while i + 8 <= n {
-        let va = _mm256_and_ps(_mm256_loadu_ps(src.as_ptr().add(i)), abs_mask);
+    let mut vmax = _mm256_and_ps(tail, abs_mask);
+    for block in src[..full].chunks_exact(8) {
+        let va = _mm256_and_ps(_mm256_loadu_ps(block.as_ptr()), abs_mask);
         vmax = _mm256_max_ps(va, vmax);
-        i += 8;
     }
     let mut lanes = [0f32; 8];
     _mm256_storeu_ps(lanes.as_mut_ptr(), vmax);
@@ -217,84 +241,74 @@ unsafe fn quantize_row_avx2(src: &[f32], dst: &mut [i8]) -> f32 {
     for v in lanes {
         max_abs = if v > max_abs { v } else { max_abs };
     }
-    while i < n {
-        let av = src.get_unchecked(i).abs();
-        max_abs = if av > max_abs { av } else { max_abs };
-        i += 1;
-    }
     let scale = symmetric_scale(max_abs);
-    let inv = 1.0 / scale;
-    let vinv = _mm256_set1_ps(inv);
-    let vlo = _mm256_set1_ps(-127.0);
-    let vhi = _mm256_set1_ps(127.0);
-    let vhalf = _mm256_set1_ps(0.5);
-    let vnhalf = _mm256_set1_ps(-0.5);
-    let mut i = 0;
-    while i + 8 <= n {
-        let r = _mm256_mul_ps(_mm256_loadu_ps(src.as_ptr().add(i)), vinv);
-        // `r` rides the NaN-propagating operand slot of both clamp ops,
-        // mirroring `f32::clamp`'s NaN-in-NaN-out.
-        let rc = _mm256_min_ps(vhi, _mm256_max_ps(vlo, r));
-        let t = _mm256_cvttps_epi32(rc);
-        let frac = _mm256_sub_ps(rc, _mm256_cvtepi32_ps(t));
-        let ge = _mm256_cmp_ps::<_CMP_GE_OQ>(frac, vhalf);
-        let le = _mm256_cmp_ps::<_CMP_LE_OQ>(frac, vnhalf);
-        let t = _mm256_sub_epi32(t, _mm256_castps_si256(ge));
-        let t = _mm256_add_epi32(t, _mm256_castps_si256(le));
-        let ord = _mm256_cmp_ps::<_CMP_ORD_Q>(rc, rc);
-        let t = _mm256_and_si256(t, _mm256_castps_si256(ord));
-        let p16 = _mm_packs_epi32(_mm256_castsi256_si128(t), _mm256_extracti128_si256(t, 1));
-        let p8 = _mm_packs_epi16(p16, p16);
-        _mm_storel_epi64(dst.as_mut_ptr().add(i).cast(), p8);
-        i += 8;
+    let vinv = _mm256_set1_ps(1.0 / scale);
+    let (dst, dst_tail) = dst.split_at_mut(full);
+    for (d8, s8) in dst.chunks_exact_mut(8).zip(src.chunks_exact(8)) {
+        let r = _mm256_loadu_ps(s8.as_ptr());
+        _mm_storel_epi64(d8.as_mut_ptr().cast(), quantize8_avx2(r, vinv));
     }
-    while i < n {
-        *dst.get_unchecked_mut(i) = quantize_value(*src.get_unchecked(i), inv);
-        i += 1;
+    if !dst_tail.is_empty() {
+        let mut codes = [0i8; 8];
+        _mm_storel_epi64(codes.as_mut_ptr().cast(), quantize8_avx2(tail, vinv));
+        for (d, c) in dst_tail.iter_mut().zip(codes) {
+            *d = c;
+        }
     }
     scale
 }
 
-thread_local! {
-    // i8 scratch for the quantized activations of one qmatmul call. The
-    // f32 buffer pool shelves `Vec<f32>` only, so the integer side keeps
-    // its own (single, grow-only) thread-local buffer — same effect on
-    // the hot serving path: zero steady-state allocator traffic.
-    static QX: RefCell<Vec<i8>> = const { RefCell::new(Vec::new()) };
+/// [`quantize_value`] of the 8 lanes of `x` by `vinv`, as 8 codes in the
+/// low half of the result.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn quantize8_avx2(
+    x: std::arch::x86_64::__m256,
+    vinv: std::arch::x86_64::__m256,
+) -> std::arch::x86_64::__m128i {
+    use std::arch::x86_64::*;
+    let r = _mm256_mul_ps(x, vinv);
+    // `r` rides the NaN-propagating operand slot of both clamp ops,
+    // mirroring `f32::clamp`'s NaN-in-NaN-out.
+    let rc = _mm256_min_ps(
+        _mm256_set1_ps(127.0),
+        _mm256_max_ps(_mm256_set1_ps(-127.0), r),
+    );
+    let t = _mm256_cvttps_epi32(rc);
+    let frac = _mm256_sub_ps(rc, _mm256_cvtepi32_ps(t));
+    let ge = _mm256_cmp_ps::<_CMP_GE_OQ>(frac, _mm256_set1_ps(0.5));
+    let le = _mm256_cmp_ps::<_CMP_LE_OQ>(frac, _mm256_set1_ps(-0.5));
+    let t = _mm256_sub_epi32(t, _mm256_castps_si256(ge));
+    let t = _mm256_add_epi32(t, _mm256_castps_si256(le));
+    let ord = _mm256_cmp_ps::<_CMP_ORD_Q>(rc, rc);
+    let t = _mm256_and_si256(t, _mm256_castps_si256(ord));
+    let p16 = _mm_packs_epi32(_mm256_castsi256_si128(t), _mm256_extracti128_si256(t, 1));
+    _mm_packs_epi16(p16, p16)
 }
 
-/// One activation row through the quantized weights: quantizes `x` into
-/// `qx` with a dynamic symmetric scale, then fills `out[j]` for every
-/// output channel. This is THE row kernel — every product below is a loop
-/// over it, which is what makes fused and per-row results bit-identical by
-/// construction.
-fn qmatvec_bias_into(
-    x: &[f32],
-    qw: &QuantMatrix,
-    bias: Option<&[f32]>,
-    qx: &mut [i8],
-    out: &mut [f32],
-) {
-    let sx = quantize_row(x, qx);
-    for (j, o) in out.iter_mut().enumerate() {
-        let acc = gemm::dot_i8(qx, qw.row(j));
-        // Fixed dequantize order: combined scale first, one multiply,
-        // then the bias add — every caller (single row, fused batch,
-        // bench) rounds identically.
-        let v = (acc as f32) * (sx * qw.scale(j));
-        *o = match bias {
-            Some(b) => v + b[j],
-            None => v,
-        };
-    }
+thread_local! {
+    // Scratch for one qmatmul call: the zero-padded i8 activation rows,
+    // their scales and their i32 channel sums. The f32 buffer pool shelves
+    // `Vec<f32>` only, so the quantized side keeps its own grow-only
+    // thread-local buffers — zero steady-state allocator traffic on the
+    // serving path.
+    static SCRATCH: RefCell<(Vec<i8>, Vec<f32>, Vec<i32>)> =
+        const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
 }
 
 /// The `k`-wide rows of `x` through quantized weights `qw` (`k` in, `n`
 /// out) into the `n`-wide rows of `out`, with an optional per-channel
-/// bias added inside the dequantize epilogue. Each input row is quantized
-/// independently, so output rows are bit-identical whether computed fused
-/// or one at a time. Heap-free: the i8 scratch is a grow-only
-/// thread-local.
+/// bias added inside the dequantize epilogue: each row quantized with its
+/// own dynamic scale into zero-padded scratch, one [`gemm::gemm_i8_nt`]
+/// pass over every row and channel, then the fixed epilogue. Each input
+/// row is quantized independently and integer sums are exact, so output
+/// rows are bit-identical whether computed fused or one at a time.
+/// Heap-free: the scratch is grow-only and thread-local.
 pub fn qmatmul_into(x: &[f32], qw: &QuantMatrix, bias: Option<&[f32]>, out: &mut [f32]) {
     let (k, n) = (qw.cols(), qw.rows());
     let rows = x.len() / k;
@@ -303,11 +317,40 @@ pub fn qmatmul_into(x: &[f32], qw: &QuantMatrix, bias: Option<&[f32]>, out: &mut
     if let Some(b) = bias {
         assert_eq!(b.len(), n, "qmatmul: bias length mismatch");
     }
-    QX.with(|qx| {
-        let mut qx = qx.borrow_mut();
-        qx.resize(k, 0);
-        for (x, out) in x.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-            qmatvec_bias_into(x, qw, bias, &mut qx, out);
+    let (stride, channels) = (qw.stride, qw.data.len() / qw.stride);
+    SCRATCH.with(|scratch| {
+        let (qx, sxs, acc) = &mut *scratch.borrow_mut();
+        // Zeroed whole: an earlier call may have left codes in the padding.
+        qx.clear();
+        qx.resize(rows * stride, 0);
+        sxs.clear();
+        for (x, qx) in x.chunks_exact(k).zip(qx.chunks_exact_mut(stride)) {
+            sxs.push(quantize_row(x, &mut qx[..k]));
+        }
+        acc.resize(rows * channels, 0);
+        gemm::gemm_i8_nt(qx, &qw.data, stride, rows, channels, acc);
+        let scales = &qw.scales[..n];
+        for ((out, acc), &sx) in out
+            .chunks_exact_mut(n)
+            .zip(acc.chunks_exact(channels))
+            .zip(&*sxs)
+        {
+            // Fixed dequantize order: combined scale first, one multiply,
+            // then the bias add — every caller (single row, fused batch,
+            // bench) rounds identically.
+            let dequant = out.iter_mut().zip(acc).zip(scales);
+            match bias {
+                Some(b) => {
+                    for (((o, &a), &sw), &b) in dequant.zip(b) {
+                        *o = (a as f32) * (sx * sw) + b;
+                    }
+                }
+                None => {
+                    for ((o, &a), &sw) in dequant {
+                        *o = (a as f32) * (sx * sw);
+                    }
+                }
+            }
         }
     });
 }

@@ -307,6 +307,53 @@ proptest! {
         drop(guard);
         prop_assert_eq!(portable.as_slice(), dispatched.as_slice());
     }
+
+    /// The blocked product equals the per-row reference by bits on both
+    /// tiers: each row quantized alone, one `dot_i8` per output channel
+    /// over the unpadded codes, the shared epilogue. Depths cross the
+    /// 32-byte k-blocks, widths the 4-channel blocks; a row or column
+    /// `mode` of 1 is `±c` throughout (every code at ±127), 2 all zeros.
+    #[test]
+    fn blocked_qmatmul_equals_per_row_dots(
+        m in 1usize..6, k in 1usize..=300, n in 1usize..=70,
+        x_mode in 0u8..3, w_mode in 0u8..3, seed in 0u64..1 << 32,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shape = |m: Matrix, mode: u8| match mode {
+            1 => m.map(|v| if v < 0.0 { -1.5 } else { 1.5 }),
+            2 => m.map(|_| 0.0),
+            _ => m,
+        };
+        let mut x = randn(&mut rng, m, k, 2.0);
+        // The last row keeps the drawn values whatever the mode.
+        for r in 0..m - 1 {
+            let row = shape(Matrix::row_vector(x.row(r)), x_mode);
+            x.row_mut(r).copy_from_slice(row.as_slice());
+        }
+        let w = shape(randn(&mut rng, k, n, 2.0), w_mode);
+        let bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.25 - 1.0).collect();
+        let q = tensor::QuantMatrix::from_weights(&w);
+        let mut want = vec![0.0f32; m * n];
+        let mut qx = vec![0i8; k];
+        for r in 0..m {
+            let sx = tensor::quantize_row(x.row(r), &mut qx);
+            for j in 0..n {
+                let acc = tensor::gemm::dot_i8(&qx, q.row(j));
+                want[r * n + j] = (acc as f32) * (sx * q.scale(j)) + bias[j];
+            }
+        }
+        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+        let guard = TOGGLE.lock().unwrap();
+        for portable in [true, false] {
+            tensor::force_portable(Some(portable));
+            let mut got = vec![f32::NAN; m * n];
+            tensor::qmatmul_into(x.as_slice(), &q, Some(&bias), &mut got);
+            let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&got, &want, "portable {}", portable);
+        }
+        tensor::force_portable(None);
+        drop(guard);
+    }
 }
 
 /// Forcing the auto entry points onto the parallel path (threshold = 1)

@@ -166,6 +166,11 @@ impl SkipGram {
         self.input.rows()
     }
 
+    /// Every word vector, word id `w` at row `w` (`vocab_size x dim`).
+    pub fn vectors(&self) -> &Matrix {
+        &self.input
+    }
+
     /// The vector of word id `id` (a `1 x dim` row).
     pub fn vector(&self, id: usize) -> &[f32] {
         self.input.row(id)
