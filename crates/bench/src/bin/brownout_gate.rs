@@ -1,6 +1,5 @@
 //! Brownout gate: drive the server through a 4x-capacity burst with
-//! injected slow flushes and a stalled batcher, and verify it *degrades*
-//! instead of failing.
+//! injected slow flushes, and verify it *degrades* instead of failing.
 //!
 //! The run builds the serving [`Fixture`] with the release binary
 //! (`HISRECT_BIN`) and spawns the server in-process: the fault plan is
@@ -11,9 +10,9 @@
 //!    the goodput it establishes (in-deadline 200s per second) is a rate
 //!    measured over thousands of requests rather than a few milliseconds.
 //! 2. **Burst** — 4x the baseline client count, while a controller thread
-//!    keeps `slow-judge` armed (each slow flush blows the breaker's
-//!    latency budget) and twice arms `stall` so the watchdog must restart
-//!    the flusher mid-burst.
+//!    keeps `slow-judge` armed: each slow flush stalls the worker holding
+//!    the batcher's combiner, with every job queued behind it, and blows
+//!    the breaker's latency budget.
 //! 3. **Recovery** — faults cleared, the loop probes `/judge` until
 //!    `/healthz` reports the breaker closed again.
 //!
@@ -24,7 +23,6 @@
 //! * every degraded verdict is labeled: the client-observed
 //!   `x-hisrect-degraded` count equals the server's
 //!   `serve/degraded_responses` counter;
-//! * the watchdog restarted the stalled flusher at least once;
 //! * the breaker actually opened during the burst and is closed again
 //!   after recovery;
 //! * burst goodput stays at or above 70% of the pre-burst baseline.
@@ -35,7 +33,7 @@ use bench::gate::{self, Fixture, Load, Run, Stop, Verdict};
 use bench::report::Report;
 use faultsim::FaultKind;
 use serde::Serialize;
-use serve::{BreakerConfig, HttpClient, ModelRegistry, ServeConfig, ServerHandle, WatchdogConfig};
+use serve::{BreakerConfig, HttpClient, ModelRegistry, ServeConfig, ServerHandle};
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -77,8 +75,8 @@ fn spawn_in_process(fixture: &Fixture) -> Result<ServerHandle, String> {
     let registry =
         ModelRegistry::load_with_precision(&fixture.model, Arc::new(ds), hisrect::Precision::F32)
             .map_err(|e| format!("{}: {e}", fixture.model.display()))?;
-    // Tight breaker and fast watchdog so the burst's injected faults
-    // flip states within the run; defaults everywhere else.
+    // Tight breaker so the burst's injected faults flip states within the
+    // run; defaults everywhere else.
     let config = ServeConfig {
         addr: "127.0.0.1:0".into(),
         batch_size: 8,
@@ -86,10 +84,6 @@ fn spawn_in_process(fixture: &Fixture) -> Result<ServerHandle, String> {
             failure_threshold: 2,
             cooldown: Duration::from_millis(300),
             latency_budget: Duration::from_millis(60),
-        },
-        watchdog: WatchdogConfig {
-            interval: Duration::from_millis(25),
-            stall_timeout: Duration::from_millis(150),
         },
         ..ServeConfig::default()
     };
@@ -159,7 +153,6 @@ struct BrownoutRow {
     shed_deadline_counter: u64,
     breaker_opens: u64,
     breaker_closes: u64,
-    watchdog_restarts: u64,
     panics: u64,
     recovery_probes: usize,
     recovery_s: f64,
@@ -183,22 +176,13 @@ fn run() -> Result<BrownoutRow, String> {
     }
 
     // Phase 2: 4x burst. The controller keeps slow flushes coming (every
-    // armed shot fires once) and stalls the flusher twice so the watchdog
-    // has to restart it while jobs are queued.
+    // armed shot fires once).
     let stop = Arc::new(AtomicBool::new(false));
     let controller = {
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            let mut tick = 0u32;
             while !stop.load(Ordering::Relaxed) {
                 faultsim::arm(FaultKind::SlowJudge, 1);
-                // First stall lands while the breaker is still closing in
-                // on its threshold (queue non-empty, a deterministic
-                // restart); the second exercises a restart mid-cooldown.
-                if tick == 0 || tick == 25 {
-                    faultsim::arm(FaultKind::BatcherStall, 1);
-                }
-                tick += 1;
                 std::thread::sleep(Duration::from_millis(40));
             }
         })
@@ -239,7 +223,6 @@ fn run() -> Result<BrownoutRow, String> {
     let recovery_s = recovery_start.elapsed().as_secs_f64();
 
     let metrics = gate::get_json(addr, "/metrics")?;
-    let watchdog_restarts = handle.watchdog_restarts();
     handle.shutdown();
 
     let baseline_goodput = goodput_rps(&baseline);
@@ -267,7 +250,6 @@ fn run() -> Result<BrownoutRow, String> {
         shed_deadline_counter: gate::counter(&metrics, "serve/shed_deadline"),
         breaker_opens: gate::counter(&metrics, "serve/breaker_open"),
         breaker_closes: gate::counter(&metrics, "serve/breaker_close"),
-        watchdog_restarts,
         panics: gate::panics(&metrics),
         recovery_probes,
         recovery_s,
@@ -288,7 +270,6 @@ fn main() -> ExitCode {
     verdict.equal("burst 500s", row.burst_status_500, 0);
     verdict.equal("burst transport errors", row.burst_transport_errors, 0);
     verdict.equal("handler/batcher panics", row.panics, 0);
-    verdict.at_least("watchdog restarts", row.watchdog_restarts, 1);
     verdict.at_least("breaker opens during the burst", row.breaker_opens, 1);
     verdict.equal(
         "breaker after recovery",

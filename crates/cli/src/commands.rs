@@ -364,7 +364,6 @@ pub fn serve_cmd(flags: &Flags) -> Result<(), String> {
         workers: flags.parse_or("workers", 4usize)?,
         cache_capacity: flags.parse_or("cache-capacity", 4096usize)?,
         batch_size: flags.parse_or("batch-size", 16usize)?,
-        batch_deadline: Duration::from_millis(flags.parse_or("batch-deadline-ms", 2u64)?),
         queue_depth: flags.parse_or("queue-depth", 128usize)?,
         limits: parse_limits(flags)?,
         precision: parse_precision(flags)?,
@@ -372,7 +371,6 @@ pub fn serve_cmd(flags: &Flags) -> Result<(), String> {
         admission: serve::AdmissionConfig {
             rate: flags.parse_or("admission-rate", 0.0f64)?,
             burst: flags.parse_or("admission-burst", 0.0f64)?,
-            queue_high_watermark: flags.parse_or("admission-watermark", 1.0f64)?,
         },
         breaker: serve::BreakerConfig {
             failure_threshold: flags.parse_or("breaker-failures", 5u32)?,
@@ -380,10 +378,6 @@ pub fn serve_cmd(flags: &Flags) -> Result<(), String> {
             latency_budget: Duration::from_millis(
                 flags.parse_or("breaker-latency-budget-ms", 5000u64)?,
             ),
-        },
-        watchdog: serve::WatchdogConfig {
-            interval: Duration::from_millis(flags.parse_or("watchdog-interval-ms", 250u64)?),
-            stall_timeout: Duration::from_millis(flags.parse_or("watchdog-stall-ms", 2000u64)?),
         },
     };
     let registry = serve::ModelRegistry::load_with_precision(

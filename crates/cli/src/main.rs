@@ -38,13 +38,12 @@ COMMANDS:
     infer      POI inference Acc@K on the test split  (--corpus FILE --model FILE [--top-k K] [--seed N])
     cluster    Cluster concurrent test profiles       (--corpus FILE --model FILE [--group-size N] [--seed N])
     serve      Online co-location inference server    (--corpus FILE --model FILE [--addr HOST:PORT] [--workers N]
-                                                       [--cache-capacity N] [--batch-size N] [--batch-deadline-ms MS]
+                                                       [--cache-capacity N] [--batch-size N]
                                                        [--queue-depth N] [--precision f32|int8]
                                                        [--default-deadline-ms MS] [--admission-rate R]
-                                                       [--admission-burst N] [--admission-watermark F]
+                                                       [--admission-burst N]
                                                        [--breaker-failures N] [--breaker-cooldown-ms MS]
                                                        [--breaker-latency-budget-ms MS]
-                                                       [--watchdog-interval-ms MS] [--watchdog-stall-ms MS]
                                                        [--read-timeout-ms MS])
     route      Consistent-hash router over shards    (--shards HOST:PORT,HOST:PORT,... [--addr HOST:PORT]
                                                        [--workers N] [--queue-depth N] [--vnodes N]

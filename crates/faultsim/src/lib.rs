@@ -48,13 +48,10 @@ pub enum FaultKind {
     OversizedBody,
     /// Request path: the request body is syntactically invalid JSON.
     MalformedJson,
-    /// Serve path: the micro-batcher's flusher thread wedges before
-    /// pulling the next job (simulates a stuck worker). The stall parks
-    /// the thread until the watchdog supersedes it or the server shuts
-    /// down, leaving every queued job untouched for the replacement.
-    BatcherStall,
     /// Serve path: the judge forward pass takes far longer than the
     /// configured latency budget (simulates a degraded model backend).
+    /// It stalls the worker that holds the micro-batcher's combiner, and
+    /// every job queued behind it.
     SlowJudge,
     /// Serve path: a request handler burns CPU in a tight loop before
     /// answering (simulates a poison request hogging a worker).
@@ -90,7 +87,6 @@ impl FaultKind {
             FaultKind::MidBodyDisconnect => "disconnect",
             FaultKind::OversizedBody => "oversize-body",
             FaultKind::MalformedJson => "malformed-json",
-            FaultKind::BatcherStall => "stall",
             FaultKind::SlowJudge => "slow-judge",
             FaultKind::CpuBurn => "cpu-burn",
             FaultKind::StreamReorder => "reorder",
@@ -113,7 +109,6 @@ impl FaultKind {
             "disconnect" => FaultKind::MidBodyDisconnect,
             "oversize-body" => FaultKind::OversizedBody,
             "malformed-json" => FaultKind::MalformedJson,
-            "stall" => FaultKind::BatcherStall,
             "slow-judge" => FaultKind::SlowJudge,
             "cpu-burn" => FaultKind::CpuBurn,
             "reorder" => FaultKind::StreamReorder,
@@ -125,7 +120,7 @@ impl FaultKind {
         })
     }
 
-    const ALL: [FaultKind; 18] = [
+    const ALL: [FaultKind; 17] = [
         FaultKind::TornWrite,
         FaultKind::BitFlip,
         FaultKind::CorruptJson,
@@ -136,7 +131,6 @@ impl FaultKind {
         FaultKind::MidBodyDisconnect,
         FaultKind::OversizedBody,
         FaultKind::MalformedJson,
-        FaultKind::BatcherStall,
         FaultKind::SlowJudge,
         FaultKind::CpuBurn,
         FaultKind::StreamReorder,
@@ -368,9 +362,7 @@ mod tests {
     fn serve_overload_kinds_parse_and_fire() {
         let _g = lock();
         clear();
-        configure_str("stall@1,slow-judge@2,cpu-burn").unwrap();
-        assert!(pending(FaultKind::BatcherStall));
-        assert!(fires(FaultKind::BatcherStall));
+        configure_str("slow-judge@2,cpu-burn").unwrap();
         assert!(fires(FaultKind::CpuBurn));
         assert!(!fires(FaultKind::SlowJudge));
         assert!(fires(FaultKind::SlowJudge));

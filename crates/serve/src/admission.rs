@@ -1,23 +1,21 @@
-//! Admission control ahead of the micro-batcher.
+//! Admission control ahead of the micro-batcher, and the drain-rate
+//! estimate behind every `Retry-After` hint.
 //!
-//! Two independent gates decide whether a judge request may enter the
-//! queue at all:
+//! A **token bucket** (`rate` tokens/s, `burst` capacity) bounds the
+//! sustained `/judge` rate; a refused request is answered `503` with a
+//! `Retry-After` of the time until the bucket holds a token again. Deep
+//! queues need no gate of their own: the connection queue and the judge
+//! queue are bounded, and a full one is shed at the door.
 //!
-//! 1. a **token bucket** (`rate` tokens/s, `burst` capacity) bounding the
-//!    sustained request rate, and
-//! 2. a **queue-occupancy watermark**: once the batcher's queue is at or
-//!    beyond `queue_high_watermark × queue_depth`, new work is refused
-//!    before it can pile latency onto everything already queued.
+//! Those full-queue 503s carry an **adaptive** `Retry-After` derived from
+//! the observed drain rate: the batcher reports every flush through
+//! [`AdmissionGate::record_drain`], an EWMA of jobs/s is kept, and the
+//! hint is "how long until a backlog clears at that pace", clamped to
+//! `[1, 30]` seconds. Under a short spike clients come back almost
+//! immediately; under a sustained stall they back off hard.
 //!
-//! A refused request is answered `503` with an **adaptive** `Retry-After`
-//! derived from the observed drain rate: the batcher reports every flush
-//! through [`AdmissionGate::record_drain`], an EWMA of jobs/s is kept, and
-//! the hint is "how long until the current backlog clears at that pace",
-//! clamped to `[1, 30]` seconds. Under a short spike clients come back
-//! almost immediately; under a sustained stall they back off hard.
-//!
-//! Disabled by default (`rate = 0`, watermark = 1.0): an uncontended
-//! server never consults the bucket and behaves exactly as before.
+//! The bucket is disabled by default (`rate = 0`): an uncontended server
+//! never consults it and behaves exactly as before.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -32,10 +30,6 @@ pub struct AdmissionConfig {
     /// Bucket capacity: how many requests may arrive back-to-back before
     /// the sustained rate applies. Ignored when `rate` is `0.0`.
     pub burst: f64,
-    /// Fraction of the batcher queue depth at which new work is refused;
-    /// `1.0` (the default) only refuses when the queue is already full,
-    /// i.e. never fires before the queue itself would.
-    pub queue_high_watermark: f64,
 }
 
 impl Default for AdmissionConfig {
@@ -43,7 +37,6 @@ impl Default for AdmissionConfig {
         Self {
             rate: 0.0,
             burst: 0.0,
-            queue_high_watermark: 1.0,
         }
     }
 }
@@ -74,8 +67,6 @@ struct DrainEwma {
 /// The gate itself. One per server; shared by every worker thread.
 pub struct AdmissionGate {
     cfg: AdmissionConfig,
-    /// Batcher queue capacity, fixed at construction.
-    queue_depth: usize,
     bucket: Mutex<Bucket>,
     drain: Mutex<DrainEwma>,
     /// Epoch-less clock base for the shed window.
@@ -87,12 +78,11 @@ pub struct AdmissionGate {
 }
 
 impl AdmissionGate {
-    /// Builds the gate for a batcher queue of `queue_depth` slots.
-    pub fn new(cfg: AdmissionConfig, queue_depth: usize) -> Self {
+    /// Builds the gate.
+    pub fn new(cfg: AdmissionConfig) -> Self {
         let now = Instant::now();
         Self {
             cfg,
-            queue_depth: queue_depth.max(1),
             bucket: Mutex::new(Bucket {
                 tokens: cfg.burst.max(1.0),
                 last_refill: now,
@@ -113,15 +103,9 @@ impl AdmissionGate {
         &self.cfg
     }
 
-    /// Decides whether a request holding `queue_len` jobs already queued
-    /// may proceed. `Err(secs)` carries the adaptive `Retry-After` hint.
-    pub fn admit(&self, queue_len: usize) -> Result<(), u64> {
-        if self.cfg.queue_high_watermark < 1.0 {
-            let watermark = (self.cfg.queue_high_watermark * self.queue_depth as f64).ceil();
-            if queue_len as f64 >= watermark {
-                return Err(self.reject(queue_len));
-            }
-        }
+    /// Decides whether a request may proceed. `Err(secs)` carries the
+    /// `Retry-After` hint: the time until the bucket holds a token again.
+    pub fn admit(&self) -> Result<(), u64> {
         if self.cfg.rate > 0.0 {
             let mut bucket = self.bucket.lock().expect("admission bucket poisoned");
             let now = Instant::now();
@@ -129,8 +113,9 @@ impl AdmissionGate {
             bucket.last_refill = now;
             bucket.tokens = (bucket.tokens + elapsed * self.cfg.rate).min(self.cfg.burst.max(1.0));
             if bucket.tokens < 1.0 {
+                let refill_secs = (1.0 - bucket.tokens) / self.cfg.rate;
                 drop(bucket);
-                return Err(self.reject(queue_len));
+                return Err(self.reject(refill_secs));
             }
             bucket.tokens -= 1.0;
         }
@@ -138,12 +123,12 @@ impl AdmissionGate {
         Ok(())
     }
 
-    fn reject(&self, queue_len: usize) -> u64 {
+    fn reject(&self, refill_secs: f64) -> u64 {
         self.rejected.fetch_add(1, Ordering::Relaxed);
         let since_start = self.started.elapsed().as_millis() as u64;
         self.last_shed_ms.store(since_start, Ordering::Relaxed);
         obs::incr("serve/shed_admission");
-        self.retry_after_secs(queue_len)
+        (refill_secs.ceil() as u64).clamp(RETRY_AFTER_FLOOR_SECS, RETRY_AFTER_CAP_SECS)
     }
 
     /// The batcher reports each flush: `n` jobs answered. Feeds the EWMA
@@ -212,9 +197,9 @@ mod tests {
 
     #[test]
     fn disabled_gate_admits_everything() {
-        let gate = AdmissionGate::new(AdmissionConfig::default(), 8);
+        let gate = AdmissionGate::new(AdmissionConfig::default());
         for _ in 0..10_000 {
-            assert!(gate.admit(7).is_ok());
+            assert!(gate.admit().is_ok());
         }
         assert_eq!(gate.rejected(), 0);
         assert!(!gate.shedding());
@@ -222,17 +207,13 @@ mod tests {
 
     #[test]
     fn token_bucket_limits_bursts_then_refills() {
-        let gate = AdmissionGate::new(
-            AdmissionConfig {
-                rate: 50.0,
-                burst: 3.0,
-                queue_high_watermark: 1.0,
-            },
-            8,
-        );
+        let gate = AdmissionGate::new(AdmissionConfig {
+            rate: 50.0,
+            burst: 3.0,
+        });
         let mut rejected = 0;
         for _ in 0..10 {
-            if gate.admit(0).is_err() {
+            if gate.admit().is_err() {
                 rejected += 1;
             }
         }
@@ -242,27 +223,12 @@ mod tests {
         );
         assert!(gate.shedding());
         std::thread::sleep(Duration::from_millis(100));
-        assert!(gate.admit(0).is_ok(), "bucket refills at 50/s");
-    }
-
-    #[test]
-    fn watermark_rejects_deep_queues() {
-        let gate = AdmissionGate::new(
-            AdmissionConfig {
-                rate: 0.0,
-                burst: 0.0,
-                queue_high_watermark: 0.5,
-            },
-            10,
-        );
-        assert!(gate.admit(4).is_ok());
-        assert!(gate.admit(5).is_err());
-        assert!(gate.admit(10).is_err());
+        assert!(gate.admit().is_ok(), "bucket refills at 50/s");
     }
 
     #[test]
     fn retry_after_tracks_drain_rate() {
-        let gate = AdmissionGate::new(AdmissionConfig::default(), 64);
+        let gate = AdmissionGate::new(AdmissionConfig::default());
         // No observation yet: the old hard-coded floor.
         assert_eq!(gate.retry_after_secs(64), RETRY_AFTER_FLOOR_SECS);
         // Observe a drain of ~100 jobs over ~50ms → ~2000 jobs/s EWMA seed.
@@ -282,16 +248,12 @@ mod tests {
 
     #[test]
     fn shedding_window_expires() {
-        let gate = AdmissionGate::new(
-            AdmissionConfig {
-                rate: 1.0,
-                burst: 1.0,
-                queue_high_watermark: 1.0,
-            },
-            8,
-        );
-        assert!(gate.admit(0).is_ok());
-        assert!(gate.admit(0).is_err());
+        let gate = AdmissionGate::new(AdmissionConfig {
+            rate: 1.0,
+            burst: 1.0,
+        });
+        assert!(gate.admit().is_ok());
+        assert!(gate.admit().is_err());
         assert!(gate.shedding());
         // The window is 1s; do not wait it out in a unit test — just
         // verify the counter bookkeeping is consistent.

@@ -1,17 +1,19 @@
-//! Request micro-batcher.
+//! Request micro-batcher, run by flat combining on the compute workers.
 //!
 //! Concurrent `/judge` requests are coalesced into one batched forward
-//! pass through the judge MLP. The flusher thread blocks for a batch's
-//! first job and keeps collecting until the batch is full or the flush
-//! window closes — and the window is measured from the **previous flush**,
-//! not from the first job. An idle flusher's window closed long ago, so a
-//! request with no company is judged at once; under sustained load flushes
-//! stay `deadline` apart, exactly the old timer's pace, and everything
-//! that arrived in between rides in one batch. No job ever waits longer
-//! than it did when the window opened at the first job. `tensor`'s blocked
-//! matmul accumulates each output row independently of the batch row
-//! count, so a batched row is bit-identical to the single-pair judgement —
-//! batching changes latency, never answers.
+//! pass through the judge MLP without a thread of the batcher's own
+//! (flat combining, Hendler et al., SPAA 2010). [`Batcher::submit`] puts
+//! the job in the bounded queue and then tries the **combiner** lock. The
+//! thread that gets it drains up to `batch_size` queued jobs, judges them
+//! and answers every one; then it lets go and re-checks the queue, so a
+//! job queued while the lock was held is never stranded. A thread that
+//! finds the lock held leaves its job to the holder and waits on its own
+//! reply. A request with no company is judged at once by its own worker;
+//! under contention, whatever queued while one batch ran rides in the
+//! next. `tensor`'s blocked matmul accumulates each output row
+//! independently of the batch row count, so a batched row is
+//! bit-identical to the single-pair judgement — batching changes
+//! latency, never answers.
 //!
 //! The queue is bounded; a full queue surfaces as backpressure
 //! ([`SubmitError::Overloaded`] → 503 + `Retry-After`) instead of
@@ -19,27 +21,24 @@
 //!
 //! Overload protection hooks:
 //!
-//! - Every job carries its request **deadline**; a collected job whose
+//! - Every job carries its request **deadline**; a drained job whose
 //!   deadline already passed is answered [`JobError::Expired`] *before*
 //!   the forward pass — no GEMM cycles are spent on an answer nobody is
 //!   waiting for. Shutdown drains the queue the same way, so queued
 //!   expired jobs get their typed answer instead of a dropped channel.
 //! - Each flush reports its size to the [`AdmissionGate`] drain-rate
 //!   estimator, which prices the adaptive `Retry-After` hint.
-//! - The flusher bumps a **heartbeat** counter every iteration; the
-//!   watchdog reads it (together with the queue length) to detect a
-//!   stalled flusher and [`Batcher::restart`]s it in place: a replacement
-//!   thread takes over the same queue and the superseded thread exits at
-//!   its next generation check without holding any job.
+//! - A slow forward pass stalls only the worker holding the combiner; the
+//!   jobs queued behind it wait (and expire) in the queue, and the
+//!   breaker's latency budget degrades the requests that follow.
 
 use crate::admission::AdmissionGate;
 use crate::registry::LoadedModel;
-use parallel::{Channel, RecvTimeout, TrySendError};
+use parallel::{Channel, TrySendError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Bucket labels of the batch-size distribution, smallest first. Also
@@ -142,132 +141,87 @@ struct Queued {
     submitted: Instant,
 }
 
-/// State shared between the [`Batcher`] handle and its flusher threads.
-/// Lives behind one `Arc` so a superseded flusher can keep observing it
-/// after a restart replaced it.
-struct Core {
+/// The micro-batcher: a bounded queue and a combiner lock, run by the
+/// threads that submit to it.
+pub struct Batcher {
     queue: Channel<Queued>,
+    /// Held by the one submitter currently judging for everyone; guards
+    /// the batch buffer it drains into.
+    combiner: Mutex<Vec<Queued>>,
     stats: BatchStats,
     batch_size: usize,
-    /// Least time between the starts of two flushes.
-    flush_spacing: Duration,
-    /// Bumped by the live flusher every loop iteration; the watchdog's
-    /// liveness signal.
-    heartbeat: AtomicU64,
-    /// Flusher generation: a restart bumps it and the superseded thread
-    /// exits at its next check. Starts at 0, so the count of restarts.
-    generation: AtomicU64,
-    /// Set by shutdown so even a fault-stalled flusher wakes and drains.
-    stopping: AtomicBool,
     /// Drain-rate sink for the adaptive `Retry-After` estimate.
     admission: Option<Arc<AdmissionGate>>,
 }
 
-/// The micro-batcher: a bounded queue plus one (restartable) flusher
-/// thread.
-pub struct Batcher {
-    core: Arc<Core>,
-    thread: Mutex<Option<JoinHandle<()>>>,
-}
-
 impl Batcher {
-    /// Spawns the flusher. `batch_size` is the flush-on-size threshold,
-    /// `deadline` the least time between two flushes (a batch that opens
-    /// sooner than that after the previous flush keeps collecting until
-    /// then; one that opens later is flushed at once), `queue_depth` the
-    /// backpressure bound. Flush sizes are reported to `admission` (when
-    /// given) for drain-rate tracking.
+    /// A batcher that judges at most `batch_size` jobs per forward pass
+    /// and queues at most `queue_depth` (the backpressure bound). Flush
+    /// sizes are reported to `admission` (when given) for drain-rate
+    /// tracking. `_deadline` is ignored: no job ever waits for company.
+    /// It stays in the signature only because the benchmark crate, whose
+    /// definition changes separately, still passes it.
     pub fn new(
         batch_size: usize,
-        deadline: Duration,
+        _deadline: Duration,
         queue_depth: usize,
         admission: Option<Arc<AdmissionGate>>,
     ) -> Self {
-        let core = Arc::new(Core {
-            queue: Channel::bounded(queue_depth.max(1)),
-            stats: BatchStats::default(),
-            batch_size: batch_size.max(1),
-            flush_spacing: deadline,
-            heartbeat: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
-            stopping: AtomicBool::new(false),
-            admission,
-        });
-        let thread = spawn_flusher(Arc::clone(&core), 0);
+        let batch_size = batch_size.max(1);
         Self {
-            core,
-            thread: Mutex::new(Some(thread)),
+            queue: Channel::bounded(queue_depth.max(1)),
+            combiner: Mutex::new(Vec::with_capacity(batch_size)),
+            stats: BatchStats::default(),
+            batch_size,
+            admission,
         }
     }
 
     /// Flush accounting so far.
     pub fn stats(&self) -> &BatchStats {
-        &self.core.stats
+        &self.stats
     }
 
-    /// Jobs currently queued.
-    pub fn queue_len(&self) -> usize {
-        self.core.queue.len()
-    }
-
-    /// The flusher's liveness counter (bumped every loop iteration).
-    pub fn heartbeat(&self) -> u64 {
-        self.core.heartbeat.load(Ordering::Relaxed)
-    }
-
-    /// How many times the flusher has been restarted in place.
-    pub fn restarts(&self) -> u64 {
-        self.core.generation.load(Ordering::Relaxed)
-    }
-
-    /// Enqueues a job without blocking.
+    /// Enqueues a job, then judges the queue if no other thread is
+    /// already doing so. On `Ok` the job's answer is on its responder or
+    /// will be sent by the thread that holds the combiner.
     pub fn submit(&self, job: JudgeJob) -> Result<(), SubmitError> {
         let queued = Queued {
             job,
             submitted: Instant::now(),
         };
-        match self.core.queue.try_send(queued) {
-            Ok(()) => Ok(()),
+        match self.queue.try_send(queued) {
+            Ok(()) => {}
             Err(TrySendError::Full(_)) => {
                 obs::incr("serve/backpressure_503");
-                Err(SubmitError::Overloaded)
+                return Err(SubmitError::Overloaded);
             }
-            Err(TrySendError::Closed(_)) => Err(SubmitError::Closed),
+            Err(TrySendError::Closed(_)) => return Err(SubmitError::Closed),
         }
+        // A holder re-checks the queue after letting go, so a job queued
+        // while the lock was taken is judged by it or by its successor.
+        while !self.queue.is_empty() {
+            let mut batch = match self.combiner.try_lock() {
+                Ok(batch) => batch,
+                Err(TryLockError::WouldBlock) => return Ok(()),
+                Err(TryLockError::Poisoned(held)) => held.into_inner(),
+            };
+            self.queue.drain_into(&mut batch, self.batch_size);
+            if !batch.is_empty() {
+                flush(self, &mut batch);
+            }
+        }
+        Ok(())
     }
 
-    /// Replaces the flusher thread in place: bumps the generation (the
-    /// superseded thread exits at its next check without holding any
-    /// job) and spawns a fresh flusher on the same queue. Queued jobs
-    /// survive; nothing is dropped. Returns the new generation.
-    ///
-    /// The watchdog calls this when the heartbeat stalls; it is safe to
-    /// call even if the old thread is alive (it simply yields).
-    pub fn restart(&self) -> u64 {
-        let next = self.core.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        let handle = spawn_flusher(Arc::clone(&self.core), next);
-        let old = {
-            let mut slot = self.thread.lock().expect("batcher thread slot poisoned");
-            slot.replace(handle)
-        };
-        // The superseded thread exits on its own; detach rather than
-        // join — it may be mid-sleep and restart must not block on it.
-        drop(old);
-        next
-    }
-
-    /// Closes the queue and joins the current flusher (drains queued
-    /// jobs first — expired ones get their typed `Expired` answer).
+    /// Closes the queue and answers every job still in it (expired ones
+    /// get their typed `Expired` answer). Waits for a thread that is
+    /// judging to finish first.
     pub fn shutdown(&self) {
-        self.core.stopping.store(true, Ordering::SeqCst);
-        self.core.queue.close();
-        let handle = self
-            .thread
-            .lock()
-            .expect("batcher thread slot poisoned")
-            .take();
-        if let Some(t) = handle {
-            let _ = t.join();
+        self.queue.close();
+        let mut batch = self.combiner.lock().unwrap_or_else(|e| e.into_inner());
+        while self.queue.drain_into(&mut batch, self.batch_size) > 0 {
+            flush(self, &mut batch);
         }
     }
 }
@@ -278,84 +232,18 @@ impl Drop for Batcher {
     }
 }
 
-fn spawn_flusher(core: Arc<Core>, generation: u64) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("hisrect-batcher-{generation}"))
-        .spawn(move || run(&core, generation))
-        .expect("spawn batcher thread")
-}
-
-fn run(core: &Core, my_generation: u64) {
-    let superseded = || core.generation.load(Ordering::SeqCst) != my_generation;
-    let mut batch: Vec<Queued> = Vec::with_capacity(core.batch_size);
-    // When the batch being collected must be flushed at the latest. `None`
-    // before this thread's first flush: nothing to keep a distance from.
-    let mut window_ends: Option<Instant> = None;
-    loop {
-        if superseded() {
-            return;
-        }
-        // Injected stall (`stall` fault): stop pulling work while holding
-        // no job, so the watchdog sees a growing queue and a frozen
-        // heartbeat. A restart (generation bump) or shutdown releases us.
-        if faultsim::fires(faultsim::FaultKind::BatcherStall) {
-            obs::incr("serve/batcher_stall_injected");
-            while !superseded() && !core.stopping.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            if superseded() {
-                return;
-            }
-            // Stopping: fall through and drain the queue normally.
-        }
-        core.heartbeat.fetch_add(1, Ordering::Relaxed);
-        // Block for the batch's first job.
-        let Some(first) = core.queue.recv() else {
-            return; // closed and drained
-        };
-        batch.push(first);
-        let closed = collect(core, &mut batch, window_ends);
-        window_ends = Some(Instant::now() + core.flush_spacing);
-        flush(&mut batch, core);
-        if closed {
-            return;
-        }
-    }
-}
-
-/// Fills `batch` (which holds its first job) with what is queued and, while
-/// there is room and `window_ends` lies ahead, with what still arrives.
-/// Returns whether the queue closed meanwhile.
-fn collect(core: &Core, batch: &mut Vec<Queued>, window_ends: Option<Instant>) -> bool {
-    loop {
-        let room = core.batch_size - batch.len();
-        core.queue.drain_into(batch, room);
-        let left = window_ends.map_or(Duration::ZERO, |at| {
-            at.saturating_duration_since(Instant::now())
-        });
-        if batch.len() == core.batch_size || left.is_zero() {
-            return false;
-        }
-        match core.queue.recv_timeout(left) {
-            RecvTimeout::Item(queued) => batch.push(queued),
-            RecvTimeout::TimedOut => return false,
-            RecvTimeout::Closed => return true,
-        }
-    }
-}
-
 /// Judges one collected batch and leaves `batch` empty. Expired jobs are
 /// shed first (no forward pass for them); the rest are grouped by model
 /// generation so a hot-reload mid-batch never mixes snapshots in one
 /// forward pass.
-fn flush(batch: &mut Vec<Queued>, core: &Core) {
+fn flush(batcher: &Batcher, batch: &mut Vec<Queued>) {
     let now = Instant::now();
     // FIFO queue: the first job is the one that waited longest.
     let waited = now.saturating_duration_since(batch[0].submitted);
     obs::observe("serve/batcher_wait_ms", waited.as_secs_f64() * 1e3);
     // Shed and expired jobs drain the queue just like judged ones, so
     // both feed the drain-rate estimate behind `Retry-After`.
-    if let Some(gate) = &core.admission {
+    if let Some(gate) = &batcher.admission {
         gate.record_drain(batch.len());
     }
     batch.retain(|queued| {
@@ -370,7 +258,7 @@ fn flush(batch: &mut Vec<Queued>, core: &Core) {
         return;
     }
 
-    let stats = &core.stats;
+    let stats = &batcher.stats;
     stats.batches.fetch_add(1, Ordering::Relaxed);
     stats.jobs.fetch_add(batch.len() as u64, Ordering::Relaxed);
     let bucket = bucket_index(batch.len());
@@ -447,27 +335,13 @@ mod tests {
     // integration tests; here we check the contracts that need no model.
     #[test]
     fn full_queue_reports_overloaded() {
-        // A batcher whose flusher is effectively stalled: batch_size 1
-        // with a huge queue keeps draining, so instead test the raw
-        // channel bound the submit path relies on.
+        // A submitter that finds the queue full never reaches the
+        // combiner, so test the raw channel bound the submit path relies
+        // on.
         let q: Channel<u32> = Channel::bounded(2);
         q.try_send(1).unwrap();
         q.try_send(2).unwrap();
         assert!(matches!(q.try_send(3), Err(TrySendError::Full(3))));
-    }
-
-    #[test]
-    fn heartbeat_advances_and_restart_bumps_generation() {
-        let b = Batcher::new(4, Duration::from_millis(1), 8, None);
-        assert_eq!(b.restarts(), 0);
-        let g1 = b.restart();
-        assert_eq!(g1, 1);
-        let g2 = b.restart();
-        assert_eq!(g2, 2);
-        assert_eq!(b.restarts(), 2);
-        // The live flusher (generation 2) is blocked in recv with an
-        // empty queue; shutdown must still join it cleanly.
-        b.shutdown();
     }
 
     #[test]

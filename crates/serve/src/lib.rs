@@ -21,23 +21,21 @@
 //! - [`cache`] — sharded LRU of per-profile features `F(r)`: features
 //!   change slowly per user, so they are computed once and reused across
 //!   pairwise judgements.
-//! - [`batcher`] — micro-batching: concurrent judge requests coalesce
-//!   into one batched forward pass (bit-identical to single-pair calls),
-//!   with 503 backpressure when the bounded queue fills and
-//!   deadline-expired jobs shed before the forward pass.
+//! - [`batcher`] — micro-batching by flat combining: concurrent judge
+//!   requests coalesce into one batched forward pass (bit-identical to
+//!   single-pair calls) run by whichever compute worker holds the
+//!   combiner lock, with 503 backpressure when the bounded queue fills
+//!   and deadline-expired jobs shed before the forward pass.
 //! - [`client`] — a minimal keep-alive client for tests and the load
 //!   generator, with optional deterministic retry/backoff.
 //!
 //! Overload protection (DESIGN.md §15):
 //!
-//! - [`admission`] — token-bucket + queue-watermark gate ahead of the
-//!   batcher, pricing its `Retry-After` hints off the observed drain
-//!   rate.
+//! - [`admission`] — token-bucket gate ahead of the batcher, and the
+//!   drain-rate estimate that prices full-queue `Retry-After` hints.
 //! - [`breaker`] — circuit breaker around the learned-judge path; while
 //!   open, `/judge` serves degraded verdicts (stale cache reads or the
 //!   core `FallbackJudge` heuristic) labeled `x-hisrect-degraded`.
-//! - [`watchdog`] — supervision of the batcher flusher: a stalled
-//!   heartbeat with work queued triggers an in-place restart.
 //!
 //! Sharded serving (DESIGN.md §17):
 //!
@@ -63,7 +61,6 @@ pub mod registry;
 pub mod ring;
 pub mod router;
 pub mod server;
-pub mod watchdog;
 
 pub use admission::{AdmissionConfig, AdmissionGate};
 pub use batcher::Batcher;
@@ -74,4 +71,3 @@ pub use registry::{LoadedModel, ModelRegistry};
 pub use ring::HashRing;
 pub use router::{route, RouterConfig, RouterHandle};
 pub use server::{serve, ServeConfig, ServerHandle};
-pub use watchdog::{Watchdog, WatchdogConfig};

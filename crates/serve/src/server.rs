@@ -8,15 +8,18 @@
 //!   (10k+ sockets,                          │ feature cache (F(r))
 //!    one thread)                            ▼
 //!        ◀──responses via eventfd──  micro-batcher ──▶ judge MLP
+//!                                   (run by the workers)
 //! ```
 //!
 //! The event loop ([`crate::event_loop`]) owns every socket and does
 //! nothing but framing and flushing; fully parsed requests cross to the
 //! compute pool, where the handlers below run exactly as they did under
-//! the old thread-per-connection model — admission gate, breaker,
-//! micro-batcher, watchdog all unchanged, and every handler under
-//! `catch_unwind` so a panicking request produces a 500 and the worker
-//! survives.
+//! the old thread-per-connection model — admission gate, breaker and
+//! micro-batcher, every handler under `catch_unwind` so a panicking
+//! request produces a 500 and the worker survives. The micro-batcher has
+//! no thread of its own: the worker that submits a `/judge` job judges
+//! the queue itself when no other worker is already doing so
+//! ([`crate::batcher`]).
 
 use crate::admission::{AdmissionConfig, AdmissionGate};
 use crate::batcher::{Batcher, JobError, JudgeJob, SubmitError};
@@ -25,7 +28,6 @@ use crate::cache::{verdict_key, FeatureCache, FeatureKey, VerdictCache};
 use crate::event_loop::{self, EventLoopConfig, EventLoopHandle, Service};
 use crate::http::{Limits, Request, Response};
 use crate::registry::{LoadedModel, ModelRegistry};
-use crate::watchdog::{Watchdog, WatchdogConfig};
 use hisrect::{profile_fingerprint, Judgement, Precision};
 use serde::{Deserialize, Serialize};
 use std::net::{SocketAddr, TcpListener};
@@ -45,13 +47,8 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Total feature-cache capacity (entries).
     pub cache_capacity: usize,
-    /// Micro-batch flush-on-size threshold.
+    /// Most `/judge` jobs one batched forward pass judges.
     pub batch_size: usize,
-    /// Least time between two micro-batch flushes. A `/judge` that finds
-    /// the flusher idle for at least this long is judged at once; one
-    /// that arrives sooner after a flush collects company until this
-    /// much time has passed since that flush.
-    pub batch_deadline: Duration,
     /// Bound on queued connections and queued judge jobs; beyond it the
     /// server answers 503 + `Retry-After`.
     pub queue_depth: usize,
@@ -66,8 +63,6 @@ pub struct ServeConfig {
     pub admission: AdmissionConfig,
     /// Circuit breaker around the learned-judge path.
     pub breaker: BreakerConfig,
-    /// Batcher-stall supervision.
-    pub watchdog: WatchdogConfig,
 }
 
 impl Default for ServeConfig {
@@ -77,14 +72,12 @@ impl Default for ServeConfig {
             workers: 4,
             cache_capacity: 4096,
             batch_size: 16,
-            batch_deadline: Duration::from_millis(2),
             queue_depth: 128,
             limits: Limits::default(),
             precision: Precision::F32,
             default_deadline: Duration::from_secs(10),
             admission: AdmissionConfig::default(),
             breaker: BreakerConfig::default(),
-            watchdog: WatchdogConfig::default(),
         }
     }
 }
@@ -92,12 +85,15 @@ impl Default for ServeConfig {
 struct Shared {
     registry: ModelRegistry,
     cache: FeatureCache,
-    batcher: Arc<Batcher>,
+    batcher: Batcher,
     admission: Arc<AdmissionGate>,
     breaker: CircuitBreaker,
     /// Recently served learned verdicts, read while the breaker is open.
     verdicts: VerdictCache,
     default_deadline: Duration,
+    /// Bound of the connection queue and of the judge queue; a full one
+    /// is priced at this many jobs in `Retry-After`.
+    queue_depth: usize,
 }
 
 /// The shard's compute-tier plug-in for the event loop: framed requests
@@ -137,7 +133,7 @@ impl Service for ShardService {
         let retry = self
             .shared
             .admission
-            .retry_after_secs(self.shared.batcher.queue_len());
+            .retry_after_secs(self.shared.queue_depth);
         Response::error(503, "connection queue full")
             .with_header("retry-after", &retry.to_string())
             .with_header("x-hisrect-shed", "queue")
@@ -149,7 +145,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     event_loop: EventLoopHandle,
-    watchdog: Watchdog,
 }
 
 /// Binds `config.addr`, starts the epoll event loop and its compute
@@ -163,14 +158,13 @@ pub fn serve(config: ServeConfig, registry: ModelRegistry) -> std::io::Result<Se
     event_loop::raise_nofile_limit();
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    let admission = Arc::new(AdmissionGate::new(config.admission, config.queue_depth));
-    let batcher = Arc::new(Batcher::new(
+    let admission = Arc::new(AdmissionGate::new(config.admission));
+    let batcher = Batcher::new(
         config.batch_size,
-        config.batch_deadline,
+        Duration::ZERO,
         config.queue_depth,
         Some(Arc::clone(&admission)),
-    ));
-    let watchdog = Watchdog::spawn(Arc::clone(&batcher), config.watchdog);
+    );
     let shared = Arc::new(Shared {
         registry,
         cache: FeatureCache::new(config.cache_capacity),
@@ -179,6 +173,7 @@ pub fn serve(config: ServeConfig, registry: ModelRegistry) -> std::io::Result<Se
         breaker: CircuitBreaker::new(config.breaker),
         verdicts: VerdictCache::new(config.cache_capacity),
         default_deadline: config.default_deadline,
+        queue_depth: config.queue_depth,
     });
 
     let service = Arc::new(ShardService {
@@ -198,7 +193,6 @@ pub fn serve(config: ServeConfig, registry: ModelRegistry) -> std::io::Result<Se
         addr,
         shared,
         event_loop,
-        watchdog,
     })
 }
 
@@ -232,13 +226,7 @@ impl ServerHandle {
         self.event_loop.wait();
     }
 
-    /// Flusher restarts the watchdog has performed so far.
-    pub fn watchdog_restarts(&self) -> u64 {
-        self.watchdog.restarts()
-    }
-
     fn stop_and_join(&mut self) {
-        self.watchdog.shutdown();
         self.event_loop.shutdown();
         self.shared.batcher.shutdown();
     }
@@ -409,7 +397,7 @@ fn handle_judge(shared: &Shared, request: &Request) -> Response {
         Ok(r) => r,
         Err(resp) => return resp,
     };
-    if let Err(retry_secs) = shared.admission.admit(shared.batcher.queue_len()) {
+    if let Err(retry_secs) = shared.admission.admit() {
         return Response::error(503, "admission control: server overloaded")
             .with_header("retry-after", &retry_secs.to_string())
             .with_header("x-hisrect-shed", "admission");
@@ -452,9 +440,7 @@ fn handle_judge(shared: &Shared, request: &Request) -> Response {
         Ok(()) => {}
         Err(SubmitError::Overloaded) => {
             probe_failed();
-            let retry = shared
-                .admission
-                .retry_after_secs(shared.batcher.queue_len());
+            let retry = shared.admission.retry_after_secs(shared.queue_depth);
             return Response::error(503, "judge queue full")
                 .with_header("retry-after", &retry.to_string())
                 .with_header("x-hisrect-shed", "queue");

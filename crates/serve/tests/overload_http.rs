@@ -1,16 +1,17 @@
 //! Overload-protection integration coverage: request deadlines shed in
-//! the batcher (504), admission control with adaptive `Retry-After`
-//! (503), the circuit breaker degrading to stale/heuristic verdicts and
-//! recovering through a half-open probe, and the watchdog restarting a
-//! stalled flusher without losing queued jobs.
+//! the batcher (504), admission control and full-queue shedding with a
+//! `Retry-After` hint (503), the circuit breaker degrading to
+//! stale/heuristic verdicts and recovering through a half-open probe, and
+//! jobs queued behind a slow batch neither lost nor split.
 
 mod common;
 
 use common::{start_server, test_pairs};
 use hisrect::Judgement;
 use serve::batcher::{Batcher, JobError};
-use serve::{AdmissionConfig, BreakerConfig, HttpClient, WatchdogConfig};
-use std::sync::Mutex;
+use serve::{AdmissionConfig, BreakerConfig, HttpClient};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 // The fault plan and the slow-judge env knob are process-global; these
@@ -25,35 +26,47 @@ fn judge_body(i: usize, j: usize) -> String {
     format!("{{\"i\":{i},\"j\":{j}}}")
 }
 
+/// Arms one `slow-judge` shot and has a background thread submit the
+/// request (or job) that trips it; returns once the shot has fired, so
+/// the caller knows a thread holds the batcher's combiner and everything
+/// submitted from now on queues behind it for `HISRECT_SLOW_JUDGE_MS`
+/// (100 ms unless a test sets it).
+fn hold_combiner<T: Send + 'static>(
+    submit: impl FnOnce() -> T + Send + 'static,
+) -> std::thread::JoinHandle<T> {
+    faultsim::configure_str("slow-judge@1").unwrap();
+    let holder = std::thread::spawn(submit);
+    let armed = Instant::now();
+    while faultsim::pending(faultsim::FaultKind::SlowJudge) {
+        assert!(armed.elapsed() < Duration::from_secs(5), "never fired");
+        std::thread::yield_now();
+    }
+    holder
+}
+
 #[test]
 fn expired_deadline_is_shed_with_typed_504_and_close_deadlines_survive() {
     let _g = lock();
     faultsim::clear();
-    // A job that finds the flusher idle is flushed at once, so the 1ms
-    // deadline can only expire behind a held flusher: armed before the
-    // server starts, the stall parks the flusher on its first iteration,
-    // and the job waits in the queue until the watchdog's replacement
-    // collects it.
-    faultsim::configure_str("stall@1").unwrap();
-    let server = start_server(|c| {
-        c.watchdog = WatchdogConfig {
-            interval: Duration::from_millis(20),
-            stall_timeout: Duration::from_millis(100),
-        };
-    });
-    let mut client = HttpClient::new(server.addr());
+    let server = start_server(|_| {});
+    let addr = server.addr();
     let (i, j) = test_pairs(1)[0];
 
+    // A job that finds the combiner free is judged at once by its own
+    // worker, so the 1ms deadline can only expire behind a held one.
+    let slow = hold_combiner(move || {
+        let mut client = HttpClient::new(addr);
+        client.post("/judge", &judge_body(i, j)).unwrap()
+    });
+    let mut client = HttpClient::new(addr);
     let r = client
         .post_with_headers("/judge", &judge_body(i, j), &[("x-deadline-ms", "1")])
         .unwrap();
     assert_eq!(r.status, 504, "expired job must be shed: {}", r.body);
     assert_eq!(r.header("x-hisrect-shed"), Some("deadline"));
     assert!(r.body.contains("deadline"), "{}", r.body);
-    assert!(
-        server.watchdog_restarts() >= 1,
-        "the stall held the flusher"
-    );
+    let slow = slow.join().unwrap();
+    assert_eq!(slow.status, 200, "the holder answers: {}", slow.body);
 
     // The race in the other direction: a deadline beyond the queueing
     // time is answered normally.
@@ -67,13 +80,52 @@ fn expired_deadline_is_shed_with_typed_504_and_close_deadlines_survive() {
 }
 
 #[test]
+fn full_connection_queue_is_shed_at_the_door_with_retry_after() {
+    let _g = lock();
+    faultsim::clear();
+    std::env::set_var("HISRECT_SLOW_JUDGE_MS", "500");
+    let server = start_server(|c| {
+        c.workers = 1;
+        c.queue_depth = 1;
+    });
+    let addr = server.addr();
+    let (i, j) = test_pairs(1)[0];
+    let post = move || {
+        let mut client = HttpClient::new(addr);
+        client.post("/judge", &judge_body(i, j)).unwrap()
+    };
+
+    // The only worker crawls through a slow flush. Of two more requests,
+    // whichever arrives first takes the one connection-queue slot and the
+    // other finds the queue full.
+    let held = hold_combiner(post);
+    let racers = [std::thread::spawn(post), std::thread::spawn(post)];
+    let mut answers: Vec<_> = racers.map(|t| t.join().unwrap()).into();
+    answers.sort_by_key(|r| r.status);
+    let [queued, shed] = [&answers[0], &answers[1]];
+    assert_eq!(queued.status, 200, "{}", queued.body);
+    assert_eq!(shed.status, 503, "full queue must shed: {}", shed.body);
+    assert_eq!(shed.header("x-hisrect-shed"), Some("queue"));
+    let retry: u64 = shed
+        .header("retry-after")
+        .expect("shed response carries retry-after")
+        .parse()
+        .expect("retry-after is integral seconds");
+    assert!((1..=30).contains(&retry), "hint in range, got {retry}");
+    let held = held.join().unwrap();
+    assert_eq!(held.status, 200, "{}", held.body);
+    std::env::remove_var("HISRECT_SLOW_JUDGE_MS");
+    faultsim::clear();
+    server.shutdown();
+}
+
+#[test]
 fn job_expiring_behind_a_slow_batch_is_shed() {
     let _g = lock();
     faultsim::clear();
     std::env::set_var("HISRECT_SLOW_JUDGE_MS", "300");
     let server = start_server(|c| {
-        c.batch_size = 1; // every job flushes alone, immediately
-        c.batch_deadline = Duration::from_millis(1);
+        c.batch_size = 1; // every job flushes alone
     });
     let addr = server.addr();
     let (i, j) = test_pairs(2)[0];
@@ -109,7 +161,6 @@ fn admission_gate_sheds_with_adaptive_retry_after_and_healthz_reports_it() {
         c.admission = AdmissionConfig {
             rate: 0.5, // refills far too slowly for back-to-back requests
             burst: 1.0,
-            queue_high_watermark: 1.0,
         };
     });
     let mut client = HttpClient::new(server.addr());
@@ -205,68 +256,23 @@ fn breaker_degrades_to_stale_then_fallback_and_recovers_via_probe() {
 }
 
 #[test]
-fn watchdog_restarts_stalled_flusher_without_losing_jobs() {
-    let _g = lock();
-    faultsim::clear();
-    let server = start_server(|c| {
-        c.watchdog = WatchdogConfig {
-            interval: Duration::from_millis(20),
-            stall_timeout: Duration::from_millis(100),
-        };
-    });
-    let mut client = HttpClient::new(server.addr());
-    let (i, j) = test_pairs(1)[0];
-
-    // If the live flusher is already parked in recv (its stall check
-    // ran), the first request is served normally and the flusher stalls
-    // on its next loop iteration, in front of the second; if it has not
-    // parked yet, it stalls in front of the first. Either way one of the
-    // two jobs sits queued behind a stalled flusher until the watchdog
-    // restarts it in place and the replacement answers — no drop, no 5xx
-    // — and that takes at least the stall timeout.
-    faultsim::configure_str("stall@1").unwrap();
-    let start = Instant::now();
-    for _ in 0..2 {
-        let r = client.post("/judge", &judge_body(i, j)).unwrap();
-        assert_eq!(r.status, 200, "job survived the restart: {}", r.body);
-    }
-    assert!(
-        start.elapsed() >= Duration::from_millis(90),
-        "one answer can only arrive after the stall timeout"
-    );
-    assert!(
-        server.watchdog_restarts() >= 1,
-        "watchdog must have restarted the flusher"
-    );
-    let metrics = client.get("/metrics").unwrap();
-    assert!(
-        metrics.body.contains("serve/watchdog_restarts"),
-        "restart counter must be exported: {}",
-        metrics.body
-    );
-    faultsim::clear();
-    server.shutdown();
-}
-
-#[test]
 fn backlog_behind_a_held_flusher_is_one_batch() {
     let _g = lock();
     faultsim::clear();
     const N: usize = 4;
     let model = common::loaded_model();
-    let pairs = test_pairs(N);
+    let pairs = test_pairs(N + 1);
 
-    // The stall parks the flusher before it takes a job; once it has
-    // fired, everything submitted stays queued until the replacement's
-    // first drain.
-    faultsim::configure_str("stall@1").unwrap();
-    let batcher = Batcher::new(N, Duration::ZERO, N, None);
-    let armed = Instant::now();
-    while faultsim::pending(faultsim::FaultKind::BatcherStall) {
-        assert!(armed.elapsed() < Duration::from_secs(5), "never stalled");
-        std::thread::yield_now();
-    }
-    let answers: Vec<_> = pairs
+    // The first job's submitter takes the combiner and crawls through the
+    // slow flush; everything submitted meanwhile stays queued until it
+    // lets go and drains the queue.
+    let batcher = Arc::new(Batcher::new(N, Duration::ZERO, N, None));
+    let (job, first) = common::judge_job(&model, pairs[0], None);
+    let holder = {
+        let batcher = Arc::clone(&batcher);
+        hold_combiner(move || batcher.submit(job))
+    };
+    let answers: Vec<_> = pairs[1..]
         .iter()
         .map(|&pair| {
             let (job, rx) = common::judge_job(&model, pair, None);
@@ -274,19 +280,24 @@ fn backlog_behind_a_held_flusher_is_one_batch() {
             rx
         })
         .collect();
-    batcher.restart();
-    for (&(i, j), rx) in pairs.iter().zip(answers) {
+    holder.join().unwrap().expect("queue has room");
+    first.recv().expect("the holder answers").expect("judged");
+    for (&(i, j), rx) in pairs[1..].iter().zip(answers) {
         let p = rx
             .recv_timeout(Duration::from_secs(5))
-            .expect("the replacement answers the backlog")
+            .expect("the holder answers the backlog")
             .expect("judged");
         let body = serde_json::to_string(&Judgement::from_probability(i, j, p)).unwrap();
         assert_eq!(body, common::offline_judgement(i, j), "batched row drifted");
     }
+    let stats = batcher.stats();
     assert_eq!(
-        batcher.stats().mean_batch_size(),
-        N as f64,
-        "one batch of N"
+        (
+            stats.batches.load(Ordering::Relaxed),
+            stats.jobs.load(Ordering::Relaxed)
+        ),
+        (2, 1 + N as u64),
+        "the held job alone, then one batch of N"
     );
     faultsim::clear();
     batcher.shutdown();
@@ -297,15 +308,25 @@ fn shutdown_answers_expired_jobs_still_queued() {
     let _g = lock();
     faultsim::clear();
     let model = common::loaded_model();
+    let pair = test_pairs(1)[0];
 
-    // The stall parks the flusher on its first iteration, so the job is
-    // still queued, already expired, when shutdown closes the queue.
-    faultsim::configure_str("stall@1").unwrap();
-    let batcher = Batcher::new(64, Duration::from_millis(500), 8, None);
-    let (job, rx) = common::judge_job(&model, test_pairs(1)[0], Some(Instant::now()));
+    // The job queues, already expired, behind a combiner held by a slow
+    // flush; shutdown waits for the holder and leaves nothing unanswered.
+    let batcher = Arc::new(Batcher::new(64, Duration::ZERO, 8, None));
+    let (job, first) = common::judge_job(&model, pair, None);
+    let holder = {
+        let batcher = Arc::clone(&batcher);
+        hold_combiner(move || batcher.submit(job))
+    };
+    let (job, rx) = common::judge_job(&model, pair, Some(Instant::now()));
     batcher.submit(job).expect("submit");
     batcher.shutdown();
+    holder.join().unwrap().expect("submit");
     faultsim::clear();
+    assert!(
+        matches!(first.try_recv(), Ok(Ok(_))),
+        "the held job is judged"
+    );
     match rx.try_recv() {
         Ok(Err(JobError::Expired)) => {}
         other => panic!("expired queued job must get a typed answer, got {other:?}"),

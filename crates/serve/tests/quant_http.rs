@@ -9,7 +9,6 @@ mod common;
 use common::{fixture, start_server_with_precision, test_pairs};
 use hisrect::{JudgeService, Judgement, Precision};
 use serve::HttpClient;
-use std::time::Duration;
 
 /// The offline int8 reference: the same snapshot, quantized at load the
 /// way the registry does it.
@@ -52,12 +51,9 @@ fn int8_judge_is_byte_identical_to_offline_int8() {
 
 #[test]
 fn int8_batch_matches_single_judgements() {
-    // A generous deadline so concurrent submissions actually coalesce;
-    // per-row activation scales make a fused batch row bit-identical to
-    // the single-pair call, so the bytes must agree regardless.
-    let server = start_server_with_precision(Precision::Int8, |c| {
-        c.batch_deadline = Duration::from_millis(10);
-    });
+    // Per-row activation scales make a fused batch row bit-identical to
+    // the single-pair call, so the bytes must agree.
+    let server = start_server_with_precision(Precision::Int8, |_| {});
     let mut client = HttpClient::new(server.addr());
     let pairs = test_pairs(5);
     let body = format!(

@@ -11,10 +11,11 @@ use common::{
     test_pairs,
 };
 use hisrect::{JudgeService, Judgement, Precision};
-use serve::batcher::{Batcher, JobError};
+use serve::batcher::{Batcher, JudgeJob};
 use serve::HttpClient;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::Receiver;
+use std::sync::mpsc::sync_channel;
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 #[test]
@@ -183,8 +184,8 @@ fn concurrent_judgements_coalesce_into_batches() {
     }
 
     // How the 68 jobs split into batches is thread timing; coalescing is
-    // pinned without a race in `jobs_that_follow_a_flush_closely_share_the_next_one`
-    // and `overload_http::backlog_behind_a_held_flusher_is_one_batch`.
+    // pinned without a race in
+    // `overload_http::backlog_behind_a_held_flusher_is_one_batch`.
     let (batches, jobs) = server.batch_stats();
     assert_eq!(jobs, 4 + 16 * 4);
     assert!(batches > 0);
@@ -195,14 +196,11 @@ fn concurrent_judgements_coalesce_into_batches() {
 
 #[test]
 fn judge_after_an_idle_spell_is_flushed_at_once() {
-    // The flush window is measured from the previous flush, so a request
-    // that finds the flusher idle never waits for company. With flushes
-    // kept 5 s apart the exchange must take under 1 s — a 5 000x margin
-    // over the real cost, so only a timer armed at the first job fails
-    // this, not a slow box.
+    // A request that finds the batcher idle is judged by its own worker
+    // and never waits for company, so the exchange takes well under a
+    // second even with room for 64 jobs in a batch.
     let server = start_server(|c| {
         c.batch_size = 64;
-        c.batch_deadline = Duration::from_secs(5);
     });
     let mut client = HttpClient::new(server.addr());
     let (i, j) = test_pairs(1)[0];
@@ -221,74 +219,78 @@ fn judge_after_an_idle_spell_is_flushed_at_once() {
 }
 
 #[test]
-fn jobs_that_follow_a_flush_closely_share_the_next_one() {
-    const SPACING: Duration = Duration::from_millis(300);
+fn combining_submitters_strand_no_job() {
+    const THREADS: usize = 8;
+    const SUBMITS: usize = 500;
     let model = common::loaded_model();
-    let pairs = test_pairs(3);
-    let batcher = Batcher::new(8, SPACING, 8, None);
-    let judged = |rx: Receiver<Result<f32, JobError>>, (i, j): (usize, usize)| {
-        let p = rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("the flusher answers")
-            .expect("judged");
-        let body = serde_json::to_string(&Judgement::from_probability(i, j, p)).unwrap();
-        assert_eq!(body, offline_judgement(i, j), "batched row drifted");
-    };
-
-    // The first job finds an idle flusher: a batch of one, at once.
-    let start = Instant::now();
-    let (job, rx) = common::judge_job(&model, pairs[0], None);
-    batcher.submit(job).expect("queue has room");
-    judged(rx, pairs[0]);
-    assert!(start.elapsed() < SPACING, "the first job waited");
-
-    // The next two arrive inside the window that flush opened: they are
-    // held until it closes and judged together.
-    let followers: Vec<_> = pairs[1..]
+    let pairs = test_pairs(8);
+    let corpus = &fixture().corpus;
+    let jobs: Vec<_> = pairs
         .iter()
-        .map(|&pair| {
-            let (job, rx) = common::judge_job(&model, pair, None);
-            batcher.submit(job).expect("queue has room");
-            rx
+        .map(|&(i, j)| {
+            let features = |k| Arc::new(model.service.features_for(corpus.profile(k)));
+            (features(i), features(j), offline_judgement(i, j))
         })
         .collect();
-    for (rx, &pair) in followers.into_iter().zip(&pairs[1..]) {
-        judged(rx, pair);
-    }
-    assert!(
-        start.elapsed() >= SPACING,
-        "two flushes only {:?} apart",
-        start.elapsed()
-    );
+    let batcher = Batcher::new(16, Duration::ZERO, THREADS, None);
+    // One submit, then a wait for its reply, as a compute worker does.
+    let judge_once = |pick: usize| -> Result<(), String> {
+        let (fa, fb, expected) = &jobs[pick];
+        let (tx, rx) = sync_channel(1);
+        let job = JudgeJob {
+            model: Arc::clone(&model),
+            fa: Arc::clone(fa),
+            fb: Arc::clone(fb),
+            deadline: None,
+            responder: tx,
+        };
+        batcher
+            .submit(job)
+            .map_err(|e| format!("one job per thread must fit the queue: {e:?}"))?;
+        let p = match rx.recv_timeout(Duration::from_secs(5)) {
+            Ok(Ok(p)) => p,
+            other => return Err(format!("job stranded or failed: {other:?}")),
+        };
+        let (i, j) = pairs[pick];
+        let body = serde_json::to_string(&Judgement::from_probability(i, j, p)).unwrap();
+        if &body != expected {
+            return Err(format!("batched row drifted: {body} vs {expected}"));
+        }
+        match rx.recv_timeout(Duration::from_secs(5)) {
+            Ok(second) => Err(format!("a job was answered twice: {second:?}")),
+            Err(_) => Ok(()),
+        }
+    };
+
+    // Whichever thread holds the combiner judges for the rest. The
+    // threads submit in lockstep rounds, so no later submit can rescue a
+    // job the combiner left behind: a stranded job times out. A failure
+    // is recorded rather than panicked, and every thread stops at the
+    // next round, so none is left waiting at the barrier.
+    let round = Barrier::new(THREADS);
+    let failure = Mutex::new(None);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (round, failure, judge_once, jobs) = (&round, &failure, &judge_once, &jobs);
+            scope.spawn(move || {
+                for k in 0..SUBMITS {
+                    round.wait();
+                    if failure.lock().unwrap().is_some() {
+                        return;
+                    }
+                    if let Err(e) = judge_once((t + k) % jobs.len()) {
+                        failure.lock().unwrap().get_or_insert(e);
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(failure.into_inner().unwrap(), None);
     let stats = batcher.stats();
-    assert_eq!(stats.batches.load(Ordering::Relaxed), 2);
-    assert_eq!(stats.jobs.load(Ordering::Relaxed), 3);
+    let jobs = stats.jobs.load(Ordering::Relaxed);
+    assert_eq!(jobs, (THREADS * SUBMITS) as u64);
+    assert!(stats.batches.load(Ordering::Relaxed) <= jobs);
     batcher.shutdown();
-}
-
-#[test]
-fn shutdown_closes_an_open_window() {
-    let model = common::loaded_model();
-    let pair = test_pairs(1)[0];
-    let batcher = Batcher::new(8, Duration::from_secs(5), 8, None);
-    let (job, rx) = common::judge_job(&model, pair, None);
-    batcher.submit(job).expect("queue has room");
-    rx.recv_timeout(Duration::from_secs(1))
-        .expect("an idle flusher answers at once")
-        .expect("judged");
-
-    // Already expired, and held for company until 5 s after that flush —
-    // unless the queue closes first.
-    let (job, rx) = common::judge_job(&model, pair, Some(Instant::now()));
-    batcher.submit(job).expect("queue has room");
-    let start = Instant::now();
-    batcher.shutdown();
-    assert!(
-        start.elapsed() < Duration::from_secs(1),
-        "shutdown waited the window out: {:?}",
-        start.elapsed()
-    );
-    assert_eq!(rx.try_recv(), Ok(Err(JobError::Expired)));
 }
 
 #[test]
