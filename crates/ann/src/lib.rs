@@ -1,38 +1,37 @@
-//! Approximate nearest-neighbour retrieval over judge embeddings.
+//! Exact candidate retrieval over judge embeddings.
 //!
 //! The paper's judge scores a *given* pair; production traffic is a query —
-//! one fresh tweet in, a ranked set of likely co-located users out. Scanning
-//! every user per query is O(n), and the affinity graph behind SSL training
-//! is O(n²) in pairs. This crate provides the sublinear substrate both sit
-//! on: an IVF-style index whose coarse quantizer is the same uniform grid
-//! `geo::grid` already uses for POIs, with an in-bucket navigable-small-world
-//! graph searched by beam for buckets too large to scan.
+//! one fresh tweet in, a ranked set of likely co-located users out. The
+//! paper only judges users who tweeted within Δt of each other, and that
+//! window, together with the search radius, is what prunes: a query reads
+//! only the members of nearby grid cells whose timestamps fall inside it,
+//! and scores every one of them exactly.
 //!
 //! Layout:
 //!
-//! - **Coarse quantizer**: items land in grid cells keyed by their tweet
-//!   point. A query visits only the cell ring that can contain items within
-//!   `radius_m` (conservative per-axis ring math, so the spatial prefilter
-//!   never drops a true candidate).
-//! - **Temporal prefilter**: items outside the `Δt` window around the query
-//!   timestamp are rejected before they can enter the result heap.
-//! - **In-bucket search**: buckets at or below `exact_threshold` members are
-//!   scanned exactly (this is what keeps small-world SSL training
-//!   bit-identical to brute force); larger buckets are searched by beam over
-//!   an NSW graph built incrementally with a per-bucket seeded RNG.
+//! - **Coarse quantizer**: items land in cells of the same uniform grid
+//!   `geo::grid` uses for POIs, keyed by their tweet point. A query visits
+//!   only the cell ring that can contain items within `radius_m`
+//!   (conservative per-axis ring math, so the spatial prefilter never drops
+//!   a true candidate).
+//! - **Time-sorted columns**: each cell keeps its live members sorted by
+//!   `(ts, slot)` in parallel columns — timestamps, slots, and the
+//!   embeddings copied contiguously in that order. Two binary searches over
+//!   the timestamp column find the cell's Δt range, and only that range is
+//!   read.
+//! - **Exact scan**: every member in range is scored and checked against
+//!   the result heap's current worst `(d2, slot)` before it is pushed, so
+//!   the heap never holds more than `k`. The answer is exactly the top-k of
+//!   "cell ring ∩ Δt window ∩ not removed" (the property tests pin this).
 //!
-//! Determinism: construction is parallelised per bucket via
-//! `parallel::parallel_map`, each bucket's RNG seeded by
-//! `rand::derive_seed(cfg.seed, cell_index)`, so the index — and every query
-//! answer — is bit-identical across `HISRECT_THREADS` settings. Every graph
-//! keeps its "backbone" chain edges `i ↔ i−1` through pruning, so the graph
-//! stays connected and a beam of width ≥ bucket size degrades gracefully to
-//! an exact scan (the property tests rely on this).
+//! Determinism: slots number the items in ascending id order and every
+//! cell is ordered by the total order on `(ts, slot)`, so the index — and
+//! every answer — depends only on the item set and the grid bounds: not on
+//! insertion order, on thread count (construction is serial), or on whether
+//! the index was built in one batch or grown item by item.
 
 use geo::{GeoPoint, GridIndex, EARTH_RADIUS_M};
-use rand::{derive_seed, rngs::StdRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Meters spanned by one degree of latitude (and of longitude at the
@@ -44,30 +43,16 @@ pub const METERS_PER_DEG: f64 = std::f64::consts::PI / 180.0 * EARTH_RADIUS_M;
 pub struct AnnConfig {
     /// Coarse-quantizer cell side in degrees.
     pub cell_deg: f64,
-    /// Buckets with at most this many members are scanned exactly.
-    pub exact_threshold: usize,
-    /// Neighbours requested per node during graph construction (`m`); lists
-    /// are pruned to `2m` plus the backbone edges.
-    pub graph_degree: usize,
-    /// Beam width (`ef`) during query; the effective width is
-    /// `max(beam_width, k)`.
-    pub beam_width: usize,
     /// Temporal co-location window in seconds; `None` disables the Δt
     /// prefilter.
     pub delta_t: Option<i64>,
-    /// Base seed for per-bucket RNG streams.
-    pub seed: u64,
 }
 
 impl Default for AnnConfig {
     fn default() -> Self {
         Self {
             cell_deg: 0.01,
-            exact_threshold: 64,
-            graph_degree: 8,
-            beam_width: 48,
             delta_t: None,
-            seed: 42,
         }
     }
 }
@@ -81,7 +66,8 @@ pub struct AnnItem {
     pub point: GeoPoint,
     /// Tweet timestamp in seconds, used by the Δt prefilter.
     pub ts: i64,
-    /// `E'` embedding the distance is computed over.
+    /// `E'` embedding the distance is computed over. Every item of one
+    /// index has the same dimension.
     pub embedding: Vec<f32>,
 }
 
@@ -109,23 +95,43 @@ pub fn d2(a: &[f32], b: &[f32]) -> f32 {
     s
 }
 
-/// In-bucket navigable-small-world graph. Node positions index into the
-/// bucket's member list, not the global item array.
-#[derive(Debug, Clone)]
-struct Graph {
-    neighbors: Vec<Vec<u32>>,
-    /// Query entry positions: node 0 plus a few seeded picks.
-    entries: Vec<u32>,
-    /// RNG state *after* every insertion draw so far and *before* the
-    /// entry draws. Extending the graph by one node resumes this stream,
-    /// which is what makes an incrementally-grown graph bit-identical to
-    /// a batch build of the same members (entry draws always come from a
-    /// clone, so they never perturb the insertion stream).
-    rng: StdRng,
+/// One grid cell's live members in `(ts, slot)` order, as parallel
+/// columns; row `i` of `embeddings` (`dim` values) belongs to `slots[i]`.
+#[derive(Debug, Clone, Default)]
+struct Bucket {
+    ts: Vec<i64>,
+    slots: Vec<u32>,
+    embeddings: Vec<f32>,
 }
 
-/// Serializable form of the index: data only. The grid and graphs are
-/// rebuilt deterministically on load, so a serialized/rebuilt index answers
+impl Bucket {
+    /// Where `(ts, slot)` sits in the sorted order, or would be inserted.
+    fn position(&self, ts: i64, slot: u32) -> usize {
+        let lo = self.ts.partition_point(|&t| t < ts);
+        let hi = lo + self.ts[lo..].partition_point(|&t| t == ts);
+        lo + self.slots[lo..hi].partition_point(|&s| s < slot)
+    }
+
+    fn insert(&mut self, ts: i64, slot: u32, embedding: &[f32]) {
+        let pos = self.position(ts, slot);
+        let dim = embedding.len();
+        self.ts.insert(pos, ts);
+        self.slots.insert(pos, slot);
+        self.embeddings
+            .splice(pos * dim..pos * dim, embedding.iter().copied());
+    }
+
+    fn remove(&mut self, ts: i64, slot: u32, dim: usize) {
+        let pos = self.position(ts, slot);
+        debug_assert_eq!(self.slots.get(pos), Some(&slot), "slot not in its bucket");
+        self.ts.remove(pos);
+        self.slots.remove(pos);
+        self.embeddings.drain(pos * dim..(pos + 1) * dim);
+    }
+}
+
+/// Serializable form of the index: data only. The buckets are rebuilt
+/// deterministically on load, so a serialized/rebuilt index answers
 /// queries identically to the original.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AnnSnapshot {
@@ -135,22 +141,25 @@ pub struct AnnSnapshot {
     pub items: Vec<AnnItem>,
 }
 
-/// Grid-bucketed IVF index with in-bucket NSW graphs.
+/// Grid-bucketed index with time-sorted columnar buckets, queried exactly.
 #[derive(Debug, Clone)]
 pub struct AnnIndex {
     cfg: AnnConfig,
-    /// Items sorted by id; grid cells store indices ("slots") into this.
+    /// Items sorted by id; buckets store indices ("slots") into this.
     items: Vec<AnnItem>,
+    /// The coarse quantizer (cell geometry only; members live in
+    /// `buckets`).
     grid: GridIndex,
-    /// One entry per grid cell (row-major); `None` for cells small enough
-    /// to scan exactly.
-    graphs: Vec<Option<Graph>>,
+    /// One bucket per grid cell, row-major.
+    buckets: Vec<Bucket>,
+    /// Embedding dimension shared by every item.
+    dim: usize,
     /// Grid bounding box `(min_lat, min_lon, max_lat, max_lon)`; fixed at
     /// construction so incremental inserts never reshape the quantizer
     /// (out-of-box points clamp into edge cells, as in `GridIndex`).
     bounds: (f64, f64, f64, f64),
-    /// Soft-deleted slots: hidden from every query, reclaimed by
-    /// [`AnnIndex::compact`]. Parallel to `items`.
+    /// Soft-deleted slots: already gone from the buckets, dropped from
+    /// `items` by [`AnnIndex::compact`]. Parallel to `items`.
     tombstones: Vec<bool>,
     /// Count of non-tombstoned items.
     live: usize,
@@ -158,7 +167,8 @@ pub struct AnnIndex {
 
 impl AnnIndex {
     /// Builds the index. Items are sorted into canonical id order first, so
-    /// insertion order never changes query answers. Panics on duplicate ids.
+    /// insertion order never changes query answers. Panics on duplicate ids
+    /// or mixed embedding dimensions.
     pub fn build(items: Vec<AnnItem>, cfg: AnnConfig) -> Self {
         let bounds = bbox(&items);
         Self::build_bounded(items, cfg, bounds)
@@ -179,44 +189,41 @@ impl AnnIndex {
         for w in items.windows(2) {
             assert!(w[0].id != w[1].id, "duplicate item id {}", w[0].id);
         }
+        let dim = items.first().map_or(0, |it| it.embedding.len());
+        assert!(
+            items.iter().all(|it| it.embedding.len() == dim),
+            "mixed embedding dimensions"
+        );
 
         let (min_lat, min_lon, max_lat, max_lon) = bounds;
-        let mut grid = GridIndex::new(min_lat, min_lon, max_lat, max_lon, cfg.cell_deg);
-        for (slot, it) in items.iter().enumerate() {
-            grid.insert_point(slot as u32, &it.point);
-        }
-
-        // Collect the cells that need a graph, then build those graphs in
-        // parallel. Each bucket gets its own RNG stream keyed by cell index,
-        // so the result is independent of worker count and schedule.
-        let mut big: Vec<(usize, Vec<u32>)> = Vec::new();
-        for r in 0..grid.rows() {
-            for c in 0..grid.cols() {
-                let members = grid.cell_items(r, c);
-                if members.len() > cfg.exact_threshold {
-                    big.push((r * grid.cols() + c, members.to_vec()));
-                }
-            }
-        }
-        let built = parallel::parallel_map(&big, |(cell, members)| {
-            build_graph(members, &items, &cfg, derive_seed(cfg.seed, *cell as u64))
-        });
-        let mut graphs: Vec<Option<Graph>> = vec![None; grid.len_cells()];
-        for ((cell, _), g) in big.into_iter().zip(built) {
-            graphs[cell] = Some(g);
-        }
-
-        let live = items.len();
-        let tombstones = vec![false; items.len()];
-        Self {
+        let grid = GridIndex::new(min_lat, min_lon, max_lat, max_lon, cfg.cell_deg);
+        let mut idx = Self {
             cfg,
-            items,
+            buckets: vec![Bucket::default(); grid.len_cells()],
             grid,
-            graphs,
+            dim,
             bounds,
-            tombstones,
-            live,
+            tombstones: vec![false; items.len()],
+            live: items.len(),
+            items: Vec::new(),
+        };
+        // One sort by (cell, ts, slot), then every bucket is appended to in
+        // its final order.
+        let mut order: Vec<(usize, i64, u32)> = items
+            .iter()
+            .enumerate()
+            .map(|(slot, it)| (idx.cell_of(&it.point), it.ts, slot as u32))
+            .collect();
+        order.sort_unstable();
+        for (cell, ts, slot) in order {
+            let b = &mut idx.buckets[cell];
+            b.ts.push(ts);
+            b.slots.push(slot);
+            b.embeddings
+                .extend_from_slice(&items[slot as usize].embedding);
         }
+        idx.items = items;
+        idx
     }
 
     /// An empty index over `bounds`, ready for incremental
@@ -230,74 +237,53 @@ impl AnnIndex {
         self.bounds
     }
 
-    /// Inserts one item incrementally. Returns `false` (and changes
-    /// nothing) when the id is already indexed — duplicate deliveries from
-    /// an at-least-once stream are absorbed here, not just upstream.
+    /// Inserts one item incrementally: a sorted insert into its one
+    /// bucket. Returns `false` (and changes nothing) when the id is already
+    /// indexed — duplicate deliveries from an at-least-once stream are
+    /// absorbed here, not just upstream. Panics when the embedding's
+    /// dimension differs from the indexed items'.
     ///
-    /// Ascending-id inserts — the streaming case, where ids are monotone
-    /// sequence numbers — extend the affected bucket's graph in place by
-    /// resuming its construction RNG, which yields an index bit-identical
-    /// to [`AnnIndex::build_bounded`] over the same items and bounds (the
-    /// property tests pin this). An out-of-order id would renumber every
-    /// later slot, so it falls back to a full deterministic rebuild with
-    /// the same guarantee.
+    /// An ascending id — the streaming case, where ids are monotone
+    /// sequence numbers — takes the next slot. An out-of-order id takes
+    /// its id-ordered slot and renumbers every later one; the renumbering
+    /// is monotone, so no bucket's `(ts, slot)` order changes. Either way
+    /// the index is bit-identical to [`AnnIndex::build_bounded`] over the
+    /// same items and bounds (the property tests pin this).
     pub fn insert(&mut self, item: AnnItem) -> bool {
-        let slot_pos = match self.items.binary_search_by_key(&item.id, |it| it.id) {
+        let slot = match self.items.binary_search_by_key(&item.id, |it| it.id) {
             Ok(_) => return false,
             Err(p) => p,
         };
-        if slot_pos < self.items.len() {
-            // Out-of-order id: slots shift, so rebuild from scratch
-            // (deterministic — identical to a batch build of the union).
-            let dead: Vec<u32> = self.tombstoned_ids();
-            let mut items = std::mem::take(&mut self.items);
-            items.insert(slot_pos, item);
-            *self = Self::build_bounded(items, self.cfg.clone(), self.bounds);
-            for id in dead {
-                self.remove(id);
-            }
-            return true;
+        if self.items.is_empty() {
+            self.dim = item.embedding.len();
         }
-
-        // Ascending append: existing slots keep their numbers, the new
-        // item takes the next one, and only its own bucket changes.
-        let slot = self.items.len() as u32;
-        let point = item.point;
-        self.items.push(item);
-        self.tombstones.push(false);
-        self.live += 1;
-        self.grid.insert_point(slot, &point);
-        let (r, c) = self.grid.cell_coords(&point);
-        let cell = r * self.grid.cols() + c;
-        let members = self.grid.cell_items(r, c).to_vec();
-        if members.len() > self.cfg.exact_threshold {
-            match &mut self.graphs[cell] {
-                Some(g) => extend_graph(g, &members, &self.items, &self.cfg),
-                None => {
-                    // The bucket just crossed the exact-scan threshold:
-                    // build its graph from scratch, exactly as the batch
-                    // path would have.
-                    self.graphs[cell] = Some(build_graph(
-                        &members,
-                        &self.items,
-                        &self.cfg,
-                        derive_seed(self.cfg.seed, cell as u64),
-                    ));
+        assert_eq!(item.embedding.len(), self.dim, "mixed embedding dimensions");
+        if slot < self.items.len() {
+            for s in self.buckets.iter_mut().flat_map(|b| b.slots.iter_mut()) {
+                if *s as usize >= slot {
+                    *s += 1;
                 }
             }
         }
+        let cell = self.cell_of(&item.point);
+        self.buckets[cell].insert(item.ts, slot as u32, &item.embedding);
+        self.items.insert(slot, item);
+        self.tombstones.insert(slot, false);
+        self.live += 1;
         true
     }
 
-    /// Tombstones `id`: the item stays in the graph topology (so beam
-    /// searches still route through it) but is hidden from every query
-    /// until [`AnnIndex::compact`]. Returns `false` when the id is not
-    /// indexed or already tombstoned.
+    /// Tombstones `id`: it leaves its bucket at once, so no query sees it,
+    /// and leaves `items` at [`AnnIndex::compact`]. Returns `false` when
+    /// the id is not indexed or already tombstoned.
     pub fn remove(&mut self, id: u32) -> bool {
         match self.items.binary_search_by_key(&id, |it| it.id) {
             Ok(slot) if !self.tombstones[slot] => {
                 self.tombstones[slot] = true;
                 self.live -= 1;
+                let it = &self.items[slot];
+                let cell = self.cell_of(&it.point);
+                self.buckets[cell].remove(it.ts, slot as u32, self.dim);
                 true
             }
             _ => false,
@@ -305,15 +291,18 @@ impl AnnIndex {
     }
 
     /// Tombstones every live item with `ts < cutoff_ts` — the ring-buffer
-    /// eviction step of a sliding retention window. Returns the number of
-    /// items evicted.
+    /// eviction step of a sliding retention window. Each bucket drops a
+    /// time-sorted prefix. Returns the number of items evicted.
     pub fn evict_older_than(&mut self, cutoff_ts: i64) -> usize {
         let mut evicted = 0;
-        for (slot, it) in self.items.iter().enumerate() {
-            if !self.tombstones[slot] && it.ts < cutoff_ts {
-                self.tombstones[slot] = true;
-                evicted += 1;
+        for b in &mut self.buckets {
+            let n = b.ts.partition_point(|&t| t < cutoff_ts);
+            for slot in b.slots.drain(..n) {
+                self.tombstones[slot as usize] = true;
             }
+            b.ts.drain(..n);
+            b.embeddings.drain(..n * self.dim);
+            evicted += n;
         }
         self.live -= evicted;
         evicted
@@ -343,15 +332,6 @@ impl AnnIndex {
             Ok(slot) => self.tombstones[slot],
             Err(_) => false,
         }
-    }
-
-    fn tombstoned_ids(&self) -> Vec<u32> {
-        self.items
-            .iter()
-            .zip(&self.tombstones)
-            .filter(|&(_, &dead)| dead)
-            .map(|(it, _)| it.id)
-            .collect()
     }
 
     /// Rebuilds an index from a snapshot; answers are bit-identical to the
@@ -400,7 +380,9 @@ impl AnnIndex {
     }
 
     /// Top-`k` items by embedding distance among those within `radius_m` of
-    /// `point` (coarse cell ring) and inside the Δt window around `ts`.
+    /// `point` (coarse cell ring) and inside the Δt window around `ts`,
+    /// ordered by `(d2, id)`. Exact: every member of the ring's buckets
+    /// inside the window is scored.
     ///
     /// The query item itself is *not* excluded — callers that index the
     /// querying user filter their own id from the result.
@@ -412,68 +394,40 @@ impl AnnIndex {
         k: usize,
         radius_m: f64,
     ) -> Vec<Neighbor> {
-        if k == 0 || self.items.is_empty() {
+        if k == 0 || self.live == 0 {
             return Vec::new();
         }
+        let (t_lo, t_hi) = match self.cfg.delta_t {
+            Some(dt) => (ts.saturating_sub(dt), ts.saturating_add(dt)),
+            None => (i64::MIN, i64::MAX),
+        };
         let (r0, r1, c0, c1) = self.cell_ring(point, radius_m);
-        let ef = self.cfg.beam_width.max(k);
-        // One result heap shared across every bucket in the ring: once it
-        // holds `ef` hits, a bucket whose entries are farther than the
-        // global `ef`-th best is abandoned after a handful of distance
-        // evaluations — wide rings cost little more than narrow ones.
-        let mut best: BinaryHeap<(OrdF32, u32)> = BinaryHeap::with_capacity(ef + 1);
-        // Visit cells nearest the query first (Chebyshev ring order, then
-        // row-major — deterministic): the heap fills with the query cell's
-        // own neighbours, so farther cells are abandoned early only when
-        // they genuinely cannot improve the result.
-        let (qr, qc) = self.grid.cell_coords(point);
-        let mut cells: Vec<(usize, usize)> = (r0..=r1)
-            .flat_map(|r| (c0..=c1).map(move |c| (r, c)))
-            .collect();
-        cells.sort_by_key(|&(r, c)| (r.abs_diff(qr).max(c.abs_diff(qc)), r, c));
-        for (r, c) in cells {
-            {
-                let members = self.grid.cell_items(r, c);
-                if members.is_empty() {
-                    continue;
-                }
-                match &self.graphs[r * self.grid.cols() + c] {
-                    None => {
-                        // Exact in-bucket scan: the Δt prefilter rejects
-                        // items before any distance is computed.
-                        for &slot in members {
-                            let it = &self.items[slot as usize];
-                            if !self.tombstones[slot as usize] && self.in_window(it.ts, ts) {
-                                push_capped(
-                                    &mut best,
-                                    (OrdF32(d2(embedding, &it.embedding)), slot),
-                                    ef,
-                                );
-                            }
+        let (cols, dim) = (self.grid.cols(), self.dim);
+        // Worst-first heap of `(d2, slot)`, capped at `k`. Slots are in id
+        // order, so its order is the final `(d2, id)` order.
+        let mut best: BinaryHeap<(OrdF32, u32)> = BinaryHeap::with_capacity(k.min(self.live));
+        for r in r0..=r1 {
+            for b in &self.buckets[r * cols + c0..=r * cols + c1] {
+                let lo = b.ts.partition_point(|&t| t < t_lo);
+                let hi = b.ts.partition_point(|&t| t <= t_hi);
+                for i in lo..hi {
+                    let hit = (
+                        OrdF32(d2(embedding, &b.embeddings[i * dim..(i + 1) * dim])),
+                        b.slots[i],
+                    );
+                    if best.len() < k {
+                        best.push(hit);
+                    } else if let Some(mut worst) = best.peek_mut() {
+                        if hit < *worst {
+                            *worst = hit;
                         }
-                    }
-                    Some(g) => {
-                        beam_search(
-                            members,
-                            &g.neighbors,
-                            &g.entries,
-                            &self.items,
-                            embedding,
-                            ef,
-                            |slot, it| !self.tombstones[slot as usize] && self.in_window(it.ts, ts),
-                            &mut best,
-                        );
                     }
                 }
             }
         }
-        // Deterministic total order: distance, then id (slots are stored in
-        // ascending id order, so slot order is id order).
-        let mut hits: Vec<(f32, u32)> = best.into_iter().map(|(OrdF32(d), s)| (d, s)).collect();
-        hits.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        hits.truncate(k);
-        hits.into_iter()
-            .map(|(d2, slot)| Neighbor {
+        best.into_sorted_vec()
+            .into_iter()
+            .map(|(OrdF32(d2), slot)| Neighbor {
                 id: self.items[slot as usize].id,
                 d2,
             })
@@ -498,9 +452,9 @@ impl AnnIndex {
             .collect()
     }
 
-    /// FNV-1a fingerprint over the full graph structure; equal fingerprints
-    /// mean bit-identical indexes. Used by the recall gate to prove the
-    /// build is independent of `HISRECT_THREADS`.
+    /// FNV-1a fingerprint over every bucket's `(ts, slot)` order; equal
+    /// fingerprints mean bit-identical indexes. Used by the recall gate to
+    /// prove the build is independent of `HISRECT_THREADS`.
     pub fn structure_fingerprint(&self) -> u64 {
         let mut h = 0xcbf29ce484222325u64;
         let mut eat = |v: u64| {
@@ -508,17 +462,12 @@ impl AnnIndex {
             h = h.wrapping_mul(0x100000001b3);
         };
         eat(self.items.len() as u64);
-        for (cell, g) in self.graphs.iter().enumerate() {
-            if let Some(g) = g {
+        for (cell, b) in self.buckets.iter().enumerate() {
+            if !b.slots.is_empty() {
                 eat(cell as u64);
-                for (pos, nbrs) in g.neighbors.iter().enumerate() {
-                    eat(pos as u64 ^ 0x9e3779b97f4a7c15);
-                    for &n in nbrs {
-                        eat(n as u64);
-                    }
-                }
-                for &e in &g.entries {
-                    eat(e as u64 ^ 0x517cc1b727220a95);
+                for (&ts, &slot) in b.ts.iter().zip(&b.slots) {
+                    eat(ts as u64);
+                    eat(slot as u64);
                 }
             }
         }
@@ -530,6 +479,12 @@ impl AnnIndex {
             Some(dt) => (item_ts - query_ts).abs() <= dt,
             None => true,
         }
+    }
+
+    /// Row-major bucket index of the cell holding `p`.
+    fn cell_of(&self, p: &GeoPoint) -> usize {
+        let (r, c) = self.grid.cell_coords(p);
+        r * self.grid.cols() + c
     }
 
     /// Clamped cell-coordinate ranges covering every cell that can contain
@@ -591,7 +546,7 @@ fn bbox(items: &[AnnItem]) -> (f64, f64, f64, f64) {
     }
 }
 
-/// Total-ordered f32 wrapper for the search heaps.
+/// Total-ordered f32 wrapper for the result heap.
 #[derive(PartialEq)]
 struct OrdF32(f32);
 impl Eq for OrdF32 {}
@@ -604,263 +559,6 @@ impl Ord for OrdF32 {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.total_cmp(&other.0)
     }
-}
-
-/// Best-first beam search over one bucket's graph. Every visited node is
-/// scored, but only nodes passing `accept` (the Δt prefilter) enter the
-/// result heap, so a window-heavy query still surfaces in-window neighbours
-/// instead of mostly-rejected ones.
-///
-/// `best` is the *shared* worst-first result heap of `(d2, slot)` pairs,
-/// capped at `ef`. A multi-bucket query passes one heap through every
-/// bucket: once it is full, a bucket whose entry points are already farther
-/// than the global `ef`-th best terminates after scoring just its entries,
-/// which is what makes wide cell rings cheap.
-///
-/// With `ef ≥` the total accepted population the heap never fills, so no
-/// early break fires and the search visits every node reachable from the
-/// entries; the backbone chain keeps each bucket connected, so it then
-/// equals an exact scan.
-#[allow(clippy::too_many_arguments)]
-fn beam_search(
-    members: &[u32],
-    neighbors: &[Vec<u32>],
-    entries: &[u32],
-    items: &[AnnItem],
-    q: &[f32],
-    ef: usize,
-    accept: impl Fn(u32, &AnnItem) -> bool,
-    best: &mut BinaryHeap<(OrdF32, u32)>,
-) {
-    let m = members.len();
-    let mut visited = vec![false; m];
-    // Distance cache, valid where `visited` — lets the greedy descent and
-    // the beam share one evaluation per node.
-    let mut dist = vec![0f32; m];
-    // Frontier ordered nearest-first, keyed by in-bucket position.
-    let mut frontier: BinaryHeap<Reverse<(OrdF32, u32)>> = BinaryHeap::new();
-
-    let visit = |pos: u32,
-                 visited: &mut Vec<bool>,
-                 dist: &mut Vec<f32>,
-                 frontier: &mut BinaryHeap<Reverse<(OrdF32, u32)>>,
-                 best: &mut BinaryHeap<(OrdF32, u32)>|
-     -> f32 {
-        if visited[pos as usize] {
-            return dist[pos as usize];
-        }
-        visited[pos as usize] = true;
-        let slot = members[pos as usize];
-        let it = &items[slot as usize];
-        let d = d2(q, &it.embedding);
-        dist[pos as usize] = d;
-        frontier.push(Reverse((OrdF32(d), pos)));
-        if accept(slot, it) {
-            push_capped(best, (OrdF32(d), slot), ef);
-        }
-        d
-    };
-
-    let mut cur: Option<(f32, u32)> = None;
-    for &e in entries {
-        let d = visit(e, &mut visited, &mut dist, &mut frontier, best);
-        if cur.is_none_or(|(cd, cp)| (d, e) < (cd, cp)) {
-            cur = Some((d, e));
-        }
-    }
-    // Greedy hill-descent from the best entry to a local minimum. This
-    // phase ignores the shared heap's break condition: a heap already full
-    // from earlier buckets must not abandon this bucket before the search
-    // has navigated from the (arbitrary) entry points into the query's
-    // neighbourhood.
-    if let Some((mut cur_d, mut cur_pos)) = cur {
-        loop {
-            let mut step: Option<(f32, u32)> = None;
-            for &nb in &neighbors[cur_pos as usize] {
-                let d = visit(nb, &mut visited, &mut dist, &mut frontier, best);
-                if d < cur_d && step.is_none_or(|(sd, sp)| (d, nb) < (sd, sp)) {
-                    step = Some((d, nb));
-                }
-            }
-            match step {
-                Some((d, p)) => (cur_d, cur_pos) = (d, p),
-                None => break,
-            }
-        }
-    }
-    while let Some(Reverse((OrdF32(d), pos))) = frontier.pop() {
-        if best.len() >= ef {
-            if let Some((OrdF32(worst), _)) = best.peek() {
-                if d > *worst {
-                    break;
-                }
-            }
-        }
-        for &nb in &neighbors[pos as usize] {
-            visit(nb, &mut visited, &mut dist, &mut frontier, best);
-        }
-    }
-}
-
-/// Pushes into a worst-first heap bounded at `cap` entries. Eviction order
-/// is the strict `(d2, slot)` total order, so the surviving set is
-/// independent of insertion order.
-fn push_capped(best: &mut BinaryHeap<(OrdF32, u32)>, entry: (OrdF32, u32), cap: usize) {
-    best.push(entry);
-    if best.len() > cap {
-        best.pop();
-    }
-}
-
-/// Incremental NSW construction for one bucket. Node `p` is connected to
-/// its `graph_degree` nearest already-inserted nodes (found by beam), lists
-/// are pruned to `2 · graph_degree` nearest — except the backbone edges
-/// `p ↔ p − 1`, which are always retained so the graph stays connected.
-fn build_graph(members: &[u32], items: &[AnnItem], cfg: &AnnConfig, seed: u64) -> Graph {
-    let m = members.len();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut neighbors = vec![Vec::new(); m];
-    for pos in 1..m {
-        link_node(&mut neighbors, members, items, cfg, &mut rng, pos);
-    }
-    let mut g = Graph {
-        neighbors,
-        entries: Vec::new(),
-        rng,
-    };
-    refresh_entries(&mut g, m);
-    g
-}
-
-/// Links in-bucket position `pos` into the graph — the shared per-node
-/// body of batch construction and incremental extension. Every node
-/// `< pos` must already be linked. Consumes exactly one `gen_range` draw
-/// from `rng`, so resuming a cached RNG replays the batch stream.
-fn link_node(
-    neighbors: &mut [Vec<u32>],
-    members: &[u32],
-    items: &[AnnItem],
-    cfg: &AnnConfig,
-    rng: &mut StdRng,
-    pos: usize,
-) {
-    let ef_build = cfg.beam_width.max(2 * cfg.graph_degree);
-    let max_deg = 2 * cfg.graph_degree;
-    let q = &items[members[pos] as usize].embedding;
-    // Seed the search from the chain head, the chain tail and one
-    // random inserted node; all are < pos, so only inserted nodes are
-    // reachable.
-    let entries = [0, (pos - 1) as u32, rng.gen_range(0..pos) as u32];
-    let mut found: BinaryHeap<(OrdF32, u32)> = BinaryHeap::with_capacity(ef_build + 1);
-    beam_search(
-        members,
-        neighbors,
-        &entries,
-        items,
-        q,
-        ef_build,
-        |_, _| true,
-        &mut found,
-    );
-    let mut near: Vec<(f32, u32)> = found.into_iter().map(|(OrdF32(d), s)| (d, s)).collect();
-    // `near` holds slots; members are slot-ascending, so map back to
-    // in-bucket positions by binary search.
-    let slot_to_pos = |slot: u32| members.binary_search(&slot).unwrap() as u32;
-    near.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-    near.truncate(cfg.graph_degree);
-
-    for &(_, slot) in &near {
-        let other = slot_to_pos(slot);
-        connect(neighbors, pos as u32, other);
-    }
-    // Backbone edge regardless of distance.
-    connect(neighbors, pos as u32, (pos - 1) as u32);
-    // Prune every touched list back to budget.
-    let mut touched: Vec<u32> = near.iter().map(|&(_, s)| slot_to_pos(s)).collect();
-    touched.push(pos as u32);
-    touched.push((pos - 1) as u32);
-    for v in touched {
-        prune(neighbors, v, members, items, max_deg);
-    }
-}
-
-/// Extends a graph by the one member just appended to `members`. Resumes
-/// the bucket's cached construction RNG, so the result is bit-identical
-/// to a batch [`build_graph`] over the grown member list.
-fn extend_graph(g: &mut Graph, members: &[u32], items: &[AnnItem], cfg: &AnnConfig) {
-    let m = members.len();
-    debug_assert_eq!(g.neighbors.len(), m - 1, "one appended member expected");
-    g.neighbors.push(Vec::new());
-    let mut rng = g.rng.clone();
-    link_node(&mut g.neighbors, members, items, cfg, &mut rng, m - 1);
-    g.rng = rng;
-    refresh_entries(g, m);
-}
-
-/// Recomputes the query entry points from a clone of the construction
-/// RNG: node 0 plus up to two seeded picks, exactly the draws the batch
-/// build makes after its insertion loop.
-fn refresh_entries(g: &mut Graph, m: usize) {
-    let mut rng = g.rng.clone();
-    g.entries.clear();
-    g.entries.push(0);
-    for _ in 0..2.min(m.saturating_sub(1)) {
-        let e = rng.gen_range(0..m) as u32;
-        if !g.entries.contains(&e) {
-            g.entries.push(e);
-        }
-    }
-}
-
-fn connect(neighbors: &mut [Vec<u32>], a: u32, b: u32) {
-    if a == b {
-        return;
-    }
-    if !neighbors[a as usize].contains(&b) {
-        neighbors[a as usize].push(b);
-    }
-    if !neighbors[b as usize].contains(&a) {
-        neighbors[b as usize].push(a);
-    }
-}
-
-/// Prunes `v`'s neighbour list to the `max_deg` nearest, always keeping the
-/// backbone partners `v − 1` and `v + 1`. Removal is symmetric: a dropped
-/// edge disappears from both endpoints.
-fn prune(neighbors: &mut [Vec<u32>], v: u32, members: &[u32], items: &[AnnItem], max_deg: usize) {
-    if neighbors[v as usize].len() <= max_deg + 2 {
-        return;
-    }
-    let ve = &items[members[v as usize] as usize].embedding;
-    let is_backbone = |u: u32| u + 1 == v || u == v + 1;
-    let mut scored: Vec<(f32, u32)> = neighbors[v as usize]
-        .iter()
-        .map(|&u| (d2(ve, &items[members[u as usize] as usize].embedding), u))
-        .collect();
-    scored.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-    let mut keep: Vec<u32> = scored
-        .iter()
-        .filter(|&&(_, u)| is_backbone(u))
-        .map(|&(_, u)| u)
-        .collect();
-    for &(_, u) in &scored {
-        if keep.len() >= max_deg + 2 {
-            break;
-        }
-        if !keep.contains(&u) {
-            keep.push(u);
-        }
-    }
-    let dropped: Vec<u32> = neighbors[v as usize]
-        .iter()
-        .filter(|u| !keep.contains(u))
-        .copied()
-        .collect();
-    for u in dropped {
-        neighbors[u as usize].retain(|&x| x != v);
-    }
-    keep.sort_unstable();
-    neighbors[v as usize] = keep;
 }
 
 /// Conservative pairwise spatial prefilter for affinity-graph construction.
@@ -1051,6 +749,7 @@ fn cross_pairs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn grid_world(n: usize, dim: usize) -> Vec<AnnItem> {
         // n items on a jittered lattice around NYC with embeddings that
@@ -1077,11 +776,7 @@ mod tests {
     fn small_cfg() -> AnnConfig {
         AnnConfig {
             cell_deg: 0.05,
-            exact_threshold: 8,
-            graph_degree: 4,
-            beam_width: 16,
             delta_t: None,
-            seed: 42,
         }
     }
 
@@ -1111,7 +806,7 @@ mod tests {
             let q = &items[probe];
             let got = idx.query(&q.point, q.ts, &q.embedding, 10, f64::INFINITY);
             let want = idx.exhaustive(q.ts, &q.embedding, 10);
-            // Infinite radius + beam ≥ bucket sizes here: identical answers.
+            // Infinite radius, no Δt: the ring is every bucket.
             assert_eq!(got, want, "probe {probe}");
         }
     }
@@ -1132,24 +827,23 @@ mod tests {
     }
 
     #[test]
-    fn graph_buckets_stay_connected() {
-        // Force one big graph bucket and check beam with huge ef sees
-        // every member (connectivity via the backbone chain).
+    fn single_cell_scan_sees_every_member() {
+        // One bucket holding everything: k = n returns all of it, in
+        // (d2, id) order.
         let mut cfg = small_cfg();
         cfg.cell_deg = 10.0; // single cell
-        cfg.exact_threshold = 4;
         let items = grid_world(96, 4);
         let idx = AnnIndex::build(items.clone(), cfg);
         let q = &items[0];
         let got = idx.query(&q.point, q.ts, &q.embedding, 96, f64::INFINITY);
+        assert_eq!(got, idx.exhaustive(q.ts, &q.embedding, 96));
         assert_eq!(got.len(), 96);
     }
 
     #[test]
     fn thread_count_does_not_change_structure() {
         let items = grid_world(256, 4);
-        let mut cfg = small_cfg();
-        cfg.exact_threshold = 8;
+        let cfg = small_cfg();
         parallel::set_threads(1);
         let a = AnnIndex::build(items.clone(), cfg.clone());
         parallel::set_threads(4);
@@ -1307,21 +1001,43 @@ mod tests {
     }
 
     #[test]
-    fn incremental_bucket_stays_connected_through_threshold() {
-        // One big bucket grown item by item across the graph threshold:
-        // a beam as wide as the bucket must still reach every member.
+    fn incremental_single_cell_sees_every_member() {
+        // One bucket grown item by item, ids descending so every insert
+        // renumbers the slots already there.
         let mut cfg = small_cfg();
         cfg.cell_deg = 10.0; // single cell
-        cfg.exact_threshold = 4;
-        cfg.beam_width = 96;
         let items = grid_world(96, 4);
         let mut inc = AnnIndex::new_empty(cfg, bbox(&items));
-        for it in &items {
+        for it in items.iter().rev() {
             inc.insert(it.clone());
         }
         let q = &items[0];
         let got = inc.query(&q.point, q.ts, &q.embedding, 96, f64::INFINITY);
+        assert_eq!(got, inc.exhaustive(q.ts, &q.embedding, 96));
         assert_eq!(got.len(), 96);
+    }
+
+    #[test]
+    fn equal_timestamps_order_by_slot() {
+        let mut b = Bucket::default();
+        for (ts, slot) in [(5, 3), (5, 1), (2, 9), (5, 2), (7, 0)] {
+            b.insert(ts, slot, &[slot as f32]);
+        }
+        assert_eq!(b.ts, vec![2, 5, 5, 5, 7]);
+        assert_eq!(b.slots, vec![9, 1, 2, 3, 0]);
+        assert_eq!(b.embeddings, vec![9.0, 1.0, 2.0, 3.0, 0.0]);
+        b.remove(5, 2, 1);
+        assert_eq!(b.slots, vec![9, 1, 3, 0]);
+        assert_eq!(b.embeddings, vec![9.0, 1.0, 3.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "mixed embedding dimensions")]
+    fn mixed_dimensions_panic() {
+        let mut idx = AnnIndex::build(grid_world(4, 4), small_cfg());
+        let mut it = grid_world(5, 3).pop().unwrap();
+        it.id = 99;
+        idx.insert(it);
     }
 
     #[test]

@@ -2,20 +2,25 @@
 //!
 //! Three guarantees the rest of the stack builds on:
 //!
-//! 1. With a beam at least as wide as the largest bucket, graph search is
-//!    never worse than the exhaustive oracle's top-1 (backbone connectivity
-//!    makes the beam degrade to an exact scan).
+//! 1. `query` is exact: it returns precisely the top-k of a brute-force
+//!    "cell ring ∩ Δt window ∩ not removed" scan — same ids, same `d2`
+//!    bits, same `(d2, id)` order — after a batch build, ascending or
+//!    out-of-order inserts, removals, eviction, compaction, and a snapshot
+//!    round-trip.
 //! 2. Insertion order does not change the index structure or any answer —
 //!    construction canonicalizes to id order.
 //! 3. A serialized snapshot rebuilds to a bit-identical index.
 
-use ann::{AnnConfig, AnnIndex, AnnItem};
-use geo::GeoPoint;
+use ann::{AnnConfig, AnnIndex, AnnItem, Neighbor, METERS_PER_DEG};
+use geo::{GeoPoint, GridIndex};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// A reproducible random world: clustered points with embeddings that are a
-/// noisy function of position, ids 0..n.
+/// noisy function of position, ids 0..n. Timestamps fall on a 30-minute
+/// grid so equal timestamps (ordered by slot) are common, and every eighth
+/// item copies an earlier embedding so equal distances (ordered by id) are
+/// too.
 fn world(seed: u64, n: usize, dim: usize) -> Vec<AnnItem> {
     let mut rng = StdRng::seed_from_u64(seed);
     let n_centers = (n / 16).max(1);
@@ -27,34 +32,32 @@ fn world(seed: u64, n: usize, dim: usize) -> Vec<AnnItem> {
             )
         })
         .collect();
-    (0..n)
-        .map(|i| {
-            let (clat, clon) = centers[rng.gen_range(0..n_centers)];
-            let lat = clat + rng.gen_range(-0.004..0.004);
-            let lon = clon + rng.gen_range(-0.004..0.004);
-            let mut e = vec![(lat - 40.4) as f32 * 50.0, (lon + 74.3) as f32 * 50.0];
-            for _ in 2..dim {
-                e.push(rng.gen_range(-0.25..0.25f32));
-            }
-            AnnItem {
-                id: i as u32,
-                point: GeoPoint::new(lat, lon),
-                ts: rng.gen_range(0..86_400i64),
-                embedding: e,
-            }
-        })
-        .collect()
+    let mut items: Vec<AnnItem> = Vec::with_capacity(n);
+    for i in 0..n {
+        let (clat, clon) = centers[rng.gen_range(0..n_centers)];
+        let lat = clat + rng.gen_range(-0.004..0.004);
+        let lon = clon + rng.gen_range(-0.004..0.004);
+        let mut e = vec![(lat - 40.4) as f32 * 50.0, (lon + 74.3) as f32 * 50.0];
+        for _ in 2..dim {
+            e.push(rng.gen_range(-0.25..0.25f32));
+        }
+        if i % 8 == 7 {
+            e = items[rng.gen_range(0..i)].embedding.clone();
+        }
+        items.push(AnnItem {
+            id: i as u32,
+            point: GeoPoint::new(lat, lon),
+            ts: rng.gen_range(0..48i64) * 1_800,
+            embedding: e,
+        });
+    }
+    items
 }
 
-fn cfg_for(n: usize, exact_threshold: usize, delta_t: Option<i64>) -> AnnConfig {
+fn cfg(delta_t: Option<i64>) -> AnnConfig {
     AnnConfig {
         cell_deg: 0.01,
-        exact_threshold,
-        graph_degree: 4,
-        // Beam ≥ n ≥ any bucket size: search must be exhaustive-equivalent.
-        beam_width: n.max(8),
         delta_t,
-        seed: 42,
     }
 }
 
@@ -82,48 +85,94 @@ fn fisher_yates<T>(items: &mut [T], seed: u64) {
     }
 }
 
+/// `(id, d2 bits)` in answer order.
+fn bits(hits: &[Neighbor]) -> Vec<(u32, u32)> {
+    hits.iter().map(|n| (n.id, n.d2.to_bits())).collect()
+}
+
+/// The brute-force reference: every item of `idx` in the query's cell ring
+/// and Δt window that is not removed, ranked by `(d2, id)`, first `k`.
+fn reference(idx: &AnnIndex, q: &AnnItem, k: usize, radius_m: f64) -> Vec<(u32, u32)> {
+    let cfg = idx.config();
+    let (min_lat, min_lon, max_lat, max_lon) = idx.bounds();
+    let grid = GridIndex::new(min_lat, min_lon, max_lat, max_lon, cfg.cell_deg);
+    let (qr, qc) = grid.cell_coords(&q.point);
+    // Ring half-widths in cells; longitude cells shrink by the smallest
+    // cos(lat) in the box.
+    let (ring_r, ring_c) = if radius_m.is_finite() {
+        let lat_cell_m = cfg.cell_deg * METERS_PER_DEG;
+        let cos_min = min_lat.abs().max(max_lat.abs()).to_radians().cos();
+        (
+            (radius_m / lat_cell_m).ceil() as usize,
+            (radius_m / (lat_cell_m * cos_min)).ceil() as usize,
+        )
+    } else {
+        (usize::MAX, usize::MAX)
+    };
+    let mut hits: Vec<(f32, u32)> = idx
+        .items()
+        .iter()
+        .filter(|it| !idx.is_removed(it.id))
+        .filter(|it| cfg.delta_t.is_none_or(|dt| (it.ts - q.ts).abs() <= dt))
+        .filter(|it| {
+            let (r, c) = grid.cell_coords(&it.point);
+            r.abs_diff(qr) <= ring_r && c.abs_diff(qc) <= ring_c
+        })
+        .map(|it| (ann::d2(&q.embedding, &it.embedding), it.id))
+        .collect();
+    hits.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+    hits.truncate(k);
+    hits.into_iter().map(|(d, id)| (id, d.to_bits())).collect()
+}
+
+/// Radii the properties query at: inside one cell, a few cells, and no
+/// spatial limit.
+const RADII: [f64; 4] = [300.0, 1_500.0, 5_000.0, f64::INFINITY];
+
+/// Checks `query` against [`reference`] for a spread of probes and radii.
+fn assert_exact(idx: &AnnIndex, probes: &[AnnItem], k: usize) {
+    for q in probes {
+        for radius in RADII {
+            prop_assert_eq!(
+                bits(&idx.query(&q.point, q.ts, &q.embedding, k, radius)),
+                reference(idx, q, k, radius),
+                "probe {} k {} radius {}",
+                q.id,
+                k,
+                radius
+            );
+        }
+    }
+}
+
+fn probes(items: &[AnnItem]) -> Vec<AnnItem> {
+    let n = items.len();
+    [0, n / 3, n / 2, 2 * n / 3, n - 1]
+        .iter()
+        .map(|&i| items[i].clone())
+        .collect()
+}
+
+/// No window, or a window of whole quarter hours up to 12 h: every other
+/// width lands exactly on the 30-minute timestamp grid, so members sit on
+/// both window edges.
+fn delta_t() -> impl Strategy<Value = Option<i64>> {
+    (any::<bool>(), 0i64..48).prop_map(|(on, m)| on.then_some(m * 900))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn beam_top1_never_worse_than_exhaustive(
+    fn batch_build_query_is_exact(
         seed in any::<u64>(),
-        n in 2usize..=256,
-        probe in any::<u64>(),
+        n in 1usize..=256,
+        k in 1usize..=24,
+        dt in delta_t(),
     ) {
         let items = world(seed, n, 6);
-        // Tiny exact threshold forces graph buckets almost everywhere.
-        let idx = AnnIndex::build(items.clone(), cfg_for(n, 2, None));
-        let q = &items[(probe % n as u64) as usize];
-        let got = idx.query(&q.point, q.ts, &q.embedding, 1, f64::INFINITY);
-        let oracle = idx.exhaustive(q.ts, &q.embedding, 1);
-        prop_assert_eq!(got.len(), 1);
-        prop_assert_eq!(oracle.len(), 1);
-        // Never worse: distances may tie across distinct ids, but the beam
-        // top-1 cannot be farther than the exhaustive top-1.
-        prop_assert!(
-            got[0].d2 <= oracle[0].d2,
-            "beam d2 {} worse than oracle d2 {}",
-            got[0].d2,
-            oracle[0].d2
-        );
-    }
-
-    #[test]
-    fn beam_with_delta_t_matches_oracle_top1(
-        seed in any::<u64>(),
-        n in 8usize..=192,
-        dt in 600i64..43_200,
-    ) {
-        let items = world(seed, n, 4);
-        let idx = AnnIndex::build(items.clone(), cfg_for(n, 2, Some(dt)));
-        let q = &items[0];
-        let got = idx.query(&q.point, q.ts, &q.embedding, 1, f64::INFINITY);
-        let oracle = idx.exhaustive(q.ts, &q.embedding, 1);
-        prop_assert_eq!(got.len(), oracle.len());
-        if let (Some(g), Some(o)) = (got.first(), oracle.first()) {
-            prop_assert!(g.d2 <= o.d2);
-        }
+        let idx = AnnIndex::build(items.clone(), cfg(dt));
+        assert_exact(&idx, &probes(&items), k);
     }
 
     #[test]
@@ -135,9 +184,8 @@ proptest! {
         let items = world(seed, n, 4);
         let mut shuffled = items.clone();
         fisher_yates(&mut shuffled, shuffle_seed);
-        let cfg = cfg_for(n, 4, None);
-        let a = AnnIndex::build(items.clone(), cfg.clone());
-        let b = AnnIndex::build(shuffled, cfg);
+        let a = AnnIndex::build(items.clone(), cfg(None));
+        let b = AnnIndex::build(shuffled, cfg(None));
         prop_assert_eq!(a.structure_fingerprint(), b.structure_fingerprint());
         for probe in [0, n / 2, n - 1] {
             let q = &items[probe];
@@ -153,39 +201,38 @@ proptest! {
         seed in any::<u64>(),
         shuffle_seed in any::<u64>(),
         n in 2usize..=96,
+        k in 1usize..=16,
+        dt in delta_t(),
     ) {
         let items = world(seed, n, 4);
-        let cfg = cfg_for(n, 4, None);
         let bounds = bounds_of(&items);
-        let batch = AnnIndex::build_bounded(items.clone(), cfg.clone(), bounds);
+        let batch = AnnIndex::build_bounded(items.clone(), cfg(dt), bounds);
 
-        // Ascending-id inserts take the in-place extension fast path.
-        let mut asc = AnnIndex::new_empty(cfg.clone(), bounds);
+        // Ascending ids: every insert appends a slot.
+        let mut asc = AnnIndex::new_empty(cfg(dt), bounds);
         for it in &items {
             prop_assert!(asc.insert(it.clone()));
         }
         prop_assert_eq!(batch.structure_fingerprint(), asc.structure_fingerprint());
 
-        // A shuffled order exercises the out-of-order rebuild path; the
+        // A shuffled order renumbers slots on every out-of-order id; the
         // end state must be the same index either way.
         let mut shuffled = items.clone();
         fisher_yates(&mut shuffled, shuffle_seed);
-        let mut ooo = AnnIndex::new_empty(cfg, bounds);
+        let mut ooo = AnnIndex::new_empty(cfg(dt), bounds);
         for it in &shuffled {
             prop_assert!(ooo.insert(it.clone()));
         }
         prop_assert_eq!(batch.structure_fingerprint(), ooo.structure_fingerprint());
 
-        for probe in [0, n / 2, n - 1] {
-            let q = &items[probe];
-            let want = batch.query(&q.point, q.ts, &q.embedding, 8, f64::INFINITY);
+        let probes = probes(&items);
+        assert_exact(&asc, &probes, k);
+        assert_exact(&ooo, &probes, k);
+        for q in &probes {
+            let want = batch.query(&q.point, q.ts, &q.embedding, k, f64::INFINITY);
             prop_assert_eq!(
-                want.clone(),
-                asc.query(&q.point, q.ts, &q.embedding, 8, f64::INFINITY)
-            );
-            prop_assert_eq!(
-                want,
-                ooo.query(&q.point, q.ts, &q.embedding, 8, f64::INFINITY)
+                bits(&want),
+                bits(&ooo.query(&q.point, q.ts, &q.embedding, k, f64::INFINITY))
             );
         }
         // Re-delivery of any item is rejected without perturbing the index.
@@ -199,26 +246,51 @@ proptest! {
         seed in any::<u64>(),
         n in 4usize..=96,
         stride in 2usize..=5,
+        k in 1usize..=16,
+        dt in delta_t(),
+        cutoff in 0i64..86_400,
     ) {
         let items = world(seed, n, 4);
-        // Beam ≥ n: search is exhaustive-equivalent, so query answers over
-        // live items must be identical before and after compaction.
-        let mut idx = AnnIndex::build(items.clone(), cfg_for(n, 2, None));
+        let mut idx = AnnIndex::build(items.clone(), cfg(dt));
         let removed: Vec<u32> = (0..n as u32).step_by(stride).collect();
         for &id in &removed {
             prop_assert!(idx.remove(id));
         }
         prop_assert_eq!(idx.live_len(), n - removed.len());
+        let probes = probes(&items);
+        assert_exact(&idx, &probes, k);
         let q = &items[1 % n];
-        let before = idx.query(&q.point, q.ts, &q.embedding, n, f64::INFINITY);
-        for hit in &before {
+        let all = idx.query(&q.point, q.ts, &q.embedding, n, f64::INFINITY);
+        for hit in &all {
             prop_assert!(!removed.contains(&hit.id), "tombstoned id {} surfaced", hit.id);
         }
-        prop_assert_eq!(before.len(), idx.live_len());
+        if dt.is_none() {
+            prop_assert_eq!(all.len(), idx.live_len());
+        }
+
+        // Eviction drops each bucket's time-sorted prefix.
+        let stale = items
+            .iter()
+            .filter(|it| it.ts < cutoff && !removed.contains(&it.id))
+            .count();
+        prop_assert_eq!(idx.evict_older_than(cutoff), stale);
+        prop_assert_eq!(idx.live_len(), n - removed.len() - stale);
+        assert_exact(&idx, &probes, k);
+
+        // Compaction renumbers slots without changing a live answer, and
+        // matches a batch build over the survivors.
+        let before: Vec<Vec<(u32, u32)>> = probes
+            .iter()
+            .map(|q| bits(&idx.query(&q.point, q.ts, &q.embedding, k, 1_500.0)))
+            .collect();
         idx.compact();
         prop_assert_eq!(idx.len(), idx.live_len());
-        let after = idx.query(&q.point, q.ts, &q.embedding, n, f64::INFINITY);
-        prop_assert_eq!(before, after);
+        assert_exact(&idx, &probes, k);
+        for (q, want) in probes.iter().zip(&before) {
+            prop_assert_eq!(&bits(&idx.query(&q.point, q.ts, &q.embedding, k, 1_500.0)), want);
+        }
+        let survivors = AnnIndex::build_bounded(idx.items().to_vec(), cfg(dt), idx.bounds());
+        prop_assert_eq!(idx.structure_fingerprint(), survivors.structure_fingerprint());
     }
 
     #[test]
@@ -226,18 +298,20 @@ proptest! {
         seed in any::<u64>(),
         n in 2usize..=128,
         k in 1usize..=16,
+        dt in delta_t(),
     ) {
         let items = world(seed, n, 4);
-        let idx = AnnIndex::build(items.clone(), cfg_for(n, 4, Some(14_400)));
+        let idx = AnnIndex::build(items.clone(), cfg(dt));
         let json = serde_json::to_string(&idx.snapshot()).expect("snapshot serializes");
         let snap = serde_json::from_str(&json).expect("snapshot parses");
         let back = AnnIndex::from_snapshot(snap);
         prop_assert_eq!(idx.structure_fingerprint(), back.structure_fingerprint());
+        assert_exact(&back, &probes(&items), k);
         for probe in [0, n / 3, 2 * n / 3] {
             let q = &items[probe];
             prop_assert_eq!(
-                idx.query(&q.point, q.ts, &q.embedding, k, f64::INFINITY),
-                back.query(&q.point, q.ts, &q.embedding, k, f64::INFINITY)
+                bits(&idx.query(&q.point, q.ts, &q.embedding, k, f64::INFINITY)),
+                bits(&back.query(&q.point, q.ts, &q.embedding, k, f64::INFINITY))
             );
             prop_assert_eq!(
                 idx.exhaustive(q.ts, &q.embedding, k),

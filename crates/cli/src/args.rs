@@ -42,6 +42,24 @@ impl Flags {
         self.values.get(name).map(String::as_str)
     }
 
+    /// Fails on a flag not named in the space-separated `known` list,
+    /// naming it (the alphabetically first, when there are several).
+    pub fn check_known(&self, command: &str, known: &str) -> Result<(), String> {
+        let mut unknown: Vec<&str> = self
+            .values
+            .keys()
+            .map(String::as_str)
+            .filter(|name| !known.split_whitespace().any(|k| k == *name))
+            .collect();
+        unknown.sort_unstable();
+        match unknown.first() {
+            Some(name) => Err(format!(
+                "unknown flag --{name} for `{command}`; run `hisrect help`"
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// An optional parsed flag with a default.
     pub fn parse_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.values.get(name) {
@@ -83,6 +101,14 @@ mod tests {
         let f = parse_flags(&argv(&[])).unwrap();
         let err = f.require("corpus").unwrap_err();
         assert!(err.contains("--corpus"));
+    }
+
+    #[test]
+    fn unknown_flags_are_named() {
+        let f = parse_flags(&argv(&["--seed", "7", "--zeta", "1", "--beta", "2"])).unwrap();
+        let err = f.check_known("stats", "threads seed").unwrap_err();
+        assert!(err.contains("--beta"), "{err}");
+        assert!(f.check_known("stats", "seed beta zeta").is_ok());
     }
 
     #[test]

@@ -82,6 +82,44 @@ APPROACHES (for train --approach):
     one-hot, blstm, convlstm
 ";
 
+/// Flags every command accepts.
+const GLOBAL_FLAGS: &str = "threads metrics-out log-level faults";
+
+/// The flags each command reads besides [`GLOBAL_FLAGS`]. Any other flag
+/// is an error, so a typo or a removed option is not silently ignored.
+const COMMAND_FLAGS: &[(&str, &str)] = &[
+    ("simulate", "preset seed out social"),
+    ("stats", "corpus seed"),
+    (
+        "train",
+        "corpus seed out approach iters judge-iters early-stop \
+         checkpoint-dir checkpoint-every resume",
+    ),
+    ("judge", "corpus seed model precision pair"),
+    ("candidates", "corpus seed model precision profile top-k"),
+    ("infer", "corpus seed model top-k"),
+    ("cluster", "corpus seed model group-size"),
+    (
+        "serve",
+        "corpus seed model addr workers cache-capacity batch-size queue-depth \
+         read-timeout-ms precision default-deadline-ms admission-rate admission-burst \
+         breaker-failures breaker-cooldown-ms breaker-latency-budget-ms",
+    ),
+    (
+        "route",
+        "shards addr workers queue-depth read-timeout-ms vnodes health-interval-ms \
+         fail-threshold upstream-timeout-ms",
+    ),
+    (
+        "ingest",
+        "dir preset seed events retrain-every drift-every-days window-secs gap-slack \
+         serve-addr warm-start iters judge-iters",
+    ),
+    ("help", ""),
+    ("--help", ""),
+    ("-h", ""),
+];
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = argv.first() else {
@@ -95,6 +133,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // An unknown command is reported by the dispatch below.
+    if let Some((_, known)) = COMMAND_FLAGS.iter().find(|(c, _)| *c == command.as_str()) {
+        if let Err(e) = flags.check_known(command, &format!("{GLOBAL_FLAGS} {known}")) {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
     match flags.parse_or("threads", 0usize) {
         Ok(0) => {} // keep HISRECT_THREADS / core-count default
         Ok(n) => parallel::set_threads(n),

@@ -42,6 +42,48 @@ fn unknown_command_fails_with_hint() {
 }
 
 #[test]
+fn unknown_and_removed_flags_are_rejected_by_name() {
+    let dir = tmpdir("unknown-flags");
+    let corpus = dir.join("corpus.json");
+    let corpus_s = corpus.to_str().unwrap();
+    let cases: [&[&str]; 4] = [
+        &["simulate", "--out", corpus_s, "--watchdog-stall-ms", "5"],
+        &[
+            "serve",
+            "--corpus",
+            corpus_s,
+            "--model",
+            corpus_s,
+            "--batch-deadline-ms",
+            "2",
+        ],
+        &[
+            "serve",
+            "--corpus",
+            corpus_s,
+            "--model",
+            corpus_s,
+            "--admission-watermark",
+            "64",
+        ],
+        &["stats", "--corpus", corpus_s, "--top-k", "3"],
+    ];
+    for argv in cases {
+        let out = run(argv);
+        assert!(!out.status.success(), "{argv:?} must fail");
+        let flag = argv[argv.len() - 2];
+        assert!(
+            stderr(&out).contains(&format!("unknown flag {flag}")),
+            "{argv:?}: {}",
+            stderr(&out)
+        );
+    }
+    // Rejected before any work: simulate wrote nothing.
+    assert!(!corpus.exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn missing_flags_are_reported() {
     let out = run(&["simulate"]);
     assert!(!out.status.success());

@@ -3,9 +3,10 @@
 //! [`CandidateService`] turns the pairwise judge into a query engine: at
 //! build time it embeds every corpus profile with `E'` and indexes the
 //! vectors in [`ann::AnnIndex`], keyed by tweet location (coarse grid
-//! cell) and timestamp (Δt window). A query retrieves the top-k nearest
-//! embeddings within the spatial/temporal window and re-scores each hit
-//! with the classifier `C` — O(embed_dim) per candidate instead of a full
+//! cell) and timestamp (each cell is sorted by time). A query retrieves
+//! exactly the top-k nearest embeddings among the profiles in the radius's
+//! cell ring that tweeted within Δt, and re-scores each hit with the
+//! classifier `C` — O(embed_dim) per candidate instead of a full
 //! featurize-and-judge pass.
 //!
 //! The CLI `candidates` command and the HTTP `POST /candidates` route
@@ -80,8 +81,8 @@ impl CandidateService {
     }
 
     /// Builds the index over every profile of `dataset`: features at the
-    /// service's precision, then `E'` embeddings, then the grid/graph
-    /// index. Construction is deterministic (and thread-count
+    /// service's precision, then `E'` embeddings, then the time-sorted grid
+    /// buckets. Construction is deterministic (and thread-count
     /// independent), so two builds from the same snapshot answer
     /// identically.
     pub fn build_with(judge: &JudgeService, dataset: &Dataset, cfg: CandidateConfig) -> Self {

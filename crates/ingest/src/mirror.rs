@@ -2,11 +2,13 @@
 //!
 //! [`CandidateMirror`] shadows an [`Ingestor`]: each `sync` embeds every
 //! newly materialized kept-user profile with the *current model
-//! generation* and appends it to an [`AnnIndex`] through the incremental
-//! [`AnnIndex::insert`] fast path (ids are assigned in insertion order,
-//! so no rebuilds happen during steady-state streaming). Profiles that
+//! generation* and adds it to an [`AnnIndex`] with
+//! [`AnnIndex::insert`] — a sorted insert into the one time-sorted grid
+//! bucket its tweet lands in (ids are assigned in insertion order, so no
+//! slot is ever renumbered during steady-state streaming). Profiles that
 //! fall out of the retention window are tombstoned via
-//! [`AnnIndex::evict_older_than`].
+//! [`AnnIndex::evict_older_than`], which drops the oldest prefix of each
+//! bucket.
 //!
 //! Embeddings are a function of the model, so a `/reload` invalidates
 //! every cached vector: [`CandidateMirror::invalidate`] rebuilds the
@@ -149,11 +151,7 @@ mod tests {
     fn ann_cfg() -> AnnConfig {
         AnnConfig {
             cell_deg: 0.01,
-            exact_threshold: 4,
-            graph_degree: 4,
-            beam_width: 32,
             delta_t: None,
-            seed: 7,
         }
     }
 

@@ -19,7 +19,6 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// A worker panic captured by one of the `try_*` helpers: the pool was
 /// drained cleanly (every sibling worker ran to completion or panicked
@@ -337,17 +336,6 @@ pub enum TrySendError<T> {
     Closed(T),
 }
 
-/// Outcome of a [`Channel::recv_timeout`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum RecvTimeout<T> {
-    /// An item arrived within the deadline.
-    Item(T),
-    /// The deadline passed with the queue still empty.
-    TimedOut,
-    /// The channel is closed and drained; no item will ever arrive.
-    Closed,
-}
-
 struct ChannelState<T> {
     queue: VecDeque<T>,
     closed: bool,
@@ -412,29 +400,6 @@ impl<T> Channel<T> {
                 return None;
             }
             st = self.not_empty.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Like [`Channel::recv`] with a deadline.
-    pub fn recv_timeout(&self, timeout: Duration) -> RecvTimeout<T> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.lock();
-        loop {
-            if let Some(item) = st.queue.pop_front() {
-                return RecvTimeout::Item(item);
-            }
-            if st.closed {
-                return RecvTimeout::Closed;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return RecvTimeout::TimedOut;
-            }
-            let (guard, _) = self
-                .not_empty
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            st = guard;
         }
     }
 
@@ -657,10 +622,6 @@ mod tests {
         assert_eq!(ch.try_send("b"), Err(TrySendError::Closed("b")));
         assert_eq!(ch.recv(), Some("a"));
         assert_eq!(ch.recv(), None);
-        assert_eq!(
-            ch.recv_timeout(Duration::from_millis(5)),
-            RecvTimeout::Closed
-        );
     }
 
     #[test]
@@ -692,15 +653,6 @@ mod tests {
         assert_eq!(ch.drain_into(&mut out, 1), 0);
         assert_eq!(out, vec!["a"]);
         assert_eq!(ch.recv(), None);
-    }
-
-    #[test]
-    fn recv_timeout_times_out_on_empty() {
-        let ch: Channel<u8> = Channel::bounded(1);
-        assert_eq!(
-            ch.recv_timeout(Duration::from_millis(5)),
-            RecvTimeout::TimedOut
-        );
     }
 
     #[test]
