@@ -6,7 +6,8 @@
 //!    "cell ring ∩ Δt window ∩ not removed" scan — same ids, same `d2`
 //!    bits, same `(d2, id)` order — after a batch build, ascending or
 //!    out-of-order inserts, removals, eviction, compaction, and a snapshot
-//!    round-trip.
+//!    round-trip. With no spatial limit its top-1 is the exhaustive
+//!    oracle's top-1, with and without a Δt window.
 //! 2. Insertion order does not change the index structure or any answer —
 //!    construction canonicalizes to id order.
 //! 3. A serialized snapshot rebuilds to a bit-identical index.
@@ -173,6 +174,55 @@ proptest! {
         let items = world(seed, n, 6);
         let idx = AnnIndex::build(items.clone(), cfg(dt));
         assert_exact(&idx, &probes(&items), k);
+    }
+
+    /// Unbounded-radius top-1 equals the exhaustive oracle's top-1 (same id,
+    /// same `d2` bits), so it is never farther.
+    #[test]
+    fn beam_top1_never_worse_than_exhaustive(
+        seed in any::<u64>(),
+        n in 2usize..=256,
+        probe in any::<u64>(),
+    ) {
+        let items = world(seed, n, 6);
+        let idx = AnnIndex::build(items.clone(), cfg(None));
+        let q = &items[(probe % n as u64) as usize];
+        let got = idx.query(&q.point, q.ts, &q.embedding, 1, f64::INFINITY);
+        let oracle = idx.exhaustive(q.ts, &q.embedding, 1);
+        prop_assert_eq!(got.len(), 1);
+        prop_assert_eq!(oracle.len(), 1);
+        prop_assert!(
+            got[0].d2 <= oracle[0].d2,
+            "query d2 {} worse than oracle d2 {}",
+            got[0].d2,
+            oracle[0].d2
+        );
+        prop_assert_eq!(bits(&got), bits(&oracle));
+    }
+
+    /// The same top-1 agreement under a Δt window, including windows whose
+    /// edges fall exactly on member timestamps.
+    #[test]
+    fn beam_with_delta_t_matches_oracle_top1(
+        seed in any::<u64>(),
+        n in 8usize..=192,
+        dt in 600i64..43_200,
+        edge in any::<bool>(),
+    ) {
+        let items = world(seed, n, 4);
+        // Round to the 30-minute timestamp grid half the time so members
+        // sit on both window edges.
+        let dt = if edge { dt / 1_800 * 1_800 } else { dt };
+        let idx = AnnIndex::build(items.clone(), cfg(Some(dt)));
+        for q in probes(&items) {
+            let got = idx.query(&q.point, q.ts, &q.embedding, 1, f64::INFINITY);
+            let oracle = idx.exhaustive(q.ts, &q.embedding, 1);
+            prop_assert_eq!(got.len(), oracle.len());
+            if let (Some(g), Some(o)) = (got.first(), oracle.first()) {
+                prop_assert!(g.d2 <= o.d2);
+            }
+            prop_assert_eq!(bits(&got), bits(&oracle));
+        }
     }
 
     #[test]
