@@ -289,6 +289,69 @@ mod tests {
         );
     }
 
+    /// A corpus over ~300 words with a skewed (Zipf-like) frequency, so
+    /// negatives come from a long CDF and targets rarely repeat.
+    fn zipf_corpus() -> (Vocab, Vec<Vec<usize>>) {
+        let mut rng = StdRng::seed_from_u64(6);
+        let docs: Vec<Vec<String>> = (0..300)
+            .map(|_| {
+                let len = rng.gen_range(1..=14);
+                (0..len)
+                    .map(|_| {
+                        let u: f64 = rng.gen_range(0.0..1.0);
+                        format!("w{}", (u * u * u * 300.0) as usize)
+                    })
+                    .collect()
+            })
+            .collect();
+        let vocab = Vocab::build(docs.iter().map(|d| d.as_slice()), 1);
+        let encoded = docs.iter().map(|d| vocab.encode(d)).collect();
+        (vocab, encoded)
+    }
+
+    /// FNV-1a over the bits of every word vector.
+    fn fnv(m: &Matrix) -> u64 {
+        m.as_slice().iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            x.to_bits()
+                .to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    /// The trained vectors and the returned loss are pinned by bits: the
+    /// RNG draw order and every element's arithmetic order are part of
+    /// the contract (DESIGN, "Training kernels").
+    #[test]
+    fn trained_vectors_and_loss_are_pinned() {
+        let (topic_vocab, topic_docs) = topic_corpus();
+        let (zipf_vocab, zipf_docs) = zipf_corpus();
+        let cases = [
+            (&topic_vocab, &topic_docs, 16, 3, 5, 0x4a60u64),
+            (&zipf_vocab, &zipf_docs, 13, 5, 7, 0x4a61),
+        ];
+        let mut got = Vec::new();
+        for (vocab, docs, dim, window, negatives, seed) in cases {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cfg = SkipGramConfig {
+                dim,
+                window,
+                negatives,
+                ..SkipGramConfig::default()
+            };
+            let mut sg = SkipGram::new(vocab, cfg, &mut rng);
+            let loss = sg.train(docs, &mut rng);
+            got.push((fnv(sg.vectors()), loss.to_bits(), rng.gen::<u64>()));
+        }
+        assert_eq!(got, PINNED, "{got:x?}");
+    }
+
+    /// `(FNV of vectors(), loss bits, next RNG draw)` per case.
+    const PINNED: [(u64, u32, u64); 2] = [
+        (0xb130_6e6f_661a_ef1a, 0x3fee_9bc4, 0x45fb_6ef6_20e8_fe39),
+        (0xb90e_e133_0e81_0c52, 0x403d_0657, 0x53c7_da73_9ef1_154a),
+    ];
+
     #[test]
     fn deterministic_given_seed() {
         let (vocab, docs) = topic_corpus();
