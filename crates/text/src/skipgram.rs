@@ -76,13 +76,25 @@ impl SkipGram {
 
     /// Trains over encoded documents (`Vec<usize>` id streams). Returns the
     /// mean SGNS loss of the final epoch.
+    ///
+    /// The vectors, the loss and the RNG stream are those of the plain
+    /// loop (per pair: draw a negative, score it, update, draw the next):
+    /// every draw is made in the same order and every element sees the
+    /// same operations in the same order (DESIGN, "Training kernels").
     #[allow(clippy::needless_range_loop)] // window scan over positions, not elements
     pub fn train<R: Rng>(&mut self, docs: &[Vec<usize>], rng: &mut R) -> f32 {
         let total_steps: usize =
             docs.iter().map(|d| d.len()).sum::<usize>().max(1) * self.cfg.epochs.max(1);
+        let negatives = NegativeTable::new(&self.cdf);
+        let mut scratch = Scratch {
+            grad: vec![0.0; self.cfg.dim],
+            targets: Vec::with_capacity(self.cfg.negatives + 1),
+        };
         let mut step = 0usize;
         let mut last_epoch_loss = 0.0f64;
-        for _epoch in 0..self.cfg.epochs {
+        for epoch in 0..self.cfg.epochs {
+            // Only the final epoch's loss is returned, so only it pays `ln`.
+            let with_loss = epoch + 1 == self.cfg.epochs;
             let mut epoch_loss = 0.0f64;
             let mut epoch_pairs = 0usize;
             for doc in docs {
@@ -96,7 +108,20 @@ impl SkipGram {
                         if ctx_pos == center_pos {
                             continue;
                         }
-                        epoch_loss += self.sgns_step(center, doc[ctx_pos], lr, rng) as f64;
+                        // Every negative is drawn before any update: nothing
+                        // else draws in between, so the stream is unchanged.
+                        let targets = &mut scratch.targets;
+                        targets.clear();
+                        targets.push(doc[ctx_pos]);
+                        for _ in 0..self.cfg.negatives {
+                            let t = negatives.sample(rng);
+                            if t != doc[ctx_pos] {
+                                targets.push(t); // a collision with the positive is skipped
+                            }
+                        }
+                        let (input, output) = (&mut self.input, &mut self.output);
+                        let loss = sgns_step(input, output, center, lr, with_loss, &mut scratch);
+                        epoch_loss += loss as f64;
                         epoch_pairs += 1;
                     }
                     step += 1;
@@ -105,54 +130,6 @@ impl SkipGram {
             last_epoch_loss = epoch_loss / epoch_pairs.max(1) as f64;
         }
         last_epoch_loss as f32
-    }
-
-    /// One positive pair plus `negatives` sampled negatives; returns the
-    /// pair's loss.
-    #[allow(clippy::needless_range_loop)] // parallel-array updates read clearer indexed
-    fn sgns_step<R: Rng>(&mut self, center: usize, context: usize, lr: f32, rng: &mut R) -> f32 {
-        let dim = self.cfg.dim;
-        let mut grad_center = vec![0.0f32; dim];
-        let mut loss = 0.0f32;
-        for neg in 0..=self.cfg.negatives {
-            let (target, label) = if neg == 0 {
-                (context, 1.0f32)
-            } else {
-                (self.sample_negative(rng), 0.0f32)
-            };
-            if neg > 0 && target == context {
-                continue; // collided with the positive: skip
-            }
-            let dot: f32 = (0..dim)
-                .map(|d| self.input.get(center, d) * self.output.get(target, d))
-                .sum();
-            let sig = 1.0 / (1.0 + (-dot).exp());
-            loss += if label > 0.5 {
-                -(sig.max(1e-7)).ln()
-            } else {
-                -((1.0 - sig).max(1e-7)).ln()
-            };
-            let g = (sig - label) * lr;
-            for d in 0..dim {
-                let out = self.output.get(target, d);
-                grad_center[d] += g * out;
-                self.output
-                    .set(target, d, out - g * self.input.get(center, d));
-            }
-        }
-        for d in 0..dim {
-            let v = self.input.get(center, d) - grad_center[d];
-            self.input.set(center, d, v);
-        }
-        loss
-    }
-
-    fn sample_negative<R: Rng>(&self, rng: &mut R) -> usize {
-        let total = *self.cdf.last().expect("non-empty vocab");
-        let x = rng.gen_range(0.0..total);
-        self.cdf
-            .partition_point(|&c| c <= x)
-            .min(self.cdf.len() - 1)
     }
 
     /// Embedding dimensionality.
@@ -193,6 +170,159 @@ impl SkipGram {
         } else {
             dot / (na * nb)
         }
+    }
+}
+
+/// One positive pair (`targets[0]`) plus its drawn negatives (the
+/// rest), in order; returns the pair's loss, or `0.0` without
+/// `with_loss`.
+///
+/// The dot of each target's first occurrence is taken up front, four
+/// chains interleaved, each still an ascending-`d` sum: the center row
+/// does not change until the end, and no earlier target has touched
+/// that output row. A repeated target re-reads its row after the
+/// earlier update, as the one-at-a-time loop did.
+fn sgns_step(
+    input_vectors: &mut Matrix,
+    output_vectors: &mut Matrix,
+    center: usize,
+    lr: f32,
+    with_loss: bool,
+    s: &mut Scratch,
+) -> f32 {
+    let dim = input_vectors.cols();
+    let input = input_vectors.row(center);
+    let output = output_vectors.as_mut_slice();
+    let row = |t: usize| t * dim..(t + 1) * dim;
+    let mut dots = [0.0f32; MAX_CHAINS];
+    let n = s.targets.len().min(MAX_CHAINS);
+    let first = |j: usize| !s.targets[..j].contains(&s.targets[j]);
+    let mut j = 0;
+    while j < n {
+        let mut rows = [&output[row(s.targets[j])]; 4];
+        for (c, r) in rows.iter_mut().enumerate().skip(1) {
+            if j + c < n {
+                *r = &output[row(s.targets[j + c])];
+            }
+        }
+        let acc = dot4(input, rows);
+        let lanes = (n - j).min(4);
+        dots[j..j + lanes].copy_from_slice(&acc[..lanes]);
+        j += 4;
+    }
+    s.grad.fill(0.0);
+    let mut loss = 0.0f32;
+    for (j, &target) in s.targets.iter().enumerate() {
+        let label = if j == 0 { 1.0f32 } else { 0.0 };
+        let o = &mut output[row(target)];
+        let dot = if j < n && first(j) {
+            dots[j]
+        } else {
+            dot(input, o)
+        };
+        let sig = 1.0 / (1.0 + (-dot).exp());
+        if with_loss {
+            loss += if label > 0.5 {
+                -(sig.max(1e-7)).ln()
+            } else {
+                -((1.0 - sig).max(1e-7)).ln()
+            };
+        }
+        let g = (sig - label) * lr;
+        for ((gc, ov), &iv) in s.grad.iter_mut().zip(o.iter_mut()).zip(input) {
+            let out = *ov;
+            *gc += g * out;
+            *ov = out - g * iv;
+        }
+    }
+    for (v, &gc) in input_vectors.row_mut(center).iter_mut().zip(&s.grad) {
+        *v -= gc;
+    }
+    loss
+}
+
+/// Upper bound on the targets whose dots [`sgns_step`] takes
+/// up front; targets past it are scored one at a time.
+const MAX_CHAINS: usize = 16;
+
+/// Per-run buffers of [`SkipGram::train`], allocated once.
+struct Scratch {
+    /// The center row's gradient, summed over one pair's targets.
+    grad: Vec<f32>,
+    /// One pair's targets: the context, then the kept negatives.
+    targets: Vec<usize>,
+}
+
+/// `Σ_d x[d]·y[d]` as one ascending-`d` chain from `-0.0`, the start
+/// `Iterator::sum` uses for `f32`.
+#[inline]
+fn dot(x: &[f32], y: &[f32]) -> f32 {
+    x.iter().zip(y).fold(-0.0, |acc, (&a, &b)| acc + a * b)
+}
+
+/// Four [`dot`]s of `x`, interleaved: each chain alone is bit-identical
+/// to [`dot`], and the four hide each other's add latency.
+#[inline]
+fn dot4(x: &[f32], ys: [&[f32]; 4]) -> [f32; 4] {
+    let mut acc = [-0.0f32; 4];
+    let [a, b, c, d] = ys.map(|y| &y[..x.len()]);
+    for (i, &v) in x.iter().enumerate() {
+        acc[0] += v * a[i];
+        acc[1] += v * b[i];
+        acc[2] += v * c[i];
+        acc[3] += v * d[i];
+    }
+    acc
+}
+
+/// Draws negatives from the unigram^0.75 CDF: a guide table over
+/// equal-width buckets of `[0, total)` gives each draw a starting index
+/// no greater than its answer, and a forward scan finishes it, so the
+/// index is exactly `cdf.partition_point(|c| c <= x)` (clamped to the
+/// last word) for the same `x` — the same draw as a binary search.
+struct NegativeTable<'a> {
+    cdf: &'a [f64],
+    total: f64,
+    /// Buckets per unit of cumulative weight.
+    scale: f64,
+    /// Per bucket, the answer for a point a half bucket below its start:
+    /// a lower bound for every `x` that lands in the bucket.
+    guide: Vec<u32>,
+}
+
+impl<'a> NegativeTable<'a> {
+    fn new(cdf: &'a [f64]) -> Self {
+        let total = *cdf.last().expect("non-empty vocab");
+        let buckets = cdf.len();
+        let scale = buckets as f64 / total;
+        let guide = (0..buckets)
+            .map(|b| {
+                let below = (b as f64 - 0.5) / scale;
+                cdf.partition_point(|&c| c <= below) as u32
+            })
+            .collect();
+        Self {
+            cdf,
+            total,
+            scale,
+            guide,
+        }
+    }
+
+    fn sample<R: Rng>(&self, rng: &mut R) -> usize {
+        self.index(rng.gen_range(0.0..self.total))
+    }
+
+    /// `cdf.partition_point(|c| c <= x).min(cdf.len() - 1)` for `x` in
+    /// `[0, total)`.
+    fn index(&self, x: f64) -> usize {
+        let b = ((x * self.scale) as usize).min(self.guide.len() - 1);
+        let last = self.cdf.len() - 1;
+        let mut i = self.guide[b] as usize;
+        while i < last && self.cdf[i] <= x {
+            i += 1;
+        }
+        i
     }
 }
 
@@ -279,7 +409,7 @@ mod tests {
         let sg = SkipGram::new(&vocab, SkipGramConfig::default(), &mut rng);
         let mut seen = vec![false; vocab.len()];
         for _ in 0..5_000 {
-            seen[sg.sample_negative(&mut rng)] = true;
+            seen[NegativeTable::new(&sg.cdf).sample(&mut rng)] = true;
         }
         let covered = seen.iter().filter(|&&s| s).count();
         assert!(
@@ -351,6 +481,146 @@ mod tests {
         (0xb130_6e6f_661a_ef1a, 0x3fee_9bc4, 0x45fb_6ef6_20e8_fe39),
         (0xb90e_e133_0e81_0c52, 0x403d_0657, 0x53c7_da73_9ef1_154a),
     ];
+
+    /// The one-target-at-a-time loop [`SkipGram::train`] replaced, kept
+    /// as the reference it must equal bit for bit.
+    fn train_reference(sg: &mut SkipGram, docs: &[Vec<usize>], rng: &mut StdRng) -> f32 {
+        let cfg = sg.cfg.clone();
+        let total_steps = docs.iter().map(|d| d.len()).sum::<usize>().max(1) * cfg.epochs.max(1);
+        let mut step = 0usize;
+        let mut last_epoch_loss = 0.0f64;
+        for _ in 0..cfg.epochs {
+            let (mut epoch_loss, mut epoch_pairs) = (0.0f64, 0usize);
+            for doc in docs {
+                for (center_pos, &center) in doc.iter().enumerate() {
+                    let w = rng.gen_range(1..=cfg.window);
+                    let lo = center_pos.saturating_sub(w);
+                    let hi = (center_pos + w).min(doc.len().saturating_sub(1));
+                    let lr = cfg.lr * (1.0 - step as f32 / total_steps as f32).max(0.05);
+                    for ctx_pos in (lo..=hi).filter(|&p| p != center_pos) {
+                        epoch_loss += step_reference(sg, center, doc[ctx_pos], lr, rng) as f64;
+                        epoch_pairs += 1;
+                    }
+                    step += 1;
+                }
+            }
+            last_epoch_loss = epoch_loss / epoch_pairs.max(1) as f64;
+        }
+        last_epoch_loss as f32
+    }
+
+    #[allow(clippy::needless_range_loop)] // the reference's literal indexing
+    fn step_reference(
+        sg: &mut SkipGram,
+        center: usize,
+        context: usize,
+        lr: f32,
+        rng: &mut StdRng,
+    ) -> f32 {
+        let dim = sg.cfg.dim;
+        let mut grad_center = vec![0.0f32; dim];
+        let mut loss = 0.0f32;
+        for neg in 0..=sg.cfg.negatives {
+            let (target, label) = if neg == 0 {
+                (context, 1.0f32)
+            } else {
+                let total = *sg.cdf.last().unwrap();
+                let x = rng.gen_range(0.0..total);
+                let t = sg.cdf.partition_point(|&c| c <= x).min(sg.cdf.len() - 1);
+                (t, 0.0f32)
+            };
+            if neg > 0 && target == context {
+                continue;
+            }
+            let dot: f32 = (0..dim)
+                .map(|d| sg.input.get(center, d) * sg.output.get(target, d))
+                .sum();
+            let sig = 1.0 / (1.0 + (-dot).exp());
+            loss += if label > 0.5 {
+                -(sig.max(1e-7)).ln()
+            } else {
+                -((1.0 - sig).max(1e-7)).ln()
+            };
+            let g = (sig - label) * lr;
+            for d in 0..dim {
+                let out = sg.output.get(target, d);
+                grad_center[d] += g * out;
+                let v = out - g * sg.input.get(center, d);
+                sg.output.set(target, d, v);
+            }
+        }
+        for d in 0..dim {
+            let v = sg.input.get(center, d) - grad_center[d];
+            sg.input.set(center, d, v);
+        }
+        loss
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Any width, window, negative count (past the interleaved
+        /// chains' cap too) and epoch count: the same vectors, output
+        /// vectors, loss and RNG position as the reference loop.
+        #[test]
+        fn train_equals_the_reference_loop(
+            dim in 1usize..=20,
+            window in 1usize..=4,
+            negatives in 0usize..=20,
+            epochs in 0usize..=3,
+            zipf in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let (vocab, docs) = if zipf { zipf_corpus() } else { topic_corpus() };
+            let docs = &docs[..docs.len().min(60)];
+            let cfg = SkipGramConfig { dim, window, negatives, epochs, ..SkipGramConfig::default() };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut want = SkipGram::new(&vocab, cfg, &mut rng);
+            let mut got = want.clone();
+            let mut got_rng = rng.clone();
+            let want_loss = train_reference(&mut want, docs, &mut rng);
+            let got_loss = got.train(docs, &mut got_rng);
+            proptest::prop_assert_eq!(got_loss.to_bits(), want_loss.to_bits());
+            proptest::prop_assert_eq!(fnv(&got.input), fnv(&want.input));
+            proptest::prop_assert_eq!(fnv(&got.output), fnv(&want.output));
+            proptest::prop_assert_eq!(got_rng.gen::<u64>(), rng.gen::<u64>());
+        }
+    }
+
+    /// The guide table's draw is `partition_point`'s for every `x` on and
+    /// next to every CDF edge, and for 100k random `x`.
+    #[test]
+    fn guide_table_draw_equals_partition_point() {
+        let reference = |cdf: &[f64], x: f64| cdf.partition_point(|&c| c <= x).min(cdf.len() - 1);
+        let (topic_vocab, _) = topic_corpus();
+        let (zipf_vocab, _) = zipf_corpus();
+        let mut rng = StdRng::seed_from_u64(8);
+        let cdfs = [
+            SkipGram::new(&topic_vocab, SkipGramConfig::default(), &mut rng).cdf,
+            SkipGram::new(&zipf_vocab, SkipGramConfig::default(), &mut rng).cdf,
+            // Zero-weight words repeat an edge; one word has no inner edge.
+            vec![0.0, 0.0, 1.5, 1.5, 1.5, 2.0, 7.25, 7.25],
+            vec![3.0],
+        ];
+        for cdf in &cdfs {
+            let table = NegativeTable::new(cdf);
+            let total = *cdf.last().unwrap();
+            let mut xs = vec![0.0];
+            for &edge in cdf {
+                xs.extend([edge, f64::from_bits(edge.to_bits().saturating_sub(1))]);
+                xs.push(f64::from_bits(edge.to_bits() + 1));
+            }
+            xs.retain(|&x| (0.0..total).contains(&x));
+            xs.extend((0..100_000).map(|_| rng.gen_range(0.0..total)));
+            for x in xs {
+                assert_eq!(
+                    table.index(x),
+                    reference(cdf, x),
+                    "x = {x:e}, cdf = {cdf:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn deterministic_given_seed() {
