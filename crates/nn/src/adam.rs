@@ -4,6 +4,7 @@
 
 use crate::params::{ParamId, ParamStore, SerializedMatrix};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use tensor::Matrix;
 
 /// Adam hyper-parameters.
@@ -185,23 +186,36 @@ impl Adam {
         };
 
         if scale > 0.0 {
-            let bc1 = 1.0 - self.cfg.beta1.powi(self.t as i32);
-            let bc2 = 1.0 - self.cfg.beta2.powi(self.t as i32);
+            let (b1, b2, eps) = (self.cfg.beta1, self.cfg.beta2, self.cfg.eps);
+            let bc1 = 1.0 - b1.powi(self.t as i32);
+            let bc2 = 1.0 - b2.powi(self.t as i32);
+            let (a1, a2, s1, s2, step) = (1.0 - b1, 1.0 - b2, 1.0 / bc1, 1.0 / bc2, -lr);
             for (k, &id) in self.ids.iter().enumerate() {
-                let g = store.get(id).grad.scale(scale);
-                // m = b1*m + (1-b1)*g ; v = b2*v + (1-b2)*g^2
-                self.m[k].scale_mut(self.cfg.beta1);
-                self.m[k].axpy(1.0 - self.cfg.beta1, &g);
-                self.v[k].scale_mut(self.cfg.beta2);
-                let g2 = g.hadamard(&g);
-                self.v[k].axpy(1.0 - self.cfg.beta2, &g2);
-                let mhat = self.m[k].scale(1.0 / bc1);
-                let vhat = self.v[k].scale(1.0 / bc2);
-                let update = mhat.zip_map(&vhat, |m, v| m / (v.sqrt() + self.cfg.eps));
-                store.value_mut(id).axpy(-lr, &update);
+                // One pass per parameter; per element, in this order:
+                // g = grad·scale; m = m·b1, m = m + (1−b1)·g; v = v·b2,
+                // v = v + (1−b2)·(g·g); w = w + (−lr)·((m·(1/bc1)) /
+                // (sqrt(v·(1/bc2)) + eps)); the gradient is zeroed.
+                let p = store.get_mut(id);
+                let value = Arc::make_mut(&mut p.value).as_mut_slice();
+                let (m, v) = (self.m[k].as_mut_slice(), self.v[k].as_mut_slice());
+                let grad = p.grad.as_mut_slice();
+                assert!(
+                    m.len() == value.len() && v.len() == value.len() && grad.len() == value.len()
+                );
+                for (((w, gr), m), v) in value.iter_mut().zip(grad).zip(m).zip(v) {
+                    let g = *gr * scale;
+                    *gr = 0.0;
+                    *m *= b1;
+                    *m += a1 * g;
+                    *v *= b2;
+                    *v += a2 * (g * g);
+                    let update = (*m * s1) / ((*v * s2).sqrt() + eps);
+                    *w += step * update;
+                }
             }
+        } else {
+            store.zero_grads_of(&self.ids);
         }
-        store.zero_grads_of(&self.ids);
         norm
     }
 }
@@ -398,6 +412,131 @@ mod tests {
         fresh.step(&mut store);
         let w = store.value(id).get(0, 0);
         assert!((w.abs() - 0.05).abs() < 1e-3, "w = {w}");
+    }
+
+    /// The multi-pass step [`Adam::step`] fused, kept as the reference it
+    /// must equal bit for bit: `scale`, `scale_mut`/`axpy`, `hadamard`,
+    /// two more `scale`s and a `zip_map`, then `axpy` into the value.
+    fn step_reference(adam: &mut Adam, store: &mut ParamStore) -> f32 {
+        adam.t += 1;
+        let decay_factor = 1.0 / (1.0 + adam.cfg.decay * adam.t as f32);
+        let lr = adam.cfg.lr * decay_factor;
+        let l2 = adam.cfg.l2 * decay_factor;
+        if l2 > 0.0 {
+            for &id in &adam.ids {
+                let p = store.get_mut(id);
+                let w = p.value.clone();
+                p.grad.axpy(l2, &w);
+            }
+        }
+        let norm = store.grad_global_norm(&adam.ids);
+        let scale = if norm.is_finite() && norm > adam.cfg.clip_norm {
+            adam.cfg.clip_norm / norm
+        } else if norm.is_finite() {
+            1.0
+        } else {
+            0.0
+        };
+        if scale > 0.0 {
+            let bc1 = 1.0 - adam.cfg.beta1.powi(adam.t as i32);
+            let bc2 = 1.0 - adam.cfg.beta2.powi(adam.t as i32);
+            for (k, &id) in adam.ids.iter().enumerate() {
+                let g = store.get(id).grad.scale(scale);
+                adam.m[k].scale_mut(adam.cfg.beta1);
+                adam.m[k].axpy(1.0 - adam.cfg.beta1, &g);
+                adam.v[k].scale_mut(adam.cfg.beta2);
+                let g2 = g.hadamard(&g);
+                adam.v[k].axpy(1.0 - adam.cfg.beta2, &g2);
+                let mhat = adam.m[k].scale(1.0 / bc1);
+                let vhat = adam.v[k].scale(1.0 / bc2);
+                let update = mhat.zip_map(&vhat, |m, v| m / (v.sqrt() + adam.cfg.eps));
+                store.value_mut(id).axpy(-lr, &update);
+            }
+        }
+        store.zero_grads_of(&adam.ids);
+        norm
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The fused step against [`step_reference`] over 40 steps on three
+    /// parameter groups (one outside the optimizer), with and without ℓ2
+    /// and decay, through ordinary, clipped (huge), zero and non-finite
+    /// (NaN, ±inf) gradients: values, moments, gradients, the returned
+    /// norm and the step counter, by bits.
+    #[test]
+    fn fused_step_equals_the_multi_pass_step_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(21);
+        for (l2, decay, clip_norm) in [
+            (0.0, 0.0, 5.0),
+            (1e-5, 1e-4, 5.0),
+            (0.3, 0.1, 0.5),
+            (1e-3, 0.0, f32::INFINITY),
+        ] {
+            let mut store = ParamStore::new();
+            let shapes = [(3usize, 5usize), (1, 1), (24, 96), (0, 4), (7, 9)];
+            let ids: Vec<ParamId> = shapes
+                .iter()
+                .enumerate()
+                .map(|(i, &(r, c))| {
+                    let m = Matrix::from_fn(r, c, |_, _| rng.gen_range(-2.0..2.0));
+                    store.add(format!("p{i}"), m)
+                })
+                .collect();
+            let cfg = AdamConfig {
+                l2,
+                decay,
+                clip_norm,
+                ..AdamConfig::default()
+            };
+            // The last parameter is outside the group: untouched by both.
+            let group = ids[..4].to_vec();
+            let mut fused = Adam::new(&store, group.clone(), cfg.clone());
+            let mut reference = Adam::new(&store, group, cfg);
+            let mut want_store = store.clone();
+            for step in 0..40 {
+                for &id in &ids {
+                    let (r, c) = store.value(id).shape();
+                    let magnitude = match step % 5 {
+                        0 => 1e4, // clipped
+                        1 => 0.0,
+                        _ => 1.0,
+                    };
+                    let mut g = Matrix::from_fn(r, c, |_, _| rng.gen_range(-1.0..1.0) * magnitude);
+                    if step % 7 == 3 && r * c > 0 {
+                        let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][step % 3];
+                        g.as_mut_slice()[0] = poison;
+                    }
+                    store.get_mut(id).grad = g.clone();
+                    want_store.get_mut(id).grad = g;
+                }
+                let got_norm = fused.step(&mut store);
+                let want_norm = step_reference(&mut reference, &mut want_store);
+                let case = format!("l2 {l2}, decay {decay}, clip {clip_norm}, step {step}");
+                assert_eq!(got_norm.to_bits(), want_norm.to_bits(), "norm, {case}");
+                assert_eq!(fused.t, reference.t, "{case}");
+                for &id in &ids {
+                    assert_eq!(
+                        bits(store.value(id)),
+                        bits(want_store.value(id)),
+                        "value, {case}"
+                    );
+                    assert_eq!(
+                        bits(&store.get(id).grad),
+                        bits(&want_store.get(id).grad),
+                        "grad, {case}"
+                    );
+                }
+                for k in 0..fused.m.len() {
+                    assert_eq!(bits(&fused.m[k]), bits(&reference.m[k]), "m, {case}");
+                    assert_eq!(bits(&fused.v[k]), bits(&reference.v[k]), "v, {case}");
+                }
+            }
+        }
     }
 
     #[test]

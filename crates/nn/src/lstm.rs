@@ -123,10 +123,16 @@ impl<'a> Rhs<'a> {
     }
 }
 
-/// `out = aᵀ · b` on the calling thread, `a` and `b` sharing their rows.
-fn mul_tn(a: &[f32], m: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    let pb = gemm::pack_b(Variant::Tn, b, n, b.len() / n, n);
-    gemm::gemm_rows(Variant::Tn, a, m, m, &pb, 0, out);
+/// `aᵀ · dG` for each `(a, m)` of `inputs` (`dWx` and `dWh`) on the
+/// calling thread, each `a` holding `m`-wide rows, one per row of the
+/// `width`-wide `dG`: `dG` is packed once and shared by both products.
+fn weight_grads(dgs: &[f32], width: usize, inputs: [(&[f32], usize); 2]) -> [Matrix; 2] {
+    let pb = gemm::pack_b(Variant::Tn, dgs, width, dgs.len() / width, width);
+    inputs.map(|(a, m)| {
+        let mut out = Matrix::zeros(m, width);
+        gemm::gemm_rows(Variant::Tn, a, m, m, &pb, 0, out.as_mut_slice());
+        out
+    })
 }
 
 impl LstmPass<'_> {
@@ -233,25 +239,17 @@ impl LstmPass<'_> {
                     let w = ids[row] as usize;
                     gates.copy_from_slice(&proj[w * 4 * h..(w + 1) * 4 * h]);
                 }
-                for ((g, &hv), &bv) in gates.iter_mut().zip(&hg[r * 4 * h..]).zip(self.b) {
-                    *g = (*g + hv) + bv;
-                }
-                // Gate order [i | f | g | o]: i and f share one sigmoid pass.
-                act::sigmoid(&mut gates[..2 * h]);
-                act::tanh(&mut gates[2 * h..3 * h]);
-                act::sigmoid(&mut gates[3 * h..]);
                 let c = &mut cells[r * h..(r + 1) * h];
-                for j in 0..h {
-                    c[j] = gates[h + j] * c[j] + gates[j] * gates[2 * h + j];
-                }
-                let tc = &mut tcs[row * h..(row + 1) * h];
-                cs[row * h..(row + 1) * h].copy_from_slice(c);
-                tc.copy_from_slice(c);
-                act::tanh(tc);
                 let state = &mut state[r * h..(r + 1) * h];
-                for j in 0..h {
-                    state[j] = gates[3 * h + j] * tc[j];
-                }
+                act::lstm_cell(
+                    gates,
+                    &hg[r * 4 * h..(r + 1) * 4 * h],
+                    self.b,
+                    c,
+                    &mut tcs[row * h..(row + 1) * h],
+                    state,
+                );
+                cs[row * h..(row + 1) * h].copy_from_slice(c);
                 let at = row * out_stride + out_col;
                 out[at..at + h].copy_from_slice(state);
             }
@@ -321,21 +319,17 @@ impl LstmPass<'_> {
                         Some(p) => (&hs[p * h..(p + 1) * h], &cs[p * h..(p + 1) * h]),
                         None => (&*zeros, &*zeros),
                     };
-                    h_prev[row * h..(row + 1) * h].copy_from_slice(hp);
-                    let gt = &gates[row * 4 * h..(row + 1) * 4 * h];
-                    let (tc, g_t) = (&tcs[row * h..], &g_out[row * h..]);
-                    let dg = &mut dgs[row * 4 * h..(row + 1) * 4 * h];
-                    let (dh_rec, dc) = (&dhs[r * h..(r + 1) * h], &mut dcs[r * h..(r + 1) * h]);
-                    for j in 0..h {
-                        let (i, f, g, o) = (gt[j], gt[h + j], gt[2 * h + j], gt[3 * h + j]);
-                        let dh = g_t[j] + dh_rec[j];
-                        let dcj = dc[j] + dh * o * (1.0 - tc[j] * tc[j]);
-                        dc[j] = dcj * f;
-                        dg[j] = dcj * g * i * (1.0 - i);
-                        dg[h + j] = dcj * c_prev[j] * f * (1.0 - f);
-                        dg[2 * h + j] = dcj * i * (1.0 - g * g);
-                        dg[3 * h + j] = dh * tc[j] * o * (1.0 - o);
-                    }
+                    let at = row * h..(row + 1) * h;
+                    h_prev[at.clone()].copy_from_slice(hp);
+                    act::lstm_cell_backward(
+                        &gates[row * 4 * h..(row + 1) * 4 * h],
+                        &tcs[at.clone()],
+                        c_prev,
+                        &g_out[at],
+                        &dhs[r * h..(r + 1) * h],
+                        &mut dcs[r * h..(r + 1) * h],
+                        &mut dgs[row * 4 * h..(row + 1) * 4 * h],
+                    );
                 }
                 // dh for each slot's previous step: dG · Whᵀ.
                 let block = &dgs[start * 4 * h..(start + live) * 4 * h];
@@ -347,9 +341,7 @@ impl LstmPass<'_> {
                     *d += v;
                 }
             }
-            let (mut dwx, mut dwh) = (Matrix::zeros(n, 4 * h), Matrix::zeros(h, 4 * h));
-            mul_tn(xs, n, dgs, 4 * h, dwx.as_mut_slice());
-            mul_tn(h_prev, h, dgs, 4 * h, dwh.as_mut_slice());
+            let [dwx, dwh] = weight_grads(dgs, 4 * h, [(xs, n), (h_prev, h)]);
             let dx = want_dx.then(|| {
                 let mut dx = Matrix::zeros(rows, n);
                 Rhs::new(wx, true, 4 * h, n, batch).mul(dgs, dx.as_mut_slice());
@@ -370,6 +362,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use tensor::gemm::{self, Variant};
     use tensor::{randn, Matrix};
 
     fn bits(xs: &[f32]) -> Vec<u32> {
@@ -698,6 +691,39 @@ mod tests {
             .iter()
             .filter(|&&id| store.get(id).grad.max_abs() > 0.0);
         assert_eq!(live.count(), words.len(), "dX must reach every step");
+    }
+
+    /// `out = aᵀ · b` with `b` packed for this product alone: what each
+    /// weight gradient cost before [`super::weight_grads`] shared one pack.
+    fn mul_tn(a: &[f32], m: usize, b: &[f32], n: usize, out: &mut [f32]) {
+        let pb = gemm::pack_b(Variant::Tn, b, n, b.len() / n, n);
+        gemm::gemm_rows(Variant::Tn, a, m, m, &pb, 0, out);
+    }
+
+    #[test]
+    fn shared_pack_weight_grads_equal_one_pack_per_product() {
+        let mut rng = StdRng::seed_from_u64(14);
+        for (rows, n, h) in [
+            (0usize, 3usize, 2usize),
+            (1, 24, 24),
+            (7, 5, 5),
+            (96, 24, 24),
+            (40, 48, 27),
+        ] {
+            let dgs = randn(&mut rng, rows, 4 * h, 1.0);
+            let xs = randn(&mut rng, rows, n, 1.0);
+            let h_prev = randn(&mut rng, rows, h, 1.0);
+            let [dwx, dwh] = super::weight_grads(
+                dgs.as_slice(),
+                4 * h,
+                [(xs.as_slice(), n), (h_prev.as_slice(), h)],
+            );
+            let (mut want_x, mut want_h) = (vec![0.0; n * 4 * h], vec![0.0; h * 4 * h]);
+            mul_tn(xs.as_slice(), n, dgs.as_slice(), 4 * h, &mut want_x);
+            mul_tn(h_prev.as_slice(), h, dgs.as_slice(), 4 * h, &mut want_h);
+            assert_eq!(bits(dwx.as_slice()), bits(&want_x), "dWx, {rows} rows");
+            assert_eq!(bits(dwh.as_slice()), bits(&want_h), "dWh, {rows} rows");
+        }
     }
 
     #[test]

@@ -42,6 +42,16 @@
 //! interact, tails run through a zero-padded register, and the two tiers
 //! are bit-identical element for element; `HISRECT_SIMD=0` therefore
 //! changes speed only.
+//!
+//! # LSTM cells
+//!
+//! [`lstm_cell`] and [`lstm_cell_backward`] are one LSTM step of one row,
+//! forward and back-propagated, as single fused passes over the row's `h`
+//! units. Each element sees the operations, operand order and rounding of
+//! the separate-pass sequence they replace (the bias adds, one
+//! activation pass per gate, the cell update, `tanh(c)`, the state; and
+//! the gate derivatives of the tape's nodes), so they are bit-identical to
+//! it; the tiers and the zero-padded tail follow the same rules as above.
 
 use crate::gemm::simd_active;
 
@@ -113,6 +123,138 @@ fn sigmoid_portable(xs: &mut [f32]) {
 fn tanh_portable(xs: &mut [f32]) {
     for x in xs {
         *x = tanh_one(*x);
+    }
+}
+
+/// One forward LSTM step of one row of `h` units, gate order
+/// `[i | f | g | o]`. On entry `gates` (`4h`) holds the input projection;
+/// on return it holds the post-activation gates. `c` is the cell state,
+/// updated in place; `tc` receives `tanh(c)` and `hs` the new state.
+/// Per element, in this order:
+///
+/// - `a = (gates + hg) + b` for each of the four gates;
+/// - `i = σ(a_i)`, `f = σ(a_f)`, `g = tanh(a_g)`, `o = σ(a_o)`;
+/// - `c = f·c + i·g` (two products, then their sum);
+/// - `tc = tanh(c)`, `hs = o·tc`.
+pub fn lstm_cell(
+    gates: &mut [f32],
+    hg: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    tc: &mut [f32],
+    hs: &mut [f32],
+) {
+    let h = c.len();
+    assert!(
+        gates.len() == 4 * h
+            && hg.len() == 4 * h
+            && b.len() == 4 * h
+            && tc.len() == h
+            && hs.len() == h,
+        "lstm_cell: slices of 4h, 4h, 4h, h, h, h"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        if simd_active() {
+            // SAFETY: simd_active() is true only after AVX2 detection; the
+            // lengths were checked above.
+            unsafe { avx2::lstm_cell(gates, hg, b, c, tc, hs) };
+            return;
+        }
+    }
+    lstm_cell_portable(gates, hg, b, c, tc, hs);
+}
+
+/// One step of LSTM back-propagation through time for one row of `h`
+/// units: `gates` (`4h`, post-activation) and `tc` are what
+/// [`lstm_cell`] left, `c_prev` the cell state it started from, `g_out`
+/// the gradient reaching this step's state from above and `dh_rec` the
+/// one from the next step. `dc` carries the cell gradient (in: from the
+/// next step; out: to the previous one); `dg` (`4h`) receives the
+/// pre-activation gate gradients. Per element, in this order:
+///
+/// - `dh = g_out + dh_rec`;
+/// - `dcj = dc + ((dh·o)·(1 − tc·tc))`, then `dc = dcj·f`;
+/// - `dg_i = ((dcj·g)·i)·(1 − i)`, `dg_f = ((dcj·c_prev)·f)·(1 − f)`,
+///   `dg_g = (dcj·i)·(1 − g·g)`, `dg_o = ((dh·tc)·o)·(1 − o)`.
+pub fn lstm_cell_backward(
+    gates: &[f32],
+    tc: &[f32],
+    c_prev: &[f32],
+    g_out: &[f32],
+    dh_rec: &[f32],
+    dc: &mut [f32],
+    dg: &mut [f32],
+) {
+    let h = dc.len();
+    assert!(
+        gates.len() == 4 * h
+            && tc.len() == h
+            && c_prev.len() == h
+            && g_out.len() == h
+            && dh_rec.len() == h
+            && dg.len() == 4 * h,
+        "lstm_cell_backward: slices of 4h, h, h, h, h, h, 4h"
+    );
+    #[cfg(target_arch = "x86_64")]
+    {
+        if simd_active() {
+            // SAFETY: as in `lstm_cell`.
+            unsafe { avx2::lstm_cell_backward(gates, tc, c_prev, g_out, dh_rec, dc, dg) };
+            return;
+        }
+    }
+    lstm_cell_backward_portable(gates, tc, c_prev, g_out, dh_rec, dc, dg);
+}
+
+/// The scalar tier of [`lstm_cell`].
+fn lstm_cell_portable(
+    gates: &mut [f32],
+    hg: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    tc: &mut [f32],
+    hs: &mut [f32],
+) {
+    let h = c.len();
+    for j in 0..h {
+        let a = |k: usize| (gates[k * h + j] + hg[k * h + j]) + b[k * h + j];
+        let (i, f, g, o) = (
+            sigmoid_one(a(0)),
+            sigmoid_one(a(1)),
+            tanh_one(a(2)),
+            sigmoid_one(a(3)),
+        );
+        for (k, v) in [i, f, g, o].into_iter().enumerate() {
+            gates[k * h + j] = v;
+        }
+        let cj = f * c[j] + i * g;
+        c[j] = cj;
+        tc[j] = tanh_one(cj);
+        hs[j] = o * tc[j];
+    }
+}
+
+/// The scalar tier of [`lstm_cell_backward`].
+fn lstm_cell_backward_portable(
+    gates: &[f32],
+    tc: &[f32],
+    c_prev: &[f32],
+    g_out: &[f32],
+    dh_rec: &[f32],
+    dc: &mut [f32],
+    dg: &mut [f32],
+) {
+    let h = dc.len();
+    for j in 0..h {
+        let (i, f, g, o) = (gates[j], gates[h + j], gates[2 * h + j], gates[3 * h + j]);
+        let dh = g_out[j] + dh_rec[j];
+        let dcj = dc[j] + dh * o * (1.0 - tc[j] * tc[j]);
+        dc[j] = dcj * f;
+        dg[j] = dcj * g * i * (1.0 - i);
+        dg[h + j] = dcj * c_prev[j] * f * (1.0 - f);
+        dg[2 * h + j] = dcj * i * (1.0 - g * g);
+        dg[3 * h + j] = dh * tc[j] * o * (1.0 - o);
     }
 }
 
@@ -224,34 +366,136 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn sigmoid8(x: __m256) -> __m256 {
+        let one = _mm256_set1_ps(1.0);
+        let neg = _mm256_xor_ps(x, _mm256_set1_ps(-0.0));
+        let y = _mm256_div_ps(one, _mm256_add_ps(one, exp8(neg)));
+        keep_nan(x, y)
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn tanh8(x: __m256) -> __m256 {
+        let one = _mm256_set1_ps(1.0);
+        let sign_mask = _mm256_set1_ps(-0.0);
+        let sign = _mm256_and_ps(x, sign_mask);
+        let ax = _mm256_andnot_ps(sign_mask, x);
+        let z = _mm256_mul_ps(ax, ax);
+        let p = horner(&TANH_POLY, z);
+        let small = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(p, z), ax), ax);
+        let e = exp8(_mm256_add_ps(ax, ax));
+        let big = _mm256_sub_ps(
+            one,
+            _mm256_div_ps(_mm256_set1_ps(2.0), _mm256_add_ps(e, one)),
+        );
+        let is_small = _mm256_cmp_ps(ax, _mm256_set1_ps(TANH_SMALL), _CMP_LT_OQ);
+        let y = _mm256_or_ps(_mm256_blendv_ps(big, small, is_small), sign);
+        keep_nan(x, y)
+    }
+
+    #[target_feature(enable = "avx2")]
     pub(super) unsafe fn sigmoid(xs: &mut [f32]) {
-        map8(xs, |x| {
-            let one = _mm256_set1_ps(1.0);
-            let neg = _mm256_xor_ps(x, _mm256_set1_ps(-0.0));
-            let y = _mm256_div_ps(one, _mm256_add_ps(one, exp8(neg)));
-            keep_nan(x, y)
-        });
+        map8(xs, |x| sigmoid8(x));
     }
 
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn tanh(xs: &mut [f32]) {
-        map8(xs, |x| {
-            let one = _mm256_set1_ps(1.0);
-            let sign_mask = _mm256_set1_ps(-0.0);
-            let sign = _mm256_and_ps(x, sign_mask);
-            let ax = _mm256_andnot_ps(sign_mask, x);
-            let z = _mm256_mul_ps(ax, ax);
-            let p = horner(&TANH_POLY, z);
-            let small = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(p, z), ax), ax);
-            let e = exp8(_mm256_add_ps(ax, ax));
-            let big = _mm256_sub_ps(
-                one,
-                _mm256_div_ps(_mm256_set1_ps(2.0), _mm256_add_ps(e, one)),
+        map8(xs, |x| tanh8(x));
+    }
+
+    /// Row `k` of `src` (gate `k` of a `4h` slice; an `h` slice is its
+    /// own row 0) at units `j..j + 8` of `h`. Past the end of the row
+    /// (the tail) the lanes read `0.0`, as in `map8`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load(src: &[f32], h: usize, k: usize, j: usize) -> __m256 {
+        let at = &src[k * h + j..k * h + h.min(j + 8)];
+        if at.len() == 8 {
+            return _mm256_loadu_ps(at.as_ptr());
+        }
+        let mut buf = [0.0f32; 8];
+        buf[..at.len()].copy_from_slice(at);
+        _mm256_loadu_ps(buf.as_ptr())
+    }
+
+    /// Stores the lanes of `v` that fall inside row `k` of `dst` at units
+    /// `j..j + 8` of `h`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn store(dst: &mut [f32], h: usize, k: usize, j: usize, v: __m256) {
+        let at = &mut dst[k * h + j..k * h + h.min(j + 8)];
+        if at.len() == 8 {
+            _mm256_storeu_ps(at.as_mut_ptr(), v);
+        } else {
+            let mut buf = [0.0f32; 8];
+            _mm256_storeu_ps(buf.as_mut_ptr(), v);
+            let n = at.len();
+            at.copy_from_slice(&buf[..n]);
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn lstm_cell(
+        gates: &mut [f32],
+        hg: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        tc: &mut [f32],
+        hs: &mut [f32],
+    ) {
+        let h = c.len();
+        for j in (0..h).step_by(8) {
+            let a = |k| {
+                let pre = _mm256_add_ps(load(gates, h, k, j), load(hg, h, k, j));
+                _mm256_add_ps(pre, load(b, h, k, j))
+            };
+            let (i, f, g, o) = (sigmoid8(a(0)), sigmoid8(a(1)), tanh8(a(2)), sigmoid8(a(3)));
+            for (k, v) in [i, f, g, o].into_iter().enumerate() {
+                store(gates, h, k, j, v);
+            }
+            let c_old = load(c, h, 0, j);
+            let cj = _mm256_add_ps(_mm256_mul_ps(f, c_old), _mm256_mul_ps(i, g));
+            let t = tanh8(cj);
+            store(c, h, 0, j, cj);
+            store(tc, h, 0, j, t);
+            store(hs, h, 0, j, _mm256_mul_ps(o, t));
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn lstm_cell_backward(
+        gates: &[f32],
+        tc: &[f32],
+        c_prev: &[f32],
+        g_out: &[f32],
+        dh_rec: &[f32],
+        dc: &mut [f32],
+        dg: &mut [f32],
+    ) {
+        let h = dc.len();
+        let one = _mm256_set1_ps(1.0);
+        for j in (0..h).step_by(8) {
+            let gate = |k| load(gates, h, k, j);
+            let (i, f, g, o) = (gate(0), gate(1), gate(2), gate(3));
+            let row = |src: &[f32]| load(src, h, 0, j);
+            let (t, cp) = (row(tc), row(c_prev));
+            let dh = _mm256_add_ps(row(g_out), row(dh_rec));
+            let dtc = _mm256_sub_ps(one, _mm256_mul_ps(t, t));
+            let dcj = _mm256_add_ps(row(dc), _mm256_mul_ps(_mm256_mul_ps(dh, o), dtc));
+            store(dc, h, 0, j, _mm256_mul_ps(dcj, f));
+            let mul3 = |a, b, c| _mm256_mul_ps(_mm256_mul_ps(a, b), c);
+            let dg_i = _mm256_mul_ps(mul3(dcj, g, i), _mm256_sub_ps(one, i));
+            let dg_f = _mm256_mul_ps(mul3(dcj, cp, f), _mm256_sub_ps(one, f));
+            let dg_g = _mm256_mul_ps(
+                _mm256_mul_ps(dcj, i),
+                _mm256_sub_ps(one, _mm256_mul_ps(g, g)),
             );
-            let is_small = _mm256_cmp_ps(ax, _mm256_set1_ps(TANH_SMALL), _CMP_LT_OQ);
-            let y = _mm256_or_ps(_mm256_blendv_ps(big, small, is_small), sign);
-            keep_nan(x, y)
-        });
+            let dg_o = _mm256_mul_ps(mul3(dh, t, o), _mm256_sub_ps(one, o));
+            for (k, v) in [dg_i, dg_f, dg_g, dg_o].into_iter().enumerate() {
+                store(dg, h, k, j, v);
+            }
+        }
     }
 }
 
@@ -453,6 +697,175 @@ mod tests {
                     tier(&mut xs);
                     assert_eq!(xs[k].to_bits(), nan.to_bits(), "{name} lane {k}");
                     assert!(xs.iter().enumerate().all(|(i, x)| i == k || !x.is_nan()));
+                }
+            }
+        }
+    }
+
+    /// The separate passes [`lstm_cell`] fused: bias adds, one activation
+    /// pass per gate group, the cell update, `tanh(c)`, the state.
+    fn cell_reference(
+        gates: &mut [f32],
+        hg: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        tc: &mut [f32],
+        hs: &mut [f32],
+    ) {
+        let h = c.len();
+        for ((g, &hv), &bv) in gates.iter_mut().zip(hg).zip(b) {
+            *g = (*g + hv) + bv;
+        }
+        sigmoid_portable(&mut gates[..2 * h]);
+        tanh_portable(&mut gates[2 * h..3 * h]);
+        sigmoid_portable(&mut gates[3 * h..]);
+        for j in 0..h {
+            c[j] = gates[h + j] * c[j] + gates[j] * gates[2 * h + j];
+        }
+        tc.copy_from_slice(c);
+        tanh_portable(tc);
+        for j in 0..h {
+            hs[j] = gates[3 * h + j] * tc[j];
+        }
+    }
+
+    /// The per-element loop [`lstm_cell_backward`] replaced.
+    fn cell_backward_reference(
+        gates: &[f32],
+        tc: &[f32],
+        c_prev: &[f32],
+        g_out: &[f32],
+        dh_rec: &[f32],
+        dc: &mut [f32],
+        dg: &mut [f32],
+    ) {
+        let h = dc.len();
+        for j in 0..h {
+            let (i, f, g, o) = (gates[j], gates[h + j], gates[2 * h + j], gates[3 * h + j]);
+            let dh = g_out[j] + dh_rec[j];
+            let dcj = dc[j] + dh * o * (1.0 - tc[j] * tc[j]);
+            dc[j] = dcj * f;
+            dg[j] = dcj * g * i * (1.0 - i);
+            dg[h + j] = dcj * c_prev[j] * f * (1.0 - f);
+            dg[2 * h + j] = dcj * i * (1.0 - g * g);
+            dg[3 * h + j] = dh * tc[j] * o * (1.0 - o);
+        }
+    }
+
+    /// Bits with every NaN as the one quiet NaN. Where two NaN operands
+    /// meet, Rust leaves the sign and payload of the result unspecified
+    /// (the compiler may commute the operands of a scalar add or
+    /// multiply), so even the reference loop has no fixed NaN bits; every
+    /// other value is compared by its bits.
+    fn cell_bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter()
+            .map(|x| if x.is_nan() { 0x7fc0_0000 } else { x.to_bits() })
+            .collect()
+    }
+
+    type Cell = fn(&mut [f32], &[f32], &[f32], &mut [f32], &mut [f32], &mut [f32]);
+    type CellBackward = fn(&[f32], &[f32], &[f32], &[f32], &[f32], &mut [f32], &mut [f32]);
+
+    /// `(name, forward, backward)` for each tier: the dispatched kernels
+    /// under `force_portable(Some(true))` are the portable tier, so the
+    /// tiers are called directly here (the dispatch is process-global and
+    /// other tests flip it).
+    fn cell_tiers() -> Vec<(&'static str, Cell, CellBackward)> {
+        let mut tiers: Vec<(&'static str, Cell, CellBackward)> =
+            vec![("portable", lstm_cell_portable, lstm_cell_backward_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just detected.
+            tiers.push((
+                "avx2",
+                |g, hg, b, c, tc, hs| unsafe { avx2::lstm_cell(g, hg, b, c, tc, hs) },
+                |g, tc, cp, go, dh, dc, dg| unsafe {
+                    avx2::lstm_cell_backward(g, tc, cp, go, dh, dc, dg)
+                },
+            ));
+        } else {
+            eprintln!("no AVX2 on this host: only the portable LSTM cell tier is checked");
+        }
+        tiers
+    }
+
+    /// Deterministic cell inputs: ordinary values, with every `spice`-th
+    /// element taken from the special pool (NaN, ±inf, saturating and
+    /// signed-zero pre-activations, extremes).
+    fn cell_values(len: usize, seed: u64, spice: usize, scale: f32) -> Vec<f32> {
+        let pool = specials();
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..len)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if spice > 0 && (i + seed as usize).is_multiple_of(spice) {
+                    pool[(x >> 33) as usize % pool.len()]
+                } else {
+                    ((x >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * scale
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lstm_cell_equals_the_separate_passes_bit_for_bit() {
+        for (tier, cell, _) in cell_tiers() {
+            for h in [1usize, 5, 8, 24, 27] {
+                // Plain, then spiced with specials, then saturating.
+                for (seed, spice, scale) in [(1, 0, 4.0), (2, 3, 4.0), (3, 0, 400.0), (4, 1, 1.0)] {
+                    let pre = cell_values(4 * h, seed, spice, scale);
+                    let hg = cell_values(4 * h, seed + 10, spice, scale);
+                    let b = cell_values(4 * h, seed + 20, spice, 1.0);
+                    let c = cell_values(h, seed + 30, spice, scale);
+                    let mut want = (pre.clone(), c.clone(), vec![9.0; h], vec![9.0; h]);
+                    let mut got = (pre, c, vec![9.0; h], vec![9.0; h]);
+                    cell_reference(&mut want.0, &hg, &b, &mut want.1, &mut want.2, &mut want.3);
+                    cell(&mut got.0, &hg, &b, &mut got.1, &mut got.2, &mut got.3);
+                    let case = format!("{tier}, h {h}, seed {seed}");
+                    assert_eq!(cell_bits(&got.0), cell_bits(&want.0), "gates, {case}");
+                    assert_eq!(cell_bits(&got.1), cell_bits(&want.1), "c, {case}");
+                    assert_eq!(cell_bits(&got.2), cell_bits(&want.2), "tanh(c), {case}");
+                    assert_eq!(cell_bits(&got.3), cell_bits(&want.3), "state, {case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lstm_cell_backward_equals_the_per_element_loop_bit_for_bit() {
+        for (tier, _, backward) in cell_tiers() {
+            for h in [1usize, 5, 8, 24, 27] {
+                for (seed, spice) in [(5, 0), (6, 3), (7, 1)] {
+                    // Gates as the forward leaves them: activations, or
+                    // specials where spiced.
+                    let mut gates = cell_values(4 * h, seed, spice, 8.0);
+                    sigmoid_portable(&mut gates);
+                    let mut tc = cell_values(h, seed + 1, spice, 8.0);
+                    tanh_portable(&mut tc);
+                    let c_prev = cell_values(h, seed + 2, spice, 4.0);
+                    let g_out = cell_values(h, seed + 3, spice, 2.0);
+                    let dh_rec = cell_values(h, seed + 4, spice, 2.0);
+                    let dc = cell_values(h, seed + 5, spice, 2.0);
+                    let mut want = (dc.clone(), vec![9.0; 4 * h]);
+                    let mut got = (dc, vec![9.0; 4 * h]);
+                    let args = (&gates[..], &tc[..], &c_prev[..], &g_out[..], &dh_rec[..]);
+                    cell_backward_reference(
+                        args.0,
+                        args.1,
+                        args.2,
+                        args.3,
+                        args.4,
+                        &mut want.0,
+                        &mut want.1,
+                    );
+                    backward(
+                        args.0, args.1, args.2, args.3, args.4, &mut got.0, &mut got.1,
+                    );
+                    let case = format!("{tier}, h {h}, seed {seed}");
+                    assert_eq!(cell_bits(&got.0), cell_bits(&want.0), "dc, {case}");
+                    assert_eq!(cell_bits(&got.1), cell_bits(&want.1), "dG, {case}");
                 }
             }
         }
