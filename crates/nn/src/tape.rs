@@ -15,6 +15,7 @@ use crate::lstm::{Input, LstmPass};
 use crate::params::{ParamId, ParamStore};
 use crate::seq::SeqBatch;
 use rand::Rng;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tensor::Matrix;
@@ -373,6 +374,14 @@ impl Tape {
     /// [`Tape::dropout`] with the mask drawn row by row in the order of
     /// `rows`, which lists every row of `a` once (e.g.
     /// [`SeqBatch::rows_in_caller_order`]).
+    ///
+    /// Each element keeps its value (times `1/keep`) when its draw
+    /// `rng.gen::<f32>()` is below `keep`. All draws are taken first, in
+    /// that order and with nothing else in the loop; one branch-free pass
+    /// then turns them into mask values. Written as one `if`, the
+    /// comparison became a branch on a uniform draw, mispredicted on
+    /// about `min(keep, 1 − keep)` of the elements, which cost three times
+    /// the draws themselves.
     pub fn dropout_rows<R: Rng>(
         &mut self,
         a: Var,
@@ -380,18 +389,24 @@ impl Tape {
         rows: impl IntoIterator<Item = usize>,
         rng: &mut R,
     ) -> Var {
+        thread_local! {
+            static DRAWS: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+        }
         assert!((0.0..=1.0).contains(&keep) && keep > 0.0, "bad keep prob");
         let (r, c) = self.nodes[a.0].value.shape();
+        let rows: Vec<usize> = rows.into_iter().collect();
         let mut mask = Matrix::zeros(r, c);
-        for row in rows {
-            for m in mask.row_mut(row) {
-                *m = if rng.gen::<f32>() < keep {
-                    1.0 / keep
-                } else {
-                    0.0
-                };
+        DRAWS.with(|draws| {
+            let draws = &mut *draws.borrow_mut();
+            draws.clear();
+            draws.extend((0..rows.len() * c).map(|_| rng.next_u32()));
+            let keep = KeepMask::new(keep);
+            for (&row, us) in rows.iter().zip(draws.chunks_exact(c.max(1))) {
+                for (m, &u) in mask.row_mut(row).iter_mut().zip(us) {
+                    *m = keep.value(u);
+                }
             }
-        }
+        });
         self.mul_const(a, mask)
     }
 
@@ -688,6 +703,35 @@ fn row_norm(row: &[f32]) -> f32 {
     row.iter().map(|x| x * x).sum::<f32>().sqrt()
 }
 
+/// A dropout mask value from one raw draw `u = rng.next_u32()`, equal by
+/// bits to `if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 }`.
+///
+/// `gen::<f32>()` is `k · 2⁻²⁴` for `k = u >> 8`, both factors exact, and
+/// `keep · 2²⁴` is exact too for `keep` in `(0, 1]`, so the draw is below
+/// `keep` exactly when the integer `k` is below `⌈keep · 2²⁴⌉`. The sign of
+/// `k − ⌈keep · 2²⁴⌉` masks the bits of `1/keep` without a branch.
+struct KeepMask {
+    /// `⌈keep · 2²⁴⌉`, at most `2²⁴`.
+    cut: i32,
+    /// The bits of `1.0 / keep`.
+    kept: u32,
+}
+
+impl KeepMask {
+    fn new(keep: f32) -> Self {
+        Self {
+            cut: (keep * 16_777_216.0).ceil() as i32,
+            kept: (1.0 / keep).to_bits(),
+        }
+    }
+
+    #[inline]
+    fn value(&self, u: u32) -> f32 {
+        let below = (((u >> 8) as i32 - self.cut) >> 31) as u32;
+        f32::from_bits(self.kept & below)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -861,6 +905,58 @@ mod tests {
             },
             seeded(2, 2, 19),
         );
+    }
+
+    /// The mask as one branch per element drew it, visiting `rows` in
+    /// order: the reference [`Tape::dropout_rows`] must equal by bits.
+    fn mask_reference(r: usize, c: usize, keep: f32, rows: &[usize], rng: &mut StdRng) -> Matrix {
+        let mut mask = Matrix::zeros(r, c);
+        for &row in rows {
+            for m in mask.row_mut(row) {
+                *m = if rng.gen::<f32>() < keep {
+                    1.0 / keep
+                } else {
+                    0.0
+                };
+            }
+        }
+        mask
+    }
+
+    #[test]
+    fn dropout_mask_equals_the_per_element_branch_bit_for_bit() {
+        let seqs = SeqBatch::new(&[3, 0, 7, 1, 7, 4]);
+        let order: Vec<usize> = seqs.rows_in_caller_order().collect();
+        let just_above_half = f32::from_bits(0.5f32.to_bits() + 1);
+        for keep in [
+            1.0,
+            0.8,
+            0.7,
+            0.5,
+            just_above_half,
+            3.0 / 7.0,
+            0.999_999_9,
+            1e-7,
+            1e-30,
+        ] {
+            for (c, seed) in [(1usize, 1u64), (5, 2), (48, 3)] {
+                let ones = Matrix::filled(seqs.rows(), c, 1.0);
+                let mut want_rng = StdRng::seed_from_u64(seed);
+                let want = mask_reference(seqs.rows(), c, keep, &order, &mut want_rng);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut tape = Tape::new();
+                let x = tape.input(ones);
+                let d = tape.dropout_rows(x, keep, seqs.rows_in_caller_order(), &mut rng);
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(tape.value(d)), bits(&want), "keep {keep}, {c} columns");
+                assert_eq!(
+                    rng.gen::<u64>(),
+                    want_rng.gen::<u64>(),
+                    "RNG position, keep {keep}"
+                );
+            }
+        }
     }
 
     #[test]

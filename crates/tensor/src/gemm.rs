@@ -27,8 +27,10 @@
 //! # Padding
 //!
 //! Panels are zero-padded in the M and N directions up to the tile
-//! shape; the kernel always computes a full `MR`×`NR` tile into scratch
-//! and only the valid region is copied out. The K direction is *never*
+//! shape; the kernel computes a full `MR`×`NR` tile into scratch — or an
+//! `MR`×`NR/2` one for a last panel of at most `NR/2` live columns, so a
+//! 24-wide product does not pay for 32 columns — and only the valid
+//! region is copied out. The K direction is *never*
 //! padded: a padded k-step would add `0.0 * x` terms, which is not a
 //! no-op for IEEE specials (`0 * inf = NaN`) and would corrupt rows that
 //! legitimately contain non-finite values.
@@ -192,23 +194,25 @@ fn pack_a(
     }
 }
 
-/// Portable micro-kernel: `tile[r][j] += Σ_k ap[k][r] * bp[k][j]`, k
-/// ascending, separate mul and add. The inner `NR`-wide loop
-/// autovectorizes; because lanes map to output columns, lane width does
-/// not affect results and this is bit-identical to the AVX2 kernel.
-fn kernel_portable(kc: usize, ap: &[f32], bp: &[f32], tile: &mut [f32; MR * NR]) {
-    let mut acc = [0.0f32; MR * NR];
+/// Portable micro-kernel: `tile[r][j] += Σ_k ap[k][r] * bp[k][j]` for
+/// the first `W` columns of the panel, k ascending, separate mul and add.
+/// The inner `W`-wide loop autovectorizes; because lanes map to output
+/// columns, lane width does not affect results and this is bit-identical
+/// to the AVX2 kernels.
+fn kernel_portable<const W: usize>(kc: usize, ap: &[f32], bp: &[f32], tile: &mut [f32; MR * NR]) {
+    let mut acc = [[0.0f32; W]; MR];
     for k in 0..kc {
         let avs = &ap[k * MR..k * MR + MR];
-        let bvs = &bp[k * NR..k * NR + NR];
-        for (r, &av) in avs.iter().enumerate() {
-            let row = &mut acc[r * NR..(r + 1) * NR];
+        let bvs = &bp[k * NR..k * NR + W];
+        for (row, &av) in acc.iter_mut().zip(avs) {
             for (o, &bv) in row.iter_mut().zip(bvs) {
                 *o += av * bv;
             }
         }
     }
-    *tile = acc;
+    for (r, row) in acc.iter().enumerate() {
+        tile[r * NR..r * NR + W].copy_from_slice(row);
+    }
 }
 
 /// AVX2 micro-kernel: 8 YMM accumulators (4 rows × 2 column vectors),
@@ -257,19 +261,62 @@ unsafe fn kernel_avx2(kc: usize, ap: &[f32], bp: &[f32], tile: &mut [f32; MR * N
     _mm256_storeu_ps(out.add(3 * NR + 8), c31);
 }
 
+/// The 4×8 twin of [`kernel_avx2`] for a last panel of at most `NR/2`
+/// live columns: the same chains over the panel's first eight columns,
+/// half the work.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn kernel_avx2_half(kc: usize, ap: &[f32], bp: &[f32], tile: &mut [f32; MR * NR]) {
+    use std::arch::x86_64::*;
+    debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
+    let mut c0 = _mm256_setzero_ps();
+    let mut c1 = _mm256_setzero_ps();
+    let mut c2 = _mm256_setzero_ps();
+    let mut c3 = _mm256_setzero_ps();
+    let mut aptr = ap.as_ptr();
+    let mut bptr = bp.as_ptr();
+    for _ in 0..kc {
+        let b0 = _mm256_loadu_ps(bptr);
+        c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(*aptr), b0));
+        c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_set1_ps(*aptr.add(1)), b0));
+        c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_set1_ps(*aptr.add(2)), b0));
+        c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_set1_ps(*aptr.add(3)), b0));
+        aptr = aptr.add(MR);
+        bptr = bptr.add(NR);
+    }
+    let out = tile.as_mut_ptr();
+    _mm256_storeu_ps(out, c0);
+    _mm256_storeu_ps(out.add(NR), c1);
+    _mm256_storeu_ps(out.add(2 * NR), c2);
+    _mm256_storeu_ps(out.add(3 * NR), c3);
+}
+
+/// One `MR`×`NR` tile of a panel with `jw` live columns: the half-width
+/// kernels when `jw ≤ NR/2`, whose other columns are not written.
 #[inline]
-fn run_kernel(kc: usize, ap: &[f32], bp: &[f32], tile: &mut [f32; MR * NR]) {
+fn run_kernel(kc: usize, ap: &[f32], bp: &[f32], jw: usize, tile: &mut [f32; MR * NR]) {
+    let half = jw <= NR / 2;
     #[cfg(target_arch = "x86_64")]
     {
         if simd_active() {
             // SAFETY: simd_active() returns true only after
             // is_x86_feature_detected!("avx2") confirmed support, and the
             // packed panels are at least kc*MR / kc*NR long by construction.
-            unsafe { kernel_avx2(kc, ap, bp, tile) };
+            unsafe {
+                if half {
+                    kernel_avx2_half(kc, ap, bp, tile)
+                } else {
+                    kernel_avx2(kc, ap, bp, tile)
+                }
+            };
             return;
         }
     }
-    kernel_portable(kc, ap, bp, tile);
+    if half {
+        kernel_portable::<{ NR / 2 }>(kc, ap, bp, tile);
+    } else {
+        kernel_portable::<NR>(kc, ap, bp, tile);
+    }
 }
 
 /// Computes output rows `[row0, row0 + out.len() / n)` of the GEMM into
@@ -308,7 +355,7 @@ pub fn gemm_rows(
         for p in 0..pb.panels() {
             let j0 = p * NR;
             let jw = NR.min(n - j0);
-            run_kernel(kc, &ap, pb.panel(p), &mut tile);
+            run_kernel(kc, &ap, pb.panel(p), jw, &mut tile);
             for r in 0..iw {
                 let dst = (i - row0 + r) * n + j0;
                 out[dst..dst + jw].copy_from_slice(&tile[r * NR..r * NR + jw]);
