@@ -131,13 +131,17 @@ impl Bucket {
 }
 
 /// Serializable form of the index: data only. The buckets are rebuilt
-/// deterministically on load, so a serialized/rebuilt index answers
-/// queries identically to the original.
+/// deterministically on load over the same grid bounds, so a
+/// serialized/rebuilt index answers queries identically to the original;
+/// it is the original after [`AnnIndex::compact`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AnnSnapshot {
     /// Construction parameters.
     pub cfg: AnnConfig,
-    /// Items in canonical (id-ascending) order.
+    /// Grid bounding box `(min_lat, min_lon, max_lat, max_lon)`.
+    pub bounds: (f64, f64, f64, f64),
+    /// Live items in canonical (id-ascending) order; tombstoned items are
+    /// not carried.
     pub items: Vec<AnnItem>,
 }
 
@@ -311,14 +315,7 @@ impl AnnIndex {
     /// Rebuilds the index over only the live items, dropping tombstones
     /// (same bounds, deterministic).
     pub fn compact(&mut self) {
-        let items: Vec<AnnItem> = self
-            .items
-            .iter()
-            .zip(&self.tombstones)
-            .filter(|&(_, &dead)| !dead)
-            .map(|(it, _)| it.clone())
-            .collect();
-        *self = Self::build_bounded(items, self.cfg.clone(), self.bounds);
+        *self = Self::from_snapshot(self.snapshot());
     }
 
     /// Number of live (non-tombstoned) items.
@@ -334,17 +331,28 @@ impl AnnIndex {
         }
     }
 
-    /// Rebuilds an index from a snapshot; answers are bit-identical to the
-    /// index the snapshot was taken from.
+    /// Rebuilds an index from a snapshot over the snapshot's bounds;
+    /// answers are bit-identical to the index the snapshot was taken
+    /// from, and the structure is that index's after
+    /// [`AnnIndex::compact`].
     pub fn from_snapshot(snap: AnnSnapshot) -> Self {
-        Self::build(snap.items, snap.cfg)
+        Self::build_bounded(snap.items, snap.cfg, snap.bounds)
     }
 
-    /// The data needed to reconstruct this index exactly.
+    /// The data needed to reconstruct this index: configuration, bounds
+    /// and the live items.
     pub fn snapshot(&self) -> AnnSnapshot {
+        let items = self
+            .items
+            .iter()
+            .zip(&self.tombstones)
+            .filter(|&(_, &dead)| !dead)
+            .map(|(it, _)| it.clone())
+            .collect();
         AnnSnapshot {
             cfg: self.cfg.clone(),
-            items: self.items.clone(),
+            bounds: self.bounds,
+            items,
         }
     }
 
@@ -1062,6 +1070,53 @@ mod tests {
         assert_eq!(idx.len(), 62);
         assert_eq!(idx.live_len(), 62);
         assert_eq!(before, idx.exhaustive(q.ts, &q.embedding, 64));
+    }
+
+    /// A bounded index with a tombstone survives a snapshot round trip:
+    /// same grid bounds, the removed id stays gone, and the rebuilt
+    /// structure is the compacted original's.
+    #[test]
+    fn snapshot_round_trip_keeps_bounds_and_drops_tombstones() {
+        let bounds = (39.9, -74.1, 40.1, -73.9);
+        let items: Vec<AnnItem> = (0..6u32)
+            .map(|i| AnnItem {
+                id: i,
+                point: GeoPoint::new(40.0 + 0.003 * f64::from(i), -74.0),
+                ts: i64::from(i) * 60,
+                embedding: vec![i as f32, 1.0, -(i as f32) * 0.5],
+            })
+            .collect();
+        let mut idx = AnnIndex::build_bounded(items.clone(), small_cfg(), bounds);
+        assert!(idx.remove(2));
+        let json = serde_json::to_string(&idx.snapshot()).expect("snapshot serializes");
+        let back = AnnIndex::from_snapshot(serde_json::from_str(&json).expect("snapshot parses"));
+        assert_eq!(back.bounds(), bounds);
+        assert_eq!(back.live_len(), 5);
+        assert_eq!(back.len(), 5);
+        assert!(back.get(2).is_none(), "the tombstoned id is not carried");
+        let mut compacted = idx.clone();
+        compacted.compact();
+        let survivors = AnnIndex::build_bounded(
+            items.into_iter().filter(|it| it.id != 2).collect(),
+            small_cfg(),
+            bounds,
+        );
+        assert_eq!(
+            back.structure_fingerprint(),
+            compacted.structure_fingerprint()
+        );
+        assert_eq!(
+            back.structure_fingerprint(),
+            survivors.structure_fingerprint()
+        );
+        for q in [0usize, 2, 5].map(|i| idx.items[i].clone()) {
+            let got = back.query(&q.point, q.ts, &q.embedding, 6, f64::INFINITY);
+            assert!(got.iter().all(|n| n.id != 2));
+            assert_eq!(
+                got,
+                idx.query(&q.point, q.ts, &q.embedding, 6, f64::INFINITY)
+            );
+        }
     }
 
     #[test]
