@@ -276,10 +276,14 @@ fn dot4(x: &[f32], ys: [&[f32]; 4]) -> [f32; 4] {
 }
 
 /// Draws negatives from the unigram^0.75 CDF: a guide table over
-/// equal-width buckets of `[0, total)` gives each draw a starting index
-/// no greater than its answer, and a forward scan finishes it, so the
-/// index is exactly `cdf.partition_point(|c| c <= x)` (clamped to the
-/// last word) for the same `x` — the same draw as a binary search.
+/// equal-width buckets of `[0, total)` (four per word) gives each draw a
+/// starting index no greater than its answer, and a forward scan finishes
+/// it, so the index is exactly `cdf.partition_point(|c| c <= x)` (clamped
+/// to the last word) for the same `x` — the same draw as a binary search.
+/// The scan's first two steps are branch-free adds; a draw rarely needs
+/// a third, so the loop after them is rarely entered and its branch is
+/// predicted, where a plain loop of a random one to three steps was
+/// mispredicted on most draws.
 struct NegativeTable<'a> {
     cdf: &'a [f64],
     total: f64,
@@ -293,7 +297,7 @@ struct NegativeTable<'a> {
 impl<'a> NegativeTable<'a> {
     fn new(cdf: &'a [f64]) -> Self {
         let total = *cdf.last().expect("non-empty vocab");
-        let buckets = cdf.len();
+        let buckets = 4 * cdf.len();
         let scale = buckets as f64 / total;
         let guide = (0..buckets)
             .map(|b| {
@@ -319,6 +323,8 @@ impl<'a> NegativeTable<'a> {
         let b = ((x * self.scale) as usize).min(self.guide.len() - 1);
         let last = self.cdf.len() - 1;
         let mut i = self.guide[b] as usize;
+        i += usize::from(i < last && self.cdf[i] <= x);
+        i += usize::from(i < last && self.cdf[i] <= x);
         while i < last && self.cdf[i] <= x {
             i += 1;
         }
