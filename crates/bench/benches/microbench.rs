@@ -18,7 +18,7 @@ use hisrect::judge::Judge;
 use hisrect::model::{Ablation, HisRectModel};
 use hisrect::ssl::{train_featurizer, SslNets};
 use hisrect::{JudgeService, Precision};
-use nn::{BiLstm, ParamStore, SeqBatch, Tape};
+use nn::{BiLstm, Lstm, ParamStore, SeqBatch, Tape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -26,6 +26,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::hint::black_box;
 use std::time::Instant;
 use tensor::{randn, Matrix};
+use text::{SkipGram, SkipGramConfig, Vocab};
 use twitter_sim::{generate, SimConfig};
 
 #[derive(Serialize)]
@@ -322,6 +323,44 @@ fn bench_bilstm_train_step(h: &mut Harness) {
     });
 }
 
+/// One LSTM direction at the trained shape (in = h = 24) over a training
+/// batch of 24 ragged tweets of 4..=12 words: the forward recurrence and
+/// its BPTT through one `lstm_seq` node, with the input bound as a
+/// parameter so `dX` is computed too.
+fn bench_lstm_train_pass(h: &mut Harness) {
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut store = ParamStore::new();
+    let lstm = Lstm::new(&mut store, "lstm", 24, 24, 0.3, &mut rng);
+    let lens: Vec<usize> = (0..24).map(|i| 4 + (i * 5) % 9).collect();
+    let batch = SeqBatch::new(&lens);
+    let x = store.add("x", randn(&mut rng, batch.rows(), 24, 1.0));
+    h.bench("lstm_train_pass", || {
+        let mut tape = Tape::new();
+        let xv = tape.param(&store, x);
+        let states = lstm.forward_rows(&mut tape, &store, xv, &batch, false);
+        let loss = tape.mean_all(states);
+        tape.backward(loss, &mut store)
+    });
+}
+
+/// Skip-gram pretraining (§4.2) over the LV preset's training corpus at
+/// the model's word width: one `SkipGram::new` + `train`, as
+/// `HisRectModel::train` runs it.
+fn bench_skipgram(h: &mut Harness) {
+    let ds = generate(&SimConfig::lv_like(1));
+    let vocab = Vocab::build(ds.train_docs.iter().map(|d| d.as_slice()), 10);
+    let docs: Vec<Vec<usize>> = ds.train_docs.iter().map(|d| vocab.encode(d)).collect();
+    let cfg = SkipGramConfig {
+        dim: HisRectConfig::default().word_dim,
+        ..SkipGramConfig::default()
+    };
+    h.bench("skipgram_train", || {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut sg = SkipGram::new(&vocab, cfg.clone(), &mut rng);
+        sg.train(&docs, &mut rng)
+    });
+}
+
 /// The raw per-call cost of the obs entry points, disabled and enabled.
 fn bench_obs(h: &mut Harness) {
     let was = obs::enabled();
@@ -481,6 +520,8 @@ fn main() {
     bench_obs(&mut h);
     bench_training(&mut h);
     bench_bilstm_train_step(&mut h);
+    bench_lstm_train_pass(&mut h);
+    bench_skipgram(&mut h);
     let ds = small_dataset();
     bench_geo(&mut h, &ds);
     bench_features(&mut h, &ds);
@@ -528,7 +569,6 @@ fn main() {
         metrics_overhead_ratio,
     };
     h.report.save(&payload);
-    write_bench6(&payload);
 
     if !gate_failures.is_empty() {
         if std::env::var("HISRECT_PERF_GATE").is_ok_and(|v| v == "1") {
@@ -763,30 +803,4 @@ fn run_perf_gate(h: &mut Harness, mean_metrics_ratio: f64) -> Vec<String> {
         }
     }
     failures
-}
-
-/// Writes `BENCH_6.json` at the repo root: the flat `{case: mean_ns}`
-/// map the CI perf-gate job archives as the committed evidence for this
-/// change's acceptance numbers. (`BENCH_5.json` stays committed as the
-/// previous change's snapshot.)
-fn write_bench6(payload: &Payload) {
-    let map: BTreeMap<String, f64> = payload
-        .cases
-        .iter()
-        .map(|c| (c.name.clone(), c.mean_ns))
-        .collect();
-    let path = bench::report::results_dir()
-        .parent()
-        .map(|p| p.join("BENCH_6.json"))
-        .unwrap_or_else(|| "BENCH_6.json".into());
-    match serde_json::to_string_pretty(&map) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json + "\n") {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                println!("[saved {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialize BENCH_6.json: {e}"),
-    }
 }
