@@ -382,6 +382,12 @@ impl Tape {
     /// comparison became a branch on a uniform draw, mispredicted on
     /// about `min(keep, 1 − keep)` of the elements, which cost three times
     /// the draws themselves.
+    ///
+    /// The pass works on the raw `u = rng.next_u32()`: `gen::<f32>()` is
+    /// `k · 2⁻²⁴` for `k = u >> 8`, both factors exact, and `keep · 2²⁴`
+    /// is exact too for `keep` in `(0, 1]`, so the draw is below `keep`
+    /// exactly when the integer `k` is below `⌈keep · 2²⁴⌉`. The sign of
+    /// `k − ⌈keep · 2²⁴⌉` then masks the bits of `1/keep`.
     pub fn dropout_rows<R: Rng>(
         &mut self,
         a: Var,
@@ -400,10 +406,12 @@ impl Tape {
             let draws = &mut *draws.borrow_mut();
             draws.clear();
             draws.extend((0..rows.len() * c).map(|_| rng.next_u32()));
-            let keep = KeepMask::new(keep);
+            let cut = (keep * 16_777_216.0).ceil() as i32;
+            let kept = (1.0 / keep).to_bits();
             for (&row, us) in rows.iter().zip(draws.chunks_exact(c.max(1))) {
                 for (m, &u) in mask.row_mut(row).iter_mut().zip(us) {
-                    *m = keep.value(u);
+                    let below = (((u >> 8) as i32 - cut) >> 31) as u32;
+                    *m = f32::from_bits(kept & below);
                 }
             }
         });
@@ -703,39 +711,11 @@ fn row_norm(row: &[f32]) -> f32 {
     row.iter().map(|x| x * x).sum::<f32>().sqrt()
 }
 
-/// A dropout mask value from one raw draw `u = rng.next_u32()`, equal by
-/// bits to `if rng.gen::<f32>() < keep { 1.0 / keep } else { 0.0 }`.
-///
-/// `gen::<f32>()` is `k · 2⁻²⁴` for `k = u >> 8`, both factors exact, and
-/// `keep · 2²⁴` is exact too for `keep` in `(0, 1]`, so the draw is below
-/// `keep` exactly when the integer `k` is below `⌈keep · 2²⁴⌉`. The sign of
-/// `k − ⌈keep · 2²⁴⌉` masks the bits of `1/keep` without a branch.
-struct KeepMask {
-    /// `⌈keep · 2²⁴⌉`, at most `2²⁴`.
-    cut: i32,
-    /// The bits of `1.0 / keep`.
-    kept: u32,
-}
-
-impl KeepMask {
-    fn new(keep: f32) -> Self {
-        Self {
-            cut: (keep * 16_777_216.0).ceil() as i32,
-            kept: (1.0 / keep).to_bits(),
-        }
-    }
-
-    #[inline]
-    fn value(&self, u: u32) -> f32 {
-        let below = (((u >> 8) as i32 - self.cut) >> 31) as u32;
-        f32::from_bits(self.kept & below)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gradcheck::gradcheck_scalar;
+    use rand::rngs::mock::StepRng;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tensor::randn;
@@ -909,7 +889,13 @@ mod tests {
 
     /// The mask as one branch per element drew it, visiting `rows` in
     /// order: the reference [`Tape::dropout_rows`] must equal by bits.
-    fn mask_reference(r: usize, c: usize, keep: f32, rows: &[usize], rng: &mut StdRng) -> Matrix {
+    fn mask_reference<R: Rng>(
+        r: usize,
+        c: usize,
+        keep: f32,
+        rows: &[usize],
+        rng: &mut R,
+    ) -> Matrix {
         let mut mask = Matrix::zeros(r, c);
         for &row in rows {
             for m in mask.row_mut(row) {
@@ -956,6 +942,21 @@ mod tests {
                     "RNG position, keep {keep}"
                 );
             }
+            // Draws stepping across the edge: `k` from four below
+            // `⌈keep · 2²⁴⌉` to four above it.
+            let edge = (keep * 16_777_216.0).ceil() as u64;
+            let start = edge.saturating_sub(4) << 40;
+            let mut want_rng = StepRng::new(start, 1 << 40);
+            let rows: Vec<usize> = (0..8).collect();
+            let want = mask_reference(8, 1, keep, &rows, &mut want_rng);
+            let mut tape = Tape::new();
+            let x = tape.input(Matrix::filled(8, 1, 1.0));
+            let d = tape.dropout(x, keep, &mut StepRng::new(start, 1 << 40));
+            assert_eq!(
+                tape.value(d).as_slice(),
+                want.as_slice(),
+                "edge, keep {keep}"
+            );
         }
     }
 

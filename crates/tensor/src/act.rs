@@ -407,6 +407,10 @@ mod avx2 {
     /// Row `k` of `src` (gate `k` of a `4h` slice; an `h` slice is its
     /// own row 0) at units `j..j + 8` of `h`. Past the end of the row
     /// (the tail) the lanes read `0.0`, as in `map8`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (slice bounds are checked).
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn load(src: &[f32], h: usize, k: usize, j: usize) -> __m256 {
@@ -421,6 +425,10 @@ mod avx2 {
 
     /// Stores the lanes of `v` that fall inside row `k` of `dst` at units
     /// `j..j + 8` of `h`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (slice bounds are checked).
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn store(dst: &mut [f32], h: usize, k: usize, j: usize, v: __m256) {
@@ -435,6 +443,11 @@ mod avx2 {
         }
     }
 
+    /// The AVX2 tier of [`super::lstm_cell`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (slice bounds are checked).
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn lstm_cell(
         gates: &mut [f32],
@@ -463,6 +476,11 @@ mod avx2 {
         }
     }
 
+    /// The AVX2 tier of [`super::lstm_cell_backward`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (slice bounds are checked).
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn lstm_cell_backward(
         gates: &[f32],

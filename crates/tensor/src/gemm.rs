@@ -264,6 +264,11 @@ unsafe fn kernel_avx2(kc: usize, ap: &[f32], bp: &[f32], tile: &mut [f32; MR * N
 /// The 4×8 twin of [`kernel_avx2`] for a last panel of at most `NR/2`
 /// live columns: the same chains over the panel's first eight columns,
 /// half the work.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, `ap` must hold at least `kc·MR` floats and
+/// `bp` at least `kc·NR`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn kernel_avx2_half(kc: usize, ap: &[f32], bp: &[f32], tile: &mut [f32; MR * NR]) {
