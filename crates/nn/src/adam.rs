@@ -191,16 +191,18 @@ impl Adam {
             let bc2 = 1.0 - b2.powi(self.t as i32);
             let (a1, a2, s1, s2, step) = (1.0 - b1, 1.0 - b2, 1.0 / bc1, 1.0 / bc2, -lr);
             for (k, &id) in self.ids.iter().enumerate() {
-                // One pass per parameter; per element, in this order:
-                // g = grad·scale; m = m·b1, m = m + (1−b1)·g; v = v·b2,
-                // v = v + (1−b2)·(g·g); w = w + (−lr)·((m·(1/bc1)) /
-                // (sqrt(v·(1/bc2)) + eps)); the gradient is zeroed.
+                // One pass per parameter with the multi-pass chain's
+                // operations in its order, so the bits are the same (DESIGN
+                // §18): g = grad·scale; m = m·b1, m = m + (1−b1)·g;
+                // v = v·b2, v = v + (1−b2)·(g·g); w = w + (−lr)·((m·(1/bc1))
+                // / (sqrt(v·(1/bc2)) + eps)); the gradient is zeroed.
                 let p = store.get_mut(id);
                 let value = Arc::make_mut(&mut p.value).as_mut_slice();
                 let (m, v) = (self.m[k].as_mut_slice(), self.v[k].as_mut_slice());
                 let grad = p.grad.as_mut_slice();
                 assert!(
-                    m.len() == value.len() && v.len() == value.len() && grad.len() == value.len()
+                    m.len() == value.len() && v.len() == value.len() && grad.len() == value.len(),
+                    "adam moments and gradient must match the parameter's shape"
                 );
                 for (((w, gr), m), v) in value.iter_mut().zip(grad).zip(m).zip(v) {
                     let g = *gr * scale;
