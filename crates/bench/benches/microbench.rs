@@ -40,6 +40,8 @@ struct Case {
 #[derive(Serialize)]
 struct Payload {
     threads: usize,
+    /// The kernel tier every case ran on (`tensor::simd_tier`).
+    simd_tier: &'static str,
     budget_ms: u64,
     cases: Vec<Case>,
     /// serial-time / parallel-time per paired case name.
@@ -243,8 +245,8 @@ fn toy_train_featurizer(threads: usize) {
             k,
             ProfileInput {
                 fv,
-                words: Matrix::zeros(0, 6),
                 ids: Vec::new(),
+                vectors: std::sync::Arc::clone(featurizer.word_vectors()),
             },
         );
         labeled.push((k, class));
@@ -341,6 +343,66 @@ fn bench_lstm_train_pass(h: &mut Harness) {
         let loss = tape.mean_all(states);
         tape.backward(loss, &mut store)
     });
+}
+
+/// The served model's shapes (h = 24, a 3-wide conv over 2h-wide states)
+/// on the dispatched kernel tier: one LSTM cell step block and its BPTT
+/// over 160 rows, the packed per-step product `h·Wh` of a 24-row block,
+/// and the conv's products — forward `X·W` over 130 windows, backward
+/// `dX = G·Wᵀ` and `dW = Xᵀ·G` — each packing its operand as the tape
+/// does.
+fn bench_model_shapes(h: &mut Harness) {
+    use tensor::gemm::{self, Variant};
+    let mut rng = StdRng::seed_from_u64(4);
+    let (units, rows) = (24, 160);
+    let mut gates = randn(&mut rng, rows, 4 * units, 2.0).as_slice().to_vec();
+    let hg = randn(&mut rng, rows, 4 * units, 1.0).as_slice().to_vec();
+    let b = randn(&mut rng, 1, 4 * units, 0.5).as_slice().to_vec();
+    let mut c = randn(&mut rng, rows, units, 1.0).as_slice().to_vec();
+    let (mut tc, mut hs) = (vec![0.0; rows * units], vec![0.0; rows * units]);
+    // In place: after the first call the gates hold activations, which
+    // the branch-free kernel treats like any other input.
+    h.bench("lstm_cell_160x24", || {
+        tensor::act::lstm_cell(&mut gates, &hg, &b, &mut c, &mut tc, &mut hs);
+        hs[0]
+    });
+    let g_out = randn(&mut rng, rows, units, 1.0).as_slice().to_vec();
+    let dh_rec = randn(&mut rng, rows, units, 1.0).as_slice().to_vec();
+    let c_prev = randn(&mut rng, rows, units, 1.0).as_slice().to_vec();
+    let mut dc = vec![0.0; rows * units];
+    let mut dg = vec![0.0; rows * 4 * units];
+    h.bench("lstm_cell_backward_160x24", || {
+        tensor::act::lstm_cell_backward(
+            units, &gates, &tc, &c_prev, &g_out, &dh_rec, &mut dc, &mut dg,
+        );
+        dg[0]
+    });
+
+    let state = randn(&mut rng, 24, units, 1.0);
+    let wh = randn(&mut rng, units, 4 * units, 1.0);
+    let packed = gemm::pack_b(Variant::Nn, wh.as_slice(), 4 * units, units, 4 * units);
+    let mut out = vec![0.0; 24 * 4 * units];
+    h.bench("step_product_24x24x96", || {
+        gemm::gemm_rows(
+            Variant::Nn,
+            state.as_slice(),
+            units,
+            24,
+            &packed,
+            0,
+            &mut out,
+        );
+        out[0]
+    });
+
+    let windows = randn(&mut rng, 130, 3 * 2 * units, 1.0);
+    let filters = randn(&mut rng, 3 * 2 * units, units, 1.0);
+    let grad = randn(&mut rng, 130, units, 1.0);
+    h.bench("conv_forward_130x144x24", || {
+        windows.matmul_serial(&filters)
+    });
+    h.bench("conv_dx_130x24x144", || grad.matmul_nt_serial(&filters));
+    h.bench("conv_dw_144x130x24", || windows.matmul_tn_serial(&grad));
 }
 
 /// Skip-gram pretraining (§4.2) over the LV preset's training corpus at
@@ -512,7 +574,8 @@ fn main() {
     let mut h = Harness::new();
     let threads = parallel::num_threads();
     h.report.line(&format!(
-        "threads = {threads}, budget = {} ms/case",
+        "threads = {threads}, simd tier = {}, budget = {} ms/case",
+        tensor::simd_tier(),
         h.budget_ms
     ));
 
@@ -521,6 +584,7 @@ fn main() {
     bench_training(&mut h);
     bench_bilstm_train_step(&mut h);
     bench_lstm_train_pass(&mut h);
+    bench_model_shapes(&mut h);
     bench_skipgram(&mut h);
     let ds = small_dataset();
     bench_geo(&mut h, &ds);
@@ -563,6 +627,7 @@ fn main() {
 
     let payload = Payload {
         threads,
+        simd_tier: tensor::simd_tier(),
         budget_ms: h.budget_ms,
         cases: h.cases,
         speedups,

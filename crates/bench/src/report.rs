@@ -3,7 +3,7 @@
 
 use serde::Serialize;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A named experiment report that renders tables and persists JSON.
 pub struct Report {
@@ -96,14 +96,22 @@ pub fn metrics_requested() -> bool {
         .unwrap_or(false)
 }
 
-/// `results/` at the workspace root (falls back to CWD).
+/// `results/` at the root of the checkout the process runs in, found
+/// from the working directory at run time (cargo starts benches and tests
+/// in `crates/bench`, binaries wherever they are launched), so a binary
+/// built in one checkout writes into the checkout it is run from. Falls
+/// back to `results/` under the working directory.
 pub fn results_dir() -> PathBuf {
-    // CARGO_MANIFEST_DIR = crates/bench; the workspace root is two up.
-    let base = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    base.parent()
-        .and_then(|p| p.parent())
-        .map(|p| p.join("results"))
-        .unwrap_or_else(|| PathBuf::from("results"))
+    let cwd = std::env::current_dir().unwrap_or_default();
+    workspace_results(&cwd).unwrap_or_else(|| PathBuf::from("results"))
+}
+
+/// `results/` under the nearest ancestor of `from` (itself included) that
+/// holds this workspace's `crates/bench`.
+fn workspace_results(from: &Path) -> Option<PathBuf> {
+    from.ancestors()
+        .find(|dir| dir.join("crates/bench/Cargo.toml").is_file())
+        .map(|root| root.join("results"))
 }
 
 /// Formats a metric as the paper does (4 decimals).
@@ -136,6 +144,25 @@ mod tests {
 
     #[test]
     fn results_dir_is_workspace_level() {
-        assert!(results_dir().ends_with("results"));
+        let dir = results_dir();
+        assert!(dir.ends_with("results"), "{}", dir.display());
+        let root = dir.parent().expect("results/ has a parent");
+        assert!(
+            root.join("crates/bench/Cargo.toml").is_file(),
+            "{}",
+            dir.display()
+        );
+        // Resolved from where the process runs, not where it was built: a
+        // copy of the checkout gets its own results/, a directory outside
+        // any checkout none.
+        let copy = std::env::temp_dir().join(format!("hisrect-results-{}", std::process::id()));
+        let inner = copy.join("crates/bench/src");
+        fs::create_dir_all(&inner).unwrap();
+        fs::write(copy.join("crates/bench/Cargo.toml"), "").unwrap();
+        let found = workspace_results(&inner);
+        let outside = workspace_results(&std::env::temp_dir());
+        fs::remove_dir_all(&copy).unwrap();
+        assert_eq!(found, Some(copy.join("results")));
+        assert_eq!(outside, None);
     }
 }

@@ -85,51 +85,53 @@ impl ContentNet {
         ids
     }
 
-    /// Encodes a `T x M` word-vector matrix into a `1 x out_dim` feature:
-    /// [`ContentNet::forward_batch`] of one profile.
-    pub fn forward<R: Rng>(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        words: &Matrix,
-        train: bool,
-        rng: &mut R,
-    ) -> Var {
-        self.forward_batch(tape, store, &[words], train, rng)
-    }
-
-    /// Encodes a batch of `T_i x M` word-vector matrices into a
-    /// `B x out_dim` node, row `i` for `words[i]`. `train` toggles the
+    /// Encodes a batch of tweets into a `B x out_dim` node, row `i` for
+    /// the words `ids[i]`, each a row of `vectors` (the table
+    /// [`crate::featurizer::ProfileInput::ids`] index). `train` toggles the
     /// LSTM-layer dropout of §6.1.2, drawn one profile at a time in batch
-    /// order. The paper's encoders (BiLSTM-C, BLSTM) run the whole batch
-    /// through one node per layer and direction, then one convolution and
-    /// one pooling; the BiGRU-C and ConvLSTM ablations keep their per-step
-    /// graphs, one profile at a time.
+    /// order. The paper's encoders (BiLSTM-C, BLSTM) gather the vectors of
+    /// the whole batch into one [`SeqBatch`] input and run it through one
+    /// node per layer and direction, then one convolution and one pooling;
+    /// the BiGRU-C and ConvLSTM ablations keep their per-step graphs, one
+    /// profile at a time.
     pub fn forward_batch<R: Rng>(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
-        words: &[&Matrix],
+        vectors: &Matrix,
+        ids: &[&[u32]],
         train: bool,
         rng: &mut R,
     ) -> Var {
-        for w in words {
-            assert_eq!(w.cols(), self.word_dim, "word-vector width mismatch");
-        }
+        let m = self.word_dim;
+        assert_eq!(vectors.cols(), m, "word-vector width mismatch");
+        let gather = |ids: &[u32]| {
+            let mut x = Matrix::zeros(ids.len(), m);
+            for (row, &w) in x.as_mut_slice().chunks_exact_mut(m).zip(ids) {
+                row.copy_from_slice(vectors.row(w as usize));
+            }
+            x
+        };
         if !self.bilstms.is_empty() {
-            let lens: Vec<usize> = words.iter().map(|w| self.padded_len(w.rows())).collect();
+            let lens: Vec<usize> = ids.iter().map(|ids| self.padded_len(ids.len())).collect();
             let seqs = SeqBatch::new(&lens);
-            let mut h = tape.input(seqs.pack(words, self.word_dim));
+            // Padding is id 0, the zero row, as in `eval_batch_into`.
+            let mut packed = vec![0; seqs.rows()];
+            seqs.pack_ids_into(ids, &mut packed);
+            let mut h = tape.input(gather(&packed));
             for bi in &self.bilstms {
                 h = bi.forward_rows(tape, store, h, &seqs);
             }
             return self.pool_states(tape, store, h, &seqs, train, rng);
         }
-        let rows: Vec<Var> = words
+        let rows: Vec<Var> = ids
             .iter()
-            .map(|w| match &self.convlstm {
-                Some(cell) => cell.forward(tape, store, w),
-                None => self.forward_bigru(tape, store, w, train, rng),
+            .map(|ids| {
+                let words = gather(ids);
+                match &self.convlstm {
+                    Some(cell) => cell.forward(tape, store, &words),
+                    None => self.forward_bigru(tape, store, &words, train, rng),
+                }
             })
             .collect();
         tape.stack_rows(&rows)
@@ -155,8 +157,7 @@ impl ContentNet {
     /// `table` ([`ContentNet::word_table`] of the same `vectors`), one
     /// recurrent pass per further layer and direction over all rows, one
     /// im2col product, then the pooling. The BiGRU-C and ConvLSTM
-    /// ablations, which nothing serves, look their word vectors up and go
-    /// through the tape.
+    /// ablations, which nothing serves, go through the tape.
     pub fn eval_batch_into(
         &self,
         store: &ParamStore,
@@ -168,15 +169,9 @@ impl ContentNet {
     ) {
         let d = self.out_dim;
         let Some((first, rest)) = self.bilstms.split_first() else {
-            let m = self.word_dim;
-            let words: Vec<Matrix> = ids
-                .iter()
-                .map(|ids| Matrix::from_fn(ids.len(), m, |r, c| vectors.get(ids[r] as usize, c)))
-                .collect();
-            let words: Vec<&Matrix> = words.iter().collect();
             let mut tape = Tape::new();
             let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-            let f = self.forward_batch(&mut tape, store, &words, false, &mut rng);
+            let f = self.forward_batch(&mut tape, store, vectors, ids, false, &mut rng);
             for (k, row) in tape.value(f).as_slice().chunks_exact(d).enumerate() {
                 out[k * stride..k * stride + d].copy_from_slice(row);
             }
@@ -393,6 +388,34 @@ mod tests {
         randn(&mut StdRng::seed_from_u64(seed), t, 8, 1.0)
     }
 
+    /// [`ContentNet::forward_batch`] over tweets given as word-vector
+    /// matrices: the word table is a zero row, then every row of every
+    /// matrix in order, and each tweet's ids point at its own rows.
+    fn forward(
+        net: &ContentNet,
+        tape: &mut Tape,
+        store: &ParamStore,
+        words: &[&Matrix],
+        train: bool,
+        rng: &mut StdRng,
+    ) -> Var {
+        let m = net.word_dim;
+        let mut table = vec![0.0; m];
+        let mut ids = Vec::with_capacity(words.len());
+        for w in words {
+            let first = table.len() / m;
+            table.extend_from_slice(w.as_slice());
+            ids.push(
+                (first..first + w.rows())
+                    .map(|id| id as u32)
+                    .collect::<Vec<u32>>(),
+            );
+        }
+        let table = Matrix::from_vec(table.len() / m, m, table);
+        let ids: Vec<&[u32]> = ids.iter().map(Vec::as_slice).collect();
+        net.forward_batch(tape, store, &table, &ids, train, rng)
+    }
+
     #[test]
     fn bilstm_c_output_shape() {
         let mut store = ParamStore::new();
@@ -400,7 +423,7 @@ mod tests {
         let net = ContentNet::new(&mut store, &cfg(), ContentEncoder::BiLstmC, &mut rng).unwrap();
         assert_eq!(net.out_dim(), 6);
         let mut tape = Tape::new();
-        let f = net.forward(&mut tape, &store, &words(10, 1), false, &mut rng);
+        let f = forward(&net, &mut tape, &store, &[&words(10, 1)], false, &mut rng);
         assert_eq!(tape.value(f).shape(), (1, 6));
     }
 
@@ -411,7 +434,7 @@ mod tests {
         let net = ContentNet::new(&mut store, &cfg(), ContentEncoder::Blstm, &mut rng).unwrap();
         assert_eq!(net.out_dim(), 12);
         let mut tape = Tape::new();
-        let f = net.forward(&mut tape, &store, &words(5, 2), false, &mut rng);
+        let f = forward(&net, &mut tape, &store, &[&words(5, 2)], false, &mut rng);
         assert_eq!(tape.value(f).shape(), (1, 12));
     }
 
@@ -422,7 +445,7 @@ mod tests {
         let net = ContentNet::new(&mut store, &cfg(), ContentEncoder::ConvLstm, &mut rng).unwrap();
         assert_eq!(net.out_dim(), 6);
         let mut tape = Tape::new();
-        let f = net.forward(&mut tape, &store, &words(4, 3), false, &mut rng);
+        let f = forward(&net, &mut tape, &store, &[&words(4, 3)], false, &mut rng);
         assert_eq!(tape.value(f).shape(), (1, 6));
     }
 
@@ -433,7 +456,7 @@ mod tests {
         let net = ContentNet::new(&mut store, &cfg(), ContentEncoder::BiGruC, &mut rng).unwrap();
         assert_eq!(net.out_dim(), 6);
         let mut tape = Tape::new();
-        let f = net.forward(&mut tape, &store, &words(9, 4), false, &mut rng);
+        let f = forward(&net, &mut tape, &store, &[&words(9, 4)], false, &mut rng);
         assert_eq!(tape.value(f).shape(), (1, 6));
         assert!(!tape.value(f).has_non_finite());
     }
@@ -453,7 +476,7 @@ mod tests {
         for t in [0usize, 1, 2] {
             let mut tape = Tape::new();
             let w = Matrix::zeros(t, 8);
-            let f = net.forward(&mut tape, &store, &w, false, &mut rng);
+            let f = forward(&net, &mut tape, &store, &[&w], false, &mut rng);
             assert_eq!(tape.value(f).shape(), (1, 6), "t = {t}");
             assert!(!tape.value(f).has_non_finite());
         }
@@ -467,7 +490,7 @@ mod tests {
         let net = ContentNet::new(&mut store, &c, ContentEncoder::BiLstmC, &mut rng).unwrap();
         assert_eq!(net.bilstms.len(), 3);
         let mut tape = Tape::new();
-        let f = net.forward(&mut tape, &store, &words(6, 5), false, &mut rng);
+        let f = forward(&net, &mut tape, &store, &[&words(6, 5)], false, &mut rng);
         assert_eq!(tape.value(f).shape(), (1, 6));
     }
 
@@ -477,9 +500,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let net = ContentNet::new(&mut store, &cfg(), ContentEncoder::BiLstmC, &mut rng).unwrap();
         let mut t1 = Tape::new();
-        let f1 = net.forward(&mut t1, &store, &words(6, 7), false, &mut rng);
+        let f1 = forward(&net, &mut t1, &store, &[&words(6, 7)], false, &mut rng);
         let mut t2 = Tape::new();
-        let f2 = net.forward(&mut t2, &store, &words(6, 8), false, &mut rng);
+        let f2 = forward(&net, &mut t2, &store, &[&words(6, 8)], false, &mut rng);
         assert!(!t1.value(f1).approx_eq(t2.value(f2), 1e-6));
     }
 
@@ -491,7 +514,7 @@ mod tests {
         let w = words(7, 9);
         let run = |rng: &mut StdRng| {
             let mut tape = Tape::new();
-            let f = net.forward(&mut tape, &store, &w, false, rng);
+            let f = forward(&net, &mut tape, &store, &[&w], false, rng);
             tape.value(f).clone()
         };
         let a = run(&mut StdRng::seed_from_u64(1));
@@ -511,7 +534,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(0);
             let net = ContentNet::new(&mut store, &cfg(), kind, &mut rng).unwrap();
             let mut tape = Tape::new();
-            let f = net.forward(&mut tape, &store, &words(5, 11), false, &mut rng);
+            let f = forward(&net, &mut tape, &store, &[&words(5, 11)], false, &mut rng);
             let sq = tape.mul(f, f);
             let loss = tape.mean_all(sq);
             tape.backward(loss, &mut store);
@@ -546,7 +569,7 @@ mod tests {
     ) -> (Matrix, Vec<Matrix>) {
         store.zero_grads();
         let mut tape = Tape::new();
-        let f = net.forward_batch(&mut tape, store, words, true, rng);
+        let f = forward(net, &mut tape, store, words, true, rng);
         let fw = tape.mul_const(f, w);
         let per_row = tape.row_sum(fw);
         let ones = tape.input(Matrix::filled(1, words.len(), 1.0));
@@ -647,7 +670,7 @@ mod tests {
         for id in conv.param_ids() {
             let err = nn::gradcheck::gradcheck_scalar(&mut store, id, |tape, store| {
                 let mut rng = StdRng::seed_from_u64(6);
-                let f = net.forward_batch(tape, store, &refs, false, &mut rng);
+                let f = forward(&net, tape, store, &refs, false, &mut rng);
                 let sq = tape.mul(f, f);
                 tape.mean_all(sq)
             });

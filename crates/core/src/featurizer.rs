@@ -6,22 +6,25 @@ use crate::fc::ContentNet;
 use crate::model::Precision;
 use nn::{EvalStack, FeedForward, ParamId, ParamStore, Tape, Var, WordTable};
 use rand::Rng;
+use std::sync::Arc;
 use tensor::Matrix;
 
 /// Precomputed per-profile model inputs: the CPU-side `Fv` vector and the
-/// recent tweet, as word vectors and as their ids.
+/// words of the recent tweet, as rows of a word table.
 #[derive(Debug, Clone)]
 pub struct ProfileInput {
     /// `Fv(r)` (or its one-hot variant), length `|P|`; empty when the
     /// history encoder is `None`.
     pub fv: Vec<f32>,
-    /// `T x M` word vectors of `r.content`; zero-row matrix allowed. What
-    /// the training (tape) forward reads.
-    pub words: Matrix,
-    /// The row of each of those vectors in the featurizer's word table
-    /// ([`Featurizer::with_word_vectors`]): `0` for the zero vector,
-    /// `w + 1` for vocabulary word `w`. What evaluation reads.
+    /// The row of each word of `r.content` in `vectors`: `0` for the zero
+    /// vector, `w + 1` for vocabulary word `w`; empty allowed.
     pub ids: Vec<u32>,
+    /// The word table `ids` index, one `Arc` shared by every input of a
+    /// model (its featurizer's, [`Featurizer::word_vectors`]). The training
+    /// forward gathers its rows from here — one table per batch — so an
+    /// input also feeds a featurizer that holds no table of its own;
+    /// evaluation reads the ids through the bound featurizer's table.
+    pub vectors: Arc<Matrix>,
 }
 
 impl ProfileInput {
@@ -34,20 +37,15 @@ impl ProfileInput {
         } else {
             vec![1.0 / (n as f32).sqrt(); n]
         };
-        Self {
-            fv,
-            words: self.words.clone(),
-            ids: self.ids.clone(),
-        }
+        Self { fv, ..self.clone() }
     }
 
     /// Copy with the tweet content blanked (every word replaced by the
     /// `</s>` vector — here the zero vector), for the HisRect\T ablation.
     pub fn without_content(&self) -> Self {
         Self {
-            fv: self.fv.clone(),
-            words: Matrix::zeros(self.words.rows(), self.words.cols()),
             ids: vec![0; self.ids.len()],
+            ..self.clone()
         }
     }
 }
@@ -77,7 +75,7 @@ pub struct Featurizer {
     keep_prob: f32,
     /// The word table [`ProfileInput::ids`] index: row 0 zeros, row
     /// `w + 1` the vector of vocabulary word `w`.
-    word_vectors: Matrix,
+    word_vectors: Arc<Matrix>,
 }
 
 impl Featurizer {
@@ -111,7 +109,7 @@ impl Featurizer {
             head,
             fv_dim,
             keep_prob: cfg.keep_prob,
-            word_vectors: Matrix::zeros(1, cfg.word_dim),
+            word_vectors: Arc::new(Matrix::zeros(1, cfg.word_dim)),
         }
     }
 
@@ -123,8 +121,14 @@ impl Featurizer {
         assert_eq!(vectors.cols(), m, "word-vector width mismatch");
         let mut table = Matrix::zeros(vectors.rows() + 1, m);
         table.as_mut_slice()[m..].copy_from_slice(vectors.as_slice());
-        self.word_vectors = table;
+        self.word_vectors = Arc::new(table);
         self
+    }
+
+    /// The word table [`ProfileInput::ids`] index (see
+    /// [`Featurizer::with_word_vectors`]), for the inputs built against it.
+    pub fn word_vectors(&self) -> &Arc<Matrix> {
+        &self.word_vectors
     }
 
     /// Output dimensionality of `F(r)`.
@@ -165,8 +169,11 @@ impl Featurizer {
         let _span = obs::span("featurizer/forward");
         obs::add("featurizer/profiles", inputs.len() as u64);
         let fc = self.content.as_ref().map(|content| {
-            let words: Vec<&Matrix> = inputs.iter().map(|input| &input.words).collect();
-            content.forward_batch(tape, store, &words, train, rng)
+            let vectors = &inputs[0].vectors;
+            let shared = inputs.iter().all(|i| Arc::ptr_eq(&i.vectors, vectors));
+            assert!(shared, "one word table per batch");
+            let ids: Vec<&[u32]> = inputs.iter().map(|input| &input.ids[..]).collect();
+            content.forward_batch(tape, store, vectors, &ids, train, rng)
         });
         let x = if self.fv_dim > 0 {
             let fv_ok = inputs.iter().all(|input| input.fv.len() == self.fv_dim);
@@ -278,6 +285,19 @@ mod tests {
         randn(&mut StdRng::seed_from_u64(99), VOCAB as usize, 8, 1.0)
     }
 
+    /// [`vectors`] laid out as [`Featurizer::with_word_vectors`] lays
+    /// them out, behind a zero row: one table every test input shares.
+    fn table() -> Arc<Matrix> {
+        static TABLE: std::sync::OnceLock<Arc<Matrix>> = std::sync::OnceLock::new();
+        let table = TABLE.get_or_init(|| {
+            let v = vectors();
+            let mut t = Matrix::zeros(v.rows() + 1, v.cols());
+            t.as_mut_slice()[v.cols()..].copy_from_slice(v.as_slice());
+            Arc::new(t)
+        });
+        Arc::clone(table)
+    }
+
     /// `Featurizer::new` bound to [`vectors`].
     fn featurizer(
         store: &mut ParamStore,
@@ -297,12 +317,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let fv: Vec<f32> = (0..n_pois).map(|_| rng.gen_range(0.0..1.0)).collect();
         let ids: Vec<u32> = (0..t).map(|_| rng.gen_range(0..=VOCAB)).collect();
-        let vectors = vectors();
-        let words = Matrix::from_fn(t, 8, |r, c| match ids[r] {
-            0 => 0.0,
-            w => vectors.get(w as usize - 1, c),
-        });
-        ProfileInput { fv, words, ids }
+        ProfileInput {
+            fv,
+            ids,
+            vectors: table(),
+        }
     }
 
     #[test]
@@ -317,6 +336,7 @@ mod tests {
             5,
             &mut rng,
         );
+        assert_eq!(f.word_vectors().as_slice(), table().as_slice());
         assert_eq!(f.feat_dim(), 10);
         let ins = [input(1, 5, 6), input(2, 5, 3)];
         let refs: Vec<&ProfileInput> = ins.iter().collect();
@@ -340,7 +360,7 @@ mod tests {
         let a = input(1, 5, 6);
         let other = input(2, 5, 4);
         let mut b = a.clone();
-        (b.words, b.ids) = (other.words, other.ids);
+        b.ids = other.ids;
         let fa = features(&f, &store, &[&a]);
         let fb = features(&f, &store, &[&b]);
         assert!(fa.approx_eq(&fb, 0.0));
@@ -383,12 +403,32 @@ mod tests {
     fn ablations_blank_the_right_part() {
         let a = input(3, 4, 5);
         let no_h = a.without_history();
-        assert_eq!(no_h.words, a.words);
+        assert_eq!(no_h.ids, a.ids);
         assert!(no_h.fv.iter().all(|&x| (x - no_h.fv[0]).abs() < 1e-7));
         let no_t = a.without_content();
         assert_eq!(no_t.fv, a.fv);
-        assert_eq!(no_t.words.sum(), 0.0);
         assert!(no_t.ids.len() == a.ids.len() && no_t.ids.iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn training_forward_reads_the_table_each_input_carries() {
+        // The same weights with and without a bound table: a featurizer
+        // that holds none still trains on a model's inputs.
+        let (mut bound_store, mut bare_store) = (ParamStore::new(), ParamStore::new());
+        let kinds = (HistoryEncoder::Rect, ContentEncoder::BiLstmC);
+        let mut rng = StdRng::seed_from_u64(3);
+        let bound = featurizer(&mut bound_store, &cfg(), kinds.0, kinds.1, 4, &mut rng);
+        let mut rng = StdRng::seed_from_u64(3);
+        let bare = Featurizer::new(&mut bare_store, &cfg(), kinds.0, kinds.1, 4, &mut rng);
+        let ins = [input(5, 4, 7), input(6, 4, 2)];
+        let refs: Vec<&ProfileInput> = ins.iter().collect();
+        let forward = |f: &Featurizer, store: &ParamStore| {
+            let mut tape = Tape::new();
+            let mut rng = StdRng::seed_from_u64(0);
+            let out = f.forward_batch(&mut tape, store, &refs, false, &mut rng);
+            bits(tape.value(out).as_slice())
+        };
+        assert_eq!(forward(&bare, &bare_store), forward(&bound, &bound_store));
     }
 
     #[test]
@@ -426,7 +466,7 @@ mod tests {
     /// words for profile `k`, every fifth profile's content blanked) and
     /// over each profile alone, against the tape forward of the batch:
     /// every row equal by bits, f32 and int8. Evaluation reads the ids
-    /// through the word table, the tape the word vectors.
+    /// through the BiLSTM's word table, the tape the word vectors.
     fn assert_eval_matches_tape(content: ContentEncoder, ql: usize, ts: &[usize], seed: u64) {
         let cfg = HisRectConfig {
             word_dim: 8,
@@ -460,9 +500,9 @@ mod tests {
         let want = tape.value(want).clone();
         // The pre-head rows, as the tape builds them: `[Fv | Fc]`.
         let mut tape = Tape::new();
-        let words: Vec<&Matrix> = ins.iter().map(|i| &i.words).collect();
+        let ids: Vec<&[u32]> = ins.iter().map(|i| &i.ids[..]).collect();
         let fc = f.content.as_ref().expect("content encoder");
-        let fc = fc.forward_batch(&mut tape, &store, &words, false, &mut rng);
+        let fc = fc.forward_batch(&mut tape, &store, &ins[0].vectors, &ids, false, &mut rng);
         let qhead = f.head_at(&store, Precision::Int8);
 
         let batch = features(&f, &store, &refs);

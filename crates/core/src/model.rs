@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 use tensor::Matrix;
 use text::{SkipGram, SkipGramConfig, Vocab};
 use twitter_sim::{Dataset, Profile, ProfileIdx};
@@ -517,8 +518,8 @@ impl HisRectModel {
 
     /// Model inputs for a batch of profiles, in order: `Fv` per the
     /// history encoder (Eq. 1 computed once per distinct visit point of
-    /// the batch, [`fv_features`]) and the words of each tweet, as vectors
-    /// and as rows of the featurizer's word table.
+    /// the batch, [`fv_features`]) and the words of each tweet as rows of
+    /// the featurizer's word table.
     pub fn profile_inputs(
         &self,
         pois: &geo::PoiSet,
@@ -535,19 +536,19 @@ impl HisRectModel {
             HistoryEncoder::Rect => fv_features(profiles, pois, cfg.eps_d_m, cfg.eps_t_s),
             HistoryEncoder::OneHot => profiles.iter().map(|p| one_hot_feature(p, pois)).collect(),
         };
+        let vectors = self.featurizer.word_vectors();
         profiles
             .iter()
             .zip(fvs)
             .map(|(profile, fv)| {
-                if ablation.drop_content {
-                    let words = Matrix::zeros(profile.tokens.len(), cfg.word_dim);
-                    let ids = vec![0; profile.tokens.len()];
-                    return ProfileInput { fv, words, ids };
-                }
-                let vocab_ids = self.vocab.encode(&profile.tokens);
-                let words = self.skipgram.embed_sequence(&vocab_ids);
-                let ids = vocab_ids.iter().map(|&w| w as u32 + 1).collect();
-                ProfileInput { fv, words, ids }
+                let ids = if ablation.drop_content {
+                    vec![0; profile.tokens.len()]
+                } else {
+                    let vocab_ids = self.vocab.encode(&profile.tokens);
+                    vocab_ids.iter().map(|&w| w as u32 + 1).collect()
+                };
+                let vectors = Arc::clone(vectors);
+                ProfileInput { fv, ids, vectors }
             })
             .collect()
     }

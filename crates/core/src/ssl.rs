@@ -618,6 +618,7 @@ mod tests {
     use super::*;
     use crate::config::{ApproachSpec, ContentEncoder, HistoryEncoder};
     use rand::SeedableRng;
+    use std::sync::Arc;
     use tensor::Matrix;
 
     /// A synthetic two-class problem: class is fully determined by the Fv
@@ -659,8 +660,8 @@ mod tests {
                 k,
                 ProfileInput {
                     fv,
-                    words: Matrix::zeros(0, 6),
                     ids: Vec::new(),
+                    vectors: Arc::new(Matrix::zeros(1, 6)),
                 },
             );
             labeled.push((k, class));
@@ -718,8 +719,8 @@ mod tests {
             fv[2 + class] = 0.4;
             ProfileInput {
                 fv,
-                words: Matrix::zeros(0, 6),
                 ids: Vec::new(),
+                vectors: Arc::new(Matrix::zeros(1, 6)),
             }
         };
         let a = mk(0);
@@ -743,8 +744,8 @@ mod tests {
                 fv[2 + class] = 0.4;
                 ProfileInput {
                     fv,
-                    words: Matrix::zeros(0, 6),
                     ids: Vec::new(),
+                    vectors: Arc::new(Matrix::zeros(1, 6)),
                 }
             };
             let (a, b, c) = (mk(0, 0.0), mk(0, 0.02), mk(1, 0.0));
@@ -802,8 +803,8 @@ mod tests {
                 k,
                 ProfileInput {
                     fv,
-                    words: Matrix::zeros(0, 6),
                     ids: Vec::new(),
+                    vectors: Arc::new(Matrix::zeros(1, 6)),
                 },
             );
             if k < 40 {
@@ -872,11 +873,8 @@ mod tests {
             let mut fv = vec![0.05f32; 4];
             fv[class] = 0.9;
             let ids: Vec<u32> = (0..k % 9).map(|_| rng.gen_range(0..=12)).collect();
-            let words = Matrix::from_fn(ids.len(), 6, |r, c| match ids[r] {
-                0 => 0.0,
-                w => vectors.get(w as usize - 1, c),
-            });
-            inputs.insert(k, ProfileInput { fv, words, ids });
+            let vectors = Arc::clone(featurizer.word_vectors());
+            inputs.insert(k, ProfileInput { fv, ids, vectors });
             labeled.push((k, class));
         }
         let tape_loss = |store: &ParamStore| {

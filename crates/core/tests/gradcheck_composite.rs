@@ -12,7 +12,8 @@ use nn::ParamStore;
 use rand::rngs::mock::StepRng;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tensor::randn;
+use std::sync::Arc;
+use tensor::{randn, Matrix};
 
 #[test]
 fn composite_featurizer_loss_gradients_match_finite_differences() {
@@ -40,15 +41,26 @@ fn composite_featurizer_loss_gradients_match_finite_differences() {
 
     // Two profiles with ragged tweet lengths so both the recurrent and the
     // batched parts of the forward pass are exercised.
-    let inputs: Vec<ProfileInput> = (0..2)
+    // Each profile's words are its own vocabulary words (table row
+    // `w + 1` for word `w`).
+    let m = cfg.word_dim;
+    let mut vectors = Vec::new();
+    let words: Vec<(Vec<f32>, Vec<u32>)> = (0..2)
         .map(|k| {
             let fv: Vec<f32> = (0..n_pois).map(|_| rng.gen_range(0.0..1.0)).collect();
-            ProfileInput {
-                fv,
-                words: randn(&mut rng, 3 + k, cfg.word_dim, 1.0),
-                // The tape forward reads only the vectors.
-                ids: Vec::new(),
-            }
+            let first = vectors.len() / m;
+            vectors.extend_from_slice(randn(&mut rng, 3 + k, m, 1.0).as_slice());
+            let ids = (first..vectors.len() / m).map(|w| w as u32 + 1).collect();
+            (fv, ids)
+        })
+        .collect();
+    let featurizer = featurizer.with_word_vectors(&Matrix::from_vec(vectors.len() / m, m, vectors));
+    let inputs: Vec<ProfileInput> = words
+        .into_iter()
+        .map(|(fv, ids)| ProfileInput {
+            fv,
+            ids,
+            vectors: Arc::clone(featurizer.word_vectors()),
         })
         .collect();
     let targets = vec![0usize, 2];

@@ -7,8 +7,9 @@
 //!
 //! The rows follow a [`crate::SeqBatch`] layout, so each step's live rows
 //! are one contiguous block: the step is one `live × h · h × 4h` product
-//! against the packed recurrent weights, after one input projection of
-//! all rows. The reverse direction walks the steps from the last to the
+//! against the packed recurrent weights and one call of the cell kernel
+//! over the block (BPTT: one per block of rows that do or do not continue
+//! a previous step), after one input projection of all rows. The reverse direction walks the steps from the last to the
 //! first, a sequence joining from its zero state when its own last step
 //! comes up: rows are aligned on steps remaining.
 //!
@@ -231,27 +232,31 @@ impl LstmPass<'_> {
                     }
                 }
             };
-            wh.mul(&state[..computed * h], &mut hg[..computed * 4 * h]);
-            for r in 0..computed {
-                let row = start + r;
-                let gates = &mut gates[row * 4 * h..(row + 1) * 4 * h];
-                if let Some((ids, proj, _)) = words {
-                    let w = ids[row] as usize;
-                    gates.copy_from_slice(&proj[w * 4 * h..(w + 1) * 4 * h]);
+            // The computed slots' rows are one block: one cell call.
+            let (wide, narrow) = (
+                start * 4 * h..(start + computed) * 4 * h,
+                start * h..(start + computed) * h,
+            );
+            if let Some((ids, proj, _)) = words {
+                let dst = gates[wide.clone()].chunks_exact_mut(4 * h);
+                for (g, &w) in dst.zip(&ids[start..start + computed]) {
+                    let w = w as usize;
+                    g.copy_from_slice(&proj[w * 4 * h..(w + 1) * 4 * h]);
                 }
-                let c = &mut cells[r * h..(r + 1) * h];
-                let state = &mut state[r * h..(r + 1) * h];
-                act::lstm_cell(
-                    gates,
-                    &hg[r * 4 * h..(r + 1) * 4 * h],
-                    self.b,
-                    c,
-                    &mut tcs[row * h..(row + 1) * h],
-                    state,
-                );
-                cs[row * h..(row + 1) * h].copy_from_slice(c);
-                let at = row * out_stride + out_col;
-                out[at..at + h].copy_from_slice(state);
+            }
+            wh.mul(&state[..computed * h], &mut hg[..computed * 4 * h]);
+            act::lstm_cell(
+                &mut gates[wide],
+                &hg[..computed * 4 * h],
+                self.b,
+                &mut cells[..computed * h],
+                &mut tcs[narrow.clone()],
+                &mut state[..computed * h],
+            );
+            cs[narrow].copy_from_slice(&cells[..computed * h]);
+            for (r, st) in state[..computed * h].chunks_exact(h).enumerate() {
+                let at = (start + r) * out_stride + out_col;
+                out[at..at + h].copy_from_slice(st);
             }
             if let Some((ids, _, first)) = words {
                 for r in computed..live {
@@ -293,10 +298,10 @@ impl LstmPass<'_> {
         let steps = self.lens.first().copied().unwrap_or(0);
         let wh_t = Rhs::new(self.wh, true, 4 * h, h, batch);
         SCRATCH.with(|scratch| {
-            // dG: rows × 4h | h_prev: rows × h | dh, dc: batch × h | zeros: h.
+            // dG: rows × 4h | h_prev: rows × h | dh, dc, zeros: batch × h.
             let scratch = &mut *scratch.borrow_mut();
             scratch.clear();
-            scratch.resize(rows * 5 * h + (2 * batch + 1) * h, 0.0);
+            scratch.resize(rows * 5 * h + 3 * batch * h, 0.0);
             let (dgs, rest) = scratch.split_at_mut(rows * 4 * h);
             let (h_prev, rest) = rest.split_at_mut(rows * h);
             let (dhs, rest) = rest.split_at_mut(batch * h);
@@ -312,25 +317,33 @@ impl LstmPass<'_> {
                 } else {
                     None
                 };
-                for r in 0..live {
-                    let row = start + r;
-                    let p = prev.filter(|&(_, p)| r < p).map(|(s, _)| s + r);
-                    let (hp, c_prev) = match p {
-                        Some(p) => (&hs[p * h..(p + 1) * h], &cs[p * h..(p + 1) * h]),
-                        None => (&*zeros, &*zeros),
-                    };
-                    let at = row * h..(row + 1) * h;
-                    h_prev[at.clone()].copy_from_slice(hp);
+                // Slots `..with` continue from a previous step, the rest
+                // start from the zero state: one cell call per block.
+                let with = prev.map_or(0, |(_, p)| p.min(live));
+                let from = prev.map_or(0, |(s, _)| s);
+                let blocks = [
+                    (0, with, &cs[from * h..(from + with) * h]),
+                    (with, live, &zeros[..(live - with) * h]),
+                ];
+                for (lo, hi, c_prev) in blocks {
+                    let (wide, narrow) = (
+                        (start + lo) * 4 * h..(start + hi) * 4 * h,
+                        (start + lo) * h..(start + hi) * h,
+                    );
                     act::lstm_cell_backward(
-                        &gates[row * 4 * h..(row + 1) * 4 * h],
-                        &tcs[at.clone()],
+                        h,
+                        &gates[wide.clone()],
+                        &tcs[narrow.clone()],
                         c_prev,
-                        &g_out[at],
-                        &dhs[r * h..(r + 1) * h],
-                        &mut dcs[r * h..(r + 1) * h],
-                        &mut dgs[row * 4 * h..(row + 1) * 4 * h],
+                        &g_out[narrow],
+                        &dhs[lo * h..hi * h],
+                        &mut dcs[lo * h..hi * h],
+                        &mut dgs[wide],
                     );
                 }
+                let at = start * h;
+                h_prev[at..at + with * h].copy_from_slice(&hs[from * h..(from + with) * h]);
+                h_prev[at + with * h..at + live * h].fill(0.0);
                 // dh for each slot's previous step: dG · Whᵀ.
                 let block = &dgs[start * 4 * h..(start + live) * 4 * h];
                 wh_t.mul(block, &mut dhs[..live * h]);

@@ -515,6 +515,11 @@ impl Tape {
         grads
     }
 
+    /// Whether node `i` is a constant [`Tape::input`].
+    fn is_input(&self, i: usize) -> bool {
+        matches!(self.nodes[i].op, Op::Input)
+    }
+
     fn backprop_node(&self, i: usize, g: &Matrix, grads: &mut [Option<Matrix>]) {
         let acc = |grads: &mut [Option<Matrix>], idx: usize, delta: Matrix| match &mut grads[idx] {
             Some(existing) => existing.add_assign(&delta),
@@ -523,10 +528,14 @@ impl Tape {
         match &self.nodes[i].op {
             Op::Input | Op::Param => {}
             Op::MatMul(a, b) => {
-                let da = g.matmul_nt(&self.nodes[*b].value);
-                let db = self.nodes[*a].value.matmul_tn(g);
-                acc(grads, *a, da);
-                acc(grads, *b, db);
+                // A constant operand's gradient is never read: skip its
+                // product, as `LstmSeq` skips `dX`.
+                if !self.is_input(*a) {
+                    acc(grads, *a, g.matmul_nt(&self.nodes[*b].value));
+                }
+                if !self.is_input(*b) {
+                    acc(grads, *b, self.nodes[*a].value.matmul_tn(g));
+                }
             }
             Op::Add(a, b) => {
                 acc(grads, *a, g.clone());
@@ -694,7 +703,7 @@ impl Tape {
             } => {
                 let pass = self.lstm_pass(*x, *w, lens, *reverse);
                 let hs = self.nodes[i].value.as_slice();
-                let want_dx = !matches!(self.nodes[*x].op, Op::Input);
+                let want_dx = !self.is_input(*x);
                 let (dw, dx) = pass.backward(acts.as_slice(), hs, g.as_slice(), want_dx);
                 if let Some(dx) = dx {
                     acc(grads, *x, dx);
@@ -746,6 +755,47 @@ mod tests {
             },
             seeded(2, 3, 1),
         );
+    }
+
+    #[test]
+    fn matmul_skips_the_gradient_of_a_constant_operand() {
+        // `x·W` and `W·x` with `x` a constant input, then with `x` a
+        // parameter: `W`'s gradient has the same bits either way, and the
+        // input gets none.
+        let (x, w) = (seeded(3, 3, 21), seeded(3, 3, 22));
+        let grads = |x_param: bool, x_first: bool| {
+            let mut store = ParamStore::new();
+            let (wid, xid) = (store.add("w", w.clone()), store.add("x", x.clone()));
+            let mut tape = Tape::new();
+            let wv = tape.param(&store, wid);
+            let xv = if x_param {
+                tape.param(&store, xid)
+            } else {
+                tape.input(x.clone())
+            };
+            let y = if x_first {
+                tape.matmul(xv, wv)
+            } else {
+                tape.matmul(wv, xv)
+            };
+            let y = tape.tanh(y);
+            let loss = tape.mean_all(y);
+            let mut all = tape.backward_grads(loss);
+            let dw: Vec<u32> = all[wv.0]
+                .take()
+                .unwrap()
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            (all[xv.0].is_some(), dw)
+        };
+        for x_first in [true, false] {
+            let (input_grad, dw) = grads(false, x_first);
+            let (param_grad, dw_param) = grads(true, x_first);
+            assert!(!input_grad && param_grad, "x first: {x_first}");
+            assert_eq!(dw, dw_param, "x first: {x_first}");
+        }
     }
 
     #[test]

@@ -281,7 +281,7 @@ struct HealthResponse {
     profiles: usize,
     /// Inference precision of the served model (`f32` / `int8`).
     precision: &'static str,
-    /// Active kernel tier (`avx2` / `portable`).
+    /// Active kernel tier (`avx512` / `avx2` / `portable`, `tensor::simd_tier`).
     kernel: &'static str,
 }
 
@@ -323,11 +323,7 @@ fn route(shared: &Shared, request: &Request) -> Response {
                 generation: model.generation,
                 profiles: shared.registry.corpus().profiles.len(),
                 precision: model.service.precision().as_str(),
-                kernel: if tensor::simd_active() {
-                    "avx2"
-                } else {
-                    "portable"
-                },
+                kernel: tensor::simd_tier(),
             })
         }
         ("GET", "/metrics") => Response::json(200, obs::snapshot().to_json()),

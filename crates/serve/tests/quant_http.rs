@@ -92,10 +92,9 @@ fn healthz_reports_precision_and_kernel() {
         "healthz must report int8 precision: {}",
         health.body
     );
-    let kernel_ok = health.body.contains("\"kernel\":\"avx2\"")
-        || health.body.contains("\"kernel\":\"portable\"");
+    let kernel = format!("\"kernel\":\"{}\"", tensor::simd_tier());
     assert!(
-        kernel_ok,
+        health.body.contains(&kernel),
         "healthz must report the kernel tier: {}",
         health.body
     );

@@ -37,23 +37,28 @@
 //! Every operation is an IEEE add, subtract, multiply or divide (multiply
 //! and add always as two roundings — **no FMA**), an ordered
 //! compare-and-select, or integer bit arithmetic, written once per tier:
-//! a portable scalar loop and an 8-lane AVX2 loop behind the same
-//! [`crate::simd_active`] dispatch as the GEMM kernels. Lanes never
-//! interact, tails run through a zero-padded register, and the two tiers
-//! are bit-identical element for element; `HISRECT_SIMD=0` therefore
-//! changes speed only.
+//! a portable scalar loop, an 8-lane AVX2 loop and a 16-lane AVX-512
+//! loop (`avx512f`; its bitwise steps use the integer `and`/`or`/`xor`,
+//! which give the same bits), behind the same [`crate::gemm::tier`]
+//! dispatch as the GEMM kernels: AVX-512 when the CPU has it, else AVX2,
+//! else portable. Lanes never interact, tails run through a zero-padded
+//! register (AVX2) or a masked load that reads `0.0` in the missing
+//! lanes (AVX-512), and the tiers are bit-identical element for element;
+//! `HISRECT_SIMD=0` therefore changes speed only.
 //!
 //! # LSTM cells
 //!
-//! [`lstm_cell`] and [`lstm_cell_backward`] are one LSTM step of one row,
-//! forward and back-propagated, as single fused passes over the row's `h`
-//! units. Each element sees the operations, operand order and rounding of
-//! the separate-pass sequence they replace (the bias adds, one
-//! activation pass per gate, the cell update, `tanh(c)`, the state; and
-//! the gate derivatives of the tape's nodes), so they are bit-identical to
-//! it; the tiers and the zero-padded tail follow the same rules as above.
+//! [`lstm_cell`] and [`lstm_cell_backward`] are one LSTM step of a block
+//! of rows (a step's live sequences), forward and back-propagated, as
+//! single fused passes over each row's `h` units: one dispatch and one
+//! set of slice checks per block, not per row. Each element sees the
+//! operations, operand order and rounding of the separate-pass sequence
+//! they replace (the bias adds, one activation pass per gate, the cell
+//! update, `tanh(c)`, the state; and the gate derivatives of the tape's
+//! nodes), so they are bit-identical to it; the tiers and the tails
+//! follow the same rules as above.
 
-use crate::gemm::simd_active;
+use crate::gemm::{tier, Tier};
 
 /// `ln(f32::MAX)`: above this `exp` is `+∞`.
 const EXP_HI: f32 = 88.722_84;
@@ -88,28 +93,44 @@ const TANH_POLY: [f32; 5] = [
 /// In-place logistic sigmoid `1 / (1 + e⁻ˣ)` (see the module docs for the
 /// exact definition and error bound).
 pub fn sigmoid(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if simd_active() {
-            // SAFETY: simd_active() is true only after AVX2 detection.
-            unsafe { avx2::sigmoid(xs) };
-            return;
-        }
-    }
-    sigmoid_portable(xs);
+    // SAFETY: the dispatched tier is one this CPU supports.
+    unsafe { sigmoid_on(tier(), xs) }
 }
 
 /// In-place hyperbolic tangent (see the module docs).
 pub fn tanh(xs: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if simd_active() {
-            // SAFETY: simd_active() is true only after AVX2 detection.
-            unsafe { avx2::tanh(xs) };
-            return;
-        }
+    // SAFETY: as in `sigmoid`.
+    unsafe { tanh_on(tier(), xs) }
+}
+
+/// [`sigmoid`] on `tier`.
+///
+/// # Safety
+///
+/// The CPU must support `tier`.
+unsafe fn sigmoid_on(tier: Tier, xs: &mut [f32]) {
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => avx512::sigmoid(xs),
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => avx2::sigmoid(xs),
+        _ => sigmoid_portable(xs),
     }
-    tanh_portable(xs);
+}
+
+/// [`tanh`] on `tier`.
+///
+/// # Safety
+///
+/// The CPU must support `tier`.
+unsafe fn tanh_on(tier: Tier, xs: &mut [f32]) {
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => avx512::tanh(xs),
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => avx2::tanh(xs),
+        _ => tanh_portable(xs),
+    }
 }
 
 /// The scalar tier of [`sigmoid`].
@@ -126,11 +147,27 @@ fn tanh_portable(xs: &mut [f32]) {
     }
 }
 
-/// One forward LSTM step of one row of `h` units, gate order
-/// `[i | f | g | o]`. On entry `gates` (`4h`) holds the input projection;
-/// on return it holds the post-activation gates. `c` is the cell state,
-/// updated in place; `tc` receives `tanh(c)` and `hs` the new state.
-/// Per element, in this order:
+/// Rows in a cell block of `h` units whose per-row slices are `c` (`h`
+/// each): checks that every slice in `wide` holds `4h` per row and every
+/// one in `narrow` `h` per row.
+fn block_rows(h: usize, c: usize, wide: &[usize], narrow: &[usize], what: &str) -> usize {
+    let rows = c.checked_div(h).unwrap_or(0);
+    assert!(
+        c == rows * h
+            && wide.iter().all(|&l| l == 4 * rows * h)
+            && narrow.iter().all(|&l| l == rows * h),
+        "{what}: a block of rows of 4h- and h-wide slices"
+    );
+    rows
+}
+
+/// One forward LSTM step of a block of rows, `h = b.len() / 4` units
+/// each, gate order `[i | f | g | o]`. On entry `gates` (`4h` per row)
+/// holds the input projection; on return it holds the post-activation
+/// gates. `hg` (`4h` per row) is the recurrent product and `b` (`4h`) the
+/// bias every row shares. `c` (`h` per row) is the cell state, updated in
+/// place; `tc` receives `tanh(c)` and `hs` the new state. Per element, in
+/// this order:
 ///
 /// - `a = (gates + hg) + b` for each of the four gates;
 /// - `i = σ(a_i)`, `f = σ(a_f)`, `g = tanh(a_g)`, `o = σ(a_o)`;
@@ -144,40 +181,55 @@ pub fn lstm_cell(
     tc: &mut [f32],
     hs: &mut [f32],
 ) {
-    let h = c.len();
-    assert!(
-        gates.len() == 4 * h
-            && hg.len() == 4 * h
-            && b.len() == 4 * h
-            && tc.len() == h
-            && hs.len() == h,
-        "lstm_cell: slices of 4h, 4h, 4h, h, h, h"
-    );
-    #[cfg(target_arch = "x86_64")]
-    {
-        if simd_active() {
-            // SAFETY: simd_active() is true only after AVX2 detection; the
-            // lengths were checked above.
-            unsafe { avx2::lstm_cell(gates, hg, b, c, tc, hs) };
-            return;
-        }
-    }
-    lstm_cell_portable(gates, hg, b, c, tc, hs);
+    // SAFETY: the dispatched tier is one this CPU supports.
+    unsafe { lstm_cell_on(tier(), gates, hg, b, c, tc, hs) }
 }
 
-/// One step of LSTM back-propagation through time for one row of `h`
-/// units: `gates` (`4h`, post-activation) and `tc` are what
+/// [`lstm_cell`] on `tier`.
+///
+/// # Safety
+///
+/// The CPU must support `tier` (slice lengths are checked).
+unsafe fn lstm_cell_on(
+    tier: Tier,
+    gates: &mut [f32],
+    hg: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    tc: &mut [f32],
+    hs: &mut [f32],
+) {
+    let h = b.len() / 4;
+    assert_eq!(b.len(), 4 * h, "lstm_cell: a 4h bias");
+    let (wide, narrow) = ([gates.len(), hg.len()], [tc.len(), hs.len()]);
+    if block_rows(h, c.len(), &wide, &narrow, "lstm_cell") == 0 {
+        return;
+    }
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => avx512::lstm_cell(gates, hg, b, c, tc, hs),
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => avx2::lstm_cell(gates, hg, b, c, tc, hs),
+        _ => lstm_cell_portable(gates, hg, b, c, tc, hs),
+    }
+}
+
+/// One step of LSTM back-propagation through time for a block of rows of
+/// `h` units: `gates` (`4h` per row, post-activation) and `tc` are what
 /// [`lstm_cell`] left, `c_prev` the cell state it started from, `g_out`
 /// the gradient reaching this step's state from above and `dh_rec` the
-/// one from the next step. `dc` carries the cell gradient (in: from the
-/// next step; out: to the previous one); `dg` (`4h`) receives the
-/// pre-activation gate gradients. Per element, in this order:
+/// one from the next step (`h` per row each). `dc` carries the cell
+/// gradient (in: from the next step; out: to the previous one); `dg`
+/// (`4h` per row) receives the pre-activation gate gradients. Per
+/// element, in this order:
 ///
 /// - `dh = g_out + dh_rec`;
 /// - `dcj = dc + ((dh·o)·(1 − tc·tc))`, then `dc = dcj·f`;
 /// - `dg_i = ((dcj·g)·i)·(1 − i)`, `dg_f = ((dcj·c_prev)·f)·(1 − f)`,
 ///   `dg_g = (dcj·i)·(1 − g·g)`, `dg_o = ((dh·tc)·o)·(1 − o)`.
+#[allow(clippy::too_many_arguments)]
 pub fn lstm_cell_backward(
+    h: usize,
     gates: &[f32],
     tc: &[f32],
     c_prev: &[f32],
@@ -186,28 +238,42 @@ pub fn lstm_cell_backward(
     dc: &mut [f32],
     dg: &mut [f32],
 ) {
-    let h = dc.len();
-    assert!(
-        gates.len() == 4 * h
-            && tc.len() == h
-            && c_prev.len() == h
-            && g_out.len() == h
-            && dh_rec.len() == h
-            && dg.len() == 4 * h,
-        "lstm_cell_backward: slices of 4h, h, h, h, h, h, 4h"
-    );
-    #[cfg(target_arch = "x86_64")]
-    {
-        if simd_active() {
-            // SAFETY: as in `lstm_cell`.
-            unsafe { avx2::lstm_cell_backward(gates, tc, c_prev, g_out, dh_rec, dc, dg) };
-            return;
-        }
-    }
-    lstm_cell_backward_portable(gates, tc, c_prev, g_out, dh_rec, dc, dg);
+    // SAFETY: the dispatched tier is one this CPU supports.
+    unsafe { lstm_cell_backward_on(tier(), h, gates, tc, c_prev, g_out, dh_rec, dc, dg) }
 }
 
-/// The scalar tier of [`lstm_cell`].
+/// [`lstm_cell_backward`] on `tier`.
+///
+/// # Safety
+///
+/// The CPU must support `tier` (slice lengths are checked).
+#[allow(clippy::too_many_arguments)]
+unsafe fn lstm_cell_backward_on(
+    tier: Tier,
+    h: usize,
+    gates: &[f32],
+    tc: &[f32],
+    c_prev: &[f32],
+    g_out: &[f32],
+    dh_rec: &[f32],
+    dc: &mut [f32],
+    dg: &mut [f32],
+) {
+    let wide = [gates.len(), dg.len()];
+    let narrow = [tc.len(), c_prev.len(), g_out.len(), dh_rec.len()];
+    if block_rows(h, dc.len(), &wide, &narrow, "lstm_cell_backward") == 0 {
+        return;
+    }
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => avx512::lstm_cell_backward(h, gates, tc, c_prev, g_out, dh_rec, dc, dg),
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => avx2::lstm_cell_backward(h, gates, tc, c_prev, g_out, dh_rec, dc, dg),
+        _ => lstm_cell_backward_portable(h, gates, tc, c_prev, g_out, dh_rec, dc, dg),
+    }
+}
+
+/// The scalar tier of [`lstm_cell`], one row at a time.
 fn lstm_cell_portable(
     gates: &mut [f32],
     hg: &[f32],
@@ -216,27 +282,33 @@ fn lstm_cell_portable(
     tc: &mut [f32],
     hs: &mut [f32],
 ) {
-    let h = c.len();
-    for j in 0..h {
-        let a = |k: usize| (gates[k * h + j] + hg[k * h + j]) + b[k * h + j];
-        let (i, f, g, o) = (
-            sigmoid_one(a(0)),
-            sigmoid_one(a(1)),
-            tanh_one(a(2)),
-            sigmoid_one(a(3)),
-        );
-        for (k, v) in [i, f, g, o].into_iter().enumerate() {
-            gates[k * h + j] = v;
+    let h = b.len() / 4;
+    for (r, c) in c.chunks_exact_mut(h).enumerate() {
+        let (gates, hg) = (&mut gates[r * 4 * h..][..4 * h], &hg[r * 4 * h..][..4 * h]);
+        let (tc, hs) = (&mut tc[r * h..][..h], &mut hs[r * h..][..h]);
+        for j in 0..h {
+            let a = |k: usize| (gates[k * h + j] + hg[k * h + j]) + b[k * h + j];
+            let (i, f, g, o) = (
+                sigmoid_one(a(0)),
+                sigmoid_one(a(1)),
+                tanh_one(a(2)),
+                sigmoid_one(a(3)),
+            );
+            for (k, v) in [i, f, g, o].into_iter().enumerate() {
+                gates[k * h + j] = v;
+            }
+            let cj = f * c[j] + i * g;
+            c[j] = cj;
+            tc[j] = tanh_one(cj);
+            hs[j] = o * tc[j];
         }
-        let cj = f * c[j] + i * g;
-        c[j] = cj;
-        tc[j] = tanh_one(cj);
-        hs[j] = o * tc[j];
     }
 }
 
-/// The scalar tier of [`lstm_cell_backward`].
+/// The scalar tier of [`lstm_cell_backward`], one row at a time.
+#[allow(clippy::too_many_arguments)]
 fn lstm_cell_backward_portable(
+    h: usize,
     gates: &[f32],
     tc: &[f32],
     c_prev: &[f32],
@@ -245,16 +317,20 @@ fn lstm_cell_backward_portable(
     dc: &mut [f32],
     dg: &mut [f32],
 ) {
-    let h = dc.len();
-    for j in 0..h {
-        let (i, f, g, o) = (gates[j], gates[h + j], gates[2 * h + j], gates[3 * h + j]);
-        let dh = g_out[j] + dh_rec[j];
-        let dcj = dc[j] + dh * o * (1.0 - tc[j] * tc[j]);
-        dc[j] = dcj * f;
-        dg[j] = dcj * g * i * (1.0 - i);
-        dg[h + j] = dcj * c_prev[j] * f * (1.0 - f);
-        dg[2 * h + j] = dcj * i * (1.0 - g * g);
-        dg[3 * h + j] = dh * tc[j] * o * (1.0 - o);
+    for (r, dc) in dc.chunks_exact_mut(h).enumerate() {
+        let (gates, dg) = (&gates[r * 4 * h..][..4 * h], &mut dg[r * 4 * h..][..4 * h]);
+        let row = |src: &[f32], j: usize| src[r * h + j];
+        for j in 0..h {
+            let (i, f, g, o) = (gates[j], gates[h + j], gates[2 * h + j], gates[3 * h + j]);
+            let (t, cp) = (row(tc, j), row(c_prev, j));
+            let dh = row(g_out, j) + row(dh_rec, j);
+            let dcj = dc[j] + dh * o * (1.0 - t * t);
+            dc[j] = dcj * f;
+            dg[j] = dcj * g * i * (1.0 - i);
+            dg[h + j] = dcj * cp * f * (1.0 - f);
+            dg[2 * h + j] = dcj * i * (1.0 - g * g);
+            dg[3 * h + j] = dh * t * o * (1.0 - o);
+        }
     }
 }
 
@@ -443,6 +519,82 @@ mod avx2 {
         }
     }
 
+    /// Units `j..j + 8` of one row of [`super::lstm_cell`]: every slice
+    /// is that row's (`h = c.len()` units).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (slice bounds are checked).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(super) unsafe fn cell_units(
+        gates: &mut [f32],
+        hg: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        tc: &mut [f32],
+        hs: &mut [f32],
+        j: usize,
+    ) {
+        let h = c.len();
+        let a = |k| {
+            let pre = _mm256_add_ps(load(gates, h, k, j), load(hg, h, k, j));
+            _mm256_add_ps(pre, load(b, h, k, j))
+        };
+        let (i, f, g, o) = (sigmoid8(a(0)), sigmoid8(a(1)), tanh8(a(2)), sigmoid8(a(3)));
+        for (k, v) in [i, f, g, o].into_iter().enumerate() {
+            store(gates, h, k, j, v);
+        }
+        let c_old = load(c, h, 0, j);
+        let cj = _mm256_add_ps(_mm256_mul_ps(f, c_old), _mm256_mul_ps(i, g));
+        let t = tanh8(cj);
+        store(c, h, 0, j, cj);
+        store(tc, h, 0, j, t);
+        store(hs, h, 0, j, _mm256_mul_ps(o, t));
+    }
+
+    /// Units `j..j + 8` of one row of [`super::lstm_cell_backward`]: every
+    /// slice is that row's (`h = dc.len()` units).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (slice bounds are checked).
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(super) unsafe fn cell_backward_units(
+        gates: &[f32],
+        tc: &[f32],
+        c_prev: &[f32],
+        g_out: &[f32],
+        dh_rec: &[f32],
+        dc: &mut [f32],
+        dg: &mut [f32],
+        j: usize,
+    ) {
+        let h = dc.len();
+        let one = _mm256_set1_ps(1.0);
+        let gate = |k| load(gates, h, k, j);
+        let (i, f, g, o) = (gate(0), gate(1), gate(2), gate(3));
+        let row = |src: &[f32]| load(src, h, 0, j);
+        let (t, cp) = (row(tc), row(c_prev));
+        let dh = _mm256_add_ps(row(g_out), row(dh_rec));
+        let dtc = _mm256_sub_ps(one, _mm256_mul_ps(t, t));
+        let dcj = _mm256_add_ps(row(dc), _mm256_mul_ps(_mm256_mul_ps(dh, o), dtc));
+        store(dc, h, 0, j, _mm256_mul_ps(dcj, f));
+        let mul3 = |a, b, c| _mm256_mul_ps(_mm256_mul_ps(a, b), c);
+        let dg_i = _mm256_mul_ps(mul3(dcj, g, i), _mm256_sub_ps(one, i));
+        let dg_f = _mm256_mul_ps(mul3(dcj, cp, f), _mm256_sub_ps(one, f));
+        let dg_g = _mm256_mul_ps(
+            _mm256_mul_ps(dcj, i),
+            _mm256_sub_ps(one, _mm256_mul_ps(g, g)),
+        );
+        let dg_o = _mm256_mul_ps(mul3(dh, t, o), _mm256_sub_ps(one, o));
+        for (k, v) in [dg_i, dg_f, dg_g, dg_o].into_iter().enumerate() {
+            store(dg, h, k, j, v);
+        }
+    }
+
     /// The AVX2 tier of [`super::lstm_cell`].
     ///
     /// # Safety
@@ -457,22 +609,13 @@ mod avx2 {
         tc: &mut [f32],
         hs: &mut [f32],
     ) {
-        let h = c.len();
-        for j in (0..h).step_by(8) {
-            let a = |k| {
-                let pre = _mm256_add_ps(load(gates, h, k, j), load(hg, h, k, j));
-                _mm256_add_ps(pre, load(b, h, k, j))
-            };
-            let (i, f, g, o) = (sigmoid8(a(0)), sigmoid8(a(1)), tanh8(a(2)), sigmoid8(a(3)));
-            for (k, v) in [i, f, g, o].into_iter().enumerate() {
-                store(gates, h, k, j, v);
+        let h = b.len() / 4;
+        for (r, c) in c.chunks_exact_mut(h).enumerate() {
+            let (gates, hg) = (&mut gates[r * 4 * h..][..4 * h], &hg[r * 4 * h..][..4 * h]);
+            let (tc, hs) = (&mut tc[r * h..][..h], &mut hs[r * h..][..h]);
+            for j in (0..h).step_by(8) {
+                cell_units(gates, hg, b, c, tc, hs, j);
             }
-            let c_old = load(c, h, 0, j);
-            let cj = _mm256_add_ps(_mm256_mul_ps(f, c_old), _mm256_mul_ps(i, g));
-            let t = tanh8(cj);
-            store(c, h, 0, j, cj);
-            store(tc, h, 0, j, t);
-            store(hs, h, 0, j, _mm256_mul_ps(o, t));
         }
     }
 
@@ -481,8 +624,10 @@ mod avx2 {
     /// # Safety
     ///
     /// The CPU must support AVX2 (slice bounds are checked).
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn lstm_cell_backward(
+        h: usize,
         gates: &[f32],
         tc: &[f32],
         c_prev: &[f32],
@@ -491,27 +636,309 @@ mod avx2 {
         dc: &mut [f32],
         dg: &mut [f32],
     ) {
+        for (r, dc) in dc.chunks_exact_mut(h).enumerate() {
+            let (gates, dg) = (&gates[r * 4 * h..][..4 * h], &mut dg[r * 4 * h..][..4 * h]);
+            let at = r * h..(r + 1) * h;
+            let (tc, c_prev) = (&tc[at.clone()], &c_prev[at.clone()]);
+            let (g_out, dh_rec) = (&g_out[at.clone()], &dh_rec[at]);
+            for j in (0..h).step_by(8) {
+                cell_backward_units(gates, tc, c_prev, g_out, dh_rec, dc, dg, j);
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::*;
+    use std::arch::x86_64::*;
+
+    /// Lanes `0..n` of a 16-lane mask (all of them from `n = 16` up).
+    #[inline(always)]
+    fn lanes(n: usize) -> __mmask16 {
+        if n >= 16 {
+            0xffff
+        } else {
+            ((1u32 << n) - 1) as __mmask16
+        }
+    }
+
+    /// Applies `f` to `xs` sixteen lanes at a time, a tail of more than
+    /// eight through a masked load whose missing lanes read `0.0` (so
+    /// every element sees the same instructions), and returns the tail of
+    /// at most eight it left, which the callers hand to the AVX2 tier.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn map16(xs: &mut [f32], f: impl Fn(__m512) -> __m512) -> &mut [f32] {
+        let mut chunks = xs.chunks_exact_mut(16);
+        for c in chunks.by_ref() {
+            _mm512_storeu_ps(c.as_mut_ptr(), f(_mm512_loadu_ps(c.as_ptr())));
+        }
+        let tail = chunks.into_remainder();
+        if tail.len() <= 8 {
+            return tail;
+        }
+        let m = lanes(tail.len());
+        let v = f(_mm512_maskz_loadu_ps(m, tail.as_ptr()));
+        _mm512_mask_storeu_ps(tail.as_mut_ptr(), m, v);
+        &mut []
+    }
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn horner(coeffs: &[f32], v: __m512) -> __m512 {
+        let mut p = _mm512_set1_ps(coeffs[0]);
+        for &c in &coeffs[1..] {
+            p = _mm512_add_ps(_mm512_mul_ps(p, v), _mm512_set1_ps(c));
+        }
+        p
+    }
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn exp16(x: __m512) -> __m512 {
+        let x = _mm512_min_ps(_mm512_set1_ps(EXP_HI), x);
+        let x = _mm512_max_ps(_mm512_set1_ps(EXP_LO), x);
+        let magic = _mm512_set1_ps(ROUND_MAGIC);
+        let t = _mm512_add_ps(_mm512_mul_ps(x, _mm512_set1_ps(LOG2E)), magic);
+        let n = _mm512_sub_ps(t, magic);
+        let r = _mm512_sub_ps(x, _mm512_mul_ps(n, _mm512_set1_ps(LN2_HI)));
+        let r = _mm512_sub_ps(r, _mm512_mul_ps(n, _mm512_set1_ps(LN2_LO)));
+        let p = horner(&EXP_POLY, r);
+        let y = _mm512_add_ps(_mm512_mul_ps(p, _mm512_mul_ps(r, r)), r);
+        let y = _mm512_add_ps(y, _mm512_set1_ps(1.0));
+        let bits = _mm512_slli_epi32::<23>(_mm512_castps_si512(t));
+        let scale = _mm512_add_epi32(bits, _mm512_set1_epi32(0x3f80_0000));
+        _mm512_mul_ps(y, _mm512_castsi512_ps(scale))
+    }
+
+    /// `y` where `x` is a number, `x` itself where it is NaN.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn keep_nan(x: __m512, y: __m512) -> __m512 {
+        _mm512_mask_blend_ps(_mm512_cmp_ps_mask::<_CMP_UNORD_Q>(x, x), y, x)
+    }
+
+    /// The sign bit of every lane, as integers (AVX-512F has no float
+    /// `and`/`or`/`xor`; the integer ones give the same bits).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn sign_bits() -> __m512i {
+        _mm512_set1_epi32(i32::MIN)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn sigmoid16(x: __m512) -> __m512 {
+        let one = _mm512_set1_ps(1.0);
+        let neg = _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(x), sign_bits()));
+        let y = _mm512_div_ps(one, _mm512_add_ps(one, exp16(neg)));
+        keep_nan(x, y)
+    }
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn tanh16(x: __m512) -> __m512 {
+        let one = _mm512_set1_ps(1.0);
+        let xi = _mm512_castps_si512(x);
+        let sign = _mm512_and_si512(xi, sign_bits());
+        let ax = _mm512_castsi512_ps(_mm512_andnot_si512(sign_bits(), xi));
+        let z = _mm512_mul_ps(ax, ax);
+        let p = horner(&TANH_POLY, z);
+        let small = _mm512_add_ps(_mm512_mul_ps(_mm512_mul_ps(p, z), ax), ax);
+        let e = exp16(_mm512_add_ps(ax, ax));
+        let big = _mm512_sub_ps(
+            one,
+            _mm512_div_ps(_mm512_set1_ps(2.0), _mm512_add_ps(e, one)),
+        );
+        let is_small = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(ax, _mm512_set1_ps(TANH_SMALL));
+        let y = _mm512_castps_si512(_mm512_mask_blend_ps(is_small, big, small));
+        keep_nan(x, _mm512_castsi512_ps(_mm512_or_si512(y, sign)))
+    }
+
+    #[target_feature(enable = "avx512f,avx2")]
+    pub(super) unsafe fn sigmoid(xs: &mut [f32]) {
+        super::avx2::sigmoid(map16(xs, |x| sigmoid16(x)));
+    }
+
+    #[target_feature(enable = "avx512f,avx2")]
+    pub(super) unsafe fn tanh(xs: &mut [f32]) {
+        super::avx2::tanh(map16(xs, |x| tanh16(x)));
+    }
+
+    /// Row `k` of `src` (gate `k` of a `4h` slice; an `h` slice is its
+    /// own row 0) at units `j..j + 16` of `h`. Past the end of the row
+    /// (the tail) the lanes are masked off and read `0.0`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F (slice bounds are checked).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn load(src: &[f32], h: usize, k: usize, j: usize) -> __m512 {
+        let at = &src[k * h + j..k * h + h.min(j + 16)];
+        _mm512_maskz_loadu_ps(lanes(at.len()), at.as_ptr())
+    }
+
+    /// Stores the lanes of `v` that fall inside row `k` of `dst` at units
+    /// `j..j + 16` of `h`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F (slice bounds are checked).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn store(dst: &mut [f32], h: usize, k: usize, j: usize, v: __m512) {
+        let at = &mut dst[k * h + j..k * h + h.min(j + 16)];
+        _mm512_mask_storeu_ps(at.as_mut_ptr(), lanes(at.len()), v);
+    }
+
+    /// Units `j..j + 16` of one row of [`super::lstm_cell`] (every slice
+    /// that row's, `h = c.len()` units; lanes past `h` masked off).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F (slice bounds are checked).
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn cell_units(
+        gates: &mut [f32],
+        hg: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        tc: &mut [f32],
+        hs: &mut [f32],
+        j: usize,
+    ) {
+        let h = c.len();
+        let a = |k| {
+            let pre = _mm512_add_ps(load(gates, h, k, j), load(hg, h, k, j));
+            _mm512_add_ps(pre, load(b, h, k, j))
+        };
+        let (i, f, g, o) = (
+            sigmoid16(a(0)),
+            sigmoid16(a(1)),
+            tanh16(a(2)),
+            sigmoid16(a(3)),
+        );
+        for (k, v) in [i, f, g, o].into_iter().enumerate() {
+            store(gates, h, k, j, v);
+        }
+        let c_old = load(c, h, 0, j);
+        let cj = _mm512_add_ps(_mm512_mul_ps(f, c_old), _mm512_mul_ps(i, g));
+        let t = tanh16(cj);
+        store(c, h, 0, j, cj);
+        store(tc, h, 0, j, t);
+        store(hs, h, 0, j, _mm512_mul_ps(o, t));
+    }
+
+    /// Units `j..j + 16` of one row of [`super::lstm_cell_backward`]
+    /// (every slice that row's, `h = dc.len()` units; lanes past `h`
+    /// masked off).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F (slice bounds are checked).
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn cell_backward_units(
+        gates: &[f32],
+        tc: &[f32],
+        c_prev: &[f32],
+        g_out: &[f32],
+        dh_rec: &[f32],
+        dc: &mut [f32],
+        dg: &mut [f32],
+        j: usize,
+    ) {
         let h = dc.len();
-        let one = _mm256_set1_ps(1.0);
-        for j in (0..h).step_by(8) {
-            let gate = |k| load(gates, h, k, j);
-            let (i, f, g, o) = (gate(0), gate(1), gate(2), gate(3));
-            let row = |src: &[f32]| load(src, h, 0, j);
-            let (t, cp) = (row(tc), row(c_prev));
-            let dh = _mm256_add_ps(row(g_out), row(dh_rec));
-            let dtc = _mm256_sub_ps(one, _mm256_mul_ps(t, t));
-            let dcj = _mm256_add_ps(row(dc), _mm256_mul_ps(_mm256_mul_ps(dh, o), dtc));
-            store(dc, h, 0, j, _mm256_mul_ps(dcj, f));
-            let mul3 = |a, b, c| _mm256_mul_ps(_mm256_mul_ps(a, b), c);
-            let dg_i = _mm256_mul_ps(mul3(dcj, g, i), _mm256_sub_ps(one, i));
-            let dg_f = _mm256_mul_ps(mul3(dcj, cp, f), _mm256_sub_ps(one, f));
-            let dg_g = _mm256_mul_ps(
-                _mm256_mul_ps(dcj, i),
-                _mm256_sub_ps(one, _mm256_mul_ps(g, g)),
-            );
-            let dg_o = _mm256_mul_ps(mul3(dh, t, o), _mm256_sub_ps(one, o));
-            for (k, v) in [dg_i, dg_f, dg_g, dg_o].into_iter().enumerate() {
-                store(dg, h, k, j, v);
+        let one = _mm512_set1_ps(1.0);
+        let gate = |k| load(gates, h, k, j);
+        let (i, f, g, o) = (gate(0), gate(1), gate(2), gate(3));
+        let row = |src: &[f32]| load(src, h, 0, j);
+        let (t, cp) = (row(tc), row(c_prev));
+        let dh = _mm512_add_ps(row(g_out), row(dh_rec));
+        let dtc = _mm512_sub_ps(one, _mm512_mul_ps(t, t));
+        let dcj = _mm512_add_ps(row(dc), _mm512_mul_ps(_mm512_mul_ps(dh, o), dtc));
+        store(dc, h, 0, j, _mm512_mul_ps(dcj, f));
+        let mul3 = |a, b, c| _mm512_mul_ps(_mm512_mul_ps(a, b), c);
+        let dg_i = _mm512_mul_ps(mul3(dcj, g, i), _mm512_sub_ps(one, i));
+        let dg_f = _mm512_mul_ps(mul3(dcj, cp, f), _mm512_sub_ps(one, f));
+        let dg_g = _mm512_mul_ps(
+            _mm512_mul_ps(dcj, i),
+            _mm512_sub_ps(one, _mm512_mul_ps(g, g)),
+        );
+        let dg_o = _mm512_mul_ps(mul3(dh, t, o), _mm512_sub_ps(one, o));
+        for (k, v) in [dg_i, dg_f, dg_g, dg_o].into_iter().enumerate() {
+            store(dg, h, k, j, v);
+        }
+    }
+
+    /// The AVX-512 tier of [`super::lstm_cell`]: the AVX2 tier's
+    /// operations on 16 units of a row at a time, masked when a block
+    /// holds 9..15 units, and a row's last at most 8 units on the AVX2
+    /// tier's 8 lanes: a 24-unit row is one ZMM and one YMM block, which
+    /// the microbench measured faster than two ZMM blocks with the second
+    /// half masked off.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F and AVX2 (slice bounds are checked).
+    #[target_feature(enable = "avx512f,avx2")]
+    pub(super) unsafe fn lstm_cell(
+        gates: &mut [f32],
+        hg: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        tc: &mut [f32],
+        hs: &mut [f32],
+    ) {
+        let h = b.len() / 4;
+        for (r, c) in c.chunks_exact_mut(h).enumerate() {
+            let (gates, hg) = (&mut gates[r * 4 * h..][..4 * h], &hg[r * 4 * h..][..4 * h]);
+            let (tc, hs) = (&mut tc[r * h..][..h], &mut hs[r * h..][..h]);
+            let mut j = 0;
+            while j + 8 < h {
+                cell_units(gates, hg, b, c, tc, hs, j);
+                j += 16;
+            }
+            if j < h {
+                super::avx2::cell_units(gates, hg, b, c, tc, hs, j);
+            }
+        }
+    }
+
+    /// The AVX-512 tier of [`super::lstm_cell_backward`], split into
+    /// blocks as [`lstm_cell`] is.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F and AVX2 (slice bounds are checked).
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f,avx2")]
+    pub(super) unsafe fn lstm_cell_backward(
+        h: usize,
+        gates: &[f32],
+        tc: &[f32],
+        c_prev: &[f32],
+        g_out: &[f32],
+        dh_rec: &[f32],
+        dc: &mut [f32],
+        dg: &mut [f32],
+    ) {
+        for (r, dc) in dc.chunks_exact_mut(h).enumerate() {
+            let (gates, dg) = (&gates[r * 4 * h..][..4 * h], &mut dg[r * 4 * h..][..4 * h]);
+            let at = r * h..(r + 1) * h;
+            let (tc, c_prev) = (&tc[at.clone()], &c_prev[at.clone()]);
+            let (g_out, dh_rec) = (&g_out[at.clone()], &dh_rec[at]);
+            let mut j = 0;
+            while j + 8 < h {
+                cell_backward_units(gates, tc, c_prev, g_out, dh_rec, dc, dg, j);
+                j += 16;
+            }
+            if j < h {
+                super::avx2::cell_backward_units(gates, tc, c_prev, g_out, dh_rec, dc, dg, j);
             }
         }
     }
@@ -521,32 +948,39 @@ mod avx2 {
 mod tests {
     use super::*;
 
-    type Tier = fn(&mut [f32]);
-    /// `(name, dispatched, portable, f64 reference)`.
-    type Function = (&'static str, Tier, Tier, fn(f64) -> f64);
+    type Map = fn(&mut [f32]);
+    /// `(name, dispatched, portable, on a tier, f64 reference)`.
+    type Function = (
+        &'static str,
+        Map,
+        Map,
+        unsafe fn(Tier, &mut [f32]),
+        fn(f64) -> f64,
+    );
 
     fn functions() -> [Function; 2] {
         [
-            ("sigmoid", sigmoid, sigmoid_portable, |x| {
+            ("sigmoid", sigmoid, sigmoid_portable, sigmoid_on, |x| {
                 1.0 / (1.0 + (-x).exp())
             }),
-            ("tanh", tanh, tanh_portable, f64::tanh),
+            ("tanh", tanh, tanh_portable, tanh_on, f64::tanh),
         ]
     }
 
-    /// The AVX2 tier called directly (not through the process-global
-    /// dispatch, which other tests may flip), or `None` without AVX2.
-    fn avx2_tier(name: &str) -> Option<Tier> {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just detected.
-            return Some(match name {
-                "sigmoid" => |xs: &mut [f32]| unsafe { avx2::sigmoid(xs) },
-                _ => |xs: &mut [f32]| unsafe { avx2::tanh(xs) },
-            });
+    /// `tier` if this CPU has it, else `None` after saying so. Tiers are
+    /// called directly, not through the process-global dispatch, which
+    /// other tests flip.
+    fn available(tier: Tier) -> Option<Tier> {
+        if tier.supported() {
+            return Some(tier);
         }
-        let _ = name;
+        eprintln!("skipped: {} not available", tier.name());
         None
+    }
+
+    /// Every tier this CPU has, portable first.
+    fn tiers() -> Vec<Tier> {
+        Tier::ALL.into_iter().filter_map(available).collect()
     }
 
     fn specials() -> Vec<f32> {
@@ -588,26 +1022,38 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    #[test]
-    fn avx2_and_portable_tiers_agree_bit_for_bit() {
+    /// `tier` against the portable tier, both activations: every length
+    /// 0..=40 (all tail widths, with and without full registers), at every
+    /// rotation of the special-value pool so each value lands in every
+    /// lane and in the tail.
+    fn assert_tier_matches_portable(tier: Tier) {
         let pool = specials();
-        for (name, _, portable, _) in functions() {
-            let Some(simd) = avx2_tier(name) else {
-                eprintln!("no AVX2 on this host: {name} tier comparison skipped");
-                continue;
-            };
-            // Every length 0..=40 (all tail widths, with and without full
-            // registers), at every rotation of the special-value pool so
-            // each value lands in every lane and in the tail.
+        for (name, _, portable, on, _) in functions() {
             for len in 0..=40usize {
                 for rot in 0..pool.len() {
                     let input: Vec<f32> = (0..len).map(|i| pool[(i + rot) % pool.len()]).collect();
                     let (mut a, mut b) = (input.clone(), input.clone());
-                    simd(&mut a);
+                    // SAFETY: callers pass only tiers this CPU supports.
+                    unsafe { on(tier, &mut a) };
                     portable(&mut b);
-                    assert_eq!(bits(&a), bits(&b), "{name} len {len} rot {rot}: {input:?}");
+                    let case = format!("{} {name} len {len} rot {rot}", tier.name());
+                    assert_eq!(bits(&a), bits(&b), "{case}: {input:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn avx2_and_portable_tiers_agree_bit_for_bit() {
+        if let Some(tier) = available(Tier::Avx2) {
+            assert_tier_matches_portable(tier);
+        }
+    }
+
+    #[test]
+    fn avx512_and_portable_tiers_agree_bit_for_bit() {
+        if let Some(tier) = available(Tier::Avx512) {
+            assert_tier_matches_portable(tier);
         }
     }
 
@@ -615,7 +1061,7 @@ mod tests {
     fn relative_error_against_f64_is_within_bound() {
         // Every 509th f32 bit pattern (both signs, every exponent): 8.4 M
         // points per function. The exhaustive sweep measures 1.5e-7.
-        for (name, dispatched, _, reference) in functions() {
+        for (name, dispatched, _, _, reference) in functions() {
             let mut worst = (0.0f64, 0.0f32);
             let mut xs: Vec<f32> = Vec::with_capacity(4096);
             let mut pattern = 0u64;
@@ -706,7 +1152,7 @@ mod tests {
     #[test]
     fn nan_inputs_come_back_unchanged() {
         let nans = [f32::NAN, -f32::NAN, f32::from_bits(0x7fa0_1234)];
-        for (name, dispatched, portable, _) in functions() {
+        for (name, dispatched, portable, _, _) in functions() {
             for tier in [dispatched, portable] {
                 // One NaN per position of a 9-wide slice: full register + tail.
                 for (k, &nan) in nans.iter().cycle().take(9).enumerate() {
@@ -720,8 +1166,9 @@ mod tests {
         }
     }
 
-    /// The separate passes [`lstm_cell`] fused: bias adds, one activation
-    /// pass per gate group, the cell update, `tanh(c)`, the state.
+    /// The separate passes [`lstm_cell`] fused, over one row: bias adds,
+    /// one activation pass per gate group, the cell update, `tanh(c)`, the
+    /// state.
     fn cell_reference(
         gates: &mut [f32],
         hg: &[f32],
@@ -747,7 +1194,7 @@ mod tests {
         }
     }
 
-    /// The per-element loop [`lstm_cell_backward`] replaced.
+    /// The per-element loop [`lstm_cell_backward`] replaced, over one row.
     fn cell_backward_reference(
         gates: &[f32],
         tc: &[f32],
@@ -781,32 +1228,6 @@ mod tests {
             .collect()
     }
 
-    type Cell = fn(&mut [f32], &[f32], &[f32], &mut [f32], &mut [f32], &mut [f32]);
-    type CellBackward = fn(&[f32], &[f32], &[f32], &[f32], &[f32], &mut [f32], &mut [f32]);
-
-    /// `(name, forward, backward)` for each tier: the dispatched kernels
-    /// under `force_portable(Some(true))` are the portable tier, so the
-    /// tiers are called directly here (the dispatch is process-global and
-    /// other tests flip it).
-    fn cell_tiers() -> Vec<(&'static str, Cell, CellBackward)> {
-        let mut tiers: Vec<(&'static str, Cell, CellBackward)> =
-            vec![("portable", lstm_cell_portable, lstm_cell_backward_portable)];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just detected.
-            tiers.push((
-                "avx2",
-                |g, hg, b, c, tc, hs| unsafe { avx2::lstm_cell(g, hg, b, c, tc, hs) },
-                |g, tc, cp, go, dh, dc, dg| unsafe {
-                    avx2::lstm_cell_backward(g, tc, cp, go, dh, dc, dg)
-                },
-            ));
-        } else {
-            eprintln!("no AVX2 on this host: only the portable LSTM cell tier is checked");
-        }
-        tiers
-    }
-
     /// Deterministic cell inputs: ordinary values, with every `spice`-th
     /// element taken from the special pool (NaN, ±inf, saturating and
     /// signed-zero pre-activations, extremes).
@@ -827,25 +1248,57 @@ mod tests {
             .collect()
     }
 
+    /// Hidden widths around the 8- and 16-lane registers and their tails,
+    /// and the rows of a step block: one, a few, a full batch.
+    const HS: [usize; 9] = [1, 5, 8, 15, 16, 17, 24, 27, 33];
+    const LIVE: [usize; 3] = [1, 3, 24];
+
     #[test]
     fn lstm_cell_equals_the_separate_passes_bit_for_bit() {
-        for (tier, cell, _) in cell_tiers() {
-            for h in [1usize, 5, 8, 24, 27] {
+        let tiers = tiers();
+        for h in HS {
+            for live in LIVE {
                 // Plain, then spiced with specials, then saturating.
                 for (seed, spice, scale) in [(1, 0, 4.0), (2, 3, 4.0), (3, 0, 400.0), (4, 1, 1.0)] {
-                    let pre = cell_values(4 * h, seed, spice, scale);
-                    let hg = cell_values(4 * h, seed + 10, spice, scale);
+                    let seed = seed + 100 * (h * 31 + live) as u64;
+                    let pre = cell_values(live * 4 * h, seed, spice, scale);
+                    let hg = cell_values(live * 4 * h, seed + 10, spice, scale);
                     let b = cell_values(4 * h, seed + 20, spice, 1.0);
-                    let c = cell_values(h, seed + 30, spice, scale);
-                    let mut want = (pre.clone(), c.clone(), vec![9.0; h], vec![9.0; h]);
-                    let mut got = (pre, c, vec![9.0; h], vec![9.0; h]);
-                    cell_reference(&mut want.0, &hg, &b, &mut want.1, &mut want.2, &mut want.3);
-                    cell(&mut got.0, &hg, &b, &mut got.1, &mut got.2, &mut got.3);
-                    let case = format!("{tier}, h {h}, seed {seed}");
-                    assert_eq!(cell_bits(&got.0), cell_bits(&want.0), "gates, {case}");
-                    assert_eq!(cell_bits(&got.1), cell_bits(&want.1), "c, {case}");
-                    assert_eq!(cell_bits(&got.2), cell_bits(&want.2), "tanh(c), {case}");
-                    assert_eq!(cell_bits(&got.3), cell_bits(&want.3), "state, {case}");
+                    let c = cell_values(live * h, seed + 30, spice, scale);
+                    let fresh = || {
+                        (
+                            pre.clone(),
+                            c.clone(),
+                            vec![9.0; live * h],
+                            vec![9.0; live * h],
+                        )
+                    };
+                    let mut want = fresh();
+                    for r in 0..live {
+                        let (wide, narrow) = (r * 4 * h..(r + 1) * 4 * h, r * h..(r + 1) * h);
+                        cell_reference(
+                            &mut want.0[wide.clone()],
+                            &hg[wide],
+                            &b,
+                            &mut want.1[narrow.clone()],
+                            &mut want.2[narrow.clone()],
+                            &mut want.3[narrow],
+                        );
+                    }
+                    for &tier in &tiers {
+                        let mut got = fresh();
+                        // SAFETY: `tiers()` holds only supported tiers.
+                        unsafe {
+                            lstm_cell_on(
+                                tier, &mut got.0, &hg, &b, &mut got.1, &mut got.2, &mut got.3,
+                            )
+                        };
+                        let case = format!("{}, h {h}, live {live}, seed {seed}", tier.name());
+                        assert_eq!(cell_bits(&got.0), cell_bits(&want.0), "gates, {case}");
+                        assert_eq!(cell_bits(&got.1), cell_bits(&want.1), "c, {case}");
+                        assert_eq!(cell_bits(&got.2), cell_bits(&want.2), "tanh(c), {case}");
+                        assert_eq!(cell_bits(&got.3), cell_bits(&want.3), "state, {case}");
+                    }
                 }
             }
         }
@@ -853,39 +1306,58 @@ mod tests {
 
     #[test]
     fn lstm_cell_backward_equals_the_per_element_loop_bit_for_bit() {
-        for (tier, _, backward) in cell_tiers() {
-            for h in [1usize, 5, 8, 24, 27] {
+        let tiers = tiers();
+        for h in HS {
+            for live in LIVE {
                 for (seed, spice) in [(5, 0), (6, 3), (7, 1)] {
+                    let seed = seed + 100 * (h * 31 + live) as u64;
                     // Gates as the forward leaves them: activations, or
                     // specials where spiced.
-                    let mut gates = cell_values(4 * h, seed, spice, 8.0);
+                    let mut gates = cell_values(live * 4 * h, seed, spice, 8.0);
                     sigmoid_portable(&mut gates);
-                    let mut tc = cell_values(h, seed + 1, spice, 8.0);
+                    let mut tc = cell_values(live * h, seed + 1, spice, 8.0);
                     tanh_portable(&mut tc);
-                    let c_prev = cell_values(h, seed + 2, spice, 4.0);
-                    let g_out = cell_values(h, seed + 3, spice, 2.0);
-                    let dh_rec = cell_values(h, seed + 4, spice, 2.0);
-                    let dc = cell_values(h, seed + 5, spice, 2.0);
-                    let mut want = (dc.clone(), vec![9.0; 4 * h]);
-                    let mut got = (dc, vec![9.0; 4 * h]);
-                    let args = (&gates[..], &tc[..], &c_prev[..], &g_out[..], &dh_rec[..]);
-                    cell_backward_reference(
-                        args.0,
-                        args.1,
-                        args.2,
-                        args.3,
-                        args.4,
-                        &mut want.0,
-                        &mut want.1,
-                    );
-                    backward(
-                        args.0, args.1, args.2, args.3, args.4, &mut got.0, &mut got.1,
-                    );
-                    let case = format!("{tier}, h {h}, seed {seed}");
-                    assert_eq!(cell_bits(&got.0), cell_bits(&want.0), "dc, {case}");
-                    assert_eq!(cell_bits(&got.1), cell_bits(&want.1), "dG, {case}");
+                    let c_prev = cell_values(live * h, seed + 2, spice, 4.0);
+                    let g_out = cell_values(live * h, seed + 3, spice, 2.0);
+                    let dh_rec = cell_values(live * h, seed + 4, spice, 2.0);
+                    let dc = cell_values(live * h, seed + 5, spice, 2.0);
+                    let mut want = (dc.clone(), vec![9.0; live * 4 * h]);
+                    for r in 0..live {
+                        let (wide, narrow) = (r * 4 * h..(r + 1) * 4 * h, r * h..(r + 1) * h);
+                        cell_backward_reference(
+                            &gates[wide.clone()],
+                            &tc[narrow.clone()],
+                            &c_prev[narrow.clone()],
+                            &g_out[narrow.clone()],
+                            &dh_rec[narrow.clone()],
+                            &mut want.0[narrow],
+                            &mut want.1[wide],
+                        );
+                    }
+                    for &tier in &tiers {
+                        let mut got = (dc.clone(), vec![9.0; live * 4 * h]);
+                        let args = (&gates[..], &tc[..], &c_prev[..], &g_out[..], &dh_rec[..]);
+                        // SAFETY: `tiers()` holds only supported tiers.
+                        unsafe {
+                            lstm_cell_backward_on(
+                                tier, h, args.0, args.1, args.2, args.3, args.4, &mut got.0,
+                                &mut got.1,
+                            )
+                        };
+                        let case = format!("{}, h {h}, live {live}, seed {seed}", tier.name());
+                        assert_eq!(cell_bits(&got.0), cell_bits(&want.0), "dc, {case}");
+                        assert_eq!(cell_bits(&got.1), cell_bits(&want.1), "dG, {case}");
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "lstm_cell: a block of rows")]
+    fn lstm_cell_rejects_a_ragged_block() {
+        let (mut g, hg, b) = (vec![0.0; 8], vec![0.0; 8], vec![0.0; 8]);
+        let (mut c, mut tc, mut hs) = (vec![0.0; 2], vec![0.0; 2], vec![0.0; 1]);
+        lstm_cell(&mut g, &hg, &b, &mut c, &mut tc, &mut hs);
     }
 }

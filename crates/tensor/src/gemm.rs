@@ -18,9 +18,9 @@
 //! of a SIMD register hold *different output columns*, never partial
 //! sums of one element, so there is no horizontal reduction anywhere and
 //! the portable scalar kernel, the autovectorized build of it, and the
-//! explicit AVX2 kernel are bit-identical by construction. The parallel
-//! path partitions output *rows*, so each element is still produced by
-//! exactly one worker running this same kernel. Proptests in
+//! explicit AVX2 and AVX-512 kernels are bit-identical by construction.
+//! The parallel path partitions output *rows*, so each element is still
+//! produced by exactly one worker running this same kernel. Proptests in
 //! `crates/tensor/tests/proptests.rs` enforce all of this against a
 //! naive reference.
 //!
@@ -35,9 +35,23 @@
 //! no-op for IEEE specials (`0 * inf = NaN`) and would corrupt rows that
 //! legitimately contain non-finite values.
 //!
-//! `HISRECT_SIMD=0` forces the portable kernel at runtime (useful for
-//! isolating miscompiles or benchmarking the autovectorizer); otherwise
-//! the AVX2 kernel is used whenever the CPU supports it.
+//! # Tiers
+//!
+//! [`tier`] picks one kernel tier per process by runtime detection:
+//! AVX-512 when `is_x86_feature_detected!` confirms `avx512f` and `avx2`
+//! (the features its code enables), else AVX2, else portable;
+//! `HISRECT_SIMD=0` forces portable (useful for isolating miscompiles or
+//! benchmarking the autovectorizer). The same choice drives
+//! [`crate::act`] and the int8 kernels, which have no AVX-512 body and
+//! run their AVX2 one on that tier.
+//!
+//! The AVX-512 tier runs two adjacent panels as one 4×32 tile (one
+//! 16-lane ZMM vector per panel and row) when the second panel has more
+//! than `NR/2` live columns. A single panel, or a last one of at most
+//! `NR/2` columns, keeps the AVX2 4×16 and 4×8 tiles: a ZMM tile over a
+//! 24-wide product would compute 32 columns, which the microbench
+//! measured slower there than the exact 16 + 8 split, while the pair
+//! wins on the 96- and 144-wide panels.
 
 use crate::pool;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -45,7 +59,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// Rows of one register tile (distinct broadcast A values in flight).
 pub const MR: usize = 4;
 
-/// Columns of one register tile (two 8-lane vectors on AVX2).
+/// Columns of one packed panel and register tile (two 8-lane vectors on
+/// AVX2; the AVX-512 tile covers two panels, one 16-lane vector each).
 pub const NR: usize = 16;
 
 /// How the logical GEMM operand maps onto the stored buffer.
@@ -59,33 +74,87 @@ pub enum Variant {
     Nt,
 }
 
-// SIMD dispatch state: 0 = unresolved, 1 = AVX2, 2 = portable.
+/// A kernel tier: one implementation of every f32 kernel (the GEMM
+/// micro-kernels, [`crate::act`]) and of the int8 kernels. All tiers give
+/// the same bits; they differ in speed only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tier {
+    /// Scalar loops, autovectorized where the compiler can.
+    Portable,
+    /// 8-lane AVX2.
+    Avx2,
+    /// 16-lane AVX-512 (`avx512f`) for the activations, the LSTM cells
+    /// and GEMM panel pairs; the AVX2 kernels for everything else.
+    Avx512,
+}
+
+impl Tier {
+    /// Every tier, slowest first.
+    pub const ALL: [Tier; 3] = [Tier::Portable, Tier::Avx2, Tier::Avx512];
+
+    /// `portable`, `avx2` or `avx512`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Tier::Portable => "portable",
+            Tier::Avx2 => "avx2",
+            Tier::Avx512 => "avx512",
+        }
+    }
+
+    /// Whether this CPU has exactly the features the tier's code enables.
+    pub fn supported(self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let avx2 = std::arch::is_x86_feature_detected!("avx2");
+            match self {
+                Tier::Portable => true,
+                Tier::Avx2 => avx2,
+                Tier::Avx512 => avx2 && std::arch::is_x86_feature_detected!("avx512f"),
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            self == Tier::Portable
+        }
+    }
+}
+
+// Dispatch state: 0 = unresolved, else 1 + the tier's discriminant (its
+// index in `Tier::ALL`).
 static SIMD_STATE: AtomicU8 = AtomicU8::new(0);
 
-fn detect_simd() -> u8 {
+/// The widest supported tier, or the portable one under `HISRECT_SIMD=0`.
+fn detect_tier() -> Tier {
     let env_off = std::env::var("HISRECT_SIMD")
         .map(|v| matches!(v.trim(), "0" | "false" | "off"))
         .unwrap_or(false);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if !env_off && std::arch::is_x86_feature_detected!("avx2") {
-            return 1;
-        }
+    if env_off {
+        return Tier::Portable;
     }
-    let _ = env_off;
-    2
+    let widest = Tier::ALL.into_iter().rev().find(|t| t.supported());
+    widest.expect("the portable tier runs everywhere")
 }
 
-/// True when the explicit AVX2 kernel is in use (CPU supports it and
-/// `HISRECT_SIMD=0` is not set). The portable kernel computes
-/// bit-identical results either way.
-pub fn simd_active() -> bool {
+/// The tier every kernel dispatches to: AVX-512 when the CPU has it,
+/// else AVX2, else portable; `HISRECT_SIMD=0` forces portable.
+pub fn tier() -> Tier {
     let mut s = SIMD_STATE.load(Ordering::Relaxed);
     if s == 0 {
-        s = detect_simd();
+        s = 1 + detect_tier() as u8;
         SIMD_STATE.store(s, Ordering::Relaxed);
     }
-    s == 1
+    Tier::ALL[usize::from(s - 1)]
+}
+
+/// The name of the dispatched [`tier`]: `avx512`, `avx2` or `portable`.
+pub fn simd_tier() -> &'static str {
+    tier().name()
+}
+
+/// True when an explicit SIMD tier (AVX2 or AVX-512) is in use. The
+/// portable kernels compute bit-identical results either way.
+pub fn simd_active() -> bool {
+    tier() != Tier::Portable
 }
 
 /// Overrides SIMD dispatch for the whole process: `Some(true)` forces
@@ -95,7 +164,7 @@ pub fn simd_active() -> bool {
 /// this never changes output.
 pub fn force_portable(force: Option<bool>) {
     let state = match force {
-        Some(true) => 2,
+        Some(true) => 1 + Tier::Portable as u8,
         Some(false) | None => 0,
     };
     SIMD_STATE.store(state, Ordering::Relaxed);
@@ -296,17 +365,78 @@ unsafe fn kernel_avx2_half(kc: usize, ap: &[f32], bp: &[f32], tile: &mut [f32; M
     _mm256_storeu_ps(out.add(3 * NR), c3);
 }
 
-/// One `MR`×`NR` tile of a panel with `jw` live columns: the half-width
-/// kernels when `jw ≤ NR/2`, whose other columns are not written.
+/// The AVX-512 micro-kernel over two adjacent panels: a 4×32 tile in 8
+/// ZMM accumulators (4 rows × one 16-lane vector per panel), explicit
+/// `mul` + `add` as in [`kernel_avx2`]. Each panel's columns land in its
+/// own tile.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, `ap` must hold at least `kc·MR` floats
+/// and `bp0` and `bp1` at least `kc·NR` each.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn kernel_avx512_pair(
+    kc: usize,
+    ap: &[f32],
+    bp: [&[f32]; 2],
+    tiles: &mut [[f32; MR * NR]; 2],
+) {
+    use std::arch::x86_64::*;
+    debug_assert!(ap.len() >= kc * MR && bp.iter().all(|p| p.len() >= kc * NR));
+    let mut c00 = _mm512_setzero_ps();
+    let mut c01 = _mm512_setzero_ps();
+    let mut c10 = _mm512_setzero_ps();
+    let mut c11 = _mm512_setzero_ps();
+    let mut c20 = _mm512_setzero_ps();
+    let mut c21 = _mm512_setzero_ps();
+    let mut c30 = _mm512_setzero_ps();
+    let mut c31 = _mm512_setzero_ps();
+    let mut aptr = ap.as_ptr();
+    let (mut b0ptr, mut b1ptr) = (bp[0].as_ptr(), bp[1].as_ptr());
+    for _ in 0..kc {
+        let b0 = _mm512_loadu_ps(b0ptr);
+        let b1 = _mm512_loadu_ps(b1ptr);
+        let a0 = _mm512_set1_ps(*aptr);
+        c00 = _mm512_add_ps(c00, _mm512_mul_ps(a0, b0));
+        c01 = _mm512_add_ps(c01, _mm512_mul_ps(a0, b1));
+        let a1 = _mm512_set1_ps(*aptr.add(1));
+        c10 = _mm512_add_ps(c10, _mm512_mul_ps(a1, b0));
+        c11 = _mm512_add_ps(c11, _mm512_mul_ps(a1, b1));
+        let a2 = _mm512_set1_ps(*aptr.add(2));
+        c20 = _mm512_add_ps(c20, _mm512_mul_ps(a2, b0));
+        c21 = _mm512_add_ps(c21, _mm512_mul_ps(a2, b1));
+        let a3 = _mm512_set1_ps(*aptr.add(3));
+        c30 = _mm512_add_ps(c30, _mm512_mul_ps(a3, b0));
+        c31 = _mm512_add_ps(c31, _mm512_mul_ps(a3, b1));
+        aptr = aptr.add(MR);
+        b0ptr = b0ptr.add(NR);
+        b1ptr = b1ptr.add(NR);
+    }
+    let [t0, t1] = tiles;
+    let (o0, o1) = (t0.as_mut_ptr(), t1.as_mut_ptr());
+    _mm512_storeu_ps(o0, c00);
+    _mm512_storeu_ps(o1, c01);
+    _mm512_storeu_ps(o0.add(NR), c10);
+    _mm512_storeu_ps(o1.add(NR), c11);
+    _mm512_storeu_ps(o0.add(2 * NR), c20);
+    _mm512_storeu_ps(o1.add(2 * NR), c21);
+    _mm512_storeu_ps(o0.add(3 * NR), c30);
+    _mm512_storeu_ps(o1.add(3 * NR), c31);
+}
+
+/// One `MR`×`NR` tile of a panel with `jw` live columns on `tier`: the
+/// half-width kernels when `jw ≤ NR/2`, whose other columns are not
+/// written. The AVX-512 tier runs single panels on the AVX2 kernels.
 #[inline]
-fn run_kernel(kc: usize, ap: &[f32], bp: &[f32], jw: usize, tile: &mut [f32; MR * NR]) {
+fn run_kernel(tier: Tier, kc: usize, ap: &[f32], bp: &[f32], jw: usize, tile: &mut [f32; MR * NR]) {
     let half = jw <= NR / 2;
     #[cfg(target_arch = "x86_64")]
     {
-        if simd_active() {
-            // SAFETY: simd_active() returns true only after
-            // is_x86_feature_detected!("avx2") confirmed support, and the
-            // packed panels are at least kc*MR / kc*NR long by construction.
+        if tier != Tier::Portable {
+            // SAFETY: `gemm_rows_on` checked that the CPU supports `tier`,
+            // and both SIMD tiers include AVX2; the packed panels are at
+            // least kc*MR / kc*NR long by construction.
             unsafe {
                 if half {
                     kernel_avx2_half(kc, ap, bp, tile)
@@ -317,6 +447,7 @@ fn run_kernel(kc: usize, ap: &[f32], bp: &[f32], jw: usize, tile: &mut [f32; MR 
             return;
         }
     }
+    let _ = tier;
     if half {
         kernel_portable::<{ NR / 2 }>(kc, ap, bp, tile);
     } else {
@@ -338,6 +469,31 @@ pub fn gemm_rows(
     row0: usize,
     out: &mut [f32],
 ) {
+    gemm_rows_on(tier(), variant, a, a_cols, m, pb, row0, out);
+}
+
+/// [`gemm_rows`] on an explicit `tier` instead of the dispatched one (for
+/// comparing tiers within one process). On the AVX-512 tier, two
+/// adjacent panels whose second has more than `NR/2` live columns run as
+/// one 4×32 tile; a single panel, or a last one of at most `NR/2`
+/// columns (the 16 + 8 split of a 24-wide product), keeps the AVX2
+/// tiles.
+///
+/// # Panics
+///
+/// If this CPU does not support `tier`.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_rows_on(
+    tier: Tier,
+    variant: Variant,
+    a: &[f32],
+    a_cols: usize,
+    m: usize,
+    pb: &PackedB,
+    row0: usize,
+    out: &mut [f32],
+) {
+    assert!(tier.supported(), "gemm_rows_on: no {} here", tier.name());
     let (kc, n) = (pb.kc, pb.n);
     if n == 0 {
         return;
@@ -350,21 +506,44 @@ pub fn gemm_rows(
     }
     let mut ap = pool::take(kc * MR);
     ap.resize(kc * MR, 0.0);
-    let mut tile = [0.0f32; MR * NR];
+    let mut tiles = [[0.0f32; MR * NR]; 2];
+    let panels = pb.panels();
     let mut i = row0;
     while i < row0 + rows {
         let iw = MR.min(row0 + rows - i);
         // A panel must cover MR rows of the *global* matrix shape for
         // padding; rows beyond `m` are zeroed by pack_a.
         pack_a(variant, a, a_cols, kc, m, i, &mut ap);
-        for p in 0..pb.panels() {
-            let j0 = p * NR;
-            let jw = NR.min(n - j0);
-            run_kernel(kc, &ap, pb.panel(p), jw, &mut tile);
-            for r in 0..iw {
-                let dst = (i - row0 + r) * n + j0;
-                out[dst..dst + jw].copy_from_slice(&tile[r * NR..r * NR + jw]);
+        let mut p = 0;
+        while p < panels {
+            let pair = tier == Tier::Avx512 && p + 1 < panels && n - (p + 1) * NR > NR / 2;
+            let width = if pair { 2 } else { 1 };
+            if pair {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: the CPU supports `tier` (checked above), which
+                // includes AVX-512F; panels are kc*NR long by construction.
+                unsafe {
+                    kernel_avx512_pair(kc, &ap, [pb.panel(p), pb.panel(p + 1)], &mut tiles)
+                };
+            } else {
+                run_kernel(
+                    tier,
+                    kc,
+                    &ap,
+                    pb.panel(p),
+                    NR.min(n - p * NR),
+                    &mut tiles[0],
+                );
             }
+            for (q, tile) in tiles[..width].iter().enumerate() {
+                let j0 = (p + q) * NR;
+                let jw = NR.min(n - j0);
+                for r in 0..iw {
+                    let dst = (i - row0 + r) * n + j0;
+                    out[dst..dst + jw].copy_from_slice(&tile[r * NR..r * NR + jw]);
+                }
+            }
+            p += width;
         }
         i += iw;
     }
@@ -596,6 +775,27 @@ mod tests {
         (0..len).map(|i| ((i * 37 % 23) as f32) - 11.0).collect()
     }
 
+    /// Detection picks a tier this CPU has: the widest one, unless
+    /// `HISRECT_SIMD=0` asks for the portable tier. It prints the tier
+    /// (`--nocapture`), which is how CI logs the tier a job ran on.
+    /// `detect_tier` is the uncached detection, so tests that flip the
+    /// process-global dispatch cannot race it.
+    #[test]
+    fn detection_picks_the_widest_supported_tier() {
+        let tier = detect_tier();
+        eprintln!("simd tier: {}", tier.name());
+        assert!(tier.supported());
+        let off =
+            std::env::var("HISRECT_SIMD").is_ok_and(|v| matches!(v.trim(), "0" | "false" | "off"));
+        let widest = Tier::ALL.into_iter().rev().find(|t| t.supported());
+        assert_eq!(Some(tier), if off { Some(Tier::Portable) } else { widest });
+        for t in Tier::ALL {
+            if !t.supported() {
+                eprintln!("skipped: {} not available", t.name());
+            }
+        }
+    }
+
     #[test]
     fn packed_nn_matches_naive_on_odd_shapes() {
         for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (4, 16, 16), (5, 17, 33), (9, 2, 16)] {
@@ -605,6 +805,29 @@ mod tests {
             let mut out = vec![0.0; m * n];
             gemm_rows(Variant::Nn, &a, k, m, &pb, 0, &mut out);
             assert_eq!(out, naive(m, k, n, &a, &b), "shape {m}x{k}x{n}");
+        }
+    }
+
+    #[test]
+    fn every_tier_matches_naive_on_model_shapes() {
+        // The step product, the conv's three products, and widths on each
+        // side of the AVX-512 pairing rule (a second panel of 8 or 9
+        // live columns).
+        let shapes = [
+            (24, 24, 96),
+            (130, 144, 24),
+            (130, 24, 144),
+            (7, 9, 40),
+            (6, 5, 41),
+        ];
+        for tier in Tier::ALL.into_iter().filter(|t| t.supported()) {
+            for &(m, k, n) in &shapes {
+                let (a, b) = (ramp(m * k), ramp(k * n));
+                let pb = pack_b(Variant::Nn, &b, n, k, n);
+                let mut out = vec![0.0; m * n];
+                gemm_rows_on(tier, Variant::Nn, &a, k, m, &pb, 0, &mut out);
+                assert_eq!(out, naive(m, k, n, &a, &b), "{} {m}x{k}x{n}", tier.name());
+            }
         }
     }
 

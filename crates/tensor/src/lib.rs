@@ -15,7 +15,7 @@ pub mod matrix;
 pub mod pool;
 pub mod quant;
 
-pub use gemm::{force_portable, simd_active};
+pub use gemm::{force_portable, simd_active, simd_tier};
 pub use init::{glorot_uniform, randn, uniform};
 pub use matrix::{
     flush_dispatch_stats, matmul_into, matmul_naive_into, pack_threshold, par_threshold,

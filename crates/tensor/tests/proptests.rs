@@ -6,6 +6,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use tensor::gemm::{self, Tier, Variant};
 use tensor::{randn, Matrix};
 
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -221,6 +222,50 @@ proptest! {
         drop(guard);
         prop_assert_eq!(portable.as_slice(), &want[..]);
         prop_assert_eq!(dispatched.as_slice(), &want[..]);
+    }
+
+    /// Every tier this CPU has, called directly (the dispatch is
+    /// process-global), reproduces the reference for all three variants
+    /// on widths that cross the 16-column panels, the AVX-512 tier's panel
+    /// pairs and the 8-column half tiles. Every seventh operand element is
+    /// a NaN, ±∞ or ±0, so a padded k-step or a reassociated sum would
+    /// show; a NaN compares as "a NaN", everything else by its bits.
+    #[test]
+    fn every_tier_bitwise_equals_naive_reference(
+        m in 1usize..24, k in 1usize..48, n in 1usize..80, seed in 0u64..1 << 32,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+        let mut spiced = |rows, cols| {
+            let mut x = randn(&mut rng, rows, cols, 1.0);
+            for (i, v) in x.as_mut_slice().iter_mut().enumerate() {
+                if (i as u64 + seed).is_multiple_of(7) {
+                    *v = specials[(i / 7) % specials.len()];
+                }
+            }
+            x
+        };
+        let (a, at, b, bt) = (spiced(m, k), spiced(k, m), spiced(k, n), spiced(n, k));
+        let bits = |xs: &[f32]| -> Vec<u32> {
+            xs.iter().map(|x| if x.is_nan() { 0x7fc0_0000 } else { x.to_bits() }).collect()
+        };
+        let cases = [
+            (Variant::Nn, &a, &b, reference(m, k, n, |i, kk| a.get(i, kk), |kk, j| b.get(kk, j))),
+            (Variant::Tn, &at, &b, reference(m, k, n, |i, kk| at.get(kk, i), |kk, j| b.get(kk, j))),
+            (Variant::Nt, &a, &bt, reference(m, k, n, |i, kk| a.get(i, kk), |kk, j| bt.get(j, kk))),
+        ];
+        for tier in Tier::ALL {
+            if !tier.supported() {
+                eprintln!("skipped: {} not available", tier.name());
+                continue;
+            }
+            for (variant, lhs, rhs, want) in &cases {
+                let pb = gemm::pack_b(*variant, rhs.as_slice(), rhs.cols(), k, n);
+                let mut got = vec![1.5f32; m * n];
+                gemm::gemm_rows_on(tier, *variant, lhs.as_slice(), lhs.cols(), m, &pb, 0, &mut got);
+                prop_assert_eq!(bits(&got), bits(want), "{} {:?}", tier.name(), variant);
+            }
+        }
     }
 }
 

@@ -57,8 +57,8 @@ fn pool_cuts_training_allocations_by_90_percent() {
 /// matrices: once warm, featurizing a profile on the BiLSTM-C path takes
 /// exactly two buffers from the pool — the `[Fv | Fc]` row the head
 /// consumes and the feature row it returns — where the tape forward took
-/// one per recorded node (~300 for an 8-word tweet). `features_for` adds
-/// one more for the word-vector matrix of its `ProfileInput`. Nothing
+/// one per recorded node (~300 for an 8-word tweet). `features_for` takes
+/// the same two: its `ProfileInput` holds word ids, no matrix. Nothing
 /// misses, so nothing is allocated.
 #[test]
 fn warm_eval_forward_takes_only_its_input_and_output_rows_from_the_pool() {
@@ -117,11 +117,5 @@ fn warm_eval_forward_takes_only_its_input_and_output_rows_from_the_pool() {
     for p in &profiles {
         std::hint::black_box(service.features_for(p));
     }
-    // An empty tweet has a zero-length word matrix, which never touches the pool.
-    let with_words = inputs.iter().filter(|i| !i.words.is_empty()).count();
-    assert_eq!(
-        takes(),
-        ((2 * profiles.len() + with_words) as u64, 0),
-        "features_for"
-    );
+    assert_eq!(takes(), (2 * profiles.len() as u64, 0), "features_for");
 }
