@@ -31,7 +31,6 @@
 
 use bench::gate::{self, Fixture, Load, Run, Stop, Verdict};
 use bench::report::Report;
-use faultsim::FaultKind;
 use serde::Serialize;
 use serve::{BreakerConfig, HttpClient, ModelRegistry, ServeConfig, ServerHandle};
 use std::net::SocketAddr;
@@ -66,7 +65,7 @@ const POOL: usize = 12;
 
 /// Injected flush crawl. Above the breaker's latency budget, below the
 /// request deadline: a slow batch trips the breaker but still answers.
-const SLOW_JUDGE_MS: &str = "90";
+const SLOW_JUDGE_MS: u64 = 90;
 
 fn spawn_in_process(fixture: &Fixture) -> Result<ServerHandle, String> {
     let ds = CorpusFile::load(&fixture.corpus)
@@ -163,7 +162,6 @@ struct BrownoutRow {
 fn run() -> Result<BrownoutRow, String> {
     let fixture = Fixture::build(&gate::hisrect_bin())?;
     faultsim::clear();
-    std::env::set_var("HISRECT_SLOW_JUDGE_MS", SLOW_JUDGE_MS);
     let handle = spawn_in_process(&fixture)?;
     let addr = handle.addr();
     let profiles = gate::profiles(&gate::get_json(addr, "/healthz")?)?;
@@ -182,7 +180,8 @@ fn run() -> Result<BrownoutRow, String> {
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
-                faultsim::arm(FaultKind::SlowJudge, 1);
+                faultsim::configure_str(&format!("slow-judge@1:{SLOW_JUDGE_MS}"))
+                    .expect("valid fault plan");
                 std::thread::sleep(Duration::from_millis(40));
             }
         })
@@ -203,7 +202,6 @@ fn run() -> Result<BrownoutRow, String> {
     controller.join().expect("controller thread panicked");
     // Drop any still-armed shots so recovery probes run clean.
     faultsim::clear();
-    std::env::remove_var("HISRECT_SLOW_JUDGE_MS");
 
     // Phase 3: probe until the half-open path closes the breaker again.
     let recovery_start = Instant::now();

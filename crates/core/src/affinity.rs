@@ -66,8 +66,9 @@ pub fn affinity(dataset: &Dataset, cfg: &HisRectConfig, pair: &Pair) -> Option<W
 const MIN_PAIRS_PER_WORKER: usize = 256;
 
 /// Unlabeled-pair count at which [`build_affinity`] switches from the
-/// exhaustive scan to the grid prefilter: below this the bound
-/// computations cost more than the pruned `affinity` calls save.
+/// exhaustive scan to the grid prefilter: below this the grid build and
+/// bound computations cost more than the pruned `affinity` calls save.
+/// Both paths give the same list, so the count picks speed only.
 const PREFILTER_MIN_PAIRS: usize = 4_096;
 
 /// Builds the sparse affinity list over `Γ_L ∪ Γ_U` of the training split.
@@ -77,17 +78,8 @@ const PREFILTER_MIN_PAIRS: usize = 4_096;
 /// only ever drops pairs whose spatial lower bound already fails the
 /// `affinity` distance gate — pairs the exhaustive scan would discard
 /// anyway, in the same order.
-///
-/// `HISRECT_AFFINITY_PREFILTER=always|never` overrides the pair-count
-/// dispatch — the golden-run suite uses `always` to pin the prefiltered
-/// path to the committed fingerprint on a corpus small enough to verify.
 pub fn build_affinity(dataset: &Dataset, cfg: &HisRectConfig) -> Vec<WeightedPair> {
-    let prefilter = match std::env::var("HISRECT_AFFINITY_PREFILTER").as_deref() {
-        Ok("always") => true,
-        Ok("never") => false,
-        _ => dataset.train.unlabeled_pairs.len() >= PREFILTER_MIN_PAIRS,
-    };
-    if prefilter {
+    if dataset.train.unlabeled_pairs.len() >= PREFILTER_MIN_PAIRS {
         build_affinity_prefiltered(dataset, cfg)
     } else {
         build_affinity_exhaustive(dataset, cfg)
@@ -317,8 +309,19 @@ mod tests {
         assert!(boosted > 0, "some friend pairs should be boosted");
     }
 
+    /// Over the unit-test corpus at three gate settings, and over the
+    /// golden-run corpus (`tests/golden_run.rs`: tiny preset, seed 42):
+    /// equal `(i, j, a)` lists there mean equal trainings, so the golden
+    /// fingerprint holds on either path.
     #[test]
     fn prefiltered_build_is_bit_identical_to_exhaustive() {
+        let golden = generate(&SimConfig::tiny(42));
+        let cfg = HisRectConfig::fast();
+        assert_eq!(
+            build_affinity_exhaustive(&golden, &cfg),
+            build_affinity_prefiltered(&golden, &cfg),
+            "golden-run corpus"
+        );
         let (ds, cfg) = setup();
         for cfg in [
             cfg.clone(),

@@ -471,7 +471,7 @@ mod tests {
         let cfg = HisRectConfig {
             word_dim: 8,
             // 24 units: a 3-wide window is 144 floats, so the im2col
-            // product crosses `pack_threshold` from about 5 windows up.
+            // product crosses `PACK_THRESHOLD` from about 5 windows up.
             hidden_n: 24,
             feat_dim: 10,
             qf: 2,

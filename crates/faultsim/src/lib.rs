@@ -11,10 +11,11 @@
 //!
 //! Plans are plain strings — `"nan-grad@3,torn-write@1"` arms a NaN
 //! gradient on the third gradient step and a torn write on the first
-//! checkpoint — and come from either the `HISRECT_FAULTS` environment
-//! variable (read by the CLI) or [`configure_str`] in tests. Everything
-//! is counter-based, never time- or randomness-based, so a chaos test
-//! replays bit-for-bit.
+//! checkpoint — parsed by [`configure_str`]; the CLI hands it the
+//! `HISRECT_FAULTS` environment variable, tests their own literals. One
+//! kind takes a parameter after its count: `slow-judge@1:300` stalls the
+//! first judge flush for 300 ms. Triggering is counter-based, never time-
+//! or randomness-based, so a chaos test replays bit-for-bit.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -97,6 +98,18 @@ impl FaultKind {
         }
     }
 
+    /// The parameter a `kind@count` entry without one arms, for the kinds
+    /// that take a parameter; `None` for the kinds that take none. Only
+    /// `slow-judge` takes one, its flush delay in ms: 100 ms is far past
+    /// a judge flush (well under 1 ms) and far inside the default 5 s
+    /// latency budget, so a bare shot shows up as latency and nothing else.
+    fn default_param(self) -> Option<u64> {
+        match self {
+            FaultKind::SlowJudge => Some(100),
+            _ => None,
+        }
+    }
+
     fn parse(s: &str) -> Option<Self> {
         Some(match s {
             "torn-write" => FaultKind::TornWrite,
@@ -149,6 +162,9 @@ struct Slot {
     count: u64,
     /// True once the fault has fired (each arms exactly once).
     fired: bool,
+    /// The entry's parameter, handed back by [`shot`] (0 for kinds that
+    /// take none).
+    param: u64,
 }
 
 #[derive(Default)]
@@ -165,6 +181,7 @@ fn plan() -> &'static Mutex<Plan> {
             at: 0,
             count: 0,
             fired: false,
+            param: 0,
         }; FaultKind::ALL.len()],
     });
     &PLAN
@@ -175,20 +192,28 @@ fn idx(kind: FaultKind) -> usize {
 }
 
 /// Arms `kind` to fire on the `at`-th visit of its trigger point
-/// (1-based). Re-arming resets the visit counter.
+/// (1-based), with the kind's default parameter. Re-arming resets the
+/// visit counter.
 pub fn arm(kind: FaultKind, at: u64) {
+    arm_with(kind, at, kind.default_param().unwrap_or(0));
+}
+
+fn arm_with(kind: FaultKind, at: u64, param: u64) {
     let mut p = plan().lock().expect("fault plan poisoned");
     p.slots[idx(kind)] = Slot {
         at: at.max(1),
         count: 0,
         fired: false,
+        param,
     };
     ARMED.store(true, Ordering::Relaxed);
 }
 
 /// Parses and arms a full plan: comma- or semicolon-separated
 /// `kind@count` entries, e.g. `"nan-grad@3,torn-write@1"`. A bare
-/// `kind` means `kind@1`. The previous plan is cleared first.
+/// `kind` means `kind@1`. A kind that takes a parameter may append it
+/// as `kind@count:param` (`slow-judge@2:300`); without one it gets the
+/// kind's default. The previous plan is cleared first.
 pub fn configure_str(spec: &str) -> Result<(), String> {
     let mut parsed = Vec::new();
     for entry in spec
@@ -196,44 +221,41 @@ pub fn configure_str(spec: &str) -> Result<(), String> {
         .map(str::trim)
         .filter(|e| !e.is_empty())
     {
-        let (name, at) = match entry.split_once('@') {
-            Some((name, n)) => {
-                let at: u64 = n
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("fault `{entry}`: bad trigger count `{n}`"))?;
-                if at == 0 {
-                    return Err(format!("fault `{entry}`: trigger counts are 1-based"));
-                }
-                (name.trim(), at)
-            }
-            None => (entry, 1),
+        let (name, rest) = entry.split_once('@').unwrap_or((entry, "1"));
+        let (n, param) = match rest.split_once(':') {
+            Some((n, param)) => (n, Some(param)),
+            None => (rest, None),
         };
+        let at: u64 = n
+            .trim()
+            .parse()
+            .map_err(|_| format!("fault `{entry}`: bad trigger count `{n}`"))?;
+        if at == 0 {
+            return Err(format!("fault `{entry}`: trigger counts are 1-based"));
+        }
+        let name = name.trim();
         let kind = FaultKind::parse(name).ok_or_else(|| {
             format!(
                 "unknown fault `{name}` (expected one of: {})",
                 FaultKind::ALL.map(FaultKind::name).join(", ")
             )
         })?;
-        parsed.push((kind, at));
+        let param = match (kind.default_param(), param) {
+            (None, Some(_)) => return Err(format!("fault `{entry}`: `{name}` takes no parameter")),
+            (Some(default), None) => default,
+            (Some(_), Some(p)) => p
+                .trim()
+                .parse()
+                .map_err(|_| format!("fault `{entry}`: bad parameter `{p}`"))?,
+            (None, None) => 0,
+        };
+        parsed.push((kind, at, param));
     }
     clear();
-    for (kind, at) in parsed {
-        arm(kind, at);
+    for (kind, at, param) in parsed {
+        arm_with(kind, at, param);
     }
     Ok(())
-}
-
-/// Arms the plan in the `HISRECT_FAULTS` environment variable, if set.
-/// Returns whether anything was armed.
-pub fn configure_from_env() -> Result<bool, String> {
-    match std::env::var("HISRECT_FAULTS") {
-        Ok(spec) if !spec.trim().is_empty() => {
-            configure_str(&spec)?;
-            Ok(true)
-        }
-        _ => Ok(false),
-    }
 }
 
 /// Disarms every fault and resets all counters.
@@ -248,20 +270,27 @@ pub fn clear() {
 /// relaxed atomic load.
 #[inline]
 pub fn fires(kind: FaultKind) -> bool {
+    shot(kind).is_some()
+}
+
+/// [`fires`], handing back the armed entry's parameter on the visit that
+/// fires (`slow-judge`'s delay in ms; 0 for kinds that take none).
+#[inline]
+pub fn shot(kind: FaultKind) -> Option<u64> {
     if !ARMED.load(Ordering::Relaxed) {
-        return false;
+        return None;
     }
     let mut p = plan().lock().expect("fault plan poisoned");
     let slot = &mut p.slots[idx(kind)];
     if slot.at == 0 || slot.fired {
-        return false;
+        return None;
     }
     slot.count += 1;
     if slot.count == slot.at {
         slot.fired = true;
-        return true;
+        return Some(slot.param);
     }
-    false
+    None
 }
 
 /// True when `kind` is armed and has not fired yet.
@@ -367,6 +396,41 @@ mod tests {
         assert!(!fires(FaultKind::SlowJudge));
         assert!(fires(FaultKind::SlowJudge));
         assert!(!pending(FaultKind::SlowJudge));
+        clear();
+    }
+
+    #[test]
+    fn slow_judge_carries_its_delay_in_the_plan() {
+        let _g = lock();
+        configure_str("slow-judge@2:300").unwrap();
+        assert_eq!(shot(FaultKind::SlowJudge), None, "first visit");
+        assert_eq!(shot(FaultKind::SlowJudge), Some(300), "second visit");
+        assert_eq!(shot(FaultKind::SlowJudge), None, "fires once");
+        for bare in ["slow-judge", "slow-judge@1"] {
+            configure_str(bare).unwrap();
+            assert_eq!(shot(FaultKind::SlowJudge), Some(100), "{bare}");
+        }
+        arm(FaultKind::SlowJudge, 1);
+        assert_eq!(shot(FaultKind::SlowJudge), Some(100), "arm");
+        clear();
+    }
+
+    #[test]
+    fn parameters_are_rejected_where_malformed_or_not_taken() {
+        let _g = lock();
+        configure_str("slow-judge@1:250").unwrap();
+        for bad in ["nan-grad@1:5", "slow-judge@1:", "slow-judge@1:x"] {
+            let err = configure_str(&format!("crash@2,{bad}")).unwrap_err();
+            assert!(err.contains(&format!("`{bad}`")), "{bad}: {err}");
+            // The previous plan is still armed, untouched.
+            assert!(pending(FaultKind::SlowJudge), "{bad}");
+            assert!(!pending(FaultKind::Crash), "{bad}");
+        }
+        // A good plan clears the previous one, parameter included.
+        configure_str("crash").unwrap();
+        assert!(!pending(FaultKind::SlowJudge));
+        arm(FaultKind::SlowJudge, 1);
+        assert_eq!(shot(FaultKind::SlowJudge), Some(100));
         clear();
     }
 

@@ -31,7 +31,7 @@ use crate::seq::active;
 use std::borrow::Cow;
 use std::cell::RefCell;
 use tensor::gemm::{self, PackedB, Variant};
-use tensor::{act, matmul_naive_into, pack_threshold, Matrix};
+use tensor::{act, matmul_naive_into, Matrix, PACK_THRESHOLD};
 
 /// What a pass reads at each row, laid out over its `lens` as a
 /// [`crate::SeqBatch`].
@@ -93,7 +93,7 @@ pub(crate) enum Rhs<'a> {
 impl<'a> Rhs<'a> {
     /// `w` is stored `k × n`, or `n × k` when `transposed`.
     pub fn new(w: &'a [f32], transposed: bool, k: usize, n: usize, block: usize) -> Self {
-        if block * k * n >= pack_threshold() {
+        if block * k * n >= PACK_THRESHOLD {
             let (variant, cols) = if transposed {
                 (Variant::Nt, k)
             } else {

@@ -278,11 +278,12 @@ fn flush(batcher: &Batcher, batch: &mut Vec<Queued>) {
     ];
     obs::incr(BUCKET_COUNTERS[bucket]);
 
-    // Injected latency (`slow-judge` fault): the whole flush crawls, so
-    // in-budget requests blow their latency budget and trip the breaker.
-    if faultsim::fires(faultsim::FaultKind::SlowJudge) {
+    // Injected latency (`slow-judge@N:ms` fault; 100 ms when the plan
+    // entry names no delay): the whole flush crawls, so in-budget
+    // requests blow their latency budget and trip the breaker.
+    if let Some(ms) = faultsim::shot(faultsim::FaultKind::SlowJudge) {
         obs::incr("serve/slow_judge_injected");
-        std::thread::sleep(slow_judge_delay());
+        std::thread::sleep(Duration::from_millis(ms));
     }
 
     let mut groups: Vec<(u64, Vec<JudgeJob>)> = Vec::new();
@@ -315,16 +316,6 @@ fn flush(batcher: &Batcher, batch: &mut Vec<Queued>) {
             }
         }
     }
-}
-
-/// How long an injected `slow-judge` fault sleeps. Overridable for tests
-/// and the brownout harness via `HISRECT_SLOW_JUDGE_MS`.
-fn slow_judge_delay() -> Duration {
-    let ms = std::env::var("HISRECT_SLOW_JUDGE_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(100);
-    Duration::from_millis(ms)
 }
 
 #[cfg(test)]

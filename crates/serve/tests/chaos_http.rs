@@ -186,10 +186,9 @@ fn injected_cpu_burn_only_costs_latency() {
 fn injected_slow_judge_answers_200_and_never_kills_the_flusher() {
     let _g = lock();
     faultsim::clear();
-    std::env::set_var("HISRECT_SLOW_JUDGE_MS", "100");
     let server = start_server(|_| {});
     let mut client = HttpClient::new(server.addr());
-    faultsim::arm(FaultKind::SlowJudge, 1);
+    faultsim::configure_str("slow-judge@1:100").unwrap();
     let (i, j) = test_pairs(1)[0];
     let body = format!("{{\"i\":{i},\"j\":{j}}}");
     let r = client.post("/judge", &body).unwrap();
@@ -200,7 +199,6 @@ fn injected_slow_judge_answers_200_and_never_kills_the_flusher() {
     assert_eq!(r.status, 200, "{}", r.body);
     assert_eq!(r.header("x-hisrect-degraded"), None);
     assert_healthy(server.addr());
-    std::env::remove_var("HISRECT_SLOW_JUDGE_MS");
     faultsim::clear();
     server.shutdown();
 }

@@ -14,8 +14,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-// The fault plan and the slow-judge env knob are process-global; these
-// tests must not interleave.
+// The fault plan is process-global; these tests must not interleave.
 static OVERLOAD_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -26,15 +25,15 @@ fn judge_body(i: usize, j: usize) -> String {
     format!("{{\"i\":{i},\"j\":{j}}}")
 }
 
-/// Arms one `slow-judge` shot and has a background thread submit the
-/// request (or job) that trips it; returns once the shot has fired, so
-/// the caller knows a thread holds the batcher's combiner and everything
-/// submitted from now on queues behind it for `HISRECT_SLOW_JUDGE_MS`
-/// (100 ms unless a test sets it).
+/// Arms one `slow-judge` shot of `ms` and has a background thread submit
+/// the request (or job) that trips it; returns once the shot has fired,
+/// so the caller knows a thread holds the batcher's combiner and
+/// everything submitted from now on queues behind it for `ms`.
 fn hold_combiner<T: Send + 'static>(
+    ms: u64,
     submit: impl FnOnce() -> T + Send + 'static,
 ) -> std::thread::JoinHandle<T> {
-    faultsim::configure_str("slow-judge@1").unwrap();
+    faultsim::configure_str(&format!("slow-judge@1:{ms}")).unwrap();
     let holder = std::thread::spawn(submit);
     let armed = Instant::now();
     while faultsim::pending(faultsim::FaultKind::SlowJudge) {
@@ -54,7 +53,7 @@ fn expired_deadline_is_shed_with_typed_504_and_close_deadlines_survive() {
 
     // A job that finds the combiner free is judged at once by its own
     // worker, so the 1ms deadline can only expire behind a held one.
-    let slow = hold_combiner(move || {
+    let slow = hold_combiner(100, move || {
         let mut client = HttpClient::new(addr);
         client.post("/judge", &judge_body(i, j)).unwrap()
     });
@@ -83,7 +82,6 @@ fn expired_deadline_is_shed_with_typed_504_and_close_deadlines_survive() {
 fn full_connection_queue_is_shed_at_the_door_with_retry_after() {
     let _g = lock();
     faultsim::clear();
-    std::env::set_var("HISRECT_SLOW_JUDGE_MS", "500");
     let server = start_server(|c| {
         c.workers = 1;
         c.queue_depth = 1;
@@ -98,7 +96,7 @@ fn full_connection_queue_is_shed_at_the_door_with_retry_after() {
     // The only worker crawls through a slow flush. Of two more requests,
     // whichever arrives first takes the one connection-queue slot and the
     // other finds the queue full.
-    let held = hold_combiner(post);
+    let held = hold_combiner(500, post);
     let racers = [std::thread::spawn(post), std::thread::spawn(post)];
     let mut answers: Vec<_> = racers.map(|t| t.join().unwrap()).into();
     answers.sort_by_key(|r| r.status);
@@ -114,7 +112,6 @@ fn full_connection_queue_is_shed_at_the_door_with_retry_after() {
     assert!((1..=30).contains(&retry), "hint in range, got {retry}");
     let held = held.join().unwrap();
     assert_eq!(held.status, 200, "{}", held.body);
-    std::env::remove_var("HISRECT_SLOW_JUDGE_MS");
     faultsim::clear();
     server.shutdown();
 }
@@ -123,7 +120,6 @@ fn full_connection_queue_is_shed_at_the_door_with_retry_after() {
 fn job_expiring_behind_a_slow_batch_is_shed() {
     let _g = lock();
     faultsim::clear();
-    std::env::set_var("HISRECT_SLOW_JUDGE_MS", "300");
     let server = start_server(|c| {
         c.batch_size = 1; // every job flushes alone
     });
@@ -133,7 +129,7 @@ fn job_expiring_behind_a_slow_batch_is_shed() {
 
     // First request hits the injected slow flush and crawls; the second,
     // with a 50ms deadline, expires queued behind it.
-    faultsim::configure_str("slow-judge@1").unwrap();
+    faultsim::configure_str("slow-judge@1:300").unwrap();
     let slow = std::thread::spawn(move || {
         let mut client = HttpClient::new(addr);
         client.post("/judge", &judge_body(i, j)).unwrap()
@@ -148,7 +144,6 @@ fn job_expiring_behind_a_slow_batch_is_shed() {
     let slow_response = slow.join().unwrap();
     assert_eq!(slow_response.status, 200, "{}", slow_response.body);
 
-    std::env::remove_var("HISRECT_SLOW_JUDGE_MS");
     faultsim::clear();
     server.shutdown();
 }
@@ -195,7 +190,6 @@ fn admission_gate_sheds_with_adaptive_retry_after_and_healthz_reports_it() {
 fn breaker_degrades_to_stale_then_fallback_and_recovers_via_probe() {
     let _g = lock();
     faultsim::clear();
-    std::env::set_var("HISRECT_SLOW_JUDGE_MS", "200");
     let server = start_server(|c| {
         c.breaker = BreakerConfig {
             failure_threshold: 1,
@@ -215,7 +209,7 @@ fn breaker_degrades_to_stale_then_fallback_and_recovers_via_probe() {
 
     // One slow flush blows the 50ms budget: with threshold 1 the breaker
     // opens on a single over-budget "success".
-    faultsim::configure_str("slow-judge@1").unwrap();
+    faultsim::configure_str("slow-judge@1:200").unwrap();
     let r = client.post("/judge", &judge_body(i, j)).unwrap();
     assert_eq!(r.status, 200, "{}", r.body);
 
@@ -250,7 +244,6 @@ fn breaker_degrades_to_stale_then_fallback_and_recovers_via_probe() {
         health.body
     );
 
-    std::env::remove_var("HISRECT_SLOW_JUDGE_MS");
     faultsim::clear();
     server.shutdown();
 }
@@ -270,7 +263,7 @@ fn backlog_behind_a_held_flusher_is_one_batch() {
     let (job, first) = common::judge_job(&model, pairs[0], None);
     let holder = {
         let batcher = Arc::clone(&batcher);
-        hold_combiner(move || batcher.submit(job))
+        hold_combiner(100, move || batcher.submit(job))
     };
     let answers: Vec<_> = pairs[1..]
         .iter()
@@ -316,7 +309,7 @@ fn shutdown_answers_expired_jobs_still_queued() {
     let (job, first) = common::judge_job(&model, pair, None);
     let holder = {
         let batcher = Arc::clone(&batcher);
-        hold_combiner(move || batcher.submit(job))
+        hold_combiner(100, move || batcher.submit(job))
     };
     let (job, rx) = common::judge_job(&model, pair, Some(Instant::now()));
     batcher.submit(job).expect("submit");

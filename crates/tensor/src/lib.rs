@@ -18,7 +18,6 @@ pub mod quant;
 pub use gemm::{force_portable, simd_active, simd_tier};
 pub use init::{glorot_uniform, randn, uniform};
 pub use matrix::{
-    flush_dispatch_stats, matmul_into, matmul_naive_into, pack_threshold, par_threshold,
-    set_pack_threshold, set_par_threshold, Matrix, DEFAULT_PACK_THRESHOLD, DEFAULT_PAR_THRESHOLD,
+    flush_dispatch_stats, matmul_into, matmul_naive_into, Matrix, PACK_THRESHOLD, PAR_THRESHOLD,
 };
 pub use quant::{qmatmul, qmatmul_into, quantize_row, QuantMatrix};

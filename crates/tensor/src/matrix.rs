@@ -5,9 +5,9 @@
 //! naive small-product kernels, the packed serial path, the packed
 //! parallel path and the scalar/SIMD builds of the micro-kernel are all
 //! bit-identical (see `crate::gemm` for the full contract). Dispatch is
-//! three-tier by multiply-add count: products below [`pack_threshold`]
+//! three-tier by multiply-add count: products below [`PACK_THRESHOLD`]
 //! use the simple kernels (packing overhead dominates there — think the
-//! `1×H` steps inside an LSTM), products below [`par_threshold`] use the
+//! `1×H` steps inside an LSTM), products below [`PAR_THRESHOLD`] use the
 //! packed kernels on the calling thread, and larger products fan out
 //! across [`parallel::num_threads`] row blocks over a shared packed B.
 //!
@@ -21,72 +21,22 @@ use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::fmt;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Default minimum multiply-add count before a matmul goes parallel.
-/// Scoped-thread spawn overhead is tens of microseconds; products below
-/// roughly this size finish serially in less time than a fan-out costs.
-pub const DEFAULT_PAR_THRESHOLD: usize = 1 << 19;
+/// Minimum multiply-add count before a matmul fans out across threads.
+/// A scoped-thread fan-out costs tens of microseconds, which is what a
+/// 2¹⁹-madd product takes serially on one core; below that the product
+/// finishes on the calling thread before the workers would have started.
+/// It also bounds the worker count ([`parallel::clamp_workers`]): each
+/// worker gets at least this many multiply-adds.
+pub const PAR_THRESHOLD: usize = 1 << 19;
 
-/// 0 = unresolved; resolved on first use from `HISRECT_PAR_THRESHOLD`
-/// or [`DEFAULT_PAR_THRESHOLD`].
-static PAR_THRESHOLD: AtomicUsize = AtomicUsize::new(0);
-
-/// The multiply-add count at which matmuls dispatch to the thread pool.
-pub fn par_threshold() -> usize {
-    match PAR_THRESHOLD.load(Ordering::Relaxed) {
-        0 => {
-            let n = std::env::var("HISRECT_PAR_THRESHOLD")
-                .ok()
-                .and_then(|s| s.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or(DEFAULT_PAR_THRESHOLD);
-            PAR_THRESHOLD.store(n, Ordering::Relaxed);
-            n
-        }
-        n => n,
-    }
-}
-
-/// Overrides the parallel-dispatch threshold process-wide (clamped to
-/// at least 1 multiply-add).
-pub fn set_par_threshold(madds: usize) {
-    PAR_THRESHOLD.store(madds.max(1), Ordering::Relaxed);
-}
-
-/// Default minimum multiply-add count before a matmul takes the packed
-/// micro-kernel path. Below this the pack/unpack traffic costs more
-/// than it saves — the `1×input @ input×4·hidden` products inside an
-/// LSTM step are the canonical case that must stay on the naive
-/// kernels.
-pub const DEFAULT_PACK_THRESHOLD: usize = 1 << 14;
-
-/// 0 = unresolved; resolved on first use from `HISRECT_PACK_THRESHOLD`
-/// or [`DEFAULT_PACK_THRESHOLD`].
-static PACK_THRESHOLD: AtomicUsize = AtomicUsize::new(0);
-
-/// The multiply-add count at which matmuls switch to packed kernels.
-pub fn pack_threshold() -> usize {
-    match PACK_THRESHOLD.load(Ordering::Relaxed) {
-        0 => {
-            let n = std::env::var("HISRECT_PACK_THRESHOLD")
-                .ok()
-                .and_then(|s| s.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or(DEFAULT_PACK_THRESHOLD);
-            PACK_THRESHOLD.store(n, Ordering::Relaxed);
-            n
-        }
-        n => n,
-    }
-}
-
-/// Overrides the packed-kernel threshold process-wide (clamped to at
-/// least 1 multiply-add). Both tiers compute bit-identical results, so
-/// moving this boundary never changes output — only speed.
-pub fn set_pack_threshold(madds: usize) {
-    PACK_THRESHOLD.store(madds.max(1), Ordering::Relaxed);
-}
+/// Minimum multiply-add count before a matmul takes the packed
+/// micro-kernel path. Below 2¹⁴ the pack/unpack traffic costs more than
+/// the register-blocked kernel saves — the `1×input @ input×4·hidden`
+/// products inside an LSTM step (a few thousand madds at the paper's
+/// sizes) are the canonical case that must stay on the simple kernels.
+/// Both tiers are bit-identical, so this boundary moves speed only.
+pub const PACK_THRESHOLD: usize = 1 << 14;
 
 /// Dispatch decisions accumulated per flush batch (see
 /// [`flush_dispatch_stats`]).
@@ -164,13 +114,13 @@ pub fn matmul_naive_into(
 pub fn matmul_into(a: &[f32], a_stride: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     let m = out.len().checked_div(n).unwrap_or(0);
     let work = m * k * n;
-    if work < pack_threshold() {
+    if work < PACK_THRESHOLD {
         return matmul_naive_into(a, a_stride, k, b, n, out);
     }
     assert_eq!(b.len(), k * n, "matmul_into: b shape mismatch");
     let pb = gemm::pack_b(Variant::Nn, b, n, k, n);
     if Matrix::go_parallel(work) {
-        let threads = parallel::clamp_workers(work, par_threshold());
+        let threads = parallel::clamp_workers(work, PAR_THRESHOLD);
         parallel::scope_partition_mut_with(threads, out, n, m, |rows, block| {
             gemm::gemm_rows(Variant::Nn, a, a_stride, m, &pb, rows.start, block);
         });
@@ -390,7 +340,7 @@ impl Matrix {
     /// [`flush_dispatch_stats`]) so the hot path never takes the obs
     /// lock per matmul.
     fn go_parallel(madds: usize) -> bool {
-        let par = madds >= par_threshold() && parallel::num_threads() > 1;
+        let par = madds >= PAR_THRESHOLD && parallel::num_threads() > 1;
         if obs::enabled() {
             DISPATCH.with(|d| {
                 let (mut serial, mut fanned) = d.get();
@@ -430,13 +380,13 @@ impl Matrix {
     }
 
     /// Serial product under `variant`: naive kernels below
-    /// [`pack_threshold`], the packed micro-kernel path above it. Both
+    /// [`PACK_THRESHOLD`], the packed micro-kernel path above it. Both
     /// tiers are bit-identical.
     fn mm_serial(&self, variant: Variant, other: &Matrix) -> Matrix {
         self.assert_variant(variant, other);
         let (m, kc, n) = self.mm_dims(variant, other);
         let mut out = Matrix::zeros(m, n);
-        if m * kc * n < pack_threshold() {
+        if m * kc * n < PACK_THRESHOLD {
             match variant {
                 Variant::Nn => matmul_naive_into(&self.data, kc, kc, &other.data, n, &mut out.data),
                 Variant::Tn => mm_tn_block(self, other, 0..m, &mut out.data),
@@ -465,14 +415,14 @@ impl Matrix {
     }
 
     /// Auto-dispatched product under `variant`: serial below
-    /// [`par_threshold`], otherwise fanned out over a worker count
+    /// [`PAR_THRESHOLD`], otherwise fanned out over a worker count
     /// clamped so each worker gets at least a threshold's worth of
     /// multiply-adds.
     fn mm_auto(&self, variant: Variant, other: &Matrix) -> Matrix {
         let (m, kc, n) = self.mm_dims(variant, other);
         let work = m * kc * n;
         if Self::go_parallel(work) {
-            let threads = parallel::clamp_workers(work, par_threshold());
+            let threads = parallel::clamp_workers(work, PAR_THRESHOLD);
             self.mm_parallel(variant, other, threads)
         } else {
             self.mm_serial(variant, other)
@@ -482,7 +432,7 @@ impl Matrix {
     /// `self @ other` — standard matrix product.
     ///
     /// Dispatches to the parallel path when the work is at least
-    /// [`par_threshold`] and more than one worker is configured; all
+    /// [`PAR_THRESHOLD`] and more than one worker is configured; all
     /// paths produce bit-identical results.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         self.mm_auto(Variant::Nn, other)

@@ -15,10 +15,10 @@
 //! panic story trivial: `Drop` runs during unwinding, so buffers held
 //! by a panicking scope are returned, never leaked into limbo.
 //!
-//! `HISRECT_POOL=0` (or [`set_enabled`]`(false)`) bypasses the pool on
-//! the current thread — every take allocates fresh and every return is
-//! dropped — which is how the allocation-savings tests measure the
-//! pool's effect.
+//! The pool is always on. Every take that it cannot serve is counted as
+//! a miss and allocates, so `hits + misses` is the number of allocations
+//! the same run would make without a pool, and the allocation-savings
+//! tests read the pool's effect from one run's [`stats`].
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -72,7 +72,7 @@ pub struct PoolStats {
     pub misses: u64,
     /// Buffers accepted back into a free list.
     pub returned: u64,
-    /// Buffers rejected at return time (caps reached or pool disabled).
+    /// Buffers rejected at return time (caps reached).
     pub dropped: u64,
 }
 
@@ -84,18 +84,6 @@ struct Pool {
     stats: PoolStats,
     /// Stats already flushed to obs counters by [`publish_obs`].
     published: PoolStats,
-    /// None = unresolved (read `HISRECT_POOL` on first use).
-    enabled: Option<bool>,
-}
-
-impl Pool {
-    fn enabled(&mut self) -> bool {
-        *self.enabled.get_or_insert_with(|| {
-            std::env::var("HISRECT_POOL")
-                .map(|v| !matches!(v.trim(), "0" | "false" | "off"))
-                .unwrap_or(true)
-        })
-    }
 }
 
 thread_local! {
@@ -111,13 +99,11 @@ pub fn take(len: usize) -> Vec<f32> {
     }
     POOL.with(|p| {
         let mut pool = p.borrow_mut();
-        if pool.enabled() {
-            if let Some(mut v) = pool.shelves.get_mut(&len).and_then(Vec::pop) {
-                pool.cached_floats -= len;
-                pool.stats.hits += 1;
-                v.clear();
-                return v;
-            }
+        if let Some(mut v) = pool.shelves.get_mut(&len).and_then(Vec::pop) {
+            pool.cached_floats -= len;
+            pool.stats.hits += 1;
+            v.clear();
+            return v;
         }
         pool.stats.misses += 1;
         Vec::with_capacity(len)
@@ -125,8 +111,8 @@ pub fn take(len: usize) -> Vec<f32> {
 }
 
 /// Returns a buffer to the current thread's free list. Buffers are
-/// rejected (and freed normally) when the pool is disabled, the buffer
-/// has no capacity, or the per-shelf / total caps are reached.
+/// rejected (and freed normally) when the buffer has no capacity or the
+/// per-shelf / total caps are reached.
 pub fn put(v: Vec<f32>) {
     let cap = v.capacity();
     if cap == 0 {
@@ -134,7 +120,7 @@ pub fn put(v: Vec<f32>) {
     }
     POOL.with(|p| {
         let mut pool = p.borrow_mut();
-        if !pool.enabled() || pool.cached_floats + cap > MAX_CACHED_FLOATS {
+        if pool.cached_floats + cap > MAX_CACHED_FLOATS {
             pool.stats.dropped += 1;
             return;
         }
@@ -179,18 +165,6 @@ pub fn clear() {
     });
 }
 
-/// Turns the pool on or off for the current thread only (tests and the
-/// pool-bypass comparison benchmarks use this; production code relies
-/// on the `HISRECT_POOL` environment variable).
-pub fn set_enabled(on: bool) {
-    POOL.with(|p| p.borrow_mut().enabled = Some(on));
-}
-
-/// True when the current thread's pool is active.
-pub fn enabled() -> bool {
-    POOL.with(|p| p.borrow_mut().enabled())
-}
-
 /// Flushes the delta since the last publish into the obs counters
 /// `tensor/pool_hits`, `tensor/pool_misses`, `tensor/pool_returned` and
 /// `tensor/pool_dropped`. Called at phase boundaries (end of training
@@ -226,7 +200,6 @@ mod tests {
 
     #[test]
     fn round_trip_reuses_exact_capacity() {
-        set_enabled(true);
         let mut v = take(64);
         assert_eq!(v.capacity(), 64);
         v.resize(64, 1.0);
@@ -240,7 +213,6 @@ mod tests {
 
     #[test]
     fn zero_length_requests_bypass_the_pool() {
-        set_enabled(true);
         let v = take(0);
         assert_eq!(v.capacity(), 0);
         put(v);
@@ -248,21 +220,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_pool_allocates_and_drops() {
-        set_enabled(false);
-        let v = take(32);
-        put(v);
-        let s = stats();
-        assert_eq!(s.hits, 0);
-        assert_eq!(s.misses, 1);
-        assert_eq!(s.returned, 0);
-        assert_eq!(s.dropped, 1);
-        assert_eq!(cached_floats(), 0);
-    }
-
-    #[test]
     fn shelf_float_budget_bounds_growth() {
-        set_enabled(true);
         // One buffer holding half the shelf budget: the second one fits,
         // the third would exceed the budget and is dropped.
         let cap = MAX_SHELF_FLOATS / 2;
@@ -277,7 +235,6 @@ mod tests {
 
     #[test]
     fn oversized_buffers_still_get_one_shelf_slot() {
-        set_enabled(true);
         let cap = 2 * MAX_SHELF_FLOATS;
         put(Vec::with_capacity(cap));
         assert_eq!(stats().returned, 1, "first oversized buffer is kept");

@@ -133,9 +133,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = randn(&mut rng, m, k, 1.0);
         let b = randn(&mut rng, k, n, 1.0);
-        // The compile-time default, not `par_threshold()`: another test in
-        // this binary lowers the process-wide value while it runs.
-        prop_assert!(m * k * n < tensor::DEFAULT_PAR_THRESHOLD);
+        prop_assert!(m * k * n < tensor::PAR_THRESHOLD);
         prop_assert_eq!(a.matmul(&b).as_slice(), a.matmul_serial(&b).as_slice());
     }
 }
@@ -167,17 +165,18 @@ fn reference(
     out
 }
 
-/// Serializes tests that override the process-global pack threshold or
-/// SIMD dispatch. Results are bit-identical on every path, so other
-/// concurrently running tests are unaffected — this only guarantees
-/// each toggling test really exercises the tier it names.
+/// Serializes tests that override the process-global SIMD dispatch.
+/// Results are bit-identical on every path, so other concurrently
+/// running tests are unaffected — this only guarantees each toggling
+/// test really exercises the tier it names.
 static TOGGLE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 proptest! {
-    /// The packed micro-kernel path (threshold forced to 1) and the
-    /// naive small-product path (threshold forced past everything) must
-    /// both reproduce the reference bits for all three variants, on
-    /// shapes deliberately not multiples of the 4×16 register tile.
+    /// The serial entry points reproduce the reference bits for all three
+    /// variants, on shapes deliberately not multiples of the 4×16
+    /// register tile. Products run up to 39³ ≈ 59 000 multiply-adds, so
+    /// the cases fall on both sides of `PACK_THRESHOLD` (2¹⁴): the simple
+    /// kernels below it, the packed micro-kernel path above it.
     #[test]
     fn packed_kernels_bitwise_equal_naive_reference(
         m in 1usize..40, k in 1usize..40, n in 1usize..40, seed in 0u64..1 << 32,
@@ -190,20 +189,15 @@ proptest! {
         let want_nn = reference(m, k, n, |i, kk| a.get(i, kk), |kk, j| b.get(kk, j));
         let want_tn = reference(m, k, n, |i, kk| at.get(kk, i), |kk, j| b.get(kk, j));
         let want_nt = reference(m, k, n, |i, kk| a.get(i, kk), |kk, j| bt.get(j, kk));
-        let guard = TOGGLE.lock().unwrap();
-        for threshold in [1, usize::MAX] {
-            tensor::set_pack_threshold(threshold);
-            prop_assert_eq!(a.matmul_serial(&b).as_slice(), &want_nn[..]);
-            prop_assert_eq!(at.matmul_tn_serial(&b).as_slice(), &want_tn[..]);
-            prop_assert_eq!(a.matmul_nt_serial(&bt).as_slice(), &want_nt[..]);
-        }
-        tensor::set_pack_threshold(tensor::DEFAULT_PACK_THRESHOLD);
-        drop(guard);
+        prop_assert_eq!(a.matmul_serial(&b).as_slice(), &want_nn[..]);
+        prop_assert_eq!(at.matmul_tn_serial(&b).as_slice(), &want_tn[..]);
+        prop_assert_eq!(a.matmul_nt_serial(&bt).as_slice(), &want_nt[..]);
     }
 
-    /// Scalar-vs-SIMD bit-identity: the portable kernel (forced) and
-    /// whatever `simd_active()` dispatch picks must agree exactly, and
-    /// both must match the naive reference.
+    /// Scalar-vs-SIMD bit-identity on the packed path, called directly at
+    /// any size: the portable kernel (forced) and whatever
+    /// `simd_active()` dispatch picks must agree exactly, and both must
+    /// match the naive reference.
     #[test]
     fn simd_and_portable_kernels_bitwise_equal(
         m in 1usize..24, k in 1usize..48, n in 1usize..48, seed in 0u64..1 << 32,
@@ -212,16 +206,20 @@ proptest! {
         let a = randn(&mut rng, m, k, 1.0);
         let b = randn(&mut rng, k, n, 1.0);
         let want = reference(m, k, n, |i, kk| a.get(i, kk), |kk, j| b.get(kk, j));
+        let pb = gemm::pack_b(Variant::Nn, b.as_slice(), n, k, n);
+        let packed = || {
+            let mut out = vec![0.0f32; m * n];
+            gemm::gemm_rows(Variant::Nn, a.as_slice(), k, m, &pb, 0, &mut out);
+            out
+        };
         let guard = TOGGLE.lock().unwrap();
-        tensor::set_pack_threshold(1); // force the packed path at any size
         tensor::force_portable(Some(true));
-        let portable = a.matmul_serial(&b);
+        let portable = packed();
         tensor::force_portable(Some(false));
-        let dispatched = a.matmul_serial(&b);
-        tensor::set_pack_threshold(tensor::DEFAULT_PACK_THRESHOLD);
+        let dispatched = packed();
         drop(guard);
-        prop_assert_eq!(portable.as_slice(), &want[..]);
-        prop_assert_eq!(dispatched.as_slice(), &want[..]);
+        prop_assert_eq!(&portable[..], &want[..]);
+        prop_assert_eq!(&dispatched[..], &want[..]);
     }
 
     /// Every tier this CPU has, called directly (the dispatch is
@@ -401,26 +399,26 @@ proptest! {
     }
 }
 
-/// Forcing the auto entry points onto the parallel path (threshold = 1)
-/// still reproduces the serial bits exactly. Threshold is process-global
-/// state; results stay bit-identical for every other concurrently running
-/// test, so the temporary override is observationally safe.
+/// At `PAR_THRESHOLD` the auto entry points fan out (when more than one
+/// worker is configured) and still reproduce the serial bits exactly; the
+/// explicit three-worker fan-out does too, whatever the configured count.
 #[test]
 fn auto_dispatch_matches_serial_above_threshold() {
     let mut rng = StdRng::seed_from_u64(7);
-    let a = randn(&mut rng, 33, 65, 1.0);
-    let b = randn(&mut rng, 65, 17, 1.0);
+    let (m, k, n) = (128, 65, 64);
+    assert!(m * k * n >= tensor::PAR_THRESHOLD);
+    let a = randn(&mut rng, m, k, 1.0);
+    let b = randn(&mut rng, k, n, 1.0);
+    let (at, bt) = (a.transpose(), b.transpose());
     let (serial, tn, nt) = (
         a.matmul_serial(&b),
-        b.matmul_tn_serial(&a.transpose()),
-        a.matmul_nt_serial(&b.transpose()),
+        at.matmul_tn_serial(&b),
+        a.matmul_nt_serial(&bt),
     );
-    tensor::set_par_threshold(1);
-    let out = a.matmul(&b);
-    let out_tn = b.matmul_tn(&a.transpose());
-    let out_nt = a.matmul_nt(&b.transpose());
-    tensor::set_par_threshold(tensor::DEFAULT_PAR_THRESHOLD);
-    assert_eq!(serial.as_slice(), out.as_slice());
-    assert_eq!(tn.as_slice(), out_tn.as_slice());
-    assert_eq!(nt.as_slice(), out_nt.as_slice());
+    assert_eq!(serial.as_slice(), a.matmul(&b).as_slice());
+    assert_eq!(tn.as_slice(), at.matmul_tn(&b).as_slice());
+    assert_eq!(nt.as_slice(), a.matmul_nt(&bt).as_slice());
+    assert_eq!(serial.as_slice(), a.matmul_parallel_with(&b, 3).as_slice());
+    assert_eq!(tn.as_slice(), at.matmul_tn_parallel_with(&b, 3).as_slice());
+    assert_eq!(nt.as_slice(), a.matmul_nt_parallel_with(&bt, 3).as_slice());
 }

@@ -2,19 +2,21 @@
 //! (simulate → train featurizer → train judge → evaluate) whose metrics
 //! fingerprint is pinned bit-for-bit.
 //!
-//! One test function runs the pipeline five times — at 1 worker thread,
-//! at 4 worker threads, with the ANN grid prefilter forced onto the
-//! affinity build, with the portable kernel tier forced, and at 1 thread
-//! with obs metrics collection on — and requires all five fingerprints to
-//! be identical to each other and to the committed golden snapshot. This
-//! locks in, simultaneously:
+//! One test function runs the pipeline four times — at 1 worker thread,
+//! at 4 worker threads, with the portable kernel tier forced, and at 1
+//! thread with obs metrics collection on — and requires all four
+//! fingerprints to be identical to each other and to the committed golden
+//! snapshot. This locks in, simultaneously:
 //!
 //! - seed determinism of the whole stack (sim, skip-gram, SSL, judge),
 //! - the `crates/parallel` bit-identical-results invariant,
-//! - that the spatial prefilter never changes which pairs carry affinity
-//!   weight (it may only skip pairs the exhaustive scan discards),
 //! - that the scalar and AVX2 tiers of every kernel agree bit for bit,
 //! - that observability instrumentation never perturbs the numerics.
+//!
+//! That the spatial prefilter never changes which pairs carry affinity
+//! weight is checked on this corpus by
+//! `hisrect::affinity::tests::prefiltered_build_is_bit_identical_to_exhaustive`:
+//! equal affinity lists mean an equal training.
 //!
 //! A single `#[test]` (its own `[[test]]` binary) keeps `set_threads` and
 //! the global obs flag free of cross-test races.
@@ -103,21 +105,7 @@ fn golden_run_is_bit_identical_across_threads_and_metrics() {
         "1-thread and 4-thread runs diverged: {serial:?} vs {parallel4:?}"
     );
 
-    // Third leg: the ANN grid prefilter forced onto the affinity build.
-    // On real corpora `build_affinity` engages it by pair count; forcing
-    // it here pins the prefiltered path to the same committed fingerprint,
-    // proving the spatial lower bound only ever drops pairs the exhaustive
-    // scan would discard anyway.
-    std::env::set_var("HISRECT_AFFINITY_PREFILTER", "always");
-    let prefiltered = fingerprint();
-    std::env::remove_var("HISRECT_AFFINITY_PREFILTER");
-    assert_eq!(
-        bits(&serial),
-        bits(&prefiltered),
-        "grid-prefiltered affinity diverged from exhaustive: {serial:?} vs {prefiltered:?}"
-    );
-
-    // Fourth leg: the portable kernel tier. The GEMM micro-kernels and
+    // Third leg: the portable kernel tier. The GEMM micro-kernels and
     // the `tensor::act` gate activations each have a scalar and an AVX2
     // implementation; forcing the scalar one must reproduce the same
     // bits, so the golden is tied to neither a kernel tier nor the
@@ -131,7 +119,7 @@ fn golden_run_is_bit_identical_across_threads_and_metrics() {
         "portable kernel tier diverged from the dispatched one: {serial:?} vs {portable:?}"
     );
 
-    // Fifth leg: metrics on. The numbers must not move, and the obs
+    // Fourth leg: metrics on. The numbers must not move, and the obs
     // registry must have seen the whole pipeline.
     parallel::set_threads(1);
     obs::set_enabled(true);
