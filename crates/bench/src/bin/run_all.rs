@@ -17,7 +17,6 @@ const EXPERIMENTS: &[&str] = &[
     "exp_fig6",
     "exp_table8",
     "exp_social",
-    "exp_encoders",
 ];
 
 fn main() {

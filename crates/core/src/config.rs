@@ -14,18 +14,20 @@ pub enum HistoryEncoder {
     None,
 }
 
-/// How the recent tweet content is featurized.
+/// How the recent tweet content is featurized: the paper's BiLSTM-C and
+/// Table 4's two encoder ablations. Every encoder trains a batch of ragged
+/// tweets as one graph ([`crate::fc::ContentNet::forward_batch`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ContentEncoder {
     /// BiLSTM-C (Eq. 3): BLSTM, 3-wide convolution, ReLU, mean pooling.
     BiLstmC,
     /// Plain bidirectional LSTM with mean pooling (no convolution).
     Blstm,
-    /// 1-D ConvLSTM cells (convolutional gate transitions) + mean pooling.
+    /// 1-D ConvLSTM cells (convolutional gate transitions) + mean pooling,
+    /// run batched one graph per step over the tweets still running.
+    /// Nothing serves it, so evaluation goes through that tape forward
+    /// rather than a tape-free kernel.
     ConvLstm,
-    /// Extension ablation: BiGRU-C — like BiLSTM-C but with GRU cells
-    /// (one gate fewer, ~25% fewer recurrent parameters).
-    BiGruC,
     /// Tweet content ignored (the History-only row).
     None,
 }
@@ -320,16 +322,6 @@ impl ApproachSpec {
             "ConvLSTM",
             HistoryEncoder::Rect,
             ContentEncoder::ConvLstm,
-            TrainMode::SemiSupervised,
-        )
-    }
-
-    /// BiGRU-C content encoder (extension, not a paper row).
-    pub fn bigru_c() -> Self {
-        Self::base(
-            "BiGRU-C",
-            HistoryEncoder::Rect,
-            ContentEncoder::BiGruC,
             TrainMode::SemiSupervised,
         )
     }

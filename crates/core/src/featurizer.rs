@@ -550,12 +550,10 @@ mod tests {
 
         #[test]
         fn ablation_encoders_still_equal_their_tape_forward(
-            gru in proptest::prelude::any::<bool>(),
-            ts in proptest::collection::vec(0usize..=12, 1..=3),
+            ts in proptest::collection::vec(0usize..=12, 1..=8),
             seed in proptest::prelude::any::<u64>(),
         ) {
-            let content = if gru { ContentEncoder::BiGruC } else { ContentEncoder::ConvLstm };
-            assert_eval_matches_tape(content, 1, &ts, seed);
+            assert_eval_matches_tape(ContentEncoder::ConvLstm, 1, &ts, seed);
         }
     }
 

@@ -184,16 +184,9 @@ impl Lstm {
         std: f32,
         rng: &mut R,
     ) -> Self {
-        let std_x = resolve_std(std, in_dim + hidden);
-        let std_h = std_x;
-        let wx = store.add(
-            format!("{prefix}/wx"),
-            randn(rng, in_dim, 4 * hidden, std_x),
-        );
-        let wh = store.add(
-            format!("{prefix}/wh"),
-            randn(rng, hidden, 4 * hidden, std_h),
-        );
+        let std = resolve_std(std, in_dim + hidden);
+        let wx = store.add(format!("{prefix}/wx"), randn(rng, in_dim, 4 * hidden, std));
+        let wh = store.add(format!("{prefix}/wh"), randn(rng, hidden, 4 * hidden, std));
         let mut bias = Matrix::zeros(1, 4 * hidden);
         for c in hidden..2 * hidden {
             bias.set(0, c, 1.0);
@@ -228,142 +221,6 @@ impl Lstm {
     /// Parameter ids.
     pub fn param_ids(&self) -> Vec<ParamId> {
         vec![self.wx, self.wh, self.b]
-    }
-}
-
-/// A gated recurrent unit (Cho et al.) — an extension ablation of the
-/// paper's LSTM content encoder with one gate fewer:
-/// `r = σ(xW_xr + hW_hr)`, `z = σ(xW_xz + hW_hz)`,
-/// `h̃ = tanh(xW_xc + (r ⊙ h)W_hc)`, `h ← (1−z) ⊙ h + z ⊙ h̃`.
-#[derive(Debug, Clone)]
-pub struct Gru {
-    /// Input-to-gates weights (`in_dim x 3h`, order `[r | z | c]`).
-    pub wx: ParamId,
-    /// State-to-r/z weights (`h x 2h`).
-    pub wh_rz: ParamId,
-    /// State-to-candidate weights (`h x h`), applied after the reset gate.
-    pub wh_c: ParamId,
-    /// Gate biases (`1 x 3h`).
-    pub b: ParamId,
-    /// Input width.
-    pub in_dim: usize,
-    /// Hidden width `h`.
-    pub hidden: usize,
-}
-
-impl Gru {
-    /// Allocates GRU parameters (same init conventions as [`Lstm::new`]).
-    pub fn new<R: Rng>(
-        store: &mut ParamStore,
-        prefix: &str,
-        in_dim: usize,
-        hidden: usize,
-        std: f32,
-        rng: &mut R,
-    ) -> Self {
-        let std = resolve_std(std, in_dim + hidden);
-        let wx = store.add(format!("{prefix}/wx"), randn(rng, in_dim, 3 * hidden, std));
-        let wh_rz = store.add(
-            format!("{prefix}/wh_rz"),
-            randn(rng, hidden, 2 * hidden, std),
-        );
-        let wh_c = store.add(format!("{prefix}/wh_c"), randn(rng, hidden, hidden, std));
-        let b = store.add(format!("{prefix}/b"), Matrix::zeros(1, 3 * hidden));
-        Self {
-            wx,
-            wh_rz,
-            wh_c,
-            b,
-            in_dim,
-            hidden,
-        }
-    }
-
-    /// Runs the recurrence over `xs` (each `1 x in_dim`), zero initial
-    /// state. Returns one `1 x hidden` state per step.
-    pub fn forward_seq(&self, tape: &mut Tape, store: &ParamStore, xs: &[Var]) -> Vec<Var> {
-        let wx = tape.param(store, self.wx);
-        let wh_rz = tape.param(store, self.wh_rz);
-        let wh_c = tape.param(store, self.wh_c);
-        let b = tape.param(store, self.b);
-        let h0 = tape.input(Matrix::zeros(1, self.hidden));
-        let mut h = h0;
-        let mut out = Vec::with_capacity(xs.len());
-        for &x in xs {
-            let xg = tape.matmul(x, wx);
-            let xg = tape.add_bias(xg, b); // 1 x 3h
-            let hg_rz = tape.matmul(h, wh_rz); // 1 x 2h
-            let xr = tape.slice_cols(xg, 0, self.hidden);
-            let xz = tape.slice_cols(xg, self.hidden, self.hidden);
-            let xc = tape.slice_cols(xg, 2 * self.hidden, self.hidden);
-            let hr = tape.slice_cols(hg_rz, 0, self.hidden);
-            let hz = tape.slice_cols(hg_rz, self.hidden, self.hidden);
-            let r_pre = tape.add(xr, hr);
-            let r = tape.sigmoid(r_pre);
-            let z_pre = tape.add(xz, hz);
-            let z = tape.sigmoid(z_pre);
-            let rh = tape.mul(r, h);
-            let hc = tape.matmul(rh, wh_c);
-            let c_pre = tape.add(xc, hc);
-            let cand = tape.tanh(c_pre);
-            // h = (1 - z) * h + z * cand
-            let one_minus_z = tape.affine(z, -1.0, 1.0);
-            let keep = tape.mul(one_minus_z, h);
-            let update = tape.mul(z, cand);
-            h = tape.add(keep, update);
-            out.push(h);
-        }
-        out
-    }
-
-    /// Parameter ids.
-    pub fn param_ids(&self) -> Vec<ParamId> {
-        vec![self.wx, self.wh_rz, self.wh_c, self.b]
-    }
-}
-
-/// A bidirectional GRU, mirroring [`BiLstm`].
-#[derive(Debug, Clone)]
-pub struct BiGru {
-    /// Left-to-right recurrence.
-    pub fwd: Gru,
-    /// Right-to-left recurrence.
-    pub bwd: Gru,
-}
-
-impl BiGru {
-    /// Allocates both directions with `hidden` units each.
-    pub fn new<R: Rng>(
-        store: &mut ParamStore,
-        prefix: &str,
-        in_dim: usize,
-        hidden: usize,
-        std: f32,
-        rng: &mut R,
-    ) -> Self {
-        Self {
-            fwd: Gru::new(store, &format!("{prefix}/fwd"), in_dim, hidden, std, rng),
-            bwd: Gru::new(store, &format!("{prefix}/bwd"), in_dim, hidden, std, rng),
-        }
-    }
-
-    /// Per-step concatenation `[h_fwd | h_bwd]`, each `1 x 2h`.
-    pub fn forward_concat(&self, tape: &mut Tape, store: &ParamStore, xs: &[Var]) -> Vec<Var> {
-        let hf = self.fwd.forward_seq(tape, store, xs);
-        let reversed: Vec<Var> = xs.iter().rev().copied().collect();
-        let mut hb = self.bwd.forward_seq(tape, store, &reversed);
-        hb.reverse();
-        hf.into_iter()
-            .zip(hb)
-            .map(|(f, b)| tape.concat_cols(f, b))
-            .collect()
-    }
-
-    /// Parameter ids of both directions.
-    pub fn param_ids(&self) -> Vec<ParamId> {
-        let mut ids = self.fwd.param_ids();
-        ids.extend(self.bwd.param_ids());
-        ids
     }
 }
 
@@ -625,66 +482,6 @@ mod tests {
             });
             assert!(err < 2e-2, "param {id:?}: err = {err}");
         }
-    }
-
-    #[test]
-    fn gru_output_shapes_and_bounds() {
-        let mut store = ParamStore::new();
-        let gru = Gru::new(&mut store, "gru", 3, 4, 0.3, &mut rng(20));
-        let mut t = Tape::new();
-        let xs: Vec<Var> = (0..5)
-            .map(|i| t.input(trandn(&mut rng(60 + i), 1, 3, 1.0)))
-            .collect();
-        let hs = gru.forward_seq(&mut t, &store, &xs);
-        assert_eq!(hs.len(), 5);
-        for h in &hs {
-            assert_eq!(t.value(*h).shape(), (1, 4));
-            // h is a convex combination of tanh outputs: bounded by (-1,1).
-            assert!(t.value(*h).as_slice().iter().all(|&x| x.abs() < 1.0));
-        }
-    }
-
-    #[test]
-    fn gru_gradcheck_all_params() {
-        let mut store = ParamStore::new();
-        let gru = Gru::new(&mut store, "gru", 2, 3, 0.4, &mut rng(21));
-        let xs: Vec<Matrix> = (0..4)
-            .map(|i| trandn(&mut rng(70 + i), 1, 2, 1.0))
-            .collect();
-        for id in gru.param_ids() {
-            let xs = xs.clone();
-            let gru = gru.clone();
-            let err = crate::gradcheck::gradcheck_scalar(&mut store, id, move |t, s| {
-                let vars: Vec<Var> = xs.iter().map(|x| t.input(x.clone())).collect();
-                let hs = gru.forward_seq(t, s, &vars);
-                let stacked = t.stack_rows(&hs);
-                let sq = t.mul(stacked, stacked);
-                t.mean_all(sq)
-            });
-            assert!(err < 2e-2, "param {id:?}: err = {err}");
-        }
-    }
-
-    #[test]
-    fn bigru_concat_width_and_future_sensitivity() {
-        let mut store = ParamStore::new();
-        let bi = BiGru::new(&mut store, "bi", 2, 3, 0.5, &mut rng(22));
-        let base: Vec<Matrix> = (0..5)
-            .map(|i| trandn(&mut rng(80 + i), 1, 2, 1.0))
-            .collect();
-        let run = |xs: &[Matrix]| {
-            let mut t = Tape::new();
-            let vars: Vec<Var> = xs.iter().map(|x| t.input(x.clone())).collect();
-            let cat = bi.forward_concat(&mut t, &store, &vars);
-            assert_eq!(t.value(cat[0]).shape(), (1, 6));
-            t.value(cat[0]).clone()
-        };
-        let c0 = run(&base);
-        let mut perturbed = base.clone();
-        perturbed[4] = perturbed[4].scale(-2.0);
-        let c0p = run(&perturbed);
-        // The backward half of step 0 must see the change at step 4.
-        assert!(!c0.approx_eq(&c0p, 1e-6));
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod tape;
 
 pub use adam::{Adam, AdamConfig, AdamState};
 pub use eval::{EvalStack, WordTable};
-pub use layers::{BiGru, BiLstm, Conv1d, FeedForward, Gru, Linear, Lstm};
+pub use layers::{BiLstm, Conv1d, FeedForward, Linear, Lstm};
 pub use params::{Param, ParamId, ParamStore};
 pub use quant::QuantFeedForward;
 pub use seq::SeqBatch;

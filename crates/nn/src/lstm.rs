@@ -630,7 +630,7 @@ mod tests {
         }
     }
 
-    fn step_inputs(tape: &mut Tape, x: &Matrix) -> Vec<Var> {
+    fn row_inputs(tape: &mut Tape, x: &Matrix) -> Vec<Var> {
         (0..x.rows())
             .map(|r| tape.input(Matrix::row_vector(x.row(r))))
             .collect()
@@ -653,7 +653,7 @@ mod tests {
                 let x = randn(&mut rng, steps, in_dim, 1.0);
                 let weights = randn(&mut rng, steps, 2 * hidden, 1.0);
                 let want = run_graph(&mut store, &weights, |tape, store| {
-                    let mut xs = step_inputs(tape, &x);
+                    let mut xs = row_inputs(tape, &x);
                     for bi in &layers {
                         xs = per_step_concat(bi, tape, store, &xs);
                     }

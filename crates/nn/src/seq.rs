@@ -61,7 +61,7 @@ impl SeqBatch {
     }
 
     /// Caller index of each slot.
-    pub(crate) fn order(&self) -> &[usize] {
+    pub fn order(&self) -> &[usize] {
         &self.order
     }
 

@@ -47,8 +47,9 @@ enum Op {
     Tanh(usize),
     ConcatCols(usize, usize),
     SliceCols(usize, usize),
-    /// Vertical stack of row blocks.
-    StackRows(Vec<usize>),
+    /// Rows picked from parts `.0`: output row `r` is row `j` of part `p`
+    /// for `.1[r] = Some((p, j))`, a zero row for `None`.
+    PickRows(Vec<usize>, Vec<Option<(usize, usize)>>),
     /// Per-sequence mean over the steps of a [`SeqBatch`]: `B x C`.
     MeanOverSteps(usize, SeqBatch),
     /// Row-wise sum: `(R x C) -> (R x 1)`.
@@ -233,20 +234,31 @@ impl Tape {
 
     /// Vertical stack of row blocks (all with equal column counts).
     pub fn stack_rows(&mut self, parts: &[Var]) -> Var {
-        assert!(!parts.is_empty(), "stack_rows needs at least one part");
+        let picks: Vec<_> = (0..parts.len())
+            .flat_map(|p| (0..self.nodes[parts[p].0].value.rows()).map(move |j| Some((p, j))))
+            .collect();
+        self.pick_rows(parts, &picks)
+    }
+
+    /// Rows picked from `parts` (all with equal column counts): row `r`
+    /// of the result is row `j` of `parts[p]` for `picks[r] = Some((p,
+    /// j))`, and zeros for `None`. A part row may be picked any number of
+    /// times; the backward scatter-adds into it.
+    pub fn pick_rows(&mut self, parts: &[Var], picks: &[Option<(usize, usize)>]) -> Var {
+        assert!(!parts.is_empty(), "pick_rows needs at least one part");
         let cols = self.nodes[parts[0].0].value.cols();
-        let total: usize = parts.iter().map(|p| self.nodes[p.0].value.rows()).sum();
-        let mut value = Matrix::zeros(total, cols);
-        let mut r = 0;
-        for p in parts {
-            let m = &self.nodes[p.0].value;
-            assert_eq!(m.cols(), cols, "stack_rows column mismatch");
-            for i in 0..m.rows() {
-                value.row_mut(r).copy_from_slice(m.row(i));
-                r += 1;
+        let same = parts.iter().all(|p| self.nodes[p.0].value.cols() == cols);
+        assert!(same, "pick_rows column mismatch");
+        let mut value = Matrix::zeros(picks.len(), cols);
+        for (r, &pick) in picks.iter().enumerate() {
+            if let Some((p, j)) = pick {
+                value
+                    .row_mut(r)
+                    .copy_from_slice(self.nodes[parts[p].0].value.row(j));
             }
         }
-        self.push(value, Op::StackRows(parts.iter().map(|p| p.0).collect()))
+        let parts = parts.iter().map(|p| p.0).collect();
+        self.push(value, Op::PickRows(parts, picks.to_vec()))
     }
 
     /// One LSTM direction (§4.2) from zero state over the sequences of
@@ -597,15 +609,22 @@ impl Tape {
                 }
                 acc(grads, *a, da);
             }
-            Op::StackRows(parts) => {
-                let mut r0 = 0;
-                for &p in parts {
-                    let rows = self.nodes[p].value.rows();
-                    let block = &g.as_slice()[r0 * g.cols()..(r0 + rows) * g.cols()];
-                    let mut dp = Matrix::zeros(rows, g.cols());
-                    dp.as_mut_slice().copy_from_slice(block);
-                    acc(grads, p, dp);
-                    r0 += rows;
+            Op::PickRows(parts, picks) => {
+                let mut dp: Vec<Matrix> = parts
+                    .iter()
+                    .map(|&p| Matrix::zeros(self.nodes[p].value.rows(), g.cols()))
+                    .collect();
+                for (r, &pick) in picks.iter().enumerate() {
+                    if let Some((p, j)) = pick {
+                        for (d, &gv) in dp[p].row_mut(j).iter_mut().zip(g.row(r)) {
+                            *d += gv;
+                        }
+                    }
+                }
+                for (&p, dp) in parts.iter().zip(dp) {
+                    if !self.is_input(p) {
+                        acc(grads, p, dp);
+                    }
                 }
             }
             Op::MeanOverSteps(a, seqs) => {
@@ -849,7 +868,21 @@ mod tests {
                 let cat = t.concat_cols(p, o);
                 let left = t.slice_cols(cat, 1, 3);
                 let st = t.stack_rows(&[left, left]);
-                t.mean_all(st)
+                // Zero rows, a subset of `st` with one row twice, `p`'s
+                // rows reordered, and rows of both parts side by side.
+                let picks = [
+                    None,
+                    Some((1, 1)),
+                    Some((0, 3)),
+                    Some((1, 0)),
+                    None,
+                    Some((0, 0)),
+                    Some((0, 3)),
+                ];
+                let picked = t.pick_rows(&[st, p], &picks);
+                let sq = t.mul(picked, picked);
+                let (a, b) = (t.mean_all(sq), t.mean_all(st));
+                t.add(a, b)
             },
             seeded(2, 3, 7),
         );
